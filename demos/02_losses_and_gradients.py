@@ -20,7 +20,7 @@ from viewbench import (
     encode,
     geometric_classification_loss,
     joint_classification_loss,
-    joint_detection_score,
+    joint_detection_scores,
     joint_regression_loss,
     regression_loss,
 )
@@ -69,11 +69,12 @@ res = joint_classification_loss(out, [Target(1, 0.0)])
 n_slots = N_CLASSES * N_BINS + 1
 print(f"uniform logits: loss = {res.value:.6f} = ln {n_slots} = {math.log(n_slots):.6f}")
 
-score = joint_detection_score(np.zeros((N_CLASSES, N_BINS)), 0.0, 1)
-print(f"uniform detection score = {score:.6f} = {N_BINS}/{n_slots} = {N_BINS / n_slots:.6f}")
-confident = np.zeros((N_CLASSES, N_BINS))
-confident[0, 2] = 8.0
-print(f"one confident pose slot lifts the class score to {joint_detection_score(confident, 0.0, 1):.4f}")
+# class scores: each class's share of the global softmax, summed over its bins
+obj = np.zeros((2, N_CLASSES, N_BINS))
+obj[1, 0, 2] = 8.0  # second sample: one confident pose slot of class 1
+scores = joint_detection_scores(JointClsOutputs(obj=obj, back=np.zeros(2)))
+print(f"uniform detection score = {scores[0, 0]:.6f} = {N_BINS}/{n_slots} = {N_BINS / n_slots:.6f}")
+print(f"one confident pose slot lifts the class score to {scores[1, 0]:.4f}")
 
 print()
 print("== every analytic gradient is checked against finite differences ==")

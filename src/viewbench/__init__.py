@@ -50,7 +50,6 @@ from .losses import (
     joint_detection_score,
     joint_detection_scores,
     joint_regression_loss,
-    pose_argmax,
     regression_loss,
 )
 from .metrics import (

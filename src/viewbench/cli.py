@@ -10,6 +10,7 @@ over tolerance).  Equal inputs and seeds give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -18,9 +19,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .angles import bin_center, canonicalize, decode, encode
+from .angles import canonicalize, decode, encode
 from .errors import ConfigError, DivergenceError, ViewbenchError
-from .experiments import compose_detections
+from .experiments import compose_detections, pose_angles
 from .gradcheck import loss_gradient_suite, net_gradient_suite
 from .losses import LossSpec
 from .metrics import evaluate
@@ -31,64 +32,18 @@ from .records import (
     format_eval_report,
     format_train_log,
     load_checkpoint,
-    loss_spec_to_dict,
     parse_detections,
     parse_ground_truths,
     read_benchmark,
     save_checkpoint,
-    train_config_to_dict,
     write_benchmark,
 )
 from .synthetic import ClassSpec, default_class_specs, generate
 
-_LEAF = object()
+_CLASS_KEYS = {f.name for f in dataclasses.fields(ClassSpec)}
 
-_CLASS_KEYS = {"class_id", "seed", "feature_dim", "n_harmonics", "symmetry_order", "noise_sigma"}
-
-_SCHEMA = {
-    "seed": _LEAF,
-    "out_dir": _LEAF,
-    "data": _LEAF,
-    "dataset": {
-        "feature_dim": _LEAF,
-        "noise_sigma": _LEAF,
-        "n_train_scenes": _LEAF,
-        "n_test_scenes": _LEAF,
-        "objects_per_scene": _LEAF,
-        "proposals_per_gt": _LEAF,
-        "backgrounds_per_scene": _LEAF,
-        "jitter": _LEAF,
-        "gt_size_range": _LEAF,
-        "features_binary": _LEAF,
-        "classes": _LEAF,
-    },
-    "net": {
-        "trunk_widths": _LEAF,
-        "head": _LEAF,
-        "n_bins": _LEAF,
-        "n_dims": _LEAF,
-        "split_depth": _LEAF,
-        "seed": _LEAF,
-    },
-    "train": {
-        "lr": _LEAF,
-        "momentum": _LEAF,
-        "weight_decay": _LEAF,
-        "batch_size": _LEAF,
-        "positive_fraction": _LEAF,
-        "total_iters": _LEAF,
-        "decay_at": _LEAF,
-        "lr_decay_factor": _LEAF,
-        "flip_augment": _LEAF,
-        "log_every": _LEAF,
-        "seed": _LEAF,
-        "checkpoint_every": _LEAF,
-    },
-    "loss": {"kind": _LEAF, "sigma": _LEAF, "lam": _LEAF, "delta": _LEAF},
-    "predict": {"score_floor": _LEAF, "split": _LEAF},
-    "eval": {"bins": _LEAF, "iou": _LEAF, "rule": _LEAF},
-}
-
+# Every config key with its default; user configs are checked against
+# this nesting too, so a key is known exactly when it has a default.
 _DEFAULTS = {
     "seed": 0,
     "out_dir": None,
@@ -134,11 +89,11 @@ _DEFAULTS = {
 }
 
 
-def _check_keys(doc: dict, schema: dict, prefix: str = "") -> None:
+def _check_keys(doc: dict, known: dict, prefix: str = "") -> None:
     for key, value in doc.items():
-        if key not in schema:
+        if key not in known:
             raise ConfigError(f"unknown config key: {prefix}{key}")
-        sub = schema[key]
+        sub = known[key]
         if isinstance(sub, dict):
             if value is None:
                 continue
@@ -172,7 +127,7 @@ def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
             user = {}
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: config must be a mapping at the top level")
-        _check_keys(user, _SCHEMA)
+        _check_keys(user, _DEFAULTS)
         for entry in (user.get("dataset") or {}).get("classes") or []:
             if not isinstance(entry, dict):
                 raise ConfigError("dataset.classes entries must be mappings")
@@ -186,6 +141,9 @@ def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
         cfg["net"]["seed"] = cfg["seed"]
     if cfg["train"]["seed"] is None:
         cfg["train"]["seed"] = cfg["seed"]
+    split = cfg["predict"]["split"]
+    if split not in ("train", "test"):
+        raise ConfigError(f"predict.split must be 'train' or 'test', got {split!r}")
     return cfg
 
 
@@ -247,26 +205,12 @@ def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     out = _out_dir(args, cfg)
     train_ds, _, _ = read_benchmark(_require_data(cfg))
-    net_cfg = NetConfig(
-        input_dim=train_ds.feature_dim,
-        trunk_widths=tuple(cfg["net"]["trunk_widths"]),
-        head=cfg["net"]["head"],
-        n_classes=train_ds.n_classes,
-        n_bins=cfg["net"]["n_bins"],
-        n_dims=cfg["net"]["n_dims"],
-        split_depth=cfg["net"]["split_depth"],
-        seed=cfg["net"]["seed"],
-    )
+    net_cfg = NetConfig(input_dim=train_ds.feature_dim, n_classes=train_ds.n_classes, **cfg["net"])
     tdict = dict(cfg["train"])
     every = tdict.pop("checkpoint_every")
-    tdict["decay_at"] = tuple(tdict["decay_at"])
     tcfg = TrainConfig(**tdict)
     loss = LossSpec(**cfg["loss"])
-    extra = {
-        "config": cfg,
-        "loss": loss_spec_to_dict(loss),
-        "train": train_config_to_dict(tcfg),
-    }
+    extra = {"config": cfg, "loss": dataclasses.asdict(loss), "train": dataclasses.asdict(tcfg)}
     out.mkdir(parents=True, exist_ok=True)
 
     def checkpoint_cb(t, params, value):
@@ -301,28 +245,11 @@ def cmd_predict(args) -> int:
         raise ConfigError(
             f"checkpoint covers {ckpt.net.n_classes} classes, dataset has {ds.n_classes}"
         )
-    feats = np.array([p.feature for s in ds.scenes for p in s.proposals]).reshape(
-        -1, ds.feature_dim
-    )
-    net_cfg = ckpt.net
-    pred = net_predict(ckpt.params, net_cfg, feats)
-    n = feats.shape[0]
-    if net_cfg.head == "reg":
-        scores = np.ones((n, net_cfg.n_classes))
-        angles = pred.angles
-    elif net_cfg.head == "cls":
-        scores = np.ones((n, net_cfg.n_classes))
-        angles = np.vectorize(lambda v: bin_center(int(v), net_cfg.n_bins))(pred.bins)
-    elif net_cfg.head == "joint_reg":
-        scores = pred.det_probs[:, 1:]
-        angles = pred.angles
-    else:
-        scores = pred.scores
-        angles = np.vectorize(lambda v: bin_center(int(v), net_cfg.n_bins))(pred.bins)
+    scores, angles = pose_angles(net_predict(ckpt.params, ckpt.net, ds.features()))
     floor = cfg["predict"]["score_floor"]
     dets = compose_detections(ds, scores, angles, floor=floor)
     atomic_write_text(args.out, format_detections(dets))
-    print(f"{len(dets)} detections ({net_cfg.head} head, floor {floor}) -> {args.out}")
+    print(f"{len(dets)} detections ({ckpt.net.head} head, floor {floor}) -> {args.out}")
     return 0
 
 
@@ -343,8 +270,19 @@ def _print_report(report, bins) -> None:
     )
 
 
+def _bin_counts(text: str) -> tuple[int, ...]:
+    """--bins value: comma-separated AVP bin counts, each at least 2."""
+    try:
+        bins = tuple(int(b) for b in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
+    if any(b < 2 for b in bins):
+        raise argparse.ArgumentTypeError(f"bin counts must be >= 2, got {text!r}")
+    return bins
+
+
 def cmd_eval(args) -> int:
-    bins = tuple(int(b) for b in args.bins.split(","))
+    bins = args.bins
     gts = parse_ground_truths(Path(args.gt).read_text(), path=args.gt)
     dets = parse_detections(Path(args.det).read_text(), path=args.det)
     report = evaluate(gts, dets, bins=bins, iou_threshold=args.iou, rule=args.ap_rule)
@@ -418,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score detections against ground truth")
     p.add_argument("gt", help="ground-truth record file")
     p.add_argument("det", help="detection record file")
-    p.add_argument("--bins", default="4,8,16,24", help="comma-separated AVP bin counts")
+    p.add_argument("--bins", type=_bin_counts, default="4,8,16,24",
+                   help="comma-separated AVP bin counts")
     p.add_argument("--iou", type=float, default=0.5, help="IoU match threshold")
     p.add_argument("--ap-rule", choices=("allpoints", "elevenpoint"), default="allpoints")
     p.add_argument("--out", help="write a JSON report here")

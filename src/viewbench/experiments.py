@@ -29,10 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import azimuth_to_bin, bin_center
-from .losses import LossSpec, softmax
+from .angles import TWO_PI, azimuth_to_bin
+from .losses import LossSpec
 from .metrics import Detection, evaluate
-from .net import NetConfig, TrainConfig, forward, predict, train
+from .net import (
+    ClsPrediction,
+    JointClsPrediction,
+    JointRegPrediction,
+    NetConfig,
+    TrainConfig,
+    predict,
+    train,
+)
 from .synthetic import ClassSpec, Dataset, default_benchmark, generate
 
 N_BINS = 24
@@ -74,12 +82,6 @@ class TrainedArm:
     params: object
 
 
-def proposal_features(ds: Dataset) -> np.ndarray:
-    return np.array([p.feature for s in ds.scenes for p in s.proposals]).reshape(
-        -1, ds.feature_dim
-    )
-
-
 def train_detector(train_ds: Dataset, seed: int, iters: int = 3000, width: int = 64) -> TrainedArm:
     """Shared proposal scorer: joint-regression net at lambda 0 (pure
     detection cross-entropy; the pose branch gets zero gradient)."""
@@ -116,19 +118,23 @@ def train_joint_cls(train_ds: Dataset, seed: int, iters: int = 3000, width: int 
     return TrainedArm("joint_cls", cfg, res.params)
 
 
-def detector_scores(det: TrainedArm, features: np.ndarray) -> np.ndarray:
-    """Per-class detection probabilities, background column dropped."""
-    out = forward(det.params, det.cfg, features)
-    return softmax(out.det)[:, 1:]
+def pose_angles(pred) -> tuple[np.ndarray, np.ndarray]:
+    """Detection scores and azimuths, both (B, n_classes), of any head's
+    ``predict()`` output: one (score, azimuth) per class hypothesis.
 
-
-def pose_angles(arm: TrainedArm, features: np.ndarray) -> np.ndarray:
-    """(B, n_classes) azimuth prediction per class hypothesis."""
-    pred = predict(arm.params, arm.cfg, features)
-    if arm.cfg.head in ("reg", "joint_reg"):
-        return pred.angles
-    bins = pred.bins
-    return np.vectorize(lambda v: bin_center(int(v), arm.cfg.n_bins))(bins)
+    Pose-only heads score every hypothesis 1; a joint regression head
+    scores by its detection softmax with the background column dropped.
+    Classified bins map to their centres.
+    """
+    if isinstance(pred, (ClsPrediction, JointClsPrediction)):
+        angles = TWO_PI * (pred.bins - 1) / pred.probs.shape[2]
+    else:
+        angles = pred.angles
+    if isinstance(pred, JointClsPrediction):
+        return pred.scores, angles
+    if isinstance(pred, JointRegPrediction):
+        return pred.det_probs[:, 1:], angles
+    return np.ones(angles.shape), angles
 
 
 def compose_detections(
@@ -171,17 +177,18 @@ def compare_formulations(seed: int, iters: int = 3000, width: int = 64) -> Compa
     split.  The three pose arms share the detector's proposal ordering;
     the joint arm supplies its own scores (that coupling is the point)."""
     train_ds, test_ds = default_benchmark(seed)
-    feats = proposal_features(test_ds)
-    det = train_detector(train_ds, seed, iters, width)
-    scores = detector_scores(det, feats)
+    feats = test_ds.features()
+
+    def scored(arm: TrainedArm) -> tuple[np.ndarray, np.ndarray]:
+        return pose_angles(predict(arm.params, arm.cfg, feats))
+
+    scores, _ = scored(train_detector(train_ds, seed, iters, width))
     values = {}
     for arm_name in ("reg2d", "reg3d", "cls"):
-        arm = train_pose_arm(train_ds, arm_name, seed, iters, width)
-        values[arm_name] = mavp24(test_ds, compose_detections(test_ds, scores, pose_angles(arm, feats)))
-    joint = train_joint_cls(train_ds, seed, iters, width)
-    jpred = predict(joint.params, joint.cfg, feats)
-    jangles = np.vectorize(lambda v: bin_center(int(v), N_BINS))(jpred.bins)
-    values["joint_cls"] = mavp24(test_ds, compose_detections(test_ds, jpred.scores, jangles))
+        _, angles = scored(train_pose_arm(train_ds, arm_name, seed, iters, width))
+        values[arm_name] = mavp24(test_ds, compose_detections(test_ds, scores, angles))
+    joint = scored(train_joint_cls(train_ds, seed, iters, width))
+    values["joint_cls"] = mavp24(test_ds, compose_detections(test_ds, *joint))
     return ComparisonResult(**values)
 
 

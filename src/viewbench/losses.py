@@ -268,17 +268,6 @@ def geometric_classification_loss(
     return LossResult(value, grad)
 
 
-def pose_argmax(output: np.ndarray, class_id: int) -> int:
-    """Predicted viewpoint bin: argmax over the class row, ties to the
-    smallest bin index."""
-    output = np.asarray(output, dtype=float)
-    if output.ndim != 2:
-        raise LayoutError(f"expected a single (n_classes, n_bins) output, got {output.shape}")
-    if not 1 <= class_id <= output.shape[0]:
-        raise ClassOutOfRange(f"class {class_id} outside 1..{output.shape[0]}")
-    return int(np.argmax(output[class_id - 1])) + 1
-
-
 def joint_regression_loss(
     outputs: JointRegOutputs,
     targets: Sequence[Target],
@@ -381,10 +370,8 @@ def joint_detection_score(obj: np.ndarray, back: float, class_id: int) -> float:
         raise LayoutError(f"expected a single (n_classes, n_bins) object block, got {obj.shape}")
     if not 1 <= class_id <= obj.shape[0]:
         raise ClassOutOfRange(f"class {class_id} outside 1..{obj.shape[0]}")
-    m = max(float(np.max(obj)), float(back))
-    e = np.exp(obj - m)
-    denom = float(np.exp(back - m)) + float(np.sum(e))
-    return float(np.sum(e[class_id - 1])) / denom
+    scores = joint_detection_scores(JointClsOutputs(obj[None], np.array([back], dtype=float)))
+    return float(scores[0, class_id - 1])
 
 
 def joint_detection_scores(outputs: JointClsOutputs) -> np.ndarray:
@@ -392,8 +379,7 @@ def joint_detection_scores(outputs: JointClsOutputs) -> np.ndarray:
     background probability to 1."""
     obj = np.asarray(outputs.obj, dtype=float)
     back = np.asarray(outputs.back, dtype=float)
-    n = obj.shape[0]
-    m = np.maximum(np.max(obj.reshape(n, -1), axis=1), back)
+    m = np.maximum(np.max(obj, axis=(1, 2)), back)
     e = np.exp(obj - m[:, None, None])
     denom = np.exp(back - m) + np.sum(e, axis=(1, 2))
     return np.sum(e, axis=2) / denom[:, None]

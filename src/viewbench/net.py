@@ -414,7 +414,7 @@ def build_pool(dataset: Dataset) -> Pool:
 
 
 def make_batch(
-    source: Dataset | Pool,
+    pool: Pool,
     tcfg: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, list[Target]]:
@@ -426,7 +426,6 @@ def make_batch(
     from the class appearance model at the mirrored azimuth with fresh
     noise.  Backgrounds are rotation-free, so flipping leaves them alone.
     """
-    pool = source if isinstance(source, Pool) else build_pool(source)
     n_fg = math.ceil(tcfg.positive_fraction * tcfg.batch_size)
     n_bg = tcfg.batch_size - n_fg
     if n_fg > 0 and pool.fg_features.shape[0] == 0:

@@ -15,11 +15,12 @@ completely before any file is moved into place.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -28,9 +29,8 @@ import numpy as np
 
 from .angles import canonicalize
 from .errors import FormatError
-from .losses import LossSpec
 from .metrics import Box, Detection, EvalReport, GroundTruth
-from .net import Dense, ModelParams, NetConfig, TrainConfig, LogEntry
+from .net import Dense, LogEntry, ModelParams, NetConfig
 from .synthetic import ClassSpec, Dataset, Proposal, Scene
 
 GT_HEADER = "# viewbench ground truth: image_id class_id x_min y_min x_max y_max azimuth_deg"
@@ -151,12 +151,6 @@ def format_dataset(ds: Dataset, inline_features: bool = True) -> str:
     return "\n".join(lines) + "\n"
 
 
-def feature_matrix(ds: Dataset) -> np.ndarray:
-    """All proposal features stacked in scene order, for the sidecar."""
-    rows = [p.feature for s in ds.scenes for p in s.proposals]
-    return np.array(rows, dtype=np.float64).reshape(-1, ds.feature_dim)
-
-
 def parse_dataset(
     text: str,
     class_specs: Sequence[ClassSpec],
@@ -224,49 +218,6 @@ def parse_dataset(
     return Dataset(tuple(scenes), class_specs, feature_dim, split, seed)
 
 
-def class_spec_to_dict(spec: ClassSpec) -> dict:
-    return asdict(spec)
-
-
-def class_spec_from_dict(d: dict) -> ClassSpec:
-    return ClassSpec(**d)
-
-
-# ---------------------------------------------------------------- configs
-
-
-def net_config_to_dict(cfg: NetConfig) -> dict:
-    d = asdict(cfg)
-    d["trunk_widths"] = list(cfg.trunk_widths)
-    return d
-
-
-def net_config_from_dict(d: dict) -> NetConfig:
-    d = dict(d)
-    d["trunk_widths"] = tuple(d["trunk_widths"])
-    return NetConfig(**d)
-
-
-def train_config_to_dict(tcfg: TrainConfig) -> dict:
-    d = asdict(tcfg)
-    d["decay_at"] = list(tcfg.decay_at)
-    return d
-
-
-def train_config_from_dict(d: dict) -> TrainConfig:
-    d = dict(d)
-    d["decay_at"] = tuple(d["decay_at"])
-    return TrainConfig(**d)
-
-
-def loss_spec_to_dict(spec: LossSpec) -> dict:
-    return asdict(spec)
-
-
-def loss_spec_from_dict(d: dict) -> LossSpec:
-    return LossSpec(**d)
-
-
 # ---------------------------------------------------------------- manifest
 
 
@@ -293,7 +244,7 @@ def benchmark_manifest(
         "version": 1,
         "feature_dim": train.feature_dim,
         "features_binary": features_binary,
-        "class_specs": [class_spec_to_dict(s) for s in train.class_specs],
+        "class_specs": [asdict(s) for s in train.class_specs],
         "splits": {"train": split_entry(train, "train"), "test": split_entry(test, "test")},
         "config": config_echo,
     }
@@ -322,7 +273,7 @@ def write_benchmark(
         ).encode()
         files[out / f"{name}_gt.txt"] = format_ground_truths(ds.ground_truths()).encode()
         if features_binary:
-            files[out / f"{name}_features.npy"] = _npy_bytes(feature_matrix(ds))
+            files[out / f"{name}_features.npy"] = _npy_bytes(ds.features())
     files[out / "manifest.json"] = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
     commit_files(files)
     return out / "manifest.json"
@@ -336,7 +287,7 @@ def read_benchmark(manifest_path: str | Path) -> tuple[Dataset, Dataset, dict]:
         raise FormatError(f"{manifest_path}: invalid JSON: {e}") from None
     if manifest.get("format") != "viewbench-benchmark":
         raise FormatError(f"{manifest_path}: not a benchmark manifest")
-    specs = tuple(class_spec_from_dict(d) for d in manifest["class_specs"])
+    specs = tuple(ClassSpec(**d) for d in manifest["class_specs"])
     root = manifest_path.parent
     out = []
     for name in ("train", "test"):
@@ -414,8 +365,7 @@ def parse_checkpoint(text: str, path: str = "<string>") -> Checkpoint:
             arrays[tag] = vals.reshape((fan_in, fan_out) if tag in ("w", "vw") else (fan_out,))
         layers[name] = Dense(arrays["w"], arrays["b"], arrays["vw"], arrays["vb"])
         i += 5
-    net = net_config_from_dict(header["net"])
-    return Checkpoint(ModelParams(layers), net, header)
+    return Checkpoint(ModelParams(layers), NetConfig(**header["net"]), header)
 
 
 def save_checkpoint(
@@ -425,7 +375,7 @@ def save_checkpoint(
     iteration: int,
     extra: dict | None = None,
 ) -> None:
-    header = {"net": net_config_to_dict(cfg), "iteration": iteration}
+    header = {"net": asdict(cfg), "iteration": iteration}
     if extra:
         header.update(extra)
     atomic_write_text(path, format_checkpoint(params, header))
@@ -445,8 +395,8 @@ def format_train_log(entries: Sequence[LogEntry]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    return {
+def format_eval_report(report: EvalReport, echo: dict | None = None) -> str:
+    doc = {
         "mean_ap": report.mean_ap,
         "mean_avp": {str(k): v for k, v in report.mean_avp.items()},
         "per_class": {
@@ -457,12 +407,8 @@ def report_to_dict(report: EvalReport) -> dict:
             }
             for c, m in report.per_class.items()
         },
+        "config": echo,
     }
-
-
-def format_eval_report(report: EvalReport, echo: dict | None = None) -> str:
-    doc = report_to_dict(report)
-    doc["config"] = echo
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -473,20 +419,37 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode())
 
 
+def _discard(tmps: Iterable[str]) -> None:
+    for tmp in tmps:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _stage(path: Path, data: bytes) -> str:
+    """Write ``data`` to a new temp file beside ``path`` and return its
+    name.  The file is created with mode 0o666 less the umask, as a plain
+    open() would make it (mkstemp's 0o600 would survive the rename); on
+    failure it is removed."""
+    tmp = str(path.parent / f"{path.name}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+    except BaseException:
+        _discard([tmp])
+        raise
+    return tmp
+
+
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Write to a temp file in the target directory, then rename over the
     destination; a failure never leaves a partial file at ``path``."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = _stage(path, data)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        _discard([tmp])
         raise
 
 
@@ -497,16 +460,9 @@ def commit_files(files: dict[Path, bytes]) -> None:
     try:
         for path, data in files.items():
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            staged.append((tmp, path))
+            staged.append((_stage(path, data), path))
     except BaseException:
-        for tmp, _ in staged:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        _discard(tmp for tmp, _ in staged)
         raise
     for tmp, path in staged:
         os.replace(tmp, path)

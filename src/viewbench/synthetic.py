@@ -144,6 +144,11 @@ class Dataset:
     def ground_truths(self) -> list[GroundTruth]:
         return [g for scene in self.scenes for g in scene.gts]
 
+    def features(self) -> np.ndarray:
+        """All proposal features stacked in scene order, (n_samples, feature_dim)."""
+        rows = [p.feature for s in self.scenes for p in s.proposals]
+        return np.array(rows, dtype=np.float64).reshape(-1, self.feature_dim)
+
 
 def _random_box(rng: np.random.Generator, size_range: tuple[float, float]) -> Box:
     w = float(rng.uniform(*size_range))

@@ -16,7 +16,7 @@ import yaml
 from viewbench.cli import entry, load_run_config
 from viewbench.errors import ConfigError
 from viewbench.net import forward
-from viewbench.records import load_checkpoint, parse_detections, read_benchmark
+from viewbench.records import DET_HEADER, load_checkpoint, parse_detections, read_benchmark
 
 N_BINS = 24
 
@@ -311,6 +311,58 @@ class TestPredict:
         )
         assert "checkpoint expects 8-dim features" in capsys.readouterr().err
 
+    def test_empty_split_writes_header_only(self, small_ckpt, tmp_path):
+        ds = dict(SMALL_DATASET, n_test_scenes=0)
+        cfg = _write_yaml(tmp_path / "g.yaml", {"seed": 0, "dataset": ds})
+        assert entry(["generate", "--config", cfg, "--out", str(tmp_path / "bench")]) == 0
+        out = tmp_path / "d.txt"
+        assert (
+            entry(
+                ["predict", str(small_ckpt["ckpt"]), str(tmp_path / "bench" / "manifest.json"),
+                 "--out", str(out)]
+            )
+            == 0
+        )
+        assert out.read_text() == DET_HEADER + "\n"
+
+
+def _exit_code(argv):
+    """Exit code of a command, whether entry returns it or argparse exits."""
+    try:
+        return entry(argv)
+    except SystemExit as e:
+        return e.code
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "{gt}", "{gt}", "--bins", "4,x"], "not a list of integers: '4,x'"),
+        (["eval", "{gt}", "{gt}", "--bins", ""], "not a list of integers: ''"),
+        (["eval", "{gt}", "{gt}", "--bins", "8,1"], "bin counts must be >= 2, got '8,1'"),
+        (
+            ["predict", "{ckpt}", "{manifest}", "--config", "{val}", "--out", "{out}"],
+            "predict.split must be 'train' or 'test', got 'val'",
+        ),
+    ],
+    ids=["bins-not-integers", "bins-empty", "bins-below-2", "predict-split"],
+)
+def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, tmp_path, capsys):
+    """Bad values are rejected where they enter, with a message and exit 2."""
+    paths = {
+        "gt": small_bench["dir"] / "test_gt.txt",
+        "ckpt": small_ckpt["ckpt"],
+        "manifest": small_bench["manifest"],
+        "val": _write_yaml(tmp_path / "p.yaml", {"predict": {"split": "val"}}),
+        "out": tmp_path / "out.txt",
+    }
+    code = _exit_code([a.format(**paths) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert not paths["out"].exists()
+
 
 GT_TEXT = """\
 img0 1 0.0 0.0 0.2 0.2 10
@@ -426,9 +478,7 @@ class TestPipeline:
         scores plus its background share must sum to 1."""
         ckpt = load_checkpoint(pipeline["ckpt"])
         _, test_ds, _ = read_benchmark(pipeline["bench"] / "manifest.json")
-        feats = np.array(
-            [p.feature for s in test_ds.scenes for p in s.proposals]
-        )
+        feats = test_ds.features()
         out = forward(ckpt.params, ckpt.net, feats)
         n = feats.shape[0]
         m = np.maximum(np.max(out.obj.reshape(n, -1), axis=1), out.back)

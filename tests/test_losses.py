@@ -33,7 +33,6 @@ from viewbench.losses import (
     joint_detection_scores,
     joint_regression_loss,
     log_softmax,
-    pose_argmax,
     regression_loss,
 )
 
@@ -267,26 +266,6 @@ class TestGeometricLoss:
         base = geometric_classification_loss(out, targets).value
         shifted = geometric_classification_loss(out - 11.0, targets).value
         assert shifted == pytest.approx(base, abs=1e-12)
-
-
-class TestPoseArgmax:
-    def test_plain(self):
-        assert pose_argmax(np.array([[0.0, 5.0, 1.0]]), 1) == 2
-
-    def test_tie_breaks_low(self):
-        assert pose_argmax(np.zeros((1, 3)), 1) == 1
-        assert pose_argmax(np.array([[3.0, 3.0, 1.0]]), 1) == 1
-
-    def test_class_row_selection(self):
-        out = np.array([[0.0, 1.0], [9.0, 0.0]])
-        assert pose_argmax(out, 1) == 2
-        assert pose_argmax(out, 2) == 1
-
-    def test_out_of_range(self):
-        with pytest.raises(ClassOutOfRange):
-            pose_argmax(np.zeros((2, 4)), 3)
-        with pytest.raises(ClassOutOfRange):
-            pose_argmax(np.zeros((2, 4)), 0)
 
 
 class TestJointRegressionLoss:

@@ -409,6 +409,34 @@ class TestPredict:
         assert pred.angles.shape == (5, 2)
 
 
+class TestClsPredictionBins:
+    """Predicted bin: argmax over each class row, ties to the smallest bin."""
+
+    @staticmethod
+    def _bins(logits, head="cls"):
+        logits = np.asarray(logits, dtype=float)
+        n_classes, n_bins = logits.shape
+        cfg = NetConfig(input_dim=1, trunk_widths=(), head=head, n_classes=n_classes,
+                        n_bins=n_bins)
+        params = _bare_params(cfg)
+        params.layers["head"].b[: logits.size] = logits.ravel()
+        return predict(params, cfg, np.zeros((1, 1))).bins[0].tolist()
+
+    def test_plain(self):
+        assert self._bins([[0.0, 5.0, 1.0]]) == [2]
+
+    def test_tie_breaks_low(self):
+        assert self._bins(np.zeros((1, 3))) == [1]
+        assert self._bins([[3.0, 3.0, 1.0]]) == [1]
+
+    def test_class_row_selection(self):
+        assert self._bins([[0.0, 1.0], [9.0, 0.0]]) == [2, 1]
+
+    def test_joint_cls_same_rule(self):
+        logits = [[3.0, 3.0, 1.0], [0.0, 1.0, 1.0]]
+        assert self._bins(logits, head="joint_cls") == self._bins(logits) == [1, 2]
+
+
 def test_layer_plan_orders_split_branches():
     cfg = NetConfig(
         input_dim=3, trunk_widths=(4, 5), head="joint_reg", n_classes=2,

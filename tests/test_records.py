@@ -8,6 +8,9 @@ rather than exactly.  Parse errors must name the file and line.
 
 import json
 import math
+import os
+import stat
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,22 +22,17 @@ from viewbench.net import NetConfig, TrainConfig, init_params
 from viewbench.records import (
     atomic_write_text,
     commit_files,
-    feature_matrix,
     format_dataset,
     format_detections,
     format_eval_report,
     format_ground_truths,
     format_train_log,
     load_checkpoint,
-    net_config_from_dict,
-    net_config_to_dict,
     parse_dataset,
     parse_detections,
     parse_ground_truths,
     read_benchmark,
     save_checkpoint,
-    train_config_from_dict,
-    train_config_to_dict,
     write_benchmark,
 )
 from viewbench.synthetic import ClassSpec, generate, oracle_eval
@@ -119,7 +117,7 @@ class TestDatasetFiles:
     def test_sidecar_round_trip(self):
         ds = generate(5, 6, _specs())
         text = format_dataset(ds, inline_features=False)
-        back = parse_dataset(text, _specs(), ds.split, ds.seed, features=feature_matrix(ds))
+        back = parse_dataset(text, _specs(), ds.split, ds.seed, features=ds.features())
         _assert_datasets_equal(ds, back)
 
     def test_sidecar_required_when_not_inline(self):
@@ -232,19 +230,29 @@ class TestCheckpoints:
 
 
 class TestConfigDicts:
-    def test_net_config(self):
+    """Configs travel through checkpoint headers as ``asdict`` and come
+    back through their constructors, which turn lists into tuples."""
+
+    def test_net_config(self, tmp_path):
         cfg = NetConfig(input_dim=4, trunk_widths=(8, 6), head="joint_reg",
                         n_classes=3, n_dims=2, split_depth=1, seed=5)
-        assert net_config_from_dict(net_config_to_dict(cfg)) == cfg
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(cfg), cfg, iteration=0)
+        assert load_checkpoint(path).net == cfg
 
-    def test_train_config(self):
+    def test_train_config(self, tmp_path):
         tcfg = TrainConfig(lr=0.01, decay_at=(100, 200), seed=3)
-        assert train_config_from_dict(train_config_to_dict(tcfg)) == tcfg
+        cfg = NetConfig(input_dim=4, trunk_widths=(8,), head="cls", n_classes=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(cfg), cfg, iteration=0, extra={"train": asdict(tcfg)})
+        assert TrainConfig(**load_checkpoint(path).header["train"]) == tcfg
 
     def test_json_safe(self):
+        # tuples serialize as JSON lists, the same bytes as a list-valued dict
         cfg = NetConfig(input_dim=4, trunk_widths=(8,), head="cls", n_classes=1)
-        json.dumps(net_config_to_dict(cfg))
-        json.dumps(train_config_to_dict(TrainConfig()))
+        tcfg = TrainConfig()
+        assert json.dumps(asdict(cfg)) == json.dumps({**asdict(cfg), "trunk_widths": [8]})
+        assert json.dumps(asdict(tcfg)) == json.dumps({**asdict(tcfg), "decay_at": [2000]})
 
 
 class TestReportsAndLogs:
@@ -284,3 +292,22 @@ class TestAtomicWrites:
             commit_files(files)
         assert not (tmp_path / "ok.txt").exists()
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        files = {tmp_path / "a.txt": b"ok", tmp_path / "b.txt": "not bytes"}
+        with pytest.raises(TypeError):
+            commit_files(files)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o002, 0o664), (0o027, 0o640)], ids=oct
+    )
+    def test_modes_honour_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "one.txt", "one\n")
+            commit_files({tmp_path / "sub" / "two.txt": b"two\n"})
+        finally:
+            os.umask(old)
+        for path in (tmp_path / "one.txt", tmp_path / "sub" / "two.txt"):
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path.name

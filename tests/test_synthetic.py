@@ -90,6 +90,14 @@ class TestGenerate:
         ds = generate(0, 0, _specs())
         assert ds.scenes == ()
         assert ds.n_samples == 0
+        assert ds.features().shape == (0, 8)
+
+    def test_features_stack_in_scene_order(self):
+        ds = generate(2, 3, _specs())
+        rows = [p.feature for s in ds.scenes for p in s.proposals]
+        feats = ds.features()
+        assert feats.shape == (ds.n_samples, 8) and feats.dtype == np.float64
+        assert all(np.array_equal(row, f) for row, f in zip(feats, rows))
 
     def test_zero_jitter_is_exact(self):
         ds = generate(1, 10, _specs(), jitter=0.0)
