@@ -1,10 +1,11 @@
 """The training losses and their analytic gradients.
 
 Five losses share one calling convention: head outputs plus a list of
-Target labels in, a scalar value plus a gradient of the same shape as
-the outputs back.  The pose-only losses see foreground samples; the
-joint losses also accept background targets and couple detection with
-pose through their normalization.
+Target labels (or one Labels batch of arrays, as training builds it) in,
+a scalar value plus a gradient of the same shape as the outputs back.
+The pose-only losses see foreground samples; the joint losses also
+accept background targets and couple detection with pose through their
+normalization.
 """
 
 import math

@@ -39,9 +39,11 @@ from .errors import (
 from .losses import (
     JointClsOutputs,
     JointRegOutputs,
+    Labels,
     LossResult,
     LossSpec,
     Target,
+    as_labels,
     classification_loss,
     default_geometric_sigma,
     geometric_classification_loss,

@@ -43,8 +43,14 @@ _V3 = np.array([math.sqrt(3.0) / 2.0, 0.0, -math.sqrt(3.0) / 2.0])
 DEGENERATE_NORM = 1e-12
 
 
-def canonicalize(raw: float) -> float:
-    """Reduce a finite angle in radians into [0, 2*pi)."""
+def canonicalize(raw):
+    """Reduce a finite angle in radians into [0, 2*pi).
+
+    Takes a float, or an ndarray reduced elementwise with the same IEEE
+    operations (``fmod``, ``+``), so both forms agree bit for bit.
+    """
+    if isinstance(raw, np.ndarray):
+        return _canonicalize_array(raw)
     if not math.isfinite(raw):
         raise InvalidAngle(f"angle must be finite, got {raw!r}")
     value = math.fmod(raw, TWO_PI)
@@ -56,16 +62,30 @@ def canonicalize(raw: float) -> float:
     return value
 
 
-def azimuth_to_bin(theta: float, n_bins: int) -> int:
+def _canonicalize_array(raw: np.ndarray) -> np.ndarray:
+    finite = np.isfinite(raw)
+    if not finite.all():
+        bad = raw.flat[int(np.argmin(finite.ravel()))]
+        raise InvalidAngle(f"angle must be finite, got {float(bad)!r}")
+    value = np.fmod(raw, TWO_PI, out=np.empty(raw.shape))
+    np.add(value, TWO_PI, out=value, where=value < 0.0)
+    value[value >= TWO_PI] = 0.0
+    return value
+
+
+def azimuth_to_bin(theta, n_bins: int):
     """Index (1-based) of the centered viewpoint bin containing ``theta``.
 
     Bin ``v`` is centered at ``2*pi*(v-1)/n_bins``; edges fall on odd
     multiples of ``pi/n_bins``.  An angle exactly on an edge belongs to the
-    bin above it.
+    bin above it.  An ndarray of angles gives an int array of bins.
     """
     if n_bins < 2:
         raise InvalidBinning(f"need at least 2 bins, got {n_bins}")
     width = TWO_PI / n_bins
+    if isinstance(theta, np.ndarray):
+        v = np.floor((canonicalize(theta) + 0.5 * width) / width).astype(int) % n_bins
+        return v + 1
     v = int(math.floor((canonicalize(theta) + 0.5 * width) / width)) % n_bins
     return v + 1
 
@@ -95,8 +115,9 @@ def bin_distance(a: int, b: int, n_bins: int, n_bins_b: int | None = None) -> in
     return min(d, n_bins - d)
 
 
-def flip_azimuth(theta: float) -> float:
-    """Azimuth of the horizontally mirrored object: 2*pi - theta, canonical."""
+def flip_azimuth(theta):
+    """Azimuth of the horizontally mirrored object: 2*pi - theta, canonical.
+    Elementwise on an ndarray."""
     return canonicalize(-canonicalize(theta))
 
 
@@ -107,22 +128,21 @@ def mirror_bin(index: int, n_bins: int) -> int:
     return 1 if index == 1 else n_bins - index + 2
 
 
-def encode(theta: float, dim: int) -> np.ndarray:
+def encode(theta, dim: int) -> np.ndarray:
     """Trigonometric pose embedding of an azimuth.
 
     ``dim=2`` gives ``[cos t, sin t]``; ``dim=3`` gives
-    ``[cos(t - pi/3), cos t, cos(t + pi/3)]``.
+    ``[cos(t - pi/3), cos t, cos(t + pi/3)]``.  An ndarray of ``B`` angles
+    gives one embedding per row, shape ``(B, dim)``.
     """
+    if isinstance(theta, np.ndarray):
+        cos, sin, stack = np.cos, np.sin, lambda cols: np.stack(cols, axis=-1)
+    else:
+        cos, sin, stack = math.cos, math.sin, np.array
     if dim == 2:
-        return np.array([math.cos(theta), math.sin(theta)])
+        return stack([cos(theta), sin(theta)])
     if dim == 3:
-        return np.array(
-            [
-                math.cos(theta - math.pi / 3.0),
-                math.cos(theta),
-                math.cos(theta + math.pi / 3.0),
-            ]
-        )
+        return stack([cos(theta - math.pi / 3.0), cos(theta), cos(theta + math.pi / 3.0)])
     raise InvalidParameter(f"embedding dim must be 2 or 3, got {dim}")
 
 

@@ -1,10 +1,11 @@
 """Command-line surface: generate, train, predict, eval, gradcheck, codec.
 
-Commands read one YAML run config (unknown keys are rejected, and the
-effective config is echoed into every artifact for provenance), write
-through atomic renames, and exit 0 on success, 2 on input or config
-errors, 3 on numerical failures (training divergence, gradient check
-over tolerance).  Equal inputs and seeds give byte-identical outputs.
+Commands read one YAML run config (unknown keys and values not of their
+default's type are rejected, and the effective config is echoed into
+every artifact for provenance), write through atomic renames, and exit 0
+on success, 2 on input or config errors, 3 on numerical failures
+(training divergence, gradient check over tolerance).  Equal inputs and
+seeds give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -40,10 +41,13 @@ from .records import (
 )
 from .synthetic import ClassSpec, default_class_specs, generate
 
-_CLASS_KEYS = {f.name for f in dataclasses.fields(ClassSpec)}
+# A class entry's keys, each with a value of the type its field takes.
+_CLASS_KEYS = {f.name: {"int": 0, "float": 0.0}[f.type] for f in dataclasses.fields(ClassSpec)}
 
 # Every config key with its default; user configs are checked against
-# this nesting too, so a key is known exactly when it has a default.
+# this nesting too, so a key is known exactly when it has a default, and
+# a value must have the type of its default (a tuple is a list of that
+# length, a float any finite number).
 _DEFAULTS = {
     "seed": 0,
     "out_dir": None,
@@ -53,11 +57,11 @@ _DEFAULTS = {
         "noise_sigma": 0.25,
         "n_train_scenes": 200,
         "n_test_scenes": 100,
-        "objects_per_scene": [1, 3],
+        "objects_per_scene": (1, 3),
         "proposals_per_gt": 1,
         "backgrounds_per_scene": 8,
         "jitter": 0.15,
-        "gt_size_range": [0.15, 0.4],
+        "gt_size_range": (0.15, 0.4),
         "features_binary": False,
         "classes": None,
     },
@@ -89,6 +93,56 @@ _DEFAULTS = {
 }
 
 
+# Keys whose default is None, with a value of the type a set value takes.
+_UNSET_TYPES = {
+    "out_dir": "",
+    "data": "",
+    "dataset.classes": [],
+    "net.seed": 0,
+    "train.seed": 0,
+    "loss.sigma": 0.0,
+}
+
+
+def _conforms(value, example) -> bool:
+    """Whether a config value has the type of the example value."""
+    if isinstance(example, bool):
+        return isinstance(value, bool)
+    if isinstance(example, (list, tuple)):
+        if not isinstance(value, list):
+            return False
+        if isinstance(example, tuple) and len(value) != len(example):
+            return False
+        return not example or all(_conforms(v, example[0]) for v in value)
+    if isinstance(example, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        return isinstance(value, int) if isinstance(example, int) else math.isfinite(value)
+    return isinstance(value, str)
+
+
+def _describe(example) -> str:
+    if isinstance(example, bool):
+        return "true or false"
+    if isinstance(example, int):
+        return "an integer"
+    if isinstance(example, float):
+        return "a finite number"
+    if isinstance(example, str):
+        return "a string"
+    if not example:
+        return "a list"
+    items = {int: "integers", float: "finite numbers"}[type(example[0])]
+    if isinstance(example, tuple):
+        return f"a list of {len(example)} {items}"
+    return f"a list of {items}"
+
+
+def _check_value(key: str, value, example) -> None:
+    if not _conforms(value, example):
+        raise ConfigError(f"config key {key} must be {_describe(example)}, got {value!r}")
+
+
 def _check_keys(doc: dict, known: dict, prefix: str = "") -> None:
     for key, value in doc.items():
         if key not in known:
@@ -100,6 +154,10 @@ def _check_keys(doc: dict, known: dict, prefix: str = "") -> None:
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {prefix}{key} must be a mapping")
             _check_keys(value, sub, prefix + key + ".")
+        elif sub is not None:
+            _check_value(prefix + key, value, sub)
+        elif value is not None:
+            _check_value(prefix + key, value, _UNSET_TYPES[prefix + key])
 
 
 def _merge(defaults: dict, user: dict) -> dict:
@@ -131,9 +189,11 @@ def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
         for entry in (user.get("dataset") or {}).get("classes") or []:
             if not isinstance(entry, dict):
                 raise ConfigError("dataset.classes entries must be mappings")
-            unknown = set(entry) - _CLASS_KEYS
+            unknown = set(entry) - set(_CLASS_KEYS)
             if unknown:
                 raise ConfigError(f"unknown class spec key: {sorted(unknown)[0]}")
+            for key, value in entry.items():
+                _check_value(f"dataset.classes.{key}", value, _CLASS_KEYS[key])
     cfg = _merge(_DEFAULTS, user)
     if seed_override is not None:
         cfg["seed"] = seed_override
@@ -141,6 +201,10 @@ def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
         cfg["net"]["seed"] = cfg["seed"]
     if cfg["train"]["seed"] is None:
         cfg["train"]["seed"] = cfg["seed"]
+    for key, seed in (("seed", cfg["seed"]), ("net.seed", cfg["net"]["seed"]),
+                      ("train.seed", cfg["train"]["seed"])):
+        if seed < 0:
+            raise ConfigError(f"config key {key} must be >= 0, got {seed}")
     split = cfg["predict"]["split"]
     if split not in ("train", "test"):
         raise ConfigError(f"predict.split must be 'train' or 'test', got {split!r}")
@@ -204,7 +268,7 @@ def _require_data(cfg: dict) -> Path:
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     out = _out_dir(args, cfg)
-    train_ds, _, _ = read_benchmark(_require_data(cfg))
+    train_ds, _, _ = read_benchmark(_require_data(cfg), split="train")
     net_cfg = NetConfig(input_dim=train_ds.feature_dim, n_classes=train_ds.n_classes, **cfg["net"])
     tdict = dict(cfg["train"])
     every = tdict.pop("checkpoint_every")
@@ -234,8 +298,9 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     ckpt = load_checkpoint(args.checkpoint)
-    train_ds, test_ds, _ = read_benchmark(Path(args.data))
-    ds = {"train": train_ds, "test": test_ds}[cfg["predict"]["split"]]
+    split = cfg["predict"]["split"]
+    train_ds, test_ds, _ = read_benchmark(Path(args.data), split=split)
+    ds = train_ds if split == "train" else test_ds
     if ckpt.net.input_dim != ds.feature_dim:
         raise ConfigError(
             f"checkpoint expects {ckpt.net.input_dim}-dim features, "
@@ -268,6 +333,17 @@ def _print_report(report, bins) -> None:
         f"{'mean':>8} {'':>6} {report.mean_ap:>8.4f}"
         + "".join(f"{report.mean_avp[k]:>8.4f}" for k in bins)
     )
+
+
+def _seed(text: str) -> int:
+    """--seed value: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {seed}")
+    return seed
 
 
 def _bin_counts(text: str) -> tuple[int, ...]:
@@ -334,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="YAML run config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
 
     p = sub.add_parser("generate", help="generate a seeded benchmark dataset")
     common(p)
@@ -364,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--corrupt", action="store_true",
                    help="test hook: corrupt one slot so the suite must fail")
     p.set_defaults(func=cmd_gradcheck)

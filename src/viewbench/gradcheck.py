@@ -25,8 +25,10 @@ from .angles import TWO_PI
 from .losses import (
     JointClsOutputs,
     JointRegOutputs,
+    Labels,
     LossSpec,
     Target,
+    as_labels,
     classification_loss,
     geometric_classification_loss,
     joint_classification_loss,
@@ -124,13 +126,14 @@ def _pack(outputs):
 def check_loss(
     loss_fn: Callable,
     outputs,
-    targets: Sequence[Target],
+    targets: Labels | Sequence[Target],
     tolerance: float = LOSS_TOL,
     name: str = "loss",
     seed: int = 0,
     corrupt: bool = False,
 ) -> GradCheckResult:
     """Finite-difference check of one loss at one output point."""
+    targets = as_labels(targets)  # once, not at every evaluation
     vec, unpack = _pack(outputs)
     res = loss_fn(outputs, targets)
     grad_vec, _ = _pack(res.grad)
@@ -180,13 +183,14 @@ def check_net(
     cfg: nets.NetConfig,
     loss: LossSpec,
     x: np.ndarray,
-    targets: Sequence[Target],
+    targets: Labels | Sequence[Target],
     tolerance: float = NET_TOL,
     name: str = "net",
     seed: int = 0,
     corrupt: bool = False,
 ) -> GradCheckResult:
     """End-to-end check: d(loss)/d(parameters) through forward/backward."""
+    targets = as_labels(targets)
     params = nets.init_params(cfg)
     fn = nets._loss_fn(loss, cfg)
     out, cache = nets.forward(params, cfg, x, want_cache=True)

@@ -6,6 +6,12 @@ with respect to the outputs, laid out exactly like the outputs themselves.
 Batch reduction is a plain sum; callers that want a per-sample figure divide
 by the batch size.
 
+Targets come as one :class:`Labels` batch (class ids and azimuths as
+arrays, which is what ``net.make_batch`` produces) or as any sequence of
+per-sample :class:`Target` values.  Each loss turns its input into
+``Labels`` once at entry; bins, embeddings and slots are then array code.
+A bad label raises for the first offending sample in index order.
+
 Output layouts
 --------------
 * pose regression: ``(B, n_classes, dim)`` -- one embedding row per class.
@@ -39,6 +45,7 @@ from .errors import (
     BackgroundInRegression,
     ClassOutOfRange,
     ConfigError,
+    InvalidAngle,
     InvalidParameter,
     LayoutError,
 )
@@ -71,9 +78,53 @@ class Target:
         if self.class_id > 0 and self.azimuth is None:
             raise LayoutError("foreground target requires an azimuth")
 
-    @property
-    def is_background(self) -> bool:
-        return self.class_id == 0
+
+@dataclass(frozen=True, eq=False)
+class Labels:
+    """A batch of targets as arrays: ``class_id`` (B,) int, 0 = background,
+    and ``azimuth`` (B,) float, NaN exactly on background rows.
+
+    Validated once for the whole batch with the rules of :class:`Target`;
+    foreground azimuths must also be finite.
+    """
+
+    class_id: np.ndarray
+    azimuth: np.ndarray
+
+    def __post_init__(self):
+        cls = np.asarray(self.class_id)
+        az = np.asarray(self.azimuth, dtype=float)
+        if cls.ndim != 1 or az.shape != cls.shape or cls.dtype.kind not in "iu":
+            raise LayoutError(
+                f"labels need (B,) integer class ids and (B,) azimuths, "
+                f"got {cls.dtype} {cls.shape} and {az.shape}"
+            )
+        object.__setattr__(self, "class_id", cls)
+        object.__setattr__(self, "azimuth", az)
+        background = cls == 0
+        bad = (background != np.isnan(az)) | np.isinf(az) | (cls < 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if cls[i] < 0:
+                raise ClassOutOfRange(f"sample {i}: class_id must be >= 0, got {cls[i]}")
+            if background[i]:
+                raise LayoutError(f"sample {i}: background target must not carry an azimuth")
+            if np.isnan(az[i]):
+                raise LayoutError(f"sample {i}: foreground target requires an azimuth")
+            raise InvalidAngle(f"sample {i}: azimuth must be finite, got {float(az[i])!r}")
+
+    def __len__(self) -> int:
+        return self.class_id.shape[0]
+
+
+def as_labels(targets: Labels | Sequence[Target]) -> Labels:
+    """The targets as one :class:`Labels` batch (returned as is if already one)."""
+    if isinstance(targets, Labels):
+        return targets
+    return Labels(
+        np.array([t.class_id for t in targets], dtype=int),
+        np.array([np.nan if t.azimuth is None else t.azimuth for t in targets], dtype=float),
+    )
 
 
 @dataclass(frozen=True)
@@ -159,30 +210,26 @@ def default_geometric_sigma(n_bins: int) -> float:
     return 3.0 * n_bins / 360.0
 
 
-def _foreground_ids(targets: Sequence[Target], n_classes: int, error_cls) -> np.ndarray:
-    ids = np.empty(len(targets), dtype=int)
-    for i, t in enumerate(targets):
-        if t.is_background:
-            raise error_cls(f"sample {i} is background")
-        if t.class_id > n_classes:
-            raise ClassOutOfRange(
-                f"sample {i} has class {t.class_id} but outputs cover 1..{n_classes}"
-            )
-        ids[i] = t.class_id
-    return ids
-
-
-def _bins_of(targets: Sequence[Target], n_bins: int) -> np.ndarray:
-    return np.array([azimuth_to_bin(t.azimuth, n_bins) for t in targets], dtype=int)
-
-
-def _embeddings_of(targets: Sequence[Target], dim: int) -> np.ndarray:
-    return np.stack([encode(t.azimuth, dim) for t in targets])
+def _class_ids(labels: Labels, n_classes: int, background_error=None) -> np.ndarray:
+    """Class ids, checked against the outputs' class count; with
+    ``background_error``, background rows are rejected too."""
+    cls = labels.class_id
+    bad = cls > n_classes
+    if background_error is not None:
+        bad |= cls == 0
+    if bad.any():
+        i = int(np.argmax(bad))
+        if cls[i] == 0:
+            raise background_error(f"sample {i} is background")
+        raise ClassOutOfRange(
+            f"sample {i} has class {cls[i]} but outputs cover 1..{n_classes}"
+        )
+    return cls
 
 
 def regression_loss(
     outputs: np.ndarray,
-    targets: Sequence[Target],
+    targets: Labels | Sequence[Target],
     dim: int,
     delta: float = 1.0,
 ) -> LossResult:
@@ -193,32 +240,34 @@ def regression_loss(
     """
     if dim not in (2, 3):
         raise InvalidParameter(f"embedding dim must be 2 or 3, got {dim}")
+    labels = as_labels(targets)
     outputs = np.asarray(outputs, dtype=float)
     if outputs.ndim != 3 or outputs.shape[2] != dim:
         raise LayoutError(
             f"expected outputs (batch, n_classes, {dim}), got {outputs.shape}"
         )
-    if outputs.shape[0] != len(targets):
-        raise LayoutError(f"{outputs.shape[0]} outputs vs {len(targets)} targets")
+    if outputs.shape[0] != len(labels):
+        raise LayoutError(f"{outputs.shape[0]} outputs vs {len(labels)} targets")
     n = outputs.shape[0]
-    cls = _foreground_ids(targets, outputs.shape[1], BackgroundInRegression)
-    residual = outputs[np.arange(n), cls - 1] - _embeddings_of(targets, dim)
+    cls = _class_ids(labels, outputs.shape[1], BackgroundInRegression)
+    residual = outputs[np.arange(n), cls - 1] - encode(labels.azimuth, dim)
     value, deriv = huber(residual, delta)
     grad = np.zeros_like(outputs)
     grad[np.arange(n), cls - 1] = deriv
     return LossResult(float(np.sum(value)), grad)
 
 
-def classification_loss(outputs: np.ndarray, targets: Sequence[Target]) -> LossResult:
+def classification_loss(outputs: np.ndarray, targets: Labels | Sequence[Target]) -> LossResult:
     """Cross-entropy over the viewpoint bins of each sample's class row."""
+    labels = as_labels(targets)
     outputs = np.asarray(outputs, dtype=float)
     if outputs.ndim != 3:
         raise LayoutError(f"expected outputs (batch, n_classes, n_bins), got {outputs.shape}")
-    if outputs.shape[0] != len(targets):
-        raise LayoutError(f"{outputs.shape[0]} outputs vs {len(targets)} targets")
+    if outputs.shape[0] != len(labels):
+        raise LayoutError(f"{outputs.shape[0]} outputs vs {len(labels)} targets")
     n, _, n_bins = outputs.shape
-    cls = _foreground_ids(targets, outputs.shape[1], BackgroundInPoseLoss)
-    bins = _bins_of(targets, n_bins)
+    cls = _class_ids(labels, outputs.shape[1], BackgroundInPoseLoss)
+    bins = azimuth_to_bin(labels.azimuth, n_bins)
     rows = outputs[np.arange(n), cls - 1]
     logp = log_softmax(rows, axis=1)
     value = -float(np.sum(logp[np.arange(n), bins - 1]))
@@ -231,7 +280,7 @@ def classification_loss(outputs: np.ndarray, targets: Sequence[Target]) -> LossR
 
 def geometric_classification_loss(
     outputs: np.ndarray,
-    targets: Sequence[Target],
+    targets: Labels | Sequence[Target],
     sigma: float | None = None,
 ) -> LossResult:
     """Cross-entropy spread over neighboring bins with exp(-d/sigma) weights.
@@ -241,18 +290,19 @@ def geometric_classification_loss(
     ``sigma -> 0`` the weights collapse to the true-bin indicator and the
     loss reduces to :func:`classification_loss`.
     """
+    labels = as_labels(targets)
     outputs = np.asarray(outputs, dtype=float)
     if outputs.ndim != 3:
         raise LayoutError(f"expected outputs (batch, n_classes, n_bins), got {outputs.shape}")
-    if outputs.shape[0] != len(targets):
-        raise LayoutError(f"{outputs.shape[0]} outputs vs {len(targets)} targets")
+    if outputs.shape[0] != len(labels):
+        raise LayoutError(f"{outputs.shape[0]} outputs vs {len(labels)} targets")
     n, _, n_bins = outputs.shape
     if sigma is None:
         sigma = default_geometric_sigma(n_bins)
     if sigma <= 0:
         raise InvalidParameter(f"sigma must be positive, got {sigma}")
-    cls = _foreground_ids(targets, outputs.shape[1], BackgroundInPoseLoss)
-    bins = _bins_of(targets, n_bins)
+    cls = _class_ids(labels, outputs.shape[1], BackgroundInPoseLoss)
+    bins = azimuth_to_bin(labels.azimuth, n_bins)
     # (B, n_bins) circular step distances from each bin to the target bin.
     v = np.arange(1, n_bins + 1)
     d = np.abs(v[None, :] - bins[:, None])
@@ -270,7 +320,7 @@ def geometric_classification_loss(
 
 def joint_regression_loss(
     outputs: JointRegOutputs,
-    targets: Sequence[Target],
+    targets: Labels | Sequence[Target],
     lam: float = 1.0,
     dim: int | None = None,
     delta: float = 1.0,
@@ -283,6 +333,7 @@ def joint_regression_loss(
     """
     if lam < 0:
         raise InvalidParameter(f"lambda must be >= 0, got {lam}")
+    labels = as_labels(targets)
     det = np.asarray(outputs.det, dtype=float)
     pose = np.asarray(outputs.pose, dtype=float)
     if det.ndim != 2 or pose.ndim != 3 or det.shape[1] != pose.shape[1] + 1:
@@ -293,16 +344,10 @@ def joint_regression_loss(
         raise LayoutError(
             f"pose embedding dim must be {dim or '2 or 3'}, got {pose.shape[2]}"
         )
-    if det.shape[0] != len(targets) or pose.shape[0] != len(targets):
-        raise LayoutError(f"{det.shape[0]} outputs vs {len(targets)} targets")
+    if det.shape[0] != len(labels) or pose.shape[0] != len(labels):
+        raise LayoutError(f"{det.shape[0]} outputs vs {len(labels)} targets")
     n, n_classes, dim = pose.shape
-    cls = np.empty(n, dtype=int)
-    for i, t in enumerate(targets):
-        if t.class_id > n_classes:
-            raise ClassOutOfRange(
-                f"sample {i} has class {t.class_id} but outputs cover 1..{n_classes}"
-            )
-        cls[i] = t.class_id
+    cls = _class_ids(labels, n_classes)
 
     logp = log_softmax(det, axis=1)
     value = -float(np.sum(logp[np.arange(n), cls]))
@@ -312,8 +357,7 @@ def joint_regression_loss(
     pose_grad = np.zeros_like(pose)
     fg = np.flatnonzero(cls > 0)
     if fg.size and lam != 0.0:
-        emb = np.stack([encode(targets[i].azimuth, dim) for i in fg])
-        residual = pose[fg, cls[fg] - 1] - emb
+        residual = pose[fg, cls[fg] - 1] - encode(labels.azimuth[fg], dim)
         hval, hderiv = huber(residual, delta)
         value += lam * float(np.sum(hval))
         pose_grad[fg, cls[fg] - 1] = lam * hderiv
@@ -321,7 +365,7 @@ def joint_regression_loss(
 
 
 def joint_classification_loss(
-    outputs: JointClsOutputs, targets: Sequence[Target]
+    outputs: JointClsOutputs, targets: Labels | Sequence[Target]
 ) -> LossResult:
     """Cross-entropy under one softmax over every (class, bin) slot plus
     the background slot.
@@ -329,27 +373,22 @@ def joint_classification_loss(
     Unlike the per-class losses, the shared normalizer couples all slots:
     any slot's logit moves the loss for every sample.
     """
+    labels = as_labels(targets)
     obj = np.asarray(outputs.obj, dtype=float)
     back = np.asarray(outputs.back, dtype=float)
     if obj.ndim != 3 or back.ndim != 1 or obj.shape[0] != back.shape[0]:
         raise LayoutError(
             f"inconsistent joint classification layout: obj {obj.shape}, back {back.shape}"
         )
-    if obj.shape[0] != len(targets):
-        raise LayoutError(f"{obj.shape[0]} outputs vs {len(targets)} targets")
+    if obj.shape[0] != len(labels):
+        raise LayoutError(f"{obj.shape[0]} outputs vs {len(labels)} targets")
     n, n_classes, n_bins = obj.shape
+    cls = _class_ids(labels, n_classes)
     flat = np.concatenate([obj.reshape(n, -1), back[:, None]], axis=1)
     logp = log_softmax(flat, axis=1)
-    slots = np.empty(n, dtype=int)
-    for i, t in enumerate(targets):
-        if t.is_background:
-            slots[i] = n_classes * n_bins  # the appended background slot
-        else:
-            if t.class_id > n_classes:
-                raise ClassOutOfRange(
-                    f"sample {i} has class {t.class_id} but outputs cover 1..{n_classes}"
-                )
-            slots[i] = (t.class_id - 1) * n_bins + azimuth_to_bin(t.azimuth, n_bins) - 1
+    slots = np.full(n, n_classes * n_bins)  # the appended background slot
+    fg = np.flatnonzero(cls > 0)
+    slots[fg] = (cls[fg] - 1) * n_bins + azimuth_to_bin(labels.azimuth[fg], n_bins) - 1
     value = -float(np.sum(logp[np.arange(n), slots]))
     flat_grad = np.exp(logp)
     flat_grad[np.arange(n), slots] -= 1.0

@@ -13,7 +13,9 @@ kinds cover the loss formulations:
 Training is plain SGD with momentum, weight decay on weights only, and a
 step learning-rate schedule.  Batches mix foreground and background
 proposals with replacement; foreground samples are mirrored with
-probability 1/2 by regenerating the feature at the flipped azimuth.  All
+probability 1/2 by regenerating the feature at the flipped azimuth.
+``make_batch`` returns the features and one ``losses.Labels`` batch,
+assembled by array indexing from tables the ``Pool`` computes once.  All
 randomness comes from seeded generators, so runs are bitwise
 reproducible.  The training log measures loss on a fixed probe batch, so
 it reflects parameter movement rather than batch sampling noise.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,9 +42,9 @@ from .errors import (
 from .losses import (
     JointClsOutputs,
     JointRegOutputs,
+    Labels,
     LossResult,
     LossSpec,
-    Target,
     classification_loss,
     geometric_classification_loss,
     joint_classification_loss,
@@ -51,7 +53,7 @@ from .losses import (
     regression_loss,
     softmax,
 )
-from .synthetic import ClassSpec, Dataset, appearance
+from .synthetic import ClassSpec, Dataset, appearance_clean
 
 HEAD_KINDS = ("reg", "cls", "joint_reg", "joint_cls")
 
@@ -118,7 +120,7 @@ class TrainConfig:
             raise InvalidConfig(f"lr must be >= 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidConfig(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
+        if not self.weight_decay >= 0.0:
             raise InvalidConfig(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.batch_size < 1:
             raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
@@ -128,7 +130,7 @@ class TrainConfig:
             )
         if self.total_iters < 1:
             raise InvalidConfig(f"total_iters must be >= 1, got {self.total_iters}")
-        if self.lr_decay_factor <= 0.0:
+        if not self.lr_decay_factor > 0.0:
             raise InvalidConfig(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
         if self.log_every < 1:
             raise InvalidConfig(f"log_every must be >= 1, got {self.log_every}")
@@ -381,15 +383,43 @@ def sgd_step(
         layer.b = layer.b - lr * layer.vb
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pool:
-    """Flattened view of a dataset's proposals for batch sampling."""
+    """Flattened view of a dataset's proposals for batch sampling.
+
+    Construction also tabulates, per foreground row, what a flip needs:
+    the mirrored azimuth, the class's noiseless feature at that azimuth
+    and the class's noise scale.  Rows of a class without a spec get NaN
+    there and cannot be flipped.
+    """
 
     fg_features: np.ndarray
     fg_class: np.ndarray
     fg_azimuth: np.ndarray
     bg_features: np.ndarray
     specs: dict[int, ClassSpec]
+    fg_flip_azimuth: np.ndarray = field(init=False, repr=False)
+    fg_flip_clean: np.ndarray = field(init=False, repr=False)
+    fg_noise_sigma: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n, d = self.fg_features.shape
+        flip_az = flip_azimuth(self.fg_azimuth)
+        clean = np.full((n, d), np.nan)
+        sigma = np.full(n, np.nan)
+        for i, (cid, theta) in enumerate(zip(self.fg_class.tolist(), flip_az.tolist())):
+            spec = self.specs.get(cid)
+            if spec is None:
+                continue
+            if spec.feature_dim != d:
+                raise LayoutError(
+                    f"class {cid} has feature_dim {spec.feature_dim}, pool rows have {d}"
+                )
+            clean[i] = appearance_clean(spec, theta)
+            sigma[i] = spec.noise_sigma
+        object.__setattr__(self, "fg_flip_azimuth", flip_az)
+        object.__setattr__(self, "fg_flip_clean", clean)
+        object.__setattr__(self, "fg_noise_sigma", sigma)
 
 
 def build_pool(dataset: Dataset) -> Pool:
@@ -417,14 +447,17 @@ def make_batch(
     pool: Pool,
     tcfg: TrainConfig,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, list[Target]]:
+) -> tuple[np.ndarray, Labels]:
     """Sample one training batch: ceil(positive_fraction * batch_size)
     foreground rows then background rows, both with replacement.
 
     With flip_augment each foreground draw is mirrored with probability
     1/2: the target azimuth is reflected and the feature is regenerated
     from the class appearance model at the mirrored azimuth with fresh
-    noise.  Backgrounds are rotation-free, so flipping leaves them alone.
+    noise.  The noise of all flipped rows of noisy classes is one
+    ``(k, feature_dim)`` draw, row by row the same numbers as one draw per
+    flipped row.  Backgrounds are rotation-free, so flipping leaves them
+    alone.
     """
     n_fg = math.ceil(tcfg.positive_fraction * tcfg.batch_size)
     n_bg = tcfg.batch_size - n_fg
@@ -432,29 +465,36 @@ def make_batch(
         raise EmptyClassError("batch needs foreground samples but the pool has none")
     if n_bg > 0 and pool.bg_features.shape[0] == 0:
         raise EmptyClassError("batch needs background samples but the pool has none")
-    feats = []
-    targets: list[Target] = []
+    feats, cls, az = [], [], []
     if n_fg > 0:
         idx = rng.integers(0, pool.fg_features.shape[0], n_fg)
-        flips = rng.random(n_fg) < 0.5 if tcfg.flip_augment else np.zeros(n_fg, bool)
-        for i, do_flip in zip(idx, flips):
-            cid = int(pool.fg_class[i])
-            theta = float(pool.fg_azimuth[i])
-            if do_flip:
-                theta = flip_azimuth(theta)
-                feats.append(appearance(pool.specs[cid], theta, rng))
-            else:
-                feats.append(pool.fg_features[i])
-            targets.append(Target(cid, theta))
+        fg_x = pool.fg_features[idx]
+        fg_az = pool.fg_azimuth[idx]
+        if tcfg.flip_augment:
+            rows = np.flatnonzero(rng.random(n_fg) < 0.5)
+            src = idx[rows]
+            sigma = pool.fg_noise_sigma[src]
+            if np.isnan(sigma).any():
+                cid = pool.fg_class[src[np.argmax(np.isnan(sigma))]]
+                raise ConfigError(f"flip_augment needs class {cid}'s spec, which the pool lacks")
+            flip_x = pool.fg_flip_clean[src]
+            noisy = np.flatnonzero(sigma > 0.0)
+            noise = rng.standard_normal((noisy.size, flip_x.shape[1]))
+            flip_x[noisy] += sigma[noisy, None] * noise
+            fg_x[rows] = flip_x
+            fg_az[rows] = pool.fg_flip_azimuth[src]
+        feats.append(fg_x)
+        cls.append(pool.fg_class[idx])
+        az.append(fg_az)
     if n_bg > 0:
         idx = rng.integers(0, pool.bg_features.shape[0], n_bg)
-        for i in idx:
-            feats.append(pool.bg_features[i])
-            targets.append(Target(0))
-    return np.array(feats), targets
+        feats.append(pool.bg_features[idx])
+        cls.append(np.zeros(n_bg, dtype=int))
+        az.append(np.full(n_bg, np.nan))
+    return np.concatenate(feats), Labels(np.concatenate(cls), np.concatenate(az))
 
 
-def _loss_fn(spec: LossSpec, cfg: NetConfig) -> Callable[[object, list[Target]], LossResult]:
+def _loss_fn(spec: LossSpec, cfg: NetConfig) -> Callable[[object, Labels], LossResult]:
     kind = spec.kind
     if kind == "regression":
         return lambda o, t: regression_loss(o, t, dim=cfg.n_dims, delta=spec.delta)
@@ -528,9 +568,9 @@ def train(
             log.append(
                 LogEntry(t, effective_lr(tcfg, t), probe.value, probe.value / len(probe_t))
             )
-        x, targets = make_batch(pool, tcfg, batch_rng)
+        x, labels = make_batch(pool, tcfg, batch_rng)
         out, cache = forward(params, cfg, x, want_cache=True)
-        res = fn(out, targets)
+        res = fn(out, labels)
         if not np.isfinite(res.value):
             raise DivergenceError(f"non-finite loss {res.value}", iteration=t)
         grads = backward(params, cfg, x, res.grad, cache)

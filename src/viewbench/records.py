@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .angles import canonicalize
-from .errors import FormatError
+from .errors import FormatError, InvalidParameter
 from .metrics import Box, Detection, EvalReport, GroundTruth
 from .net import Dense, LogEntry, ModelParams, NetConfig
 from .synthetic import ClassSpec, Dataset, Proposal, Scene
@@ -279,7 +279,14 @@ def write_benchmark(
     return out / "manifest.json"
 
 
-def read_benchmark(manifest_path: str | Path) -> tuple[Dataset, Dataset, dict]:
+def read_benchmark(
+    manifest_path: str | Path, split: str | None = None
+) -> tuple[Dataset | None, Dataset | None, dict]:
+    """Both splits of a benchmark and its manifest.  With ``split``
+    ('train' or 'test') only that split is parsed and checked against the
+    manifest's counts; the other comes back as None."""
+    if split not in (None, "train", "test"):
+        raise InvalidParameter(f"split must be 'train' or 'test', got {split!r}")
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -291,6 +298,9 @@ def read_benchmark(manifest_path: str | Path) -> tuple[Dataset, Dataset, dict]:
     root = manifest_path.parent
     out = []
     for name in ("train", "test"):
+        if split not in (None, name):
+            out.append(None)
+            continue
         entry = manifest["splits"][name]
         features = None
         if entry.get("features"):

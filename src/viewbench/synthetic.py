@@ -51,6 +51,8 @@ class ClassSpec:
     def __post_init__(self):
         if self.class_id < 1:
             raise InvalidParameter(f"class_id must be >= 1, got {self.class_id}")
+        if self.seed < 0:
+            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
         if self.feature_dim < 1:
             raise InvalidParameter(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.n_harmonics < 1:
@@ -210,7 +212,7 @@ def generate(
         raise InvalidParameter(f"bad objects_per_scene range ({lo}, {hi})")
     if proposals_per_gt < 0 or backgrounds_per_scene < 0:
         raise InvalidParameter("proposal counts must be >= 0")
-    if jitter < 0.0:
+    if not jitter >= 0.0:
         raise InvalidParameter(f"jitter must be >= 0, got {jitter}")
     if not (0.0 < gt_size_range[0] <= gt_size_range[1] < 1.0):
         raise InvalidParameter(f"bad gt_size_range {gt_size_range}")

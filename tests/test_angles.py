@@ -251,3 +251,91 @@ class TestDecode:
     def test_bad_shape(self):
         with pytest.raises(InvalidParameter):
             decode(np.zeros(4))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _awkward_angles():
+    """Signed zeros, tiny negatives, 2*pi and its neighbours, multiples of
+    the period, and every bin edge of several binnings with both of its
+    neighbouring floats."""
+    edges = [TWO_PI * (v - 0.5) / n for n in (2, 3, 4, 8, 16, 24, 360) for v in range(1, n + 1)]
+    special = [
+        0.0, -0.0, -1e-300, -5e-324, 5e-324, -1e-17, -1e-16, math.pi, -math.pi,
+        TWO_PI, -TWO_PI, 3 * TWO_PI, -7 * TWO_PI, 1e6, -1e6,
+    ]
+    near = [np.nextafter(a, d) for a in edges + special for d in (-np.inf, np.inf)]
+    return np.array(special + edges + near + [np.nextafter(TWO_PI, 0.0)])
+
+
+def _random_angles():
+    return np.random.default_rng(2024).uniform(-3 * TWO_PI, 3 * TWO_PI, 100_000)
+
+
+class TestArrayForms:
+    """The ndarray forms agree with the scalar forms bit for bit.
+
+    canonicalize and azimuth_to_bin use exact IEEE operations in both
+    forms.  encode compares NumPy's cos/sin with the C library's
+    ``math.cos``/``math.sin``; their agreement depends on the machine, and
+    the 10^5 random azimuths pin it for the machine the tests run on.
+    """
+
+    @pytest.mark.parametrize("angles", [_awkward_angles, _random_angles])
+    def test_canonicalize(self, angles):
+        theta = angles()
+        got = canonicalize(theta)
+        assert isinstance(got, np.ndarray) and got.shape == theta.shape
+        assert np.array_equal(_bits(got), _bits([canonicalize(float(t)) for t in theta]))
+
+    @pytest.mark.parametrize("angles", [_awkward_angles, _random_angles])
+    def test_flip_azimuth(self, angles):
+        theta = angles()
+        want = [flip_azimuth(float(t)) for t in theta]
+        assert np.array_equal(_bits(flip_azimuth(theta)), _bits(want))
+
+    @pytest.mark.parametrize("n_bins", [2, 3, 4, 8, 16, 24, 360])
+    def test_azimuth_to_bin_awkward(self, n_bins):
+        theta = _awkward_angles()
+        want = [azimuth_to_bin(float(t), n_bins) for t in theta]
+        got = azimuth_to_bin(theta, n_bins)
+        assert got.dtype.kind == "i"
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("n_bins", [7, 24, 360])
+    def test_azimuth_to_bin_random(self, n_bins):
+        theta = _random_angles()
+        want = [azimuth_to_bin(float(t), n_bins) for t in theta]
+        assert azimuth_to_bin(theta, n_bins).tolist() == want
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("angles", [_awkward_angles, _random_angles])
+    def test_encode(self, dim, angles):
+        theta = angles()
+        got = encode(theta, dim)
+        assert got.shape == (theta.size, dim)
+        want = np.stack([encode(float(t), dim) for t in theta])
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_zero_dim_and_integer_arrays(self):
+        assert _bits(canonicalize(np.array(-0.0))) == _bits(-0.0)
+        assert azimuth_to_bin(np.array(math.pi), 4) == 3
+        assert np.array_equal(canonicalize(np.array([-1, 7])), [canonicalize(-1), canonicalize(7)])
+
+    def test_empty(self):
+        assert canonicalize(np.empty(0)).shape == (0,)
+        assert azimuth_to_bin(np.empty(0), 24).shape == (0,)
+        assert encode(np.empty(0), 3).shape == (0, 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidAngle, match=repr(bad)):
+            canonicalize(np.array([0.5, bad, 1.0]))
+        with pytest.raises(InvalidAngle):
+            azimuth_to_bin(np.array([bad]), 24)
+
+    def test_bad_dim(self):
+        with pytest.raises(InvalidParameter):
+            encode(np.zeros(3), 4)

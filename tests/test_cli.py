@@ -344,8 +344,43 @@ def _exit_code(argv):
             ["predict", "{ckpt}", "{manifest}", "--config", "{val}", "--out", "{out}"],
             "predict.split must be 'train' or 'test', got 'val'",
         ),
+        (
+            ["generate", "--config", "{objects}", "--out", "{out}"],
+            "config key dataset.objects_per_scene must be a list of 2 integers, got 2",
+        ),
+        (
+            ["train", "--config", "{widths}", "--out", "{out}"],
+            "config key net.trunk_widths must be a list of integers, got 'abc'",
+        ),
+        (
+            ["train", "--config", "{iters}", "--out", "{out}"],
+            "config key train.total_iters must be an integer, got 2.5",
+        ),
+        (
+            ["train", "--config", "{decay}", "--out", "{out}"],
+            "config key train.weight_decay must be a finite number, got nan",
+        ),
+        (
+            ["generate", "--config", "{class_sigma}", "--out", "{out}"],
+            "config key dataset.classes.noise_sigma must be a finite number, got inf",
+        ),
+        (["generate", "--seed", "-1", "--out", "{out}"], "seeds must be >= 0, got -1"),
+        (["gradcheck", "--seed", "-2"], "seeds must be >= 0, got -2"),
+        (
+            ["train", "--config", "{train_seed}", "--out", "{out}"],
+            "config key train.seed must be >= 0, got -3",
+        ),
+        (
+            ["generate", "--config", "{class_seed}", "--out", "{out}"],
+            "seed must be >= 0, got -4",
+        ),
     ],
-    ids=["bins-not-integers", "bins-empty", "bins-below-2", "predict-split"],
+    ids=[
+        "bins-not-integers", "bins-empty", "bins-below-2", "predict-split",
+        "objects-per-scene-scalar", "trunk-widths-string", "total-iters-fraction",
+        "weight-decay-nan", "class-sigma-inf", "seed-flag-negative",
+        "gradcheck-seed-negative", "train-seed-negative", "class-seed-negative",
+    ],
 )
 def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, tmp_path, capsys):
     """Bad values are rejected where they enter, with a message and exit 2."""
@@ -354,6 +389,30 @@ def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, tmp_path, cap
         "ckpt": small_ckpt["ckpt"],
         "manifest": small_bench["manifest"],
         "val": _write_yaml(tmp_path / "p.yaml", {"predict": {"split": "val"}}),
+        "objects": _write_yaml(tmp_path / "o.yaml", {"dataset": {"objects_per_scene": 2}}),
+        "class_seed": _write_yaml(
+            tmp_path / "s.yaml", {"dataset": {"classes": [{"class_id": 1, "seed": -4}]}}
+        ),
+        "class_sigma": _write_yaml(
+            tmp_path / "c.yaml",
+            {"dataset": {"classes": [{"class_id": 1, "noise_sigma": float("inf")}]}},
+        ),
+        **{
+            name: _write_yaml(
+                tmp_path / f"{name}.yaml",
+                {"data": str(small_bench["manifest"]), **SMALL_TRAIN, **section},
+            )
+            for name, section in (
+                ("widths", {"net": {"trunk_widths": "abc", "head": "cls"}}),
+                ("iters", {
+                    "net": {"head": "joint_cls"},
+                    "train": {"total_iters": 2.5},
+                    "loss": {"kind": "joint_classification"},
+                }),
+                ("decay", {"train": {"weight_decay": float("nan")}}),
+                ("train_seed", {"train": {"seed": -3}}),
+            )
+        },
         "out": tmp_path / "out.txt",
     }
     code = _exit_code([a.format(**paths) for a in argv])

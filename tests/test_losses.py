@@ -17,14 +17,17 @@ from viewbench.errors import (
     BackgroundInRegression,
     ClassOutOfRange,
     ConfigError,
+    InvalidAngle,
     InvalidParameter,
     LayoutError,
 )
 from viewbench.losses import (
     JointClsOutputs,
     JointRegOutputs,
+    Labels,
     LossSpec,
     Target,
+    as_labels,
     classification_loss,
     geometric_classification_loss,
     huber,
@@ -108,6 +111,153 @@ class TestTarget:
     def test_bad_loss_kind(self):
         with pytest.raises(ConfigError):
             LossSpec("squared")
+
+
+class TestLabels:
+    def test_from_targets(self):
+        labels = as_labels([Target(2, 0.5), Target(0), Target(1, 6.0)])
+        assert labels.class_id.tolist() == [2, 0, 1]
+        assert labels.class_id.dtype.kind == "i"
+        assert labels.azimuth[0] == 0.5 and labels.azimuth[2] == 6.0
+        assert np.isnan(labels.azimuth[1])
+        assert len(labels) == 3
+        assert as_labels(labels) is labels
+
+    def test_empty(self):
+        assert len(as_labels([])) == 0
+
+    @pytest.mark.parametrize(
+        "class_id, azimuth, error, message",
+        [
+            ([1, -1, 0], [0.5, np.nan, 1.0], ClassOutOfRange,
+             "sample 1: class_id must be >= 0, got -1"),
+            ([1, 0, -1], [0.5, 1.0, np.nan], LayoutError,
+             "sample 1: background target must not carry an azimuth"),
+            ([0, 2, 0], [np.nan, np.nan, 1.0], LayoutError,
+             "sample 1: foreground target requires an azimuth"),
+            ([1, 1, 0], [0.5, np.inf, 1.0], InvalidAngle,
+             "sample 1: azimuth must be finite, got inf"),
+            ([1, 1], [-np.inf, np.nan], InvalidAngle,
+             "sample 0: azimuth must be finite, got -inf"),
+        ],
+        ids=["negative-class", "background-azimuth", "missing-azimuth", "inf", "first-wins"],
+    )
+    def test_first_bad_row_reported(self, class_id, azimuth, error, message):
+        with pytest.raises(error) as err:
+            Labels(np.array(class_id), np.array(azimuth))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "class_id, azimuth",
+        [
+            (np.array([1.0, 2.0]), np.array([0.1, 0.2])),
+            (np.array([[1, 2]]), np.array([[0.1, 0.2]])),
+            (np.array([1, 2]), np.array([0.1])),
+        ],
+        ids=["float-ids", "two-dims", "length-mismatch"],
+    )
+    def test_bad_layout(self, class_id, azimuth):
+        with pytest.raises(LayoutError):
+            Labels(class_id, azimuth)
+
+
+def _joint_reg_out(n, n_classes, dim=2):
+    rng = np.random.default_rng(n)
+    return JointRegOutputs(
+        rng.normal(size=(n, n_classes + 1)), rng.normal(size=(n, n_classes, dim))
+    )
+
+
+def _joint_cls_out(n, n_classes, n_bins=6):
+    rng = np.random.default_rng(n)
+    return JointClsOutputs(rng.normal(size=(n, n_classes, n_bins)), rng.normal(size=n))
+
+
+# Each loss with outputs for n samples over 2 classes.
+LOSSES = {
+    "regression": (
+        lambda o, t: regression_loss(o, t, dim=2),
+        lambda n: np.random.default_rng(n).normal(size=(n, 2, 2)),
+    ),
+    "classification": (
+        classification_loss,
+        lambda n: np.random.default_rng(n).normal(size=(n, 2, 6)),
+    ),
+    "geometric": (
+        lambda o, t: geometric_classification_loss(o, t, sigma=0.7),
+        lambda n: np.random.default_rng(n).normal(size=(n, 2, 6)),
+    ),
+    "joint_regression": (
+        lambda o, t: joint_regression_loss(o, t, lam=0.5, dim=2),
+        lambda n: _joint_reg_out(n, 2),
+    ),
+    "joint_classification": (
+        joint_classification_loss,
+        lambda n: _joint_cls_out(n, 2),
+    ),
+}
+POSE_ONLY = {
+    "regression": BackgroundInRegression,
+    "classification": BackgroundInPoseLoss,
+    "geometric": BackgroundInPoseLoss,
+}
+
+
+def _grad_arrays(grad):
+    if isinstance(grad, JointRegOutputs):
+        return [grad.det, grad.pose]
+    if isinstance(grad, JointClsOutputs):
+        return [grad.obj, grad.back]
+    return [grad]
+
+
+class TestLabelErrorsInOrder:
+    """A loss reports the first offending sample in index order, with the
+    same exception and message for a Target list and for Labels."""
+
+    @staticmethod
+    def _message(kind, targets):
+        fn, outputs = LOSSES[kind]
+        out = outputs(len(targets))
+        errors = []
+        for batch in (targets, as_labels(targets)):
+            with pytest.raises(
+                (ClassOutOfRange, BackgroundInRegression, BackgroundInPoseLoss)
+            ) as e:
+                fn(out, batch)
+            errors.append((type(e.value), str(e.value)))
+        assert errors[0] == errors[1]
+        return errors[0]
+
+    @pytest.mark.parametrize("kind", list(LOSSES))
+    def test_class_out_of_range_before_background(self, kind):
+        got = self._message(kind, [Target(3, 0.1), Target(0), Target(1, 0.2)])
+        assert got == (ClassOutOfRange, "sample 0 has class 3 but outputs cover 1..2")
+
+    @pytest.mark.parametrize("kind", list(POSE_ONLY))
+    def test_background_before_class_out_of_range(self, kind):
+        got = self._message(kind, [Target(1, 0.1), Target(0), Target(5, 0.2)])
+        assert got == (POSE_ONLY[kind], "sample 1 is background")
+
+    @pytest.mark.parametrize("kind", ["joint_regression", "joint_classification"])
+    def test_joint_losses_skip_background(self, kind):
+        targets = [Target(0), Target(2, 0.1), Target(0), Target(4, 0.2), Target(9, 1.0)]
+        got = self._message(kind, targets)
+        assert got == (ClassOutOfRange, "sample 3 has class 4 but outputs cover 1..2")
+
+
+@pytest.mark.parametrize("kind", list(LOSSES))
+def test_labels_and_target_list_agree_bitwise(kind):
+    fn, outputs = LOSSES[kind]
+    rng = np.random.default_rng(11)
+    targets = _fg_targets(rng, 9, 2)
+    if kind not in POSE_ONLY:
+        targets = [Target(0) if i % 3 == 0 else t for i, t in enumerate(targets)]
+    out = outputs(len(targets))
+    a, b = fn(out, targets), fn(out, as_labels(targets))
+    assert a.value == b.value
+    for ga, gb in zip(_grad_arrays(a.grad), _grad_arrays(b.grad)):
+        assert np.array_equal(ga, gb)
 
 
 class TestRegressionLoss:
@@ -347,6 +497,22 @@ class TestJointClassificationLoss:
         fd = _fd_grad(value, flat.copy())
         analytic = np.concatenate([res.grad.obj.reshape(-1), res.grad.back])
         assert _max_rel_err(analytic, fd) < 1e-6
+
+    def test_target_slots(self):
+        # one sample per (class, bin) slot and one background sample: under
+        # uniform logits the gradient is p - 1 at the target slot, p elsewhere
+        n_classes, n_bins = 3, 5
+        targets = [
+            Target(c, bin_center(v, n_bins))
+            for c in range(1, n_classes + 1)
+            for v in range(1, n_bins + 1)
+        ] + [Target(0)]
+        n = len(targets)
+        out = JointClsOutputs(obj=np.zeros((n, n_classes, n_bins)), back=np.zeros(n))
+        res = joint_classification_loss(out, targets)
+        flat = np.concatenate([res.grad.obj.reshape(n, -1), res.grad.back[:, None]], axis=1)
+        want = np.full((n, n), 1.0 / n) - np.eye(n)
+        np.testing.assert_allclose(flat, want, atol=1e-15)
 
     def test_global_coupling(self):
         # the shared normalizer gives every slot a nonzero gradient

@@ -7,12 +7,21 @@ chain shows up as a mismatch.  The SGD oracle is the two-step hand
 recurrence v=1, w=0.9 then v=1.9, w=0.71.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from viewbench.angles import azimuth_to_bin, bin_center, circular_difference, encode, mirror_bin
+from viewbench.angles import (
+    TWO_PI,
+    azimuth_to_bin,
+    bin_center,
+    circular_difference,
+    encode,
+    flip_azimuth,
+    mirror_bin,
+)
 from viewbench.errors import (
     ConfigError,
     DivergenceError,
@@ -20,7 +29,7 @@ from viewbench.errors import (
     InvalidConfig,
     LayoutError,
 )
-from viewbench.losses import LossSpec, Target
+from viewbench.losses import Labels, LossSpec, Target
 from viewbench.net import (
     Dense,
     ModelParams,
@@ -38,7 +47,7 @@ from viewbench.net import (
     sgd_step,
     train,
 )
-from viewbench.synthetic import ClassSpec
+from viewbench.synthetic import ClassSpec, appearance, appearance_clean, generate
 
 GOLDEN_CFG = NetConfig(
     input_dim=3, trunk_widths=(4,), head="cls", n_classes=2, n_bins=3, seed=42
@@ -114,6 +123,11 @@ class TestInit:
     def test_zero_width_rejected(self):
         with pytest.raises(InvalidConfig):
             NetConfig(input_dim=3, trunk_widths=(4, 0), head="cls", n_classes=1)
+
+    @pytest.mark.parametrize("key", ["weight_decay", "lr_decay_factor"])
+    def test_nan_train_setting_rejected(self, key):
+        with pytest.raises(InvalidConfig, match=key):
+            TrainConfig(**{key: math.nan})
 
     def test_gradcheck_nets_stay_small(self):
         # the end-to-end finite-difference oracle assumes compact nets
@@ -274,31 +288,49 @@ class TestMakeBatch:
         )
 
     def test_default_quarter_positive_split(self):
-        x, targets = make_batch(self._pool(), TrainConfig(), np.random.default_rng(0))
+        x, labels = make_batch(self._pool(), TrainConfig(), np.random.default_rng(0))
+        assert isinstance(labels, Labels)
         assert x.shape == (128, 4)
-        assert sum(t.class_id > 0 for t in targets) == 32
-        assert sum(t.class_id == 0 for t in targets) == 96
+        assert len(labels) == 128
+        assert np.sum(labels.class_id > 0) == 32
+        assert np.sum(labels.class_id == 0) == 96
 
     def test_all_foreground(self):
         tcfg = TrainConfig(batch_size=16, positive_fraction=1.0)
-        _, targets = make_batch(self._pool(n_bg=0), tcfg, np.random.default_rng(0))
-        assert all(t.class_id == 1 for t in targets)
+        _, labels = make_batch(self._pool(n_bg=0), tcfg, np.random.default_rng(0))
+        assert len(labels) == 16
+        assert np.all(labels.class_id == 1)
 
     def test_flip_mirrors_bin(self):
         theta = bin_center(5, 24)
         pool = self._pool(theta=theta)
         tcfg = TrainConfig(batch_size=64, positive_fraction=1.0, flip_augment=True)
-        _, targets = make_batch(pool, tcfg, np.random.default_rng(1))
-        bins = {azimuth_to_bin(t.azimuth, 24) for t in targets}
+        _, labels = make_batch(pool, tcfg, np.random.default_rng(1))
+        bins = {azimuth_to_bin(float(a), 24) for a in labels.azimuth}
         assert bins == {5, mirror_bin(5, 24)}
 
     def test_no_flip_keeps_azimuth(self):
         tcfg = TrainConfig(batch_size=32, positive_fraction=1.0, flip_augment=False)
         pool = self._pool(theta=1.0)
-        x, targets = make_batch(pool, tcfg, np.random.default_rng(2))
-        assert all(t.azimuth == 1.0 for t in targets)
+        x, labels = make_batch(pool, tcfg, np.random.default_rng(2))
+        assert len(labels) == 32
+        assert np.all(labels.azimuth == 1.0)
         # unflipped features come from the pool verbatim
         assert all(any(np.array_equal(row, f) for f in pool.fg_features) for row in x)
+
+    def test_background_rows_have_no_azimuth(self):
+        _, labels = make_batch(self._pool(), TrainConfig(), np.random.default_rng(0))
+        assert np.all(np.isnan(labels.azimuth[labels.class_id == 0]))
+        assert np.all(np.isfinite(labels.azimuth[labels.class_id > 0]))
+
+    def test_flip_without_class_spec(self):
+        pool = _toy_pool()
+        assert np.all(np.isnan(pool.fg_flip_clean)) and np.all(np.isnan(pool.fg_noise_sigma))
+        tcfg = TrainConfig(batch_size=8, positive_fraction=1.0, flip_augment=True)
+        with pytest.raises(ConfigError, match="class 1"):
+            make_batch(pool, tcfg, np.random.default_rng(0))
+        # without flips the spec is never needed
+        make_batch(pool, dataclasses.replace(tcfg, flip_augment=False), np.random.default_rng(0))
 
     def test_empty_pools(self):
         with pytest.raises(EmptyClassError):
@@ -308,6 +340,102 @@ class TestMakeBatch:
                 self._pool(n_bg=0), TrainConfig(positive_fraction=0.5),
                 np.random.default_rng(0),
             )
+
+
+def _make_batch_oracle(pool, tcfg, rng):
+    """Per-row batch assembly, one ``appearance`` draw and one ``Target``
+    per flipped row: the reference that ``make_batch`` must match."""
+    n_fg = math.ceil(tcfg.positive_fraction * tcfg.batch_size)
+    n_bg = tcfg.batch_size - n_fg
+    feats, targets = [], []
+    if n_fg > 0:
+        idx = rng.integers(0, pool.fg_features.shape[0], n_fg)
+        flips = rng.random(n_fg) < 0.5 if tcfg.flip_augment else np.zeros(n_fg, bool)
+        for i, do_flip in zip(idx, flips):
+            cid = int(pool.fg_class[i])
+            theta = float(pool.fg_azimuth[i])
+            if do_flip:
+                theta = flip_azimuth(theta)
+                feats.append(appearance(pool.specs[cid], theta, rng))
+            else:
+                feats.append(pool.fg_features[i])
+            targets.append(Target(cid, theta))
+    if n_bg > 0:
+        for i in rng.integers(0, pool.bg_features.shape[0], n_bg):
+            feats.append(pool.bg_features[i])
+            targets.append(Target(0))
+    return np.array(feats), targets
+
+
+def _mixed_noise_pool():
+    """Hand-built pool: class 1 is noisy, class 2 noiseless and 2-fold
+    symmetric; azimuths include 0, a bin edge, pi and 2*pi - ulp."""
+    rng = np.random.default_rng(5)
+    specs = {
+        1: ClassSpec(class_id=1, seed=3, feature_dim=6, noise_sigma=0.3),
+        2: ClassSpec(class_id=2, seed=3, feature_dim=6, symmetry_order=2, noise_sigma=0.0),
+    }
+    special = [0.0, math.pi / 24, math.pi, np.nextafter(TWO_PI, 0.0)]
+    azimuth = np.concatenate([special, rng.uniform(0.0, TWO_PI, 16)])
+    return Pool(
+        fg_features=rng.normal(size=(20, 6)),
+        fg_class=np.array([1, 2] * 10),
+        fg_azimuth=azimuth,
+        bg_features=rng.normal(size=(7, 6)),
+        specs=specs,
+    )
+
+
+def _generated_pool():
+    specs = [
+        ClassSpec(class_id=1, seed=0, feature_dim=8),
+        ClassSpec(class_id=2, seed=0, feature_dim=8, symmetry_order=4, noise_sigma=0.0),
+    ]
+    return build_pool(generate(4, 6, specs))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestMakeBatchEquivalence:
+    """make_batch equals the per-row oracle bit for bit and leaves the
+    generator in the same state."""
+
+    @pytest.mark.parametrize("pool_fn", [_mixed_noise_pool, _generated_pool])
+    @pytest.mark.parametrize("flip", [True, False])
+    @pytest.mark.parametrize("positive_fraction", [0.25, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_matches_per_row_oracle(self, pool_fn, flip, positive_fraction, seed):
+        pool = pool_fn()
+        tcfg = TrainConfig(batch_size=48, positive_fraction=positive_fraction, flip_augment=flip)
+        rng = np.random.default_rng([seed, 9])
+        ref_rng = np.random.default_rng([seed, 9])
+        for _ in range(3):  # consecutive batches share one stream
+            x, labels = make_batch(pool, tcfg, rng)
+            ref_x, ref_targets = _make_batch_oracle(pool, tcfg, ref_rng)
+            assert np.array_equal(_bits(x), _bits(ref_x))
+            assert np.array_equal(labels.class_id, [t.class_id for t in ref_targets])
+            ref_az = [np.nan if t.azimuth is None else t.azimuth for t in ref_targets]
+            assert np.array_equal(_bits(labels.azimuth), _bits(ref_az))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_both_noise_branches_taken(self):
+        pool = _mixed_noise_pool()
+        tcfg = TrainConfig(batch_size=48, positive_fraction=1.0, flip_augment=True)
+        x, labels = make_batch(pool, tcfg, np.random.default_rng(0))
+        flipped = ~np.isin(_bits(x), _bits(pool.fg_features)).all(axis=1)
+        assert set(labels.class_id[flipped].tolist()) == {1, 2}
+
+    def test_pool_tables(self):
+        pool = _mixed_noise_pool()
+        for i in range(pool.fg_class.shape[0]):
+            spec = pool.specs[int(pool.fg_class[i])]
+            theta = flip_azimuth(float(pool.fg_azimuth[i]))
+            assert _bits(pool.fg_flip_azimuth[i]) == _bits(theta)
+            assert pool.fg_noise_sigma[i] == spec.noise_sigma
+            clean = appearance_clean(spec, theta)
+            assert np.array_equal(_bits(pool.fg_flip_clean[i]), _bits(clean))
 
 
 class TestTrain:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from viewbench.angles import circular_difference
-from viewbench.errors import FormatError
+from viewbench.errors import FormatError, InvalidParameter
 from viewbench.metrics import Box, Detection, GroundTruth
 from viewbench.net import NetConfig, TrainConfig, init_params
 from viewbench.records import (
@@ -177,6 +177,36 @@ class TestBenchmarkFiles:
         p.write_text('{"format": "something-else"}')
         with pytest.raises(FormatError, match="not a benchmark manifest"):
             read_benchmark(p)
+
+    def test_one_split(self, tmp_path):
+        train = generate(1, 5, _specs(), split="train")
+        test = generate(2, 3, _specs(), split="test")
+        manifest_path = write_benchmark(tmp_path, train, test, features_binary=True)
+        # the split not asked for is never opened
+        (tmp_path / "test_data.txt").unlink()
+        (tmp_path / "test_features.npy").unlink()
+        train2, none, manifest = read_benchmark(manifest_path, split="train")
+        _assert_datasets_equal(train, train2)
+        assert none is None and manifest["splits"]["test"]["n_scenes"] == 3
+        with pytest.raises(FileNotFoundError):
+            read_benchmark(manifest_path, split="test")
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_one_split_counts_checked(self, tmp_path, split):
+        train = generate(1, 3, _specs(), split="train")
+        test = generate(2, 2, _specs(), split="test")
+        manifest_path = write_benchmark(tmp_path, train, test)
+        doc = json.loads(manifest_path.read_text())
+        doc["splits"][split]["n_scenes"] += 1
+        manifest_path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"{split}_data.txt: counts disagree"):
+            read_benchmark(manifest_path, split=split)
+        other = "test" if split == "train" else "train"
+        read_benchmark(manifest_path, split=other)
+
+    def test_unknown_split(self, tmp_path):
+        with pytest.raises(InvalidParameter, match="'val'"):
+            read_benchmark(tmp_path / "manifest.json", split="val")
 
 
 class TestCheckpoints:

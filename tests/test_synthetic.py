@@ -83,6 +83,8 @@ class TestAppearance:
             ClassSpec(class_id=1, seed=0, noise_sigma=-0.1)
         with pytest.raises(InvalidParameter):
             ClassSpec(class_id=1, seed=0, n_harmonics=0)
+        with pytest.raises(InvalidParameter, match="seed"):
+            ClassSpec(class_id=1, seed=-1)
 
 
 class TestGenerate:
@@ -164,6 +166,8 @@ class TestGenerate:
     def test_validation(self):
         with pytest.raises(InvalidParameter):
             generate(0, 1, ())
+        with pytest.raises(InvalidParameter, match="jitter"):
+            generate(0, 1, _specs(), jitter=math.nan)
         with pytest.raises(InvalidParameter):
             generate(0, -1, _specs())
         with pytest.raises(InvalidParameter):
