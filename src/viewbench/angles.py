@@ -63,11 +63,19 @@ def canonicalize(raw):
 
 
 def _canonicalize_array(raw: np.ndarray) -> np.ndarray:
-    finite = np.isfinite(raw)
+    value = np.array(raw, dtype=float)
+    # Values already in [0, 2*pi) would pass through the fmod reduction
+    # below unchanged, so they are only copied; a NaN fails both tests.
+    if (
+        np.minimum.reduce(value, axis=None, initial=0.0) >= 0.0
+        and np.maximum.reduce(value, axis=None, initial=0.0) < TWO_PI
+    ):
+        return value
+    finite = np.isfinite(value)
     if not finite.all():
-        bad = raw.flat[int(np.argmin(finite.ravel()))]
+        bad = value.flat[int(np.argmin(finite.ravel()))]
         raise InvalidAngle(f"angle must be finite, got {float(bad)!r}")
-    value = np.fmod(raw, TWO_PI, out=np.empty(raw.shape))
+    np.fmod(value, TWO_PI, out=value)
     np.add(value, TWO_PI, out=value, where=value < 0.0)
     value[value >= TWO_PI] = 0.0
     return value
@@ -136,7 +144,10 @@ def encode(theta, dim: int) -> np.ndarray:
     gives one embedding per row, shape ``(B, dim)``.
     """
     if isinstance(theta, np.ndarray):
-        cos, sin, stack = np.cos, np.sin, lambda cols: np.stack(cols, axis=-1)
+        cos, sin = np.cos, np.sin
+
+        def stack(cols):  # np.stack(cols, axis=-1), without its Python-level checks
+            return np.concatenate([c[..., None] for c in cols], axis=-1)
     else:
         cos, sin, stack = math.cos, math.sin, np.array
     if dim == 2:

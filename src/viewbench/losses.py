@@ -34,7 +34,8 @@ equal inputs give bit-identical values and gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -85,22 +86,23 @@ class Labels:
     and ``azimuth`` (B,) float, NaN exactly on background rows.
 
     Validated once for the whole batch with the rules of :class:`Target`;
-    foreground azimuths must also be finite.
+    foreground azimuths must also be finite.  The arrays are read-only
+    copies, so what a loss derives from them (bins per bin count,
+    embeddings per dimension) is computed once per batch and kept.
     """
 
     class_id: np.ndarray
     azimuth: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        cls = np.asarray(self.class_id)
-        az = np.asarray(self.azimuth, dtype=float)
+        cls = np.array(self.class_id)
+        az = np.array(self.azimuth, dtype=float)
         if cls.ndim != 1 or az.shape != cls.shape or cls.dtype.kind not in "iu":
             raise LayoutError(
                 f"labels need (B,) integer class ids and (B,) azimuths, "
                 f"got {cls.dtype} {cls.shape} and {az.shape}"
             )
-        object.__setattr__(self, "class_id", cls)
-        object.__setattr__(self, "azimuth", az)
         background = cls == 0
         bad = (background != np.isnan(az)) | np.isinf(az) | (cls < 0)
         if bad.any():
@@ -112,9 +114,53 @@ class Labels:
             if np.isnan(az[i]):
                 raise LayoutError(f"sample {i}: foreground target requires an azimuth")
             raise InvalidAngle(f"sample {i}: azimuth must be finite, got {float(az[i])!r}")
+        self._set(cls, az)
+
+    @classmethod
+    def _of_valid_rows(cls, class_id: np.ndarray, azimuth: np.ndarray) -> "Labels":
+        """Labels that take ownership of arrays whose rows were already
+        checked where they entered (``net.Pool`` rows), without copying
+        or checking them again."""
+        labels = object.__new__(cls)
+        object.__setattr__(labels, "_derived", {})
+        labels._set(class_id, azimuth)
+        return labels
+
+    def _set(self, class_id: np.ndarray, azimuth: np.ndarray) -> None:
+        class_id.flags.writeable = False
+        azimuth.flags.writeable = False
+        object.__setattr__(self, "class_id", class_id)
+        object.__setattr__(self, "azimuth", azimuth)
 
     def __len__(self) -> int:
         return self.class_id.shape[0]
+
+    def bins(self, n_bins: int) -> np.ndarray:
+        """1-based bin of each row's azimuth among ``n_bins``, 0 on
+        background rows; derived once per bin count."""
+        key = ("bins", n_bins)
+        out = self._derived.get(key)
+        if out is None:
+            if np.minimum.reduce(self.class_id, initial=1) > 0:  # no background rows
+                out = azimuth_to_bin(self.azimuth, n_bins)
+            else:
+                fg = self.class_id > 0
+                out = np.zeros(len(self), dtype=int)
+                out[fg] = azimuth_to_bin(self.azimuth[fg], n_bins)
+            out.flags.writeable = False
+            self._derived[key] = out
+        return out
+
+    def embeddings(self, dim: int) -> np.ndarray:
+        """(B, dim) pose embedding of each row's azimuth, NaN on
+        background rows; derived once per dimension."""
+        key = ("embeddings", dim)
+        out = self._derived.get(key)
+        if out is None:
+            out = encode(self.azimuth, dim)
+            out.flags.writeable = False
+            self._derived[key] = out
+        return out
 
 
 def as_labels(targets: Labels | Sequence[Target]) -> Labels:
@@ -137,10 +183,32 @@ class JointRegOutputs:
 
 @dataclass(frozen=True)
 class JointClsOutputs:
-    """Globally normalized layout: (class, bin) logits plus background."""
+    """Globally normalized layout: (class, bin) logits plus background.
+
+    ``flat`` is the same batch as the (B, n_classes * n_bins + 1) rows the
+    softmax normalizes, slots first and background last.  Made by
+    :meth:`from_flat`, ``obj`` and ``back`` are views of such rows (a head
+    output or a loss gradient) and nothing is copied; otherwise ``flat``
+    is assembled from them at every read.
+    """
 
     obj: np.ndarray  # (B, n_classes, n_bins)
     back: np.ndarray  # (B,)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, n_classes: int, n_bins: int) -> "JointClsOutputs":
+        out = cls(flat[:, :-1].reshape(flat.shape[0], n_classes, n_bins), flat[:, -1])
+        object.__setattr__(out, "_flat", flat)
+        return out
+
+    @property
+    def flat(self) -> np.ndarray:
+        flat = self.__dict__.get("_flat")
+        if flat is None:
+            obj = np.asarray(self.obj, dtype=float)
+            back = np.asarray(self.back, dtype=float)
+            flat = np.concatenate([obj.reshape(obj.shape[0], -1), back[:, None]], axis=1)
+        return flat
 
 
 Grad = Union[np.ndarray, JointRegOutputs, JointClsOutputs]
@@ -173,9 +241,10 @@ class LossSpec:
 def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shift-stable log softmax."""
     z = np.asarray(z, dtype=float)
-    m = np.max(z, axis=axis, keepdims=True)
-    shifted = z - m
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    shifted = z - np.maximum.reduce(z, axis=axis, keepdims=True)
+    lse = np.add.reduce(np.exp(shifted), axis=axis, keepdims=True)
+    shifted -= np.log(lse, out=lse)
+    return shifted
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -192,10 +261,11 @@ def huber(residual, delta: float = 1.0):
     if delta <= 0:
         raise InvalidParameter(f"huber delta must be positive, got {delta}")
     r = np.asarray(residual, dtype=float)
-    small = np.abs(r) <= delta
-    value = np.where(small, 0.5 * r * r, delta * (np.abs(r) - 0.5 * delta))
-    deriv = np.clip(r, -delta, delta)
-    if np.isscalar(residual) or np.ndim(residual) == 0:
+    mag = np.abs(r)
+    value = np.where(mag <= delta, 0.5 * r * r, delta * (mag - 0.5 * delta))
+    # np.clip's value, bit for bit, without its Python-level dispatch
+    deriv = np.minimum(np.maximum(r, -delta), delta)
+    if r.ndim == 0:
         return float(value), float(deriv)
     return value, deriv
 
@@ -214,17 +284,19 @@ def _class_ids(labels: Labels, n_classes: int, background_error=None) -> np.ndar
     """Class ids, checked against the outputs' class count; with
     ``background_error``, background rows are rejected too."""
     cls = labels.class_id
+    lowest = 0 if background_error is None else 1
+    if (
+        np.maximum.reduce(cls, initial=lowest) <= n_classes
+        and np.minimum.reduce(cls, initial=n_classes) >= lowest
+    ):
+        return cls
     bad = cls > n_classes
     if background_error is not None:
         bad |= cls == 0
-    if bad.any():
-        i = int(np.argmax(bad))
-        if cls[i] == 0:
-            raise background_error(f"sample {i} is background")
-        raise ClassOutOfRange(
-            f"sample {i} has class {cls[i]} but outputs cover 1..{n_classes}"
-        )
-    return cls
+    i = int(np.argmax(bad))
+    if cls[i] == 0:
+        raise background_error(f"sample {i} is background")
+    raise ClassOutOfRange(f"sample {i} has class {cls[i]} but outputs cover 1..{n_classes}")
 
 
 def regression_loss(
@@ -248,13 +320,12 @@ def regression_loss(
         )
     if outputs.shape[0] != len(labels):
         raise LayoutError(f"{outputs.shape[0]} outputs vs {len(labels)} targets")
-    n = outputs.shape[0]
     cls = _class_ids(labels, outputs.shape[1], BackgroundInRegression)
-    residual = outputs[np.arange(n), cls - 1] - encode(labels.azimuth, dim)
-    value, deriv = huber(residual, delta)
-    grad = np.zeros_like(outputs)
-    grad[np.arange(n), cls - 1] = deriv
-    return LossResult(float(np.sum(value)), grad)
+    own = (np.arange(outputs.shape[0]), cls - 1)
+    value, deriv = huber(outputs[own] - labels.embeddings(dim), delta)
+    grad = np.zeros(outputs.shape)
+    grad[own] = deriv
+    return LossResult(float(np.add.reduce(value, axis=None)), grad)
 
 
 def classification_loss(outputs: np.ndarray, targets: Labels | Sequence[Target]) -> LossResult:
@@ -265,17 +336,30 @@ def classification_loss(outputs: np.ndarray, targets: Labels | Sequence[Target])
         raise LayoutError(f"expected outputs (batch, n_classes, n_bins), got {outputs.shape}")
     if outputs.shape[0] != len(labels):
         raise LayoutError(f"{outputs.shape[0]} outputs vs {len(labels)} targets")
-    n, _, n_bins = outputs.shape
-    cls = _class_ids(labels, outputs.shape[1], BackgroundInPoseLoss)
-    bins = azimuth_to_bin(labels.azimuth, n_bins)
-    rows = outputs[np.arange(n), cls - 1]
-    logp = log_softmax(rows, axis=1)
-    value = -float(np.sum(logp[np.arange(n), bins - 1]))
+    n, n_classes, n_bins = outputs.shape
+    cls = _class_ids(labels, n_classes, BackgroundInPoseLoss)
+    rows = np.arange(n)
+    own = (rows, cls - 1)
+    true_bin = (rows, labels.bins(n_bins) - 1)
+    logp = log_softmax(outputs[own], axis=1)
+    value = -float(np.add.reduce(logp[true_bin], axis=None))
     row_grad = np.exp(logp)
-    row_grad[np.arange(n), bins - 1] -= 1.0
-    grad = np.zeros_like(outputs)
-    grad[np.arange(n), cls - 1] = row_grad
+    row_grad[true_bin] -= 1.0
+    grad = np.zeros(outputs.shape)
+    grad[own] = row_grad
     return LossResult(value, grad)
+
+
+@functools.lru_cache(maxsize=64)
+def _geometric_weights(n_bins: int, sigma: float) -> np.ndarray:
+    """(n_bins, n_bins) table of exp(-d / sigma), ``d`` the circular step
+    distance between bins; row ``v - 1`` weighs the bins for true bin ``v``."""
+    v = np.arange(1, n_bins + 1)
+    d = np.abs(v[None, :] - v[:, None])
+    d = np.minimum(d, n_bins - d)
+    weights = np.exp(-d / sigma)
+    weights.flags.writeable = False
+    return weights
 
 
 def geometric_classification_loss(
@@ -296,25 +380,20 @@ def geometric_classification_loss(
         raise LayoutError(f"expected outputs (batch, n_classes, n_bins), got {outputs.shape}")
     if outputs.shape[0] != len(labels):
         raise LayoutError(f"{outputs.shape[0]} outputs vs {len(labels)} targets")
-    n, _, n_bins = outputs.shape
+    n, n_classes, n_bins = outputs.shape
     if sigma is None:
         sigma = default_geometric_sigma(n_bins)
     if sigma <= 0:
         raise InvalidParameter(f"sigma must be positive, got {sigma}")
-    cls = _class_ids(labels, outputs.shape[1], BackgroundInPoseLoss)
-    bins = azimuth_to_bin(labels.azimuth, n_bins)
-    # (B, n_bins) circular step distances from each bin to the target bin.
-    v = np.arange(1, n_bins + 1)
-    d = np.abs(v[None, :] - bins[:, None])
-    d = np.minimum(d, n_bins - d)
-    weights = np.exp(-d / sigma)
-    rows = outputs[np.arange(n), cls - 1]
-    logp = log_softmax(rows, axis=1)
-    value = -float(np.sum(weights * logp))
-    p = np.exp(logp)
-    row_grad = -weights + np.sum(weights, axis=1, keepdims=True) * p
-    grad = np.zeros_like(outputs)
-    grad[np.arange(n), cls - 1] = row_grad
+    cls = _class_ids(labels, n_classes, BackgroundInPoseLoss)
+    weights = _geometric_weights(n_bins, float(sigma))[labels.bins(n_bins) - 1]
+    own = (np.arange(n), cls - 1)
+    logp = log_softmax(outputs[own], axis=1)
+    value = -float(np.add.reduce(weights * logp, axis=None))
+    row_grad = np.add.reduce(weights, axis=1, keepdims=True) * np.exp(logp)
+    row_grad -= weights
+    grad = np.zeros(outputs.shape)
+    grad[own] = row_grad
     return LossResult(value, grad)
 
 
@@ -349,18 +428,20 @@ def joint_regression_loss(
     n, n_classes, dim = pose.shape
     cls = _class_ids(labels, n_classes)
 
+    hit = (np.arange(n), cls)
     logp = log_softmax(det, axis=1)
-    value = -float(np.sum(logp[np.arange(n), cls]))
+    value = -float(np.add.reduce(logp[hit], axis=None))
     det_grad = np.exp(logp)
-    det_grad[np.arange(n), cls] -= 1.0
+    det_grad[hit] -= 1.0
 
-    pose_grad = np.zeros_like(pose)
-    fg = np.flatnonzero(cls > 0)
-    if fg.size and lam != 0.0:
-        residual = pose[fg, cls[fg] - 1] - encode(labels.azimuth[fg], dim)
-        hval, hderiv = huber(residual, delta)
-        value += lam * float(np.sum(hval))
-        pose_grad[fg, cls[fg] - 1] = lam * hderiv
+    pose_grad = np.zeros(pose.shape)
+    if lam != 0.0:
+        fg = (cls > 0).nonzero()[0]
+        if fg.size:
+            own = (fg, cls[fg] - 1)
+            hval, hderiv = huber(pose[own] - labels.embeddings(dim)[fg], delta)
+            value += lam * float(np.add.reduce(hval, axis=None))
+            pose_grad[own] = lam * hderiv
     return LossResult(value, JointRegOutputs(det=det_grad, pose=pose_grad))
 
 
@@ -371,7 +452,8 @@ def joint_classification_loss(
     the background slot.
 
     Unlike the per-class losses, the shared normalizer couples all slots:
-    any slot's logit moves the loss for every sample.
+    any slot's logit moves the loss for every sample.  The gradient comes
+    back in the flat row layout (see :class:`JointClsOutputs`).
     """
     labels = as_labels(targets)
     obj = np.asarray(outputs.obj, dtype=float)
@@ -384,21 +466,16 @@ def joint_classification_loss(
         raise LayoutError(f"{obj.shape[0]} outputs vs {len(labels)} targets")
     n, n_classes, n_bins = obj.shape
     cls = _class_ids(labels, n_classes)
-    flat = np.concatenate([obj.reshape(n, -1), back[:, None]], axis=1)
-    logp = log_softmax(flat, axis=1)
-    slots = np.full(n, n_classes * n_bins)  # the appended background slot
-    fg = np.flatnonzero(cls > 0)
-    slots[fg] = (cls[fg] - 1) * n_bins + azimuth_to_bin(labels.azimuth[fg], n_bins) - 1
-    value = -float(np.sum(logp[np.arange(n), slots]))
-    flat_grad = np.exp(logp)
-    flat_grad[np.arange(n), slots] -= 1.0
-    return LossResult(
-        value,
-        JointClsOutputs(
-            obj=flat_grad[:, :-1].reshape(n, n_classes, n_bins),
-            back=flat_grad[:, -1].copy(),
-        ),
+    logp = log_softmax(outputs.flat, axis=1)
+    # a foreground sample's (class, bin) slot; background is the last slot
+    slots = np.where(
+        cls > 0, (cls - 1) * n_bins + labels.bins(n_bins) - 1, n_classes * n_bins
     )
+    hit = (np.arange(n), slots)
+    value = -float(np.add.reduce(logp[hit], axis=None))
+    flat_grad = np.exp(logp)
+    flat_grad[hit] -= 1.0
+    return LossResult(value, JointClsOutputs.from_flat(flat_grad, n_classes, n_bins))
 
 
 def joint_detection_score(obj: np.ndarray, back: float, class_id: int) -> float:

@@ -24,6 +24,7 @@ it reflects parameter movement rather than batch sampling noise.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -33,9 +34,11 @@ import numpy as np
 from .angles import decode, flip_azimuth
 from .errors import (
     AmbiguousDecode,
+    ClassOutOfRange,
     ConfigError,
     DivergenceError,
     EmptyClassError,
+    InvalidAngle,
     InvalidConfig,
     LayoutError,
 )
@@ -219,34 +222,43 @@ def init_params(cfg: NetConfig) -> ModelParams:
     return ModelParams(layers)
 
 
-def _affine(params: ModelParams, name: str, x: np.ndarray) -> np.ndarray:
-    layer = params.layers[name]
-    return x @ layer.w + layer.b
+@functools.lru_cache(maxsize=64)
+def _chains(cfg: NetConfig) -> tuple[tuple[str, ...], ...]:
+    """Layer names of the net's chains, input side first: ``(trunk +
+    head,)``, or for ``joint_reg`` ``(shared trunk, det branch + det_head,
+    pose branch + pose_head)``.  Resolved once per config."""
+    n = len(cfg.trunk_widths)
+    if cfg.head != "joint_reg":
+        return (tuple(f"trunk{i}" for i in range(n)) + ("head",),)
+    s = cfg.split_depth
+    return (
+        tuple(f"trunk{i}" for i in range(s)),
+        tuple(f"det{i}" for i in range(n - s)) + ("det_head",),
+        tuple(f"pose{i}" for i in range(n - s)) + ("pose_head",),
+    )
 
 
 def _chain(
-    params: ModelParams,
+    layers: dict[str, Dense],
     names: Sequence[str],
-    x: np.ndarray,
+    a: np.ndarray,
     cache: dict | None,
+    head: bool,
 ) -> np.ndarray:
-    """Affine+ReLU chain; records (input, preactivation) per layer."""
-    a = x
-    for name in names:
-        pre = _affine(params, name, a)
+    """Affine+ReLU chain, the last layer affine only if it is a ``head``.
+    Records each layer's input in the cache; a ReLU output doubles as the
+    mask that backward() needs, so no preactivation is kept."""
+    last = len(names) - 1
+    for i, name in enumerate(names):
         if cache is not None:
-            cache[name] = (a, pre)
-        a = np.maximum(pre, 0.0)
+            cache[name] = a
+        layer = layers[name]
+        z = a @ layer.w
+        z += layer.b
+        if i < last or not head:
+            np.maximum(z, 0.0, out=z)
+        a = z
     return a
-
-
-def _branch_names(cfg: NetConfig) -> tuple[list[str], list[str], list[str]]:
-    s = cfg.split_depth
-    n = len(cfg.trunk_widths)
-    shared = [f"trunk{i}" for i in range(s)]
-    det = [f"det{i}" for i in range(n - s)]
-    pose = [f"pose{i}" for i in range(n - s)]
-    return shared, det, pose
 
 
 def forward(
@@ -264,58 +276,53 @@ def forward(
     if x.ndim != 2 or x.shape[1] != cfg.input_dim:
         raise LayoutError(f"expected (B, {cfg.input_dim}) input, got {x.shape}")
     cache: dict | None = {} if want_cache else None
+    layers = params.layers
+    b = x.shape[0]
     if cfg.head == "joint_reg":
-        shared, det_names, pose_names = _branch_names(cfg)
-        a = _chain(params, shared, x, cache)
-        ad = _chain(params, det_names, a, cache)
-        det = _affine(params, "det_head", ad)
-        if cache is not None:
-            cache["det_head"] = (ad, None)
-        ap = _chain(params, pose_names, a, cache)
-        pose = _affine(params, "pose_head", ap)
-        if cache is not None:
-            cache["pose_head"] = (ap, None)
-        out = JointRegOutputs(det, pose.reshape(x.shape[0], cfg.n_classes, cfg.n_dims))
+        shared, det_names, pose_names = _chains(cfg)
+        a = _chain(layers, shared, x, cache, head=False)
+        det = _chain(layers, det_names, a, cache, head=True)
+        pose = _chain(layers, pose_names, a, cache, head=True)
+        out = JointRegOutputs(det, pose.reshape(b, cfg.n_classes, cfg.n_dims))
     else:
-        names = [f"trunk{i}" for i in range(len(cfg.trunk_widths))]
-        a = _chain(params, names, x, cache)
-        raw = _affine(params, "head", a)
-        if cache is not None:
-            cache["head"] = (a, None)
-        b = x.shape[0]
+        (names,) = _chains(cfg)
+        raw = _chain(layers, names, x, cache, head=True)
         if cfg.head == "reg":
             out = raw.reshape(b, cfg.n_classes, cfg.n_dims)
         elif cfg.head == "cls":
             out = raw.reshape(b, cfg.n_classes, cfg.n_bins)
         else:  # joint_cls: class-bin slots first, background logit last
-            out = JointClsOutputs(
-                raw[:, :-1].reshape(b, cfg.n_classes, cfg.n_bins), raw[:, -1]
-            )
+            out = JointClsOutputs.from_flat(raw, cfg.n_classes, cfg.n_bins)
     if want_cache:
         return out, cache
     return out
 
 
 def _back_chain(
-    params: ModelParams,
+    layers: dict[str, Dense],
     names: Sequence[str],
     delta: np.ndarray,
     cache: dict,
     grads: dict,
-) -> np.ndarray:
-    """Backprop through an affine+ReLU chain; returns delta at its input.
-    Accumulates into grads so shared layers can sum branch contributions."""
-    for name in reversed(names):
-        a_in, pre = cache[name]
-        if pre is not None:
-            delta = delta * (pre > 0.0)
-        dw = a_in.T @ delta
-        db = delta.sum(axis=0)
-        if name in grads:
-            grads[name] = (grads[name][0] + dw, grads[name][1] + db)
-        else:
-            grads[name] = (dw, db)
-        delta = delta @ params.layers[name].w.T
+    out: np.ndarray | None,
+    input_grad: bool,
+) -> np.ndarray | None:
+    """Backprop through a chain; returns the delta at its input, or None
+    without ``input_grad`` (the chain reads ``x``, so nothing needs it).
+
+    ``out`` is the chain's ReLU output, or None if it ends in a head.  The
+    ReLU mask is applied in place, on deltas this function computed, never
+    on the caller's ``delta``."""
+    for i in range(len(names) - 1, -1, -1):
+        name = names[i]
+        a_in = cache[name]
+        if out is not None:
+            np.multiply(delta, out > 0.0, out=delta)
+        grads[name] = (a_in.T @ delta, np.add.reduce(delta, axis=0))
+        if i == 0 and not input_grad:
+            return None
+        delta = delta @ layers[name].w.T
+        out = a_in
     return delta
 
 
@@ -334,27 +341,27 @@ def backward(
     if cache is None:
         _, cache = forward(params, cfg, x, want_cache=True)
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    layers = params.layers
     b = np.asarray(x).shape[0]
     if cfg.head == "joint_reg":
-        shared, det_names, pose_names = _branch_names(cfg)
-        d_det = _back_chain(params, det_names + ["det_head"], out_grad.det, cache, grads)
+        shared, det_names, pose_names = _chains(cfg)
+        # with no shared trunk both branches read x
+        split = bool(shared)
+        d_det = _back_chain(layers, det_names, out_grad.det, cache, grads, None, split)
         d_pose = _back_chain(
-            params,
-            pose_names + ["pose_head"],
-            out_grad.pose.reshape(b, -1),
-            cache,
-            grads,
+            layers, pose_names, out_grad.pose.reshape(b, -1), cache, grads, None, split
         )
-        _back_chain(params, shared, d_det + d_pose, cache, grads)
+        if split:
+            _back_chain(
+                layers, shared, d_det + d_pose, cache, grads, cache[det_names[0]], False
+            )
         return grads
     if cfg.head == "joint_cls":
-        flat = np.concatenate(
-            [out_grad.obj.reshape(b, -1), out_grad.back[:, None]], axis=1
-        )
+        flat = out_grad.flat
     else:
         flat = out_grad.reshape(b, -1)
-    names = [f"trunk{i}" for i in range(len(cfg.trunk_widths))]
-    _back_chain(params, names + ["head"], flat, cache, grads)
+    (names,) = _chains(cfg)
+    _back_chain(layers, names, flat, cache, grads, None, False)
     return grads
 
 
@@ -373,23 +380,31 @@ def sgd_step(
 ) -> None:
     """In-place momentum SGD update.  Weight decay applies to weights
     only, never biases, and enters through the velocity:
-    v <- momentum*v + g + wd*w;  w <- w - lr_t*v."""
+    v <- momentum*v + g + wd*w;  w <- w - lr_t*v.  The arrays of
+    ``params`` are updated in place, in that order of operations."""
     lr = effective_lr(tcfg, iteration)
+    momentum, decay = tcfg.momentum, tcfg.weight_decay
     for name, (dw, db) in grads.items():
         layer = params.layers[name]
-        layer.vw = tcfg.momentum * layer.vw + dw + tcfg.weight_decay * layer.w
-        layer.vb = tcfg.momentum * layer.vb + db
-        layer.w = layer.w - lr * layer.vw
-        layer.b = layer.b - lr * layer.vb
+        vw, vb = layer.vw, layer.vb
+        vw *= momentum
+        vw += dw
+        vw += decay * layer.w
+        layer.w -= lr * vw
+        vb *= momentum
+        vb += db
+        layer.b -= lr * vb
 
 
 @dataclass(frozen=True, eq=False)
 class Pool:
     """Flattened view of a dataset's proposals for batch sampling.
 
-    Construction also tabulates, per foreground row, what a flip needs:
-    the mirrored azimuth, the class's noiseless feature at that azimuth
-    and the class's noise scale.  Rows of a class without a spec get NaN
+    Construction checks the rows once, so the batches drawn from them need
+    no checks: foreground rows have a class id >= 1 and a finite azimuth.
+    It also tabulates, per foreground row, what a flip needs: the
+    mirrored azimuth, the class's noiseless feature at that azimuth and
+    the class's noise scale.  Rows of a class without a spec get NaN
     there and cannot be flipped.
     """
 
@@ -401,13 +416,34 @@ class Pool:
     fg_flip_azimuth: np.ndarray = field(init=False, repr=False)
     fg_flip_clean: np.ndarray = field(init=False, repr=False)
     fg_noise_sigma: np.ndarray = field(init=False, repr=False)
+    # whether some foreground row cannot be flipped
+    has_unflippable: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, d = self.fg_features.shape
-        flip_az = flip_azimuth(self.fg_azimuth)
+        fg = np.asarray(self.fg_features, dtype=float)
+        bg = np.asarray(self.bg_features, dtype=float)
+        cls = np.asarray(self.fg_class)
+        az = np.asarray(self.fg_azimuth, dtype=float)
+        if fg.ndim != 2 or bg.ndim != 2 or bg.shape[1] != fg.shape[1]:
+            raise LayoutError(
+                f"pool features must be two (rows, dim) arrays, got {fg.shape} and {bg.shape}"
+            )
+        n, d = fg.shape
+        if cls.shape != (n,) or az.shape != (n,) or cls.dtype.kind not in "iu":
+            raise LayoutError(
+                f"pool needs ({n},) integer class ids and ({n},) azimuths, "
+                f"got {cls.dtype} {cls.shape} and {az.shape}"
+            )
+        bad = (cls < 1) | ~np.isfinite(az)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if cls[i] < 1:
+                raise ClassOutOfRange(f"foreground row {i}: class_id must be >= 1, got {cls[i]}")
+            raise InvalidAngle(f"foreground row {i}: azimuth must be finite, got {float(az[i])!r}")
+        flip_az = flip_azimuth(az)
         clean = np.full((n, d), np.nan)
         sigma = np.full(n, np.nan)
-        for i, (cid, theta) in enumerate(zip(self.fg_class.tolist(), flip_az.tolist())):
+        for i, (cid, theta) in enumerate(zip(cls.tolist(), flip_az.tolist())):
             spec = self.specs.get(cid)
             if spec is None:
                 continue
@@ -417,9 +453,17 @@ class Pool:
                 )
             clean[i] = appearance_clean(spec, theta)
             sigma[i] = spec.noise_sigma
-        object.__setattr__(self, "fg_flip_azimuth", flip_az)
-        object.__setattr__(self, "fg_flip_clean", clean)
-        object.__setattr__(self, "fg_noise_sigma", sigma)
+        for name, value in (
+            ("fg_features", fg),
+            ("fg_class", cls.astype(int, copy=False)),
+            ("fg_azimuth", az),
+            ("bg_features", bg),
+            ("fg_flip_azimuth", flip_az),
+            ("fg_flip_clean", clean),
+            ("fg_noise_sigma", sigma),
+            ("has_unflippable", bool(np.isnan(sigma).any())),
+        ):
+            object.__setattr__(self, name, value)
 
 
 def build_pool(dataset: Dataset) -> Pool:
@@ -457,7 +501,8 @@ def make_batch(
     noise.  The noise of all flipped rows of noisy classes is one
     ``(k, feature_dim)`` draw, row by row the same numbers as one draw per
     flipped row.  Backgrounds are rotation-free, so flipping leaves them
-    alone.
+    alone.  The rows were checked when the pool was built, so the labels
+    are not checked again.
     """
     n_fg = math.ceil(tcfg.positive_fraction * tcfg.batch_size)
     n_bg = tcfg.batch_size - n_fg
@@ -465,33 +510,34 @@ def make_batch(
         raise EmptyClassError("batch needs foreground samples but the pool has none")
     if n_bg > 0 and pool.bg_features.shape[0] == 0:
         raise EmptyClassError("batch needs background samples but the pool has none")
-    feats, cls, az = [], [], []
     if n_fg > 0:
         idx = rng.integers(0, pool.fg_features.shape[0], n_fg)
-        fg_x = pool.fg_features[idx]
+        fg_x = pool.fg_features.take(idx, axis=0)
         fg_az = pool.fg_azimuth[idx]
         if tcfg.flip_augment:
-            rows = np.flatnonzero(rng.random(n_fg) < 0.5)
+            rows = (rng.random(n_fg) < 0.5).nonzero()[0]
             src = idx[rows]
             sigma = pool.fg_noise_sigma[src]
-            if np.isnan(sigma).any():
+            if pool.has_unflippable and np.isnan(sigma).any():
                 cid = pool.fg_class[src[np.argmax(np.isnan(sigma))]]
                 raise ConfigError(f"flip_augment needs class {cid}'s spec, which the pool lacks")
-            flip_x = pool.fg_flip_clean[src]
-            noisy = np.flatnonzero(sigma > 0.0)
+            flip_x = pool.fg_flip_clean.take(src, axis=0)
+            noisy = (sigma > 0.0).nonzero()[0]
             noise = rng.standard_normal((noisy.size, flip_x.shape[1]))
-            flip_x[noisy] += sigma[noisy, None] * noise
+            noise *= sigma[noisy, None]
+            flip_x[noisy] += noise
             fg_x[rows] = flip_x
             fg_az[rows] = pool.fg_flip_azimuth[src]
-        feats.append(fg_x)
-        cls.append(pool.fg_class[idx])
-        az.append(fg_az)
-    if n_bg > 0:
-        idx = rng.integers(0, pool.bg_features.shape[0], n_bg)
-        feats.append(pool.bg_features[idx])
-        cls.append(np.zeros(n_bg, dtype=int))
-        az.append(np.full(n_bg, np.nan))
-    return np.concatenate(feats), Labels(np.concatenate(cls), np.concatenate(az))
+        if n_bg == 0:
+            return fg_x, Labels._of_valid_rows(pool.fg_class[idx], fg_az)
+    bg_x = pool.bg_features.take(rng.integers(0, pool.bg_features.shape[0], n_bg), axis=0)
+    cls = np.zeros(n_bg + n_fg, dtype=int)
+    az = np.full(n_bg + n_fg, np.nan)
+    if n_fg == 0:
+        return bg_x, Labels._of_valid_rows(cls, az)
+    cls[:n_fg] = pool.fg_class[idx]
+    az[:n_fg] = fg_az
+    return np.concatenate([fg_x, bg_x]), Labels._of_valid_rows(cls, az)
 
 
 def _loss_fn(spec: LossSpec, cfg: NetConfig) -> Callable[[object, Labels], LossResult]:
@@ -538,6 +584,10 @@ def train(
     identical seeds give bitwise identical parameters and logs.  A
     non-finite batch loss aborts with DivergenceError carrying the
     iteration.
+
+    Every step updates the arrays of the parameters in place: the
+    ``params`` a callback receives are the live ones, so a callback that
+    keeps them past its return must copy them (``params.copy()``).
     """
     if isinstance(loss, str):
         loss = LossSpec(loss)
@@ -571,7 +621,7 @@ def train(
         x, labels = make_batch(pool, tcfg, batch_rng)
         out, cache = forward(params, cfg, x, want_cache=True)
         res = fn(out, labels)
-        if not np.isfinite(res.value):
+        if not math.isfinite(res.value):
             raise DivergenceError(f"non-finite loss {res.value}", iteration=t)
         grads = backward(params, cfg, x, res.grad, cache)
         sgd_step(params, grads, tcfg, t)

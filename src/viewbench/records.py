@@ -30,7 +30,7 @@ import numpy as np
 from .angles import canonicalize
 from .errors import FormatError, InvalidParameter
 from .metrics import Box, Detection, EvalReport, GroundTruth
-from .net import Dense, LogEntry, ModelParams, NetConfig
+from .net import Dense, LogEntry, ModelParams, NetConfig, layer_plan
 from .synthetic import ClassSpec, Dataset, Proposal, Scene
 
 GT_HEADER = "# viewbench ground truth: image_id class_id x_min y_min x_max y_max azimuth_deg"
@@ -160,19 +160,33 @@ def parse_dataset(
     features: np.ndarray | None = None,
 ) -> Dataset:
     """Rebuild a Dataset from its text form (plus sidecar features if the
-    file was written without inline features)."""
+    file was written without inline features).
+
+    Each scene must hold as many gt and prop lines as its scene line
+    declares, a prop's ``matched_gt`` must be -1 or index one of them, and
+    a sidecar must be (rows, feature_dim) with one row per prop line that
+    reads it, no more."""
     class_specs = tuple(class_specs)
     feature_dim = class_specs[0].feature_dim
     scenes: list[Scene] = []
     cur_id: str | None = None
+    scene_where = ""
+    n_gt = n_prop = 0
     gts: list[GroundTruth] = []
     props: list[Proposal] = []
     next_feature = 0
 
     def flush():
-        if cur_id is not None:
-            scenes.append(Scene(cur_id, tuple(gts), tuple(props)))
+        if cur_id is None:
+            return
+        if len(gts) != n_gt or len(props) != n_prop:
+            raise FormatError(
+                f"{scene_where}: scene {cur_id} declares {n_gt} gt and {n_prop} prop lines, "
+                f"got {len(gts)} and {len(props)}"
+            )
+        scenes.append(Scene(cur_id, tuple(gts), tuple(props)))
 
+    lineno = 0
     for lineno, tok in _data_lines(text):
         where = f"{path}:{lineno}"
         kind = tok[0]
@@ -181,6 +195,8 @@ def parse_dataset(
                 raise FormatError(f"{where}: scene line needs 4 fields, got {len(tok)}")
             flush()
             cur_id = tok[1]
+            scene_where = where
+            n_gt, n_prop = _parse_int(tok[2], where), _parse_int(tok[3], where)
             gts, props = [], []
         elif kind == "gt":
             if cur_id is None:
@@ -199,6 +215,11 @@ def parse_dataset(
                     f"{where}: prop line needs 8 or {8 + feature_dim} fields, got {len(tok)}"
                 )
             matched = _parse_int(tok[1], where)
+            if not -1 <= matched < n_gt:
+                raise FormatError(
+                    f"{where}: matched_gt {matched} is neither -1 nor one of the "
+                    f"scene's {n_gt} ground truths"
+                )
             ov = _parse_float(tok[2], where)
             noise_seed = _parse_int(tok[3], where)
             box = Box(*(_parse_float(t, where) for t in tok[4:8]))
@@ -207,6 +228,11 @@ def parse_dataset(
             else:
                 if features is None:
                     raise FormatError(f"{where}: no inline features and no sidecar given")
+                if features.ndim != 2 or features.shape[1] != feature_dim:
+                    raise FormatError(
+                        f"{where}: sidecar rows must have {feature_dim} values, "
+                        f"the sidecar has shape {features.shape}"
+                    )
                 if next_feature >= features.shape[0]:
                     raise FormatError(f"{where}: sidecar has too few feature rows")
                 feat = np.array(features[next_feature], dtype=np.float64)
@@ -215,6 +241,11 @@ def parse_dataset(
         else:
             raise FormatError(f"{where}: unknown line type {kind!r}")
     flush()
+    if features is not None and features.shape[:1] != (next_feature,):
+        raise FormatError(
+            f"{path}:{lineno}: the prop lines read {next_feature} sidecar rows, "
+            f"the sidecar has shape {features.shape}"
+        )
     return Dataset(tuple(scenes), class_specs, feature_dim, split, seed)
 
 
@@ -279,12 +310,24 @@ def write_benchmark(
     return out / "manifest.json"
 
 
+_KIND_NAMES = {list: "a list", dict: "a mapping", str: "a string", int: "an integer"}
+
+
+def _field(doc, key: str, kind: type, where: str):
+    """``doc[key]`` of a JSON mapping, which must be there with type ``kind``."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise FormatError(f"{where}: manifest needs {key!r} as {_KIND_NAMES[kind]}")
+    return value
+
+
 def read_benchmark(
     manifest_path: str | Path, split: str | None = None
 ) -> tuple[Dataset | None, Dataset | None, dict]:
     """Both splits of a benchmark and its manifest.  With ``split``
     ('train' or 'test') only that split is parsed and checked against the
-    manifest's counts; the other comes back as None."""
+    manifest's counts; the other comes back as None.  A manifest that
+    lacks a key this needs is a FormatError."""
     if split not in (None, "train", "test"):
         raise InvalidParameter(f"split must be 'train' or 'test', got {split!r}")
     manifest_path = Path(manifest_path)
@@ -292,25 +335,37 @@ def read_benchmark(
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as e:
         raise FormatError(f"{manifest_path}: invalid JSON: {e}") from None
-    if manifest.get("format") != "viewbench-benchmark":
+    if not isinstance(manifest, dict) or manifest.get("format") != "viewbench-benchmark":
         raise FormatError(f"{manifest_path}: not a benchmark manifest")
-    specs = tuple(ClassSpec(**d) for d in manifest["class_specs"])
+    specs = []
+    for d in _field(manifest, "class_specs", list, str(manifest_path)):
+        try:
+            specs.append(ClassSpec(**d))
+        except TypeError:
+            raise FormatError(f"{manifest_path}: bad class spec {d!r}") from None
+    if not specs:
+        raise FormatError(f"{manifest_path}: manifest has no class specs")
+    splits = _field(manifest, "splits", dict, str(manifest_path))
     root = manifest_path.parent
     out = []
     for name in ("train", "test"):
         if split not in (None, name):
             out.append(None)
             continue
-        entry = manifest["splits"][name]
+        where = f"{manifest_path} split {name!r}"
+        entry = _field(splits, name, dict, str(manifest_path))
+        data = _field(entry, "data", str, where)
+        seed = _field(entry, "seed", int, where)
+        n_proposals = _field(entry, "n_proposals", int, where)
+        n_scenes = _field(entry, "n_scenes", int, where)
         features = None
         if entry.get("features"):
-            features = np.load(root / entry["features"], allow_pickle=False)
-        data_path = root / entry["data"]
+            features = np.load(root / _field(entry, "features", str, where), allow_pickle=False)
+        data_path = root / data
         ds = parse_dataset(
-            data_path.read_text(), specs, name, entry["seed"],
-            path=str(data_path), features=features,
+            data_path.read_text(), specs, name, seed, path=str(data_path), features=features,
         )
-        if ds.n_samples != entry["n_proposals"] or len(ds.scenes) != entry["n_scenes"]:
+        if ds.n_samples != n_proposals or len(ds.scenes) != n_scenes:
             raise FormatError(f"{data_path}: counts disagree with the manifest")
         out.append(ds)
     return out[0], out[1], manifest
@@ -347,6 +402,7 @@ def parse_checkpoint(text: str, path: str = "<string>") -> Checkpoint:
     except (IndexError, json.JSONDecodeError):
         raise FormatError(f"{path}:2: bad checkpoint header") from None
     layers: dict[str, Dense] = {}
+    layer_lines: list[tuple[int, str, int, int]] = []
     i = 2
     while i < len(lines):
         if not lines[i].strip():
@@ -360,7 +416,7 @@ def parse_checkpoint(text: str, path: str = "<string>") -> Checkpoint:
         fan_out = _parse_int(tok[3], f"{path}:{i + 1}")
         arrays = {}
         for j, tag in enumerate(("w", "b", "vw", "vb")):
-            row = lines[i + 1 + j].split()
+            row = lines[i + 1 + j].split() if i + 1 + j < len(lines) else []
             if not row or row[0] != tag:
                 raise FormatError(f"{path}:{i + 2 + j}: expected {tag!r} line")
             want = fan_in * fan_out if tag in ("w", "vw") else fan_out
@@ -374,8 +430,31 @@ def parse_checkpoint(text: str, path: str = "<string>") -> Checkpoint:
                 raise FormatError(f"{path}:{i + 2 + j}: bad hex float") from None
             arrays[tag] = vals.reshape((fan_in, fan_out) if tag in ("w", "vw") else (fan_out,))
         layers[name] = Dense(arrays["w"], arrays["b"], arrays["vw"], arrays["vb"])
+        layer_lines.append((i + 1, name, fan_in, fan_out))
         i += 5
-    return Checkpoint(ModelParams(layers), NetConfig(**header["net"]), header)
+    net = _header_net(header, path)
+    plan = layer_plan(net)
+    for (lineno, *got), want in zip(layer_lines, plan):
+        if tuple(got) != want:
+            raise FormatError(
+                f"{path}:{lineno}: layer {' '.join(map(str, got))} does not match the "
+                f"header's net, which has layer {' '.join(map(str, want))} here"
+            )
+    if len(layer_lines) != len(plan):
+        raise FormatError(
+            f"{path}: the header's net has {len(plan)} layers, the file {len(layer_lines)}"
+        )
+    return Checkpoint(ModelParams(layers), net, header)
+
+
+def _header_net(header, path: str) -> NetConfig:
+    net = header.get("net") if isinstance(header, dict) else None
+    if not isinstance(net, dict):
+        raise FormatError(f"{path}:2: checkpoint header lacks the net config")
+    try:
+        return NetConfig(**net)
+    except TypeError as e:
+        raise FormatError(f"{path}:2: bad net config in the checkpoint header: {e}") from None
 
 
 def save_checkpoint(

@@ -324,6 +324,13 @@ class TestArrayForms:
         assert azimuth_to_bin(np.array(math.pi), 4) == 3
         assert np.array_equal(canonicalize(np.array([-1, 7])), [canonicalize(-1), canonicalize(7)])
 
+    def test_canonical_input_copied_unchanged(self):
+        theta = np.array([-0.0, 0.0, 5e-324, math.pi, np.nextafter(TWO_PI, 0.0)])
+        got = canonicalize(theta)
+        assert got is not theta and not np.shares_memory(got, theta)
+        assert np.array_equal(_bits(got), _bits(theta))
+        assert np.array_equal(_bits(got), _bits([canonicalize(float(t)) for t in theta]))
+
     def test_empty(self):
         assert canonicalize(np.empty(0)).shape == (0,)
         assert azimuth_to_bin(np.empty(0), 24).shape == (0,)

@@ -326,6 +326,78 @@ class TestPredict:
         assert out.read_text() == DET_HEADER + "\n"
 
 
+@pytest.fixture(scope="module")
+def broken(small_bench, small_ckpt, tmp_path_factory):
+    """Copies of the small benchmark and checkpoint, each with one defect."""
+    root = tmp_path_factory.mktemp("broken")
+    src = small_bench["dir"]
+    out = {}
+
+    def bench(name, mutate=None, binary=False):
+        d = root / name
+        if binary:
+            cfg = _write_yaml(root / f"{name}.yaml", {
+                "seed": 0, "dataset": {**SMALL_DATASET, "features_binary": True},
+            })
+            assert entry(["generate", "--config", cfg, "--out", str(d)]) == 0
+        else:
+            d.mkdir()
+            for f in src.iterdir():
+                (d / f.name).write_bytes(f.read_bytes())
+        if mutate:
+            mutate(d)
+        out[name] = d / "manifest.json"
+
+    def edit_manifest(fn):
+        def mutate(d):
+            doc = json.loads((d / "manifest.json").read_text())
+            fn(doc)
+            (d / "manifest.json").write_text(json.dumps(doc))
+        return mutate
+
+    def edit_lines(fn):
+        def mutate(d):
+            lines = (d / "test_data.txt").read_text().splitlines()
+            fn(lines)
+            (d / "test_data.txt").write_text("\n".join(lines) + "\n")
+        return mutate
+
+    def more_gts(lines):
+        i = next(i for i, l in enumerate(lines) if l.startswith("scene "))
+        tok = lines[i].split()
+        lines[i] = " ".join(tok[:2] + [str(int(tok[2]) + 1), tok[3]])
+
+    def matched_past(lines):
+        i = next(i for i, l in enumerate(lines) if l.startswith("prop "))
+        tok = lines[i].split()
+        lines[i] = " ".join(["prop", "9"] + tok[2:])
+
+    def edit_sidecar(fn):
+        def mutate(d):
+            path = d / "test_features.npy"
+            np.save(path, fn(np.load(path)))
+        return mutate
+
+    bench("no_specs", edit_manifest(lambda doc: doc.pop("class_specs")))
+    bench("no_splits", edit_manifest(lambda doc: doc.pop("splits")))
+    for key in ("data", "seed", "n_proposals", "n_scenes"):
+        bench(f"no_{key}", edit_manifest(lambda doc, k=key: doc["splits"]["test"].pop(k)))
+    bench("scene_counts", edit_lines(more_gts))
+    bench("matched_past", edit_lines(matched_past))
+    bench("sidecar_width", edit_sidecar(lambda f: f[:, :-1]), binary=True)
+    bench("sidecar_rows", edit_sidecar(lambda f: np.concatenate([f, f[:1]])), binary=True)
+
+    text = small_ckpt["ckpt"].read_text()
+    for name, old, new in (
+        ("ckpt_renamed", "layer head ", "layer heed "),
+        ("ckpt_widths", '"trunk_widths": [16]', '"trunk_widths": [17]'),
+    ):
+        assert old in text
+        out[name] = root / f"{name}.txt"
+        out[name].write_text(text.replace(old, new))
+    return out
+
+
 def _exit_code(argv):
     """Exit code of a command, whether entry returns it or argparse exits."""
     try:
@@ -374,15 +446,58 @@ def _exit_code(argv):
             ["generate", "--config", "{class_seed}", "--out", "{out}"],
             "seed must be >= 0, got -4",
         ),
+        (
+            ["predict", "{ckpt}", "{no_specs}", "--out", "{out}"],
+            "manifest needs 'class_specs' as a list",
+        ),
+        (
+            ["predict", "{ckpt}", "{no_splits}", "--out", "{out}"],
+            "manifest needs 'splits' as a mapping",
+        ),
+        *(
+            (
+                ["predict", "{ckpt}", "{no_%s}" % key, "--out", "{out}"],
+                f"split 'test': manifest needs '{key}' as a",
+            )
+            for key in ("data", "seed", "n_proposals", "n_scenes")
+        ),
+        (
+            ["predict", "{ckpt}", "{scene_counts}", "--out", "{out}"],
+            "test_data.txt:2: scene",
+        ),
+        (
+            ["predict", "{ckpt}", "{matched_past}", "--out", "{out}"],
+            "matched_gt 9 is neither -1 nor one of the scene's",
+        ),
+        (
+            ["predict", "{ckpt}", "{sidecar_width}", "--out", "{out}"],
+            "sidecar rows must have 8 values, the sidecar has shape",
+        ),
+        (
+            ["predict", "{ckpt}", "{sidecar_rows}", "--out", "{out}"],
+            "sidecar rows, the sidecar has shape",
+        ),
+        (
+            ["predict", "{ckpt_renamed}", "{manifest}", "--out", "{out}"],
+            "layer heed 16 48 does not match the header's net, which has layer head 16 48",
+        ),
+        (
+            ["predict", "{ckpt_widths}", "{manifest}", "--out", "{out}"],
+            "layer trunk0 8 16 does not match the header's net, which has layer trunk0 8 17",
+        ),
     ],
     ids=[
         "bins-not-integers", "bins-empty", "bins-below-2", "predict-split",
         "objects-per-scene-scalar", "trunk-widths-string", "total-iters-fraction",
         "weight-decay-nan", "class-sigma-inf", "seed-flag-negative",
         "gradcheck-seed-negative", "train-seed-negative", "class-seed-negative",
+        "manifest-no-class-specs", "manifest-no-splits", "manifest-no-data",
+        "manifest-no-seed", "manifest-no-n-proposals", "manifest-no-n-scenes",
+        "scene-counts", "matched-gt-past", "sidecar-width", "sidecar-extra-rows",
+        "checkpoint-renamed-layer", "checkpoint-widths",
     ],
 )
-def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, tmp_path, capsys):
+def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_path, capsys):
     """Bad values are rejected where they enter, with a message and exit 2."""
     paths = {
         "gt": small_bench["dir"] / "test_gt.txt",
@@ -413,6 +528,7 @@ def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, tmp_path, cap
                 ("train_seed", {"train": {"seed": -3}}),
             )
         },
+        **broken,
         "out": tmp_path / "out.txt",
     }
     code = _exit_code([a.format(**paths) for a in argv])

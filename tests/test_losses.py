@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from viewbench.angles import bin_center
+from viewbench.angles import azimuth_to_bin, bin_center, encode
 from viewbench.errors import (
     BackgroundInPoseLoss,
     BackgroundInRegression,
@@ -159,6 +159,75 @@ class TestLabels:
     def test_bad_layout(self, class_id, azimuth):
         with pytest.raises(LayoutError):
             Labels(class_id, azimuth)
+
+
+class TestLabelsDerived:
+    """Bins and embeddings are derived once per Labels object, from
+    read-only copies of the arrays."""
+
+    def test_arrays_are_read_only_copies(self):
+        cls, az = np.array([1, 0, 2]), np.array([0.5, np.nan, 6.0])
+        labels = Labels(cls, az)
+        cls[0], az[0] = 2, 1.0
+        assert labels.class_id[0] == 1 and labels.azimuth[0] == 0.5
+        for arr in (labels.class_id, labels.azimuth, labels.bins(8), labels.embeddings(3)):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_values(self):
+        labels = as_labels([Target(2, 0.5), Target(0), Target(1, 6.0)])
+        assert labels.bins(8).tolist() == [azimuth_to_bin(0.5, 8), 0, azimuth_to_bin(6.0, 8)]
+        emb = labels.embeddings(2)
+        assert np.array_equal(emb[[0, 2]], [encode(0.5, 2), encode(6.0, 2)])
+        assert np.isnan(emb[1]).all()
+
+    def test_derived_once_per_key(self, monkeypatch):
+        import viewbench.losses as losses_mod
+
+        calls = {"bins": 0, "encode": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(losses_mod, "azimuth_to_bin", counting("bins", azimuth_to_bin))
+        monkeypatch.setattr(losses_mod, "encode", counting("encode", encode))
+        labels = as_labels(_fg_targets(np.random.default_rng(0), 6, 2))
+        outputs = np.random.default_rng(1).normal(size=(6, 2, 8))
+        for _ in range(3):
+            classification_loss(outputs, labels)
+            geometric_classification_loss(outputs, labels)
+            regression_loss(outputs[:, :, :3], labels, dim=3)
+        assert calls == {"bins": 1, "encode": 1}
+        assert labels.bins(8) is labels.bins(8)
+        labels.bins(4)
+        assert calls["bins"] == 2
+
+
+class TestJointClsFlat:
+    def test_from_flat_shares_memory(self):
+        flat = np.arange(2 * 7, dtype=float).reshape(2, 7)
+        out = JointClsOutputs.from_flat(flat, 2, 3)
+        assert out.flat is flat
+        assert np.shares_memory(out.obj, flat) and np.shares_memory(out.back, flat)
+        assert np.array_equal(out.obj, flat[:, :-1].reshape(2, 2, 3))
+        assert np.array_equal(out.back, flat[:, -1])
+
+    def test_assembled_flat(self):
+        out = _joint_cls_out(3, 2, n_bins=4)
+        want = np.concatenate([out.obj.reshape(3, -1), out.back[:, None]], axis=1)
+        assert np.array_equal(out.flat, want)
+        out.obj[0, 0, 0] += 1.0  # assembled at every read, never stale
+        assert out.flat[0, 0] == want[0, 0] + 1.0
+
+    def test_gradient_is_flat(self):
+        res = joint_classification_loss(_joint_cls_out(4, 2), [Target(0), Target(1, 0.3)] * 2)
+        assert res.grad.flat.shape == (4, 2 * 6 + 1)
+        assert np.shares_memory(res.grad.obj, res.grad.flat)
+        # every row of a softmax gradient sums to zero
+        np.testing.assert_allclose(res.grad.flat.sum(axis=1), 0.0, atol=1e-12)
 
 
 def _joint_reg_out(n, n_classes, dim=2):

@@ -23,14 +23,26 @@ from viewbench.angles import (
     mirror_bin,
 )
 from viewbench.errors import (
+    ClassOutOfRange,
     ConfigError,
     DivergenceError,
     EmptyClassError,
+    InvalidAngle,
     InvalidConfig,
     LayoutError,
 )
-from viewbench.losses import Labels, LossSpec, Target
+from viewbench.gradcheck import _pack
+from viewbench.losses import (
+    JointClsOutputs,
+    JointRegOutputs,
+    Labels,
+    LossSpec,
+    Target,
+    default_geometric_sigma,
+)
 from viewbench.net import (
+    LOSS_HEADS,
+    POSE_ONLY_LOSSES,
     Dense,
     ModelParams,
     NetConfig,
@@ -46,6 +58,7 @@ from viewbench.net import (
     predict,
     sgd_step,
     train,
+    _loss_fn,
 )
 from viewbench.synthetic import ClassSpec, appearance, appearance_clean, generate
 
@@ -235,6 +248,24 @@ class TestBackward:
         assert grads["det0"][0].any() and grads["trunk0"][0].any()
 
 
+    @pytest.mark.parametrize(
+        "head, extra",
+        [("cls", {}), ("joint_cls", {}), ("joint_reg", dict(split_depth=0)),
+         ("joint_reg", dict(split_depth=2))],
+    )
+    def test_out_grad_left_alone(self, head, extra):
+        # the ReLU mask is applied in place, but never on the caller's array
+        cfg = NetConfig(input_dim=3, trunk_widths=(4, 5), head=head, n_classes=2, n_bins=3, **extra)
+        params = init_params(cfg)
+        x = np.random.default_rng(6).normal(size=(5, 3))
+        out = forward(params, cfg, x)
+        vec, unpack = _pack(out)
+        grad = unpack(np.random.default_rng(7).normal(size=vec.size))
+        before = _pack(grad)[0]
+        backward(params, cfg, x, grad)
+        assert np.array_equal(_pack(grad)[0], before)
+
+
 class TestSGD:
     def _scalar_params(self, w=1.0, b=0.0):
         return ModelParams(
@@ -267,6 +298,17 @@ class TestSGD:
         assert effective_lr(tcfg, 99) == 0.01
         assert effective_lr(tcfg, 100) == pytest.approx(0.001, abs=1e-18)
         assert effective_lr(tcfg, 200) == pytest.approx(0.0001, abs=1e-18)
+
+    def test_updates_in_place(self):
+        params = self._scalar_params()
+        arrays = [getattr(params.layers["head"], a) for a in ("w", "b", "vw", "vb")]
+        tcfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.5, decay_at=())
+        sgd_step(params, {"head": (np.ones((1, 1)), np.ones(1))}, tcfg, 0)
+        assert all(
+            getattr(params.layers["head"], a) is arr
+            for a, arr in zip(("w", "b", "vw", "vb"), arrays)
+        )
+        assert params.layers["head"].vw[0, 0] == 1.5 and params.layers["head"].vb[0] == 1.0
 
     def test_weight_decay_spares_biases(self):
         params = self._scalar_params(w=2.0, b=3.0)
@@ -331,6 +373,40 @@ class TestMakeBatch:
             make_batch(pool, tcfg, np.random.default_rng(0))
         # without flips the spec is never needed
         make_batch(pool, dataclasses.replace(tcfg, flip_augment=False), np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "row, error, message",
+        [
+            (dict(fg_class=np.array([1, 0, 1])), ClassOutOfRange,
+             "foreground row 1: class_id must be >= 1, got 0"),
+            (dict(fg_class=np.array([1, 1, -2])), ClassOutOfRange,
+             "foreground row 2: class_id must be >= 1, got -2"),
+            (dict(fg_azimuth=np.array([0.5, 1.0, np.nan])), InvalidAngle,
+             "foreground row 2: azimuth must be finite, got nan"),
+            (dict(fg_class=np.array([1.0, 1.0, 1.0])), LayoutError, "integer class ids"),
+            (dict(fg_azimuth=np.array([0.5, 1.0])), LayoutError, "(3,) azimuths"),
+            (dict(bg_features=np.zeros((2, 3))), LayoutError, "pool features"),
+        ],
+        ids=["class-0", "negative-class", "nan-azimuth", "float-ids", "short-azimuths",
+             "bg-width"],
+    )
+    def test_rows_checked_at_construction(self, row, error, message):
+        fields = dict(
+            fg_features=np.zeros((3, 4)), fg_class=np.ones(3, dtype=int),
+            fg_azimuth=np.full(3, 0.5), bg_features=np.zeros((2, 4)), specs={},
+        )
+        with pytest.raises(error) as err:
+            Pool(**{**fields, **row})
+        assert message in str(err.value)
+
+    def test_unflippable_rows_flagged(self):
+        assert _toy_pool().has_unflippable
+        assert not _mixed_noise_pool().has_unflippable
+
+    def test_batch_labels_read_only(self):
+        _, labels = make_batch(self._pool(), TrainConfig(), np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            labels.class_id[0] = 2
 
     def test_empty_pools(self):
         with pytest.raises(EmptyClassError):
@@ -436,6 +512,233 @@ class TestMakeBatchEquivalence:
             assert pool.fg_noise_sigma[i] == spec.noise_sigma
             clean = appearance_clean(spec, theta)
             assert np.array_equal(_bits(pool.fg_flip_clean[i]), _bits(clean))
+
+
+def _all_noisy_pool():
+    specs = [
+        ClassSpec(class_id=1, seed=1, feature_dim=8),
+        ClassSpec(class_id=2, seed=1, feature_dim=8, symmetry_order=2, noise_sigma=0.1),
+    ]
+    return build_pool(generate(6, 6, specs))
+
+
+# The straightforward training step, as it stood before the step was cut
+# down to fewer NumPy calls: it is the oracle the lean step must match bit
+# for bit.  Batches come from ``_make_batch_oracle``; labels are derived
+# per sample with the scalar codecs.
+
+
+def _oracle_log_softmax(z):
+    m = np.max(z, axis=1, keepdims=True)
+    shifted = z - m
+    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+
+
+def _oracle_huber(r, delta):
+    small = np.abs(r) <= delta
+    value = np.where(small, 0.5 * r * r, delta * (np.abs(r) - 0.5 * delta))
+    return value, np.clip(r, -delta, delta)
+
+
+def _oracle_loss(spec, cfg, out, targets):
+    cls = np.array([t.class_id for t in targets])
+    n = cls.size
+    rows = np.arange(n)
+    fg = np.flatnonzero(cls > 0)
+    az = [targets[i].azimuth for i in fg]
+    if spec.kind == "regression":
+        emb = np.array([encode(a, cfg.n_dims) for a in az])
+        value, deriv = _oracle_huber(out[rows, cls - 1] - emb, spec.delta)
+        grad = np.zeros_like(out)
+        grad[rows, cls - 1] = deriv
+        return float(np.sum(value)), grad
+    if spec.kind in ("classification", "geometric"):
+        bins = np.array([azimuth_to_bin(a, cfg.n_bins) for a in az])
+        logp = _oracle_log_softmax(out[rows, cls - 1])
+        if spec.kind == "classification":
+            value = -float(np.sum(logp[rows, bins - 1]))
+            row_grad = np.exp(logp)
+            row_grad[rows, bins - 1] -= 1.0
+        else:
+            sigma = default_geometric_sigma(cfg.n_bins) if spec.sigma is None else spec.sigma
+            d = np.abs(np.arange(1, cfg.n_bins + 1)[None, :] - bins[:, None])
+            weights = np.exp(-np.minimum(d, cfg.n_bins - d) / sigma)
+            value = -float(np.sum(weights * logp))
+            row_grad = -weights + np.sum(weights, axis=1, keepdims=True) * np.exp(logp)
+        grad = np.zeros_like(out)
+        grad[rows, cls - 1] = row_grad
+        return value, grad
+    if spec.kind == "joint_regression":
+        logp = _oracle_log_softmax(out.det)
+        value = -float(np.sum(logp[rows, cls]))
+        det_grad = np.exp(logp)
+        det_grad[rows, cls] -= 1.0
+        pose_grad = np.zeros_like(out.pose)
+        if fg.size and spec.lam != 0.0:
+            emb = np.array([encode(a, cfg.n_dims) for a in az])
+            hval, hderiv = _oracle_huber(out.pose[fg, cls[fg] - 1] - emb, spec.delta)
+            value += spec.lam * float(np.sum(hval))
+            pose_grad[fg, cls[fg] - 1] = spec.lam * hderiv
+        return value, JointRegOutputs(det_grad, pose_grad)
+    flat = np.concatenate([out.obj.reshape(n, -1), out.back[:, None]], axis=1)
+    logp = _oracle_log_softmax(flat)
+    slots = np.full(n, cfg.n_classes * cfg.n_bins)
+    bins = np.array([azimuth_to_bin(a, cfg.n_bins) for a in az], dtype=int)
+    slots[fg] = (cls[fg] - 1) * cfg.n_bins + bins - 1
+    value = -float(np.sum(logp[rows, slots]))
+    flat_grad = np.exp(logp)
+    flat_grad[rows, slots] -= 1.0
+    return value, JointClsOutputs(flat_grad[:, :-1].reshape(out.obj.shape), flat_grad[:, -1].copy())
+
+
+def _oracle_chains(cfg):
+    n = len(cfg.trunk_widths)
+    if cfg.head != "joint_reg":
+        return [f"trunk{i}" for i in range(n)], ["head"]
+    s = cfg.split_depth
+    return ([f"trunk{i}" for i in range(s)], [f"det{i}" for i in range(n - s)],
+            [f"pose{i}" for i in range(n - s)])
+
+
+def _oracle_forward(params, cfg, x):
+    cache = {}
+
+    def chain(names, a, relu):
+        for name in names:
+            pre = a @ params.layers[name].w + params.layers[name].b
+            cache[name] = (a, pre if relu else None)
+            a = np.maximum(pre, 0.0) if relu else pre
+        return a
+
+    b = x.shape[0]
+    if cfg.head == "joint_reg":
+        shared, det, pose = _oracle_chains(cfg)
+        a = chain(shared, x, True)
+        out = JointRegOutputs(
+            chain(["det_head"], chain(det, a, True), False),
+            chain(["pose_head"], chain(pose, a, True), False).reshape(b, cfg.n_classes, -1),
+        )
+    else:
+        trunk, head = _oracle_chains(cfg)
+        raw = chain(head, chain(trunk, x, True), False)
+        if cfg.head == "joint_cls":
+            out = JointClsOutputs(raw[:, :-1].reshape(b, cfg.n_classes, cfg.n_bins), raw[:, -1])
+        else:
+            out = raw.reshape(b, cfg.n_classes, -1)
+    return out, cache
+
+
+def _oracle_backward(params, cfg, x, out_grad, cache):
+    grads = {}
+
+    def back(names, delta):
+        for name in reversed(names):
+            a_in, pre = cache[name]
+            if pre is not None:
+                delta = delta * (pre > 0.0)
+            grads[name] = (a_in.T @ delta, delta.sum(axis=0))
+            delta = delta @ params.layers[name].w.T
+        return delta
+
+    b = x.shape[0]
+    if cfg.head == "joint_reg":
+        shared, det, pose = _oracle_chains(cfg)
+        d_det = back(det + ["det_head"], out_grad.det)
+        d_pose = back(pose + ["pose_head"], out_grad.pose.reshape(b, -1))
+        back(shared, d_det + d_pose)
+    elif cfg.head == "joint_cls":
+        back(sum(_oracle_chains(cfg), []), np.concatenate(
+            [out_grad.obj.reshape(b, -1), out_grad.back[:, None]], axis=1))
+    else:
+        back(sum(_oracle_chains(cfg), []), out_grad.reshape(b, -1))
+    return grads
+
+
+def _oracle_sgd(params, grads, tcfg, t):
+    lr = effective_lr(tcfg, t)
+    for name, (dw, db) in grads.items():
+        layer = params.layers[name]
+        layer.vw = tcfg.momentum * layer.vw + dw + tcfg.weight_decay * layer.w
+        layer.vb = tcfg.momentum * layer.vb + db
+        layer.w = layer.w - lr * layer.vw
+        layer.b = layer.b - lr * layer.vb
+
+
+def _oracle_train(pool, cfg, tcfg, spec):
+    params = init_params(cfg)
+    rng = np.random.default_rng([tcfg.seed, 0])
+    probe_x, probe_t = _make_batch_oracle(
+        pool, dataclasses.replace(tcfg, flip_augment=False), np.random.default_rng([tcfg.seed, 1])
+    )
+    log, values = [], []
+    for t in range(tcfg.total_iters):
+        if t % tcfg.log_every == 0 or t == tcfg.total_iters - 1:
+            value, _ = _oracle_loss(spec, cfg, _oracle_forward(params, cfg, probe_x)[0], probe_t)
+            log.append((t, effective_lr(tcfg, t), value, value / len(probe_t)))
+        x, targets = _make_batch_oracle(pool, tcfg, rng)
+        out, cache = _oracle_forward(params, cfg, x)
+        value, grad = _oracle_loss(spec, cfg, out, targets)
+        _oracle_sgd(params, _oracle_backward(params, cfg, x, grad, cache), tcfg, t)
+        values.append(value)
+    return params, log, values, rng
+
+
+def _step_cases():
+    cases = []
+    for kind, head in LOSS_HEADS.items():
+        for widths in [(7,), (7, 5)]:
+            for split in (range(len(widths) + 1) if head == "joint_reg" else [1]):
+                for decay in (0.0, 5e-3):
+                    for flip in (True, False):
+                        cases.append((kind, widths, split, decay, flip))
+    cases.append(("joint_regression", (7,), 1, 5e-3, True, 0.0))  # the detector's lam
+    return [c if len(c) == 6 else c + (0.5,) for c in cases]
+
+
+class TestStepEquivalence:
+    """train() and the step functions equal the straightforward step above
+    bit for bit: parameters, velocities, log, batch losses and the batch
+    generator's state after every step."""
+
+    @pytest.mark.parametrize("pool_fn", [_mixed_noise_pool, _all_noisy_pool])
+    @pytest.mark.parametrize("kind, widths, split, decay, flip, lam", _step_cases())
+    def test_matches_oracle(self, pool_fn, kind, widths, split, decay, flip, lam):
+        pool = pool_fn()
+        head = LOSS_HEADS[kind]
+        cfg = NetConfig(
+            input_dim=pool.fg_features.shape[1], trunk_widths=widths, head=head, n_classes=2,
+            n_bins=6, n_dims=2 if kind == "joint_regression" else 3, split_depth=split, seed=3,
+        )
+        tcfg = TrainConfig(
+            lr=0.05, batch_size=12, total_iters=9, decay_at=(6,), log_every=4,
+            positive_fraction=1.0 if kind in POSE_ONLY_LOSSES else 0.5,
+            flip_augment=flip, weight_decay=decay, seed=4,
+        )
+        spec = LossSpec(kind, lam=lam, delta=0.7)
+        ref_params, ref_log, ref_values, ref_rng = _oracle_train(pool, cfg, tcfg, spec)
+
+        values = []
+        res = train(pool, cfg, tcfg, spec, callback=lambda t, p, v: values.append(v))
+        assert [(e.iteration, e.lr, e.loss, e.loss_per_sample) for e in res.log] == ref_log
+        assert values == ref_values
+        for name, ref in ref_params.layers.items():
+            for attr in ("w", "b", "vw", "vb"):
+                assert np.array_equal(
+                    _bits(getattr(res.params.layers[name], attr)), _bits(getattr(ref, attr))
+                ), (name, attr)
+
+        # the same steps through the public step functions, generator included
+        params = init_params(cfg)
+        fn = _loss_fn(spec, cfg)
+        rng = np.random.default_rng([tcfg.seed, 0])
+        for t in range(tcfg.total_iters):
+            x, labels = make_batch(pool, tcfg, rng)
+            out, cache = forward(params, cfg, x, want_cache=True)
+            step = fn(out, labels)
+            sgd_step(params, backward(params, cfg, x, step.grad, cache), tcfg, t)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for name, ref in ref_params.layers.items():
+            assert np.array_equal(_bits(params.layers[name].vw), _bits(ref.vw))
 
 
 class TestTrain:

@@ -27,7 +27,9 @@ from viewbench.records import (
     format_eval_report,
     format_ground_truths,
     format_train_log,
+    format_checkpoint,
     load_checkpoint,
+    parse_checkpoint,
     parse_dataset,
     parse_detections,
     parse_ground_truths,
@@ -134,6 +136,49 @@ class TestDatasetFiles:
         with pytest.raises(FormatError, match="before any scene"):
             parse_dataset("prop 0 1.0 5 0 0 1 1\n", _specs(), "train", 0)
 
+    @staticmethod
+    def _lines(ds, inline=True):
+        return format_dataset(ds, inline_features=inline).splitlines()
+
+    @pytest.mark.parametrize("delta", [(1, 0), (0, -1)], ids=["gt", "prop"])
+    def test_scene_counts_checked(self, delta):
+        ds = generate(5, 3, _specs())
+        lines = self._lines(ds)
+        i = [k for k, l in enumerate(lines) if l.startswith("scene ")][1]
+        tok = lines[i].split()
+        lines[i] = f"scene {tok[1]} {int(tok[2]) + delta[0]} {int(tok[3]) + delta[1]}"
+        with pytest.raises(FormatError, match=rf"^data.txt:{i + 1}: scene {tok[1]} declares"):
+            parse_dataset("\n".join(lines), _specs(), "train", 0, path="data.txt")
+
+    @pytest.mark.parametrize("matched", [-2, 3])
+    def test_matched_gt_checked(self, matched):
+        ds = generate(5, 1, _specs())
+        lines = self._lines(ds)
+        n_gt = int(lines[1].split()[2])
+        i = next(k for k, l in enumerate(lines) if l.startswith("prop "))
+        tok = lines[i].split()
+        tok[1] = str(matched if matched < 0 else n_gt + matched)
+        lines[i] = " ".join(tok)
+        with pytest.raises(FormatError, match=rf"^data.txt:{i + 1}: matched_gt"):
+            parse_dataset("\n".join(lines), _specs(), "train", 0, path="data.txt")
+
+    def test_sidecar_width_checked(self):
+        ds = generate(5, 2, _specs())
+        lines = self._lines(ds, inline=False)
+        first_prop = next(k for k, l in enumerate(lines) if l.startswith("prop "))
+        with pytest.raises(FormatError, match=rf"^data.txt:{first_prop + 1}: sidecar rows must"):
+            parse_dataset("\n".join(lines), _specs(), "train", 0, path="data.txt",
+                          features=ds.features()[:, :-1])
+
+    def test_extra_sidecar_rows(self):
+        ds = generate(5, 2, _specs())
+        feats = ds.features()
+        text = format_dataset(ds, inline_features=False)
+        n_lines = len(text.splitlines())
+        with pytest.raises(FormatError, match=rf"^data.txt:{n_lines}: the prop lines read"):
+            parse_dataset(text, _specs(), "train", 0, path="data.txt",
+                          features=np.concatenate([feats, feats[:1]]))
+
 
 class TestBenchmarkFiles:
     def test_round_trip(self, tmp_path):
@@ -204,6 +249,36 @@ class TestBenchmarkFiles:
         other = "test" if split == "train" else "train"
         read_benchmark(manifest_path, split=other)
 
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("class_specs",), "manifest needs 'class_specs' as a list"),
+            (("splits",), "manifest needs 'splits' as a mapping"),
+            (("splits", "train"), "manifest needs 'train' as a mapping"),
+            (("splits", "train", "data"), "split 'train': manifest needs 'data' as a string"),
+            (("splits", "train", "seed"), "split 'train': manifest needs 'seed' as an integer"),
+            (("splits", "train", "n_proposals"), "manifest needs 'n_proposals' as an integer"),
+            (("splits", "train", "n_scenes"), "manifest needs 'n_scenes' as an integer"),
+        ],
+    )
+    def test_manifest_keys_required(self, tmp_path, path, message):
+        train = generate(1, 2, _specs(), split="train")
+        manifest_path = write_benchmark(tmp_path, train, generate(2, 1, _specs(), split="test"))
+        doc = json.loads(manifest_path.read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        manifest_path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=message):
+            read_benchmark(manifest_path, split="train")
+
+    def test_manifest_not_a_mapping(self, tmp_path):
+        p = tmp_path / "manifest.json"
+        p.write_text("[1, 2]")
+        with pytest.raises(FormatError, match="not a benchmark manifest"):
+            read_benchmark(p)
+
     def test_unknown_split(self, tmp_path):
         with pytest.raises(InvalidParameter, match="'val'"):
             read_benchmark(tmp_path / "manifest.json", split="val")
@@ -257,6 +332,47 @@ class TestCheckpoints:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="expected .* values"):
             load_checkpoint(path)
+
+
+    def _text(self, cfg=CFG):
+        return format_checkpoint(init_params(cfg), {"net": asdict(cfg), "iteration": 0})
+
+    def test_renamed_layer(self):
+        text = self._text().replace("layer head ", "layer heed ")
+        line = text.splitlines().index("layer heed 4 10") + 1
+        with pytest.raises(FormatError, match=rf"^c:{line}: layer heed 4 10 does not match"):
+            parse_checkpoint(text, path="c")
+
+    def test_header_widths_disagree(self):
+        text = self._text().replace('"trunk_widths": [4]', '"trunk_widths": [5]')
+        with pytest.raises(FormatError, match="layer trunk0 3 4 does not match .* trunk0 3 5"):
+            parse_checkpoint(text, path="c")
+
+    def test_layer_missing_or_extra(self):
+        lines = self._text().splitlines()
+        with pytest.raises(FormatError, match="has 2 layers, the file 1"):
+            parse_checkpoint("\n".join(lines[:7]), path="c")
+        with pytest.raises(FormatError, match="has 2 layers, the file 3"):
+            parse_checkpoint("\n".join(lines + lines[7:]), path="c")
+
+    def test_layer_order(self):
+        cfg = NetConfig(input_dim=4, trunk_widths=(4,), head="cls", n_classes=2, n_bins=2)
+        lines = self._text(cfg).splitlines()
+        swapped = lines[:2] + lines[7:] + lines[2:7]
+        with pytest.raises(FormatError, match="layer head 4 4 does not match .* trunk0 4 4"):
+            parse_checkpoint("\n".join(swapped), path="c")
+
+    @pytest.mark.parametrize("header", ['{"iteration": 0}', "[1]", '{"net": {"depth": 3}}'])
+    def test_bad_header_net(self, header):
+        lines = self._text().splitlines()
+        lines[1] = header
+        with pytest.raises(FormatError, match="^c:2: "):
+            parse_checkpoint("\n".join(lines), path="c")
+
+    def test_truncated_layer(self):
+        lines = self._text().splitlines()
+        with pytest.raises(FormatError, match="expected 'vb' line"):
+            parse_checkpoint("\n".join(lines[:6]), path="c")
 
 
 class TestConfigDicts:
