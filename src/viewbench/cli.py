@@ -186,7 +186,8 @@ def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: config must be a mapping at the top level")
         _check_keys(user, _DEFAULTS)
-        for entry in (user.get("dataset") or {}).get("classes") or []:
+        classes = (user.get("dataset") or {}).get("classes") or []
+        for entry in classes:
             if not isinstance(entry, dict):
                 raise ConfigError("dataset.classes entries must be mappings")
             unknown = set(entry) - set(_CLASS_KEYS)
@@ -194,6 +195,13 @@ def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
                 raise ConfigError(f"unknown class spec key: {sorted(unknown)[0]}")
             for key, value in entry.items():
                 _check_value(f"dataset.classes.{key}", value, _CLASS_KEYS[key])
+        ids = [entry.get("class_id") for entry in classes]
+        if None in ids:
+            raise ConfigError("every dataset.classes entry needs a class_id")
+        if set(ids) != set(range(1, len(ids) + 1)):
+            raise ConfigError(
+                f"dataset.classes ids must be 1..{len(ids)}, each once, got {ids}"
+            )
     cfg = _merge(_DEFAULTS, user)
     if seed_override is not None:
         cfg["seed"] = seed_override

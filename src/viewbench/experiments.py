@@ -143,17 +143,12 @@ def compose_detections(
     """One detection per (proposal, class) at or above the score floor."""
     dets = []
     row = 0
-    n_classes = scores.shape[1]
     for scene in ds.scenes:
         for p in scene.proposals:
-            for c in range(n_classes):
-                if scores[row, c] >= floor:
-                    dets.append(
-                        Detection(
-                            scene.image_id, c + 1, p.box,
-                            float(scores[row, c]), float(angles[row, c]),
-                        )
-                    )
+            row_angles = angles[row].tolist()
+            for c, score in enumerate(scores[row].tolist()):
+                if score >= floor:
+                    dets.append(Detection(scene.image_id, c + 1, p.box, score, row_angles[c]))
             row += 1
     return dets
 

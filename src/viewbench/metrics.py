@@ -15,6 +15,7 @@ denominator, so AVP_K <= AP always holds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -66,7 +67,7 @@ class Detection:
     azimuth: float  # predicted azimuth, canonical radians
 
     def __post_init__(self):
-        if not np.isfinite(self.score):
+        if not math.isfinite(self.score):
             raise InvalidParameter(f"detection score must be finite, got {self.score}")
         object.__setattr__(self, "azimuth", canonicalize(self.azimuth))
 
@@ -120,10 +121,8 @@ def pr_curve(flags: Sequence[bool], n_gt: int, rule: str = "allpoints") -> PRCur
         ap /= 11.0
     else:
         mrec = np.concatenate([[0.0], recalls, [1.0]])
-        mpre = np.concatenate([[0.0], precisions, [0.0]])
         # monotone envelope, right to left
-        for i in range(mpre.size - 2, -1, -1):
-            mpre[i] = max(mpre[i], mpre[i + 1])
+        mpre = np.maximum.accumulate(np.concatenate([[0.0], precisions, [0.0]])[::-1])[::-1]
         step = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
         ap = float(np.sum((mrec[step] - mrec[step - 1]) * mpre[step]))
     return PRCurve(recalls, precisions, float(ap))
@@ -158,7 +157,10 @@ def _match_class(
         by_image.setdefault(g.image_id, []).append(idx)
     # descending score; python sort is stable, so ties keep input order
     order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    gt_bins = {k: [azimuth_to_bin(g.azimuth, k) for g in gts] for k in bins}
+    gt_az = np.array([g.azimuth for g in gts])
+    det_az = np.array([d.azimuth for d in dets])
+    gt_bins = {k: azimuth_to_bin(gt_az, k).tolist() for k in bins}
+    det_bins = {k: azimuth_to_bin(det_az, k).tolist() for k in bins}
     taken = [False] * len(gts)
     tp = [False] * len(dets)
     avp_tp = {k: [False] * len(dets) for k in bins}
@@ -177,7 +179,7 @@ def _match_class(
             taken[best_j] = True
             tp[rank] = True
             for k in bins:
-                if azimuth_to_bin(det.azimuth, k) == gt_bins[k][best_j]:
+                if det_bins[k][i] == gt_bins[k][best_j]:
                     avp_tp[k][rank] = True
     return tp, avp_tp
 

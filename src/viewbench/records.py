@@ -8,6 +8,16 @@ digits, which round-trips float64 exactly, so a parsed dataset is
 bit-identical to the generated one.  Checkpoints store every parameter
 as a C99 hex float (``float.hex()``), a lossless text encoding.
 
+Writers build each line with one ``%`` template over Python floats
+(``"%.17g" % x`` is the text of ``format(x, ".17g")``); a dataset prop
+line appends its features, each formatted by ``"%.17g" %``, to the
+template of its box.  Readers take a fast path on each line: unpack the
+fields, convert them with ``float`` and ``int``, and check finiteness
+once.  A line that fails any of that is read again by the checked path,
+which converts field by field and raises a FormatError naming
+``path:line`` and the first bad field, so the messages do not depend on
+the fast path.  Class ids in record files must be at least 1.
+
 Every write goes through a temp-file-then-rename, so a failed run never
 leaves a partially written artifact; multi-file outputs are staged
 completely before any file is moved into place.
@@ -27,7 +37,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .angles import canonicalize
 from .errors import FormatError, InvalidParameter
 from .metrics import Box, Detection, EvalReport, GroundTruth
 from .net import Dense, LogEntry, ModelParams, NetConfig, layer_plan
@@ -39,14 +48,14 @@ CHECKPOINT_MAGIC = "# viewbench checkpoint v1"
 LOG_HEADER = "# viewbench training log: iteration lr loss loss_per_sample"
 
 
-def _f(x: float) -> str:
-    """Exact float64 round trip (17 significant digits)."""
-    return format(float(x), ".17g")
-
-
-def _deg(rad: float) -> str:
-    """Angles in record files: degrees at 12 significant digits."""
-    return format(math.degrees(rad), ".12g")
+# Line templates: 17 significant digits round-trip float64 exactly; record
+# files carry angles as degrees at 12.
+_GT_LINE = "%s %s %.17g %.17g %.17g %.17g %.12g"
+_DET_LINE = "%s %s %.17g %.17g %.17g %.17g %.17g %.12g"
+_DATA_GT_LINE = "gt %s %.17g %.17g %.17g %.17g %.17g"
+_DATA_PROP_LINE = "prop %s %.17g %s %.17g %.17g %.17g %.17g"
+_FLOAT17 = "%.17g".__mod__  # one float at 17 significant digits
+_LOG_LINE = "%s %.17g %.17g %.17g"
 
 
 def _parse_float(token: str, where: str) -> float:
@@ -66,12 +75,18 @@ def _parse_int(token: str, where: str) -> int:
         raise FormatError(f"{where}: not an integer: {token!r}") from None
 
 
+def _class_id(token: str, where: str) -> int:
+    class_id = _parse_int(token, where)
+    if class_id < 1:
+        raise FormatError(f"{where}: class id must be >= 1, got {class_id}")
+    return class_id
+
+
 def _data_lines(text: str) -> Iterable[tuple[int, list[str]]]:
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, stripped.split()
+        tok = line.split()
+        if tok and tok[0][0] != "#":
+            yield lineno, tok
 
 
 # ---------------------------------------------------------------- records
@@ -80,45 +95,82 @@ def _data_lines(text: str) -> Iterable[tuple[int, list[str]]]:
 def format_ground_truths(gts: Sequence[GroundTruth]) -> str:
     lines = [GT_HEADER]
     for g in gts:
-        lines.append(
-            f"{g.image_id} {g.class_id} {_f(g.box.x_min)} {_f(g.box.y_min)} "
-            f"{_f(g.box.x_max)} {_f(g.box.y_max)} {_deg(g.azimuth)}"
-        )
+        b = g.box
+        lines.append(_GT_LINE % (
+            g.image_id, g.class_id, b.x_min, b.y_min, b.x_max, b.y_max, math.degrees(g.azimuth)
+        ))
     return "\n".join(lines) + "\n"
+
+
+def _fast_ground_truth(tok: list[str]) -> GroundTruth | None:
+    """The record of a well-formed line, or None to read it checked."""
+    try:
+        image_id, class_id, x0, y0, x1, y1, deg = tok
+        class_id = int(class_id)
+        x0, y0, x1, y1, deg = map(float, tok[2:])
+    except ValueError:
+        return None
+    # a non-finite value makes the sum non-finite; a sum that overflows
+    # only sends a good line to the checked path
+    if class_id < 1 or not math.isfinite(x0 + y0 + x1 + y1 + deg):
+        return None
+    return GroundTruth(image_id, class_id, Box(x0, y0, x1, y1), math.radians(deg))
+
+
+def _checked_ground_truth(tok: list[str], where: str) -> GroundTruth:
+    if len(tok) != 7:
+        raise FormatError(f"{where}: expected 7 fields, got {len(tok)}")
+    box = Box(*(_parse_float(t, where) for t in tok[2:6]))
+    az = math.radians(_parse_float(tok[6], where))
+    return GroundTruth(tok[0], _class_id(tok[1], where), box, az)
 
 
 def parse_ground_truths(text: str, path: str = "<string>") -> list[GroundTruth]:
     out = []
     for lineno, tok in _data_lines(text):
-        where = f"{path}:{lineno}"
-        if len(tok) != 7:
-            raise FormatError(f"{where}: expected 7 fields, got {len(tok)}")
-        box = Box(*(_parse_float(t, where) for t in tok[2:6]))
-        az = canonicalize(math.radians(_parse_float(tok[6], where)))
-        out.append(GroundTruth(tok[0], _parse_int(tok[1], where), box, az))
+        g = _fast_ground_truth(tok)
+        out.append(g if g is not None else _checked_ground_truth(tok, f"{path}:{lineno}"))
     return out
 
 
 def format_detections(dets: Sequence[Detection]) -> str:
     lines = [DET_HEADER]
     for d in dets:
-        lines.append(
-            f"{d.image_id} {d.class_id} {_f(d.box.x_min)} {_f(d.box.y_min)} "
-            f"{_f(d.box.x_max)} {_f(d.box.y_max)} {_f(d.score)} {_deg(d.azimuth)}"
-        )
+        b = d.box
+        lines.append(_DET_LINE % (
+            d.image_id, d.class_id, b.x_min, b.y_min, b.x_max, b.y_max, d.score,
+            math.degrees(d.azimuth),
+        ))
     return "\n".join(lines) + "\n"
+
+
+def _fast_detection(tok: list[str]) -> Detection | None:
+    """The record of a well-formed line, or None to read it checked."""
+    try:
+        image_id, class_id, x0, y0, x1, y1, score, deg = tok
+        class_id = int(class_id)
+        x0, y0, x1, y1, score, deg = map(float, tok[2:])
+    except ValueError:
+        return None
+    if class_id < 1 or not math.isfinite(x0 + y0 + x1 + y1 + score + deg):
+        return None
+    return Detection(image_id, class_id, Box(x0, y0, x1, y1), score, math.radians(deg))
+
+
+def _checked_detection(tok: list[str], where: str) -> Detection:
+    if len(tok) != 8:
+        raise FormatError(f"{where}: expected 8 fields, got {len(tok)}")
+    box = Box(*(_parse_float(t, where) for t in tok[2:6]))
+    score = _parse_float(tok[6], where)
+    az = math.radians(_parse_float(tok[7], where))
+    return Detection(tok[0], _class_id(tok[1], where), box, score, az)
 
 
 def parse_detections(text: str, path: str = "<string>") -> list[Detection]:
     out = []
     for lineno, tok in _data_lines(text):
-        where = f"{path}:{lineno}"
-        if len(tok) != 8:
-            raise FormatError(f"{where}: expected 8 fields, got {len(tok)}")
-        box = Box(*(_parse_float(t, where) for t in tok[2:6]))
-        score = _parse_float(tok[6], where)
-        az = canonicalize(math.radians(_parse_float(tok[7], where)))
-        out.append(Detection(tok[0], _parse_int(tok[1], where), box, score, az))
+        d = _fast_detection(tok)
+        out.append(d if d is not None else _checked_detection(tok, f"{path}:{lineno}"))
     return out
 
 
@@ -136,18 +188,21 @@ def format_dataset(ds: Dataset, inline_features: bool = True) -> str:
     for scene in ds.scenes:
         lines.append(f"scene {scene.image_id} {len(scene.gts)} {len(scene.proposals)}")
         for g in scene.gts:
-            lines.append(
-                f"gt {g.class_id} {_f(g.box.x_min)} {_f(g.box.y_min)} "
-                f"{_f(g.box.x_max)} {_f(g.box.y_max)} {_f(g.azimuth)}"
-            )
+            b = g.box
+            lines.append(_DATA_GT_LINE % (
+                g.class_id, b.x_min, b.y_min, b.x_max, b.y_max, g.azimuth
+            ))
         for p in scene.proposals:
-            base = (
-                f"prop {p.matched_gt} {_f(p.iou)} {p.noise_seed} "
-                f"{_f(p.box.x_min)} {_f(p.box.y_min)} {_f(p.box.x_max)} {_f(p.box.y_max)}"
+            b = p.box
+            line = _DATA_PROP_LINE % (
+                p.matched_gt, p.iou, p.noise_seed, b.x_min, b.y_min, b.x_max, b.y_max
             )
             if inline_features:
-                base += " " + " ".join(_f(v) for v in p.feature)
-            lines.append(base)
+                # joined rather than one template over the line: a template's
+                # growing buffer fragments the heap, which raised the peak RSS
+                # of the pipeline benchmark by 7%; joined text has its exact size
+                line += " " + " ".join(map(_FLOAT17, p.feature.tolist()))
+            lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -163,11 +218,13 @@ def parse_dataset(
     file was written without inline features).
 
     Each scene must hold as many gt and prop lines as its scene line
-    declares, a prop's ``matched_gt`` must be -1 or index one of them, and
-    a sidecar must be (rows, feature_dim) with one row per prop line that
+    declares, a gt's class id must be one of the class specs', a prop's
+    ``matched_gt`` must be -1 or index one of the scene's gts, and a
+    sidecar must be (rows, feature_dim) with one row per prop line that
     reads it, no more."""
     class_specs = tuple(class_specs)
     feature_dim = class_specs[0].feature_dim
+    class_ids = {spec.class_id for spec in class_specs}
     scenes: list[Scene] = []
     cur_id: str | None = None
     scene_where = ""
@@ -186,10 +243,64 @@ def parse_dataset(
             )
         scenes.append(Scene(cur_id, tuple(gts), tuple(props)))
 
+    # rows a prop line without inline features may read from a usable sidecar
+    sidecar_rows = (
+        features.shape[0]
+        if features is not None and features.ndim == 2 and features.shape[1] == feature_dim
+        else 0
+    )
+
+    def fast_gt(tok: list[str]) -> GroundTruth | None:
+        """The ground truth of a well-formed gt line, or None to read it checked."""
+        try:
+            _, class_id, x0, y0, x1, y1, az = tok
+            class_id = int(class_id)
+            x0, y0, x1, y1, az = map(float, tok[2:])
+        except ValueError:
+            return None
+        if cur_id is None or class_id not in class_ids:
+            return None
+        if not math.isfinite(x0 + y0 + x1 + y1 + az):
+            return None
+        return GroundTruth(cur_id, class_id, Box(x0, y0, x1, y1), az)
+
+    def fast_prop(tok: list[str]) -> Proposal | None:
+        """The proposal of a well-formed prop line, or None to read it checked."""
+        nonlocal next_feature
+        if cur_id is None or len(tok) < 8:
+            return None
+        try:
+            matched = int(tok[1])
+            ov = float(tok[2])
+            noise_seed = int(tok[3])
+            values = list(map(float, tok[4:]))
+        except ValueError:
+            return None
+        if not -1 <= matched < n_gt or not math.isfinite(sum(values, ov)):
+            return None
+        if len(values) == 4 + feature_dim:
+            feat = np.array(values[4:])
+        elif len(values) == 4 and next_feature < sidecar_rows:
+            feat = np.array(features[next_feature], dtype=np.float64)
+            next_feature += 1
+        else:
+            return None
+        return Proposal(Box(*values[:4]), feat, matched, ov, noise_seed)
+
     lineno = 0
     for lineno, tok in _data_lines(text):
-        where = f"{path}:{lineno}"
         kind = tok[0]
+        if kind == "prop":
+            prop = fast_prop(tok)
+            if prop is not None:
+                props.append(prop)
+                continue
+        elif kind == "gt":
+            gt = fast_gt(tok)
+            if gt is not None:
+                gts.append(gt)
+                continue
+        where = f"{path}:{lineno}"
         if kind == "scene":
             if len(tok) != 4:
                 raise FormatError(f"{where}: scene line needs 4 fields, got {len(tok)}")
@@ -204,9 +315,13 @@ def parse_dataset(
             if len(tok) != 7:
                 raise FormatError(f"{where}: gt line needs 7 fields, got {len(tok)}")
             box = Box(*(_parse_float(t, where) for t in tok[2:6]))
-            gts.append(
-                GroundTruth(cur_id, _parse_int(tok[1], where), box, _parse_float(tok[6], where))
-            )
+            class_id = _parse_int(tok[1], where)
+            if class_id not in class_ids:
+                raise FormatError(
+                    f"{where}: class id {class_id} has no class spec, the specs have ids "
+                    f"{sorted(class_ids)}"
+                )
+            gts.append(GroundTruth(cur_id, class_id, box, _parse_float(tok[6], where)))
         elif kind == "prop":
             if cur_id is None:
                 raise FormatError(f"{where}: prop line before any scene line")
@@ -345,6 +460,11 @@ def read_benchmark(
             raise FormatError(f"{manifest_path}: bad class spec {d!r}") from None
     if not specs:
         raise FormatError(f"{manifest_path}: manifest has no class specs")
+    ids = [spec.class_id for spec in specs]
+    if set(ids) != set(range(1, len(ids) + 1)):
+        raise FormatError(
+            f"{manifest_path}: class_specs ids must be 1..{len(ids)}, each once, got {ids}"
+        )
     splits = _field(manifest, "splits", dict, str(manifest_path))
     root = manifest_path.parent
     out = []
@@ -480,7 +600,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 def format_train_log(entries: Sequence[LogEntry]) -> str:
     lines = [LOG_HEADER]
     for e in entries:
-        lines.append(f"{e.iteration} {_f(e.lr)} {_f(e.loss)} {_f(e.loss_per_sample)}")
+        lines.append(_LOG_LINE % (e.iteration, e.lr, e.loss, e.loss_per_sample))
     return "\n".join(lines) + "\n"
 
 

@@ -153,22 +153,28 @@ class Dataset:
 
 
 def _random_box(rng: np.random.Generator, size_range: tuple[float, float]) -> Box:
-    w = float(rng.uniform(*size_range))
-    h = float(rng.uniform(*size_range))
-    x0 = float(rng.uniform(0.0, 1.0 - w))
-    y0 = float(rng.uniform(0.0, 1.0 - h))
+    # rng.uniform(lo, hi) is lo + (hi - lo) * u for the next double u, so
+    # one rng.random(4) reads the stream of four uniform() calls; at lo = 0
+    # the formula is (hi * u) exactly
+    uw, uh, ux, uy = rng.random(4).tolist()
+    lo, hi = float(size_range[0]), float(size_range[1])
+    w = lo + (hi - lo) * uw
+    h = lo + (hi - lo) * uh
+    x0 = (1.0 - w) * ux
+    y0 = (1.0 - h) * uy
     return Box(x0, y0, x0 + w, y0 + h)
 
 
 def _jittered_box(rng: np.random.Generator, src: Box, jitter: float) -> Box:
     if jitter == 0.0:
         return src  # rebuilding from center/size would drift by an ulp
+    dx, dy, dw, dh = rng.normal(0.0, jitter, 4).tolist()
     w = src.x_max - src.x_min
     h = src.y_max - src.y_min
-    cx = 0.5 * (src.x_min + src.x_max) + float(rng.normal(0.0, jitter)) * w
-    cy = 0.5 * (src.y_min + src.y_max) + float(rng.normal(0.0, jitter)) * h
-    nw = w * max(1e-3, 1.0 + float(rng.normal(0.0, jitter)))
-    nh = h * max(1e-3, 1.0 + float(rng.normal(0.0, jitter)))
+    cx = 0.5 * (src.x_min + src.x_max) + dx * w
+    cy = 0.5 * (src.y_min + src.y_max) + dy * h
+    nw = w * max(1e-3, 1.0 + dw)
+    nh = h * max(1e-3, 1.0 + dh)
     return Box(cx - nw / 2, cy - nh / 2, cx + nw / 2, cy + nh / 2)
 
 
@@ -228,7 +234,7 @@ def generate(
         gts = []
         for _ in range(n_obj):
             cid = int(ids[rng.integers(len(ids))])
-            theta = canonicalize(float(rng.uniform(0.0, TWO_PI)))
+            theta = float(rng.uniform(0.0, TWO_PI))  # GroundTruth canonicalizes
             gts.append(GroundTruth(image_id, cid, _random_box(rng, gt_size_range), theta))
 
         proposals = []

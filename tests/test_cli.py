@@ -67,7 +67,10 @@ def small_ckpt(small_bench):
     cfg = _write_yaml(root / "train.yaml", doc)
     out = root / "run"
     assert entry(["train", "--config", cfg, "--out", str(out)]) == 0
-    return {"cfg": cfg, "ckpt": out / "checkpoint.txt", "dir": out}
+    dets = root / "dets.txt"
+    ckpt = out / "checkpoint.txt"
+    assert entry(["predict", str(ckpt), str(small_bench["manifest"]), "--out", str(dets)]) == 0
+    return {"cfg": cfg, "ckpt": ckpt, "dir": out, "dets": dets}
 
 
 @pytest.fixture(scope="module")
@@ -367,6 +370,10 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
         tok = lines[i].split()
         lines[i] = " ".join(tok[:2] + [str(int(tok[2]) + 1), tok[3]])
 
+    def gt_class_7(lines):
+        i = next(i for i, l in enumerate(lines) if l.startswith("gt "))
+        lines[i] = " ".join(["gt", "7", *lines[i].split()[2:]])
+
     def matched_past(lines):
         i = next(i for i, l in enumerate(lines) if l.startswith("prop "))
         tok = lines[i].split()
@@ -378,12 +385,17 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
             np.save(path, fn(np.load(path)))
         return mutate
 
+    def renumber_class(doc):
+        doc["class_specs"][1]["class_id"] = 3
+
     bench("no_specs", edit_manifest(lambda doc: doc.pop("class_specs")))
+    bench("class_ids", edit_manifest(renumber_class))
     bench("no_splits", edit_manifest(lambda doc: doc.pop("splits")))
     for key in ("data", "seed", "n_proposals", "n_scenes"):
         bench(f"no_{key}", edit_manifest(lambda doc, k=key: doc["splits"]["test"].pop(k)))
     bench("scene_counts", edit_lines(more_gts))
     bench("matched_past", edit_lines(matched_past))
+    bench("gt_class_7", edit_lines(gt_class_7))
     bench("sidecar_width", edit_sidecar(lambda f: f[:, :-1]), binary=True)
     bench("sidecar_rows", edit_sidecar(lambda f: np.concatenate([f, f[:1]])), binary=True)
 
@@ -395,6 +407,17 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
         assert old in text
         out[name] = root / f"{name}.txt"
         out[name].write_text(text.replace(old, new))
+
+    # record files whose second record has a class id below 1
+    for name, src_path, class_id in (
+        ("gt_class_0", small_bench["dir"] / "test_gt.txt", "0"),
+        ("det_class_neg", small_ckpt["dets"], "-3"),
+    ):
+        lines = src_path.read_text().splitlines()
+        tok = lines[2].split()
+        lines[2] = " ".join([tok[0], class_id, *tok[2:]])
+        out[name] = root / f"{name}.txt"
+        out[name].write_text("\n".join(lines) + "\n")
     return out
 
 
@@ -451,6 +474,30 @@ def _exit_code(argv):
             "manifest needs 'class_specs' as a list",
         ),
         (
+            ["predict", "{ckpt}", "{class_ids}", "--out", "{out}"],
+            "class_specs ids must be 1..2, each once, got [1, 3]",
+        ),
+        (
+            ["generate", "--config", "{class_3}", "--out", "{out}"],
+            "dataset.classes ids must be 1..1, each once, got [3]",
+        ),
+        (
+            ["generate", "--config", "{class_twice}", "--out", "{out}"],
+            "dataset.classes ids must be 1..2, each once, got [1, 1]",
+        ),
+        (
+            ["generate", "--config", "{class_unnumbered}", "--out", "{out}"],
+            "every dataset.classes entry needs a class_id",
+        ),
+        (
+            ["eval", "{gt_class_0}", "{gt}", "--out", "{out}"],
+            "gt_class_0.txt:3: class id must be >= 1, got 0",
+        ),
+        (
+            ["eval", "{gt}", "{det_class_neg}", "--out", "{out}"],
+            "det_class_neg.txt:3: class id must be >= 1, got -3",
+        ),
+        (
             ["predict", "{ckpt}", "{no_splits}", "--out", "{out}"],
             "manifest needs 'splits' as a mapping",
         ),
@@ -464,6 +511,10 @@ def _exit_code(argv):
         (
             ["predict", "{ckpt}", "{scene_counts}", "--out", "{out}"],
             "test_data.txt:2: scene",
+        ),
+        (
+            ["predict", "{ckpt}", "{gt_class_7}", "--out", "{out}"],
+            "test_data.txt:3: class id 7 has no class spec, the specs have ids [1, 2]",
         ),
         (
             ["predict", "{ckpt}", "{matched_past}", "--out", "{out}"],
@@ -491,9 +542,12 @@ def _exit_code(argv):
         "objects-per-scene-scalar", "trunk-widths-string", "total-iters-fraction",
         "weight-decay-nan", "class-sigma-inf", "seed-flag-negative",
         "gradcheck-seed-negative", "train-seed-negative", "class-seed-negative",
-        "manifest-no-class-specs", "manifest-no-splits", "manifest-no-data",
+        "manifest-no-class-specs", "manifest-class-ids", "config-class-id-3",
+        "config-class-id-twice", "config-class-id-missing", "gt-class-0", "det-class-negative",
+        "manifest-no-splits", "manifest-no-data",
         "manifest-no-seed", "manifest-no-n-proposals", "manifest-no-n-scenes",
-        "scene-counts", "matched-gt-past", "sidecar-width", "sidecar-extra-rows",
+        "scene-counts", "dataset-gt-class-7", "matched-gt-past", "sidecar-width",
+        "sidecar-extra-rows",
         "checkpoint-renamed-layer", "checkpoint-widths",
     ],
 )
@@ -512,6 +566,14 @@ def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_p
             tmp_path / "c.yaml",
             {"dataset": {"classes": [{"class_id": 1, "noise_sigma": float("inf")}]}},
         ),
+        **{
+            name: _write_yaml(tmp_path / f"{name}.yaml", {"dataset": {"classes": classes}})
+            for name, classes in (
+                ("class_3", [{"class_id": 3}]),
+                ("class_twice", [{"class_id": 1}, {"class_id": 1}]),
+                ("class_unnumbered", [{"seed": 1}]),
+            )
+        },
         **{
             name: _write_yaml(
                 tmp_path / f"{name}.yaml",

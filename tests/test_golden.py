@@ -1,26 +1,44 @@
-"""Golden digests of short training runs, one per loss kind.
+"""Golden digests of short training runs and of the CLI pipeline's artifacts.
 
-Each run trains a small network for a few hundred iterations with flip
-augmentation on, on a tiny dataset whose last class is noiseless (so both
-branches of the flipped-feature noise draw are taken).  The sha256 of the
-final parameters (every value as ``float.hex``) and of the training log are
-pinned.  Any change to batch sampling, feature regeneration, labelling, the
-losses, backprop or SGD that moves a single bit shows up here.
+Training: each run trains a small network for a few hundred iterations with
+flip augmentation on, on a tiny dataset whose last class is noiseless (so
+both branches of the flipped-feature noise draw are taken), once per loss
+kind.  The sha256 of the final parameters (every value as ``float.hex``) and
+of the training log are pinned.  Any change to batch sampling, feature
+regeneration, labelling, the losses, backprop or SGD that moves a single bit
+shows up here.
+
+Artifacts: the small generate / train / predict / eval pipeline of the c8
+acceptance check runs once with inline features and once with
+``features_binary: true``, and the sha256 of every file it writes is pinned.
+Any change to generation, the record and dataset codecs, checkpoints,
+prediction, detection composition or evaluation that moves a byte shows up
+here.
 
 Float results depend on the machine, so the digests are keyed by the
 environment fingerprint of the benchmark (``perfbench/worker.py``: CPU,
-core count, Python, NumPy and BLAS build and thread count) and the test is
-skipped on a fingerprint that has none pinned.
+core count, Python, NumPy and BLAS build and thread count) and the tests are
+skipped on a fingerprint that has none pinned.  To pin a new machine, run
+``PYTHONPATH=src python tests/test_golden.py``: it prints the training and
+the artifact digests of this machine in the layout of ``GOLDEN``, ready to
+paste.
 """
 
+import contextlib
+import copy
 import dataclasses
 import hashlib
+import io
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
 
+from viewbench.cli import entry
 from viewbench.losses import LossSpec
 from viewbench.net import LOSS_HEADS, POSE_ONLY_LOSSES, NetConfig, TrainConfig, build_pool, train
 from viewbench.synthetic import default_class_specs, generate
@@ -53,11 +71,94 @@ _XEON_2VCPU = {
     ),
 }
 
+# features layout -> artifact path -> sha256, same machine
+_XEON_2VCPU_ARTIFACTS = {
+    "inline": {
+        "bench/manifest.json":
+            "daffe0216009636788afec0842c6a1fb664340a24b6a4a05e35e1e9cfdd2edd2",
+        "bench/test_data.txt":
+            "eeeaa2d077bdced6cb7d6dab26276c92365a1c419b024d72ecdaaa6b646c0c84",
+        "bench/test_gt.txt":
+            "483e56ceac26b98c5fab1f3a617e6ea12e87b19c90453f0af908fb5b84e86be8",
+        "bench/train_data.txt":
+            "41a07aaf8a31125c260e9f300da0c58c3f09fc368cea9745632dd99c0721626d",
+        "bench/train_gt.txt":
+            "0e4b34e699c157da702432b9b0bf870817e5128037c3b328e163a64ca9ac8ffa",
+        "dets.txt":
+            "29fe2db7ff19a22e925d818cb9c9aee7ce8638006bb010a1679176357f43d8fa",
+        "report.json":
+            "1a4ddd342d4650a0f7f6d77a8af4cae06f987bdf57af0cb4d22009ed51575ba7",
+        "run/checkpoint.txt":
+            "57da6a84fde0448f3ef2207bed44b482480b7f4a4b940394be1a434c4e849066",
+        "run/train_log.txt":
+            "fc10a148e037de3104fb6a7db37283ac0eb750cf98b83100a0493bda2df173f0",
+    },
+    "binary": {
+        "bench/manifest.json":
+            "6d03e2c80fa0954e9cfd23656bd89d62d0a58548b75e42695e36d8fec3a62937",
+        "bench/test_data.txt":
+            "978dc7f2ec29f90da1a76afb2a5cd6b13113e75877826d3f090aec72bcfb0686",
+        "bench/test_features.npy":
+            "9da1d1db78b62619fcd0e94421e47cf85d5de322847cbdd44a77f17355fe71f4",
+        "bench/test_gt.txt":
+            "483e56ceac26b98c5fab1f3a617e6ea12e87b19c90453f0af908fb5b84e86be8",
+        "bench/train_data.txt":
+            "d5b6f1994801e755b988a0360beffa6e5da428e34f441e3245f426912f751e61",
+        "bench/train_features.npy":
+            "b0b9396a542f3125f98ab1a84c5324030a9e6b52292d4c54dd739c54c5020cff",
+        "bench/train_gt.txt":
+            "0e4b34e699c157da702432b9b0bf870817e5128037c3b328e163a64ca9ac8ffa",
+        "dets.txt":
+            "29fe2db7ff19a22e925d818cb9c9aee7ce8638006bb010a1679176357f43d8fa",
+        "report.json":
+            "1a4ddd342d4650a0f7f6d77a8af4cae06f987bdf57af0cb4d22009ed51575ba7",
+        "run/checkpoint.txt":
+            "57da6a84fde0448f3ef2207bed44b482480b7f4a4b940394be1a434c4e849066",
+        "run/train_log.txt":
+            "fc10a148e037de3104fb6a7db37283ac0eb750cf98b83100a0493bda2df173f0",
+    },
+}
+
 # fingerprint key (``perfbench/run.py:fingerprint_key``) -> pinned digests
 GOLDEN = {
-    "c4d7ea66397ccb79": _XEON_2VCPU,  # one BLAS thread, as the benchmark runs
-    "67ee356a183fa293": _XEON_2VCPU,  # two BLAS threads
+    # one BLAS thread, as the benchmark runs
+    "c4d7ea66397ccb79": {"training": _XEON_2VCPU, "artifacts": _XEON_2VCPU_ARTIFACTS},
+    # two BLAS threads
+    "67ee356a183fa293": {"training": _XEON_2VCPU, "artifacts": _XEON_2VCPU_ARTIFACTS},
 }
+
+# The c8 pipeline (tests/test_acceptance.py): its configs, with
+# ``features_binary`` set per layout.
+PIPELINE_GEN = {
+    "seed": 5,
+    "dataset": {
+        "feature_dim": 8,
+        "noise_sigma": 0.05,
+        "n_train_scenes": 6,
+        "n_test_scenes": 3,
+        "classes": [{"class_id": 1}, {"class_id": 2}],
+    },
+}
+PIPELINE_TRAIN = {
+    "seed": 5,
+    "data": "bench/manifest.json",
+    "net": {"trunk_widths": [16], "head": "cls"},
+    "train": {
+        "batch_size": 16,
+        "positive_fraction": 1.0,
+        "total_iters": 120,
+        "decay_at": [80],
+        "log_every": 40,
+    },
+    "loss": {"kind": "classification"},
+}
+PIPELINE_STEPS = (
+    ["generate", "--config", "gen.yaml", "--out", "bench"],
+    ["train", "--config", "train.yaml", "--out", "run"],
+    ["predict", "run/checkpoint.txt", "bench/manifest.json", "--out", "dets.txt"],
+    ["eval", "bench/test_gt.txt", "dets.txt", "--out", "report.json"],
+)
+LAYOUTS = {"inline": False, "binary": True}
 
 
 def _fingerprint_key() -> str:
@@ -101,10 +202,40 @@ def _digests(res) -> tuple[str, str]:
     return h.hexdigest(), hashlib.sha256(log.encode()).hexdigest()
 
 
-def record() -> dict[str, tuple[str, str]]:
+def pipeline_digests(root: Path, features_binary: bool) -> dict[str, str]:
+    """Run the c8 pipeline in the empty directory ``root`` (relative paths,
+    so the paths echoed into the artifacts do not depend on ``root``) and
+    return the sha256 of every file it writes, keyed by relative path."""
+    gen = copy.deepcopy(PIPELINE_GEN)
+    gen["dataset"]["features_binary"] = features_binary
+    (root / "gen.yaml").write_text(yaml.safe_dump(gen))
+    (root / "train.yaml").write_text(yaml.safe_dump(PIPELINE_TRAIN))
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [entry(argv) for argv in PIPELINE_STEPS]
+    finally:
+        os.chdir(cwd)
+    assert codes == [0] * len(PIPELINE_STEPS)
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.suffix != ".yaml"
+    }
+
+
+def record() -> dict:
     """Digests of every run on this machine (used to pin a new fingerprint)."""
     pool = _pool()
-    return {kind: _digests(_run(kind, pool)) for kind in LOSS_HEADS}
+    artifacts = {}
+    for layout, binary in LAYOUTS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            artifacts[layout] = pipeline_digests(Path(tmp), binary)
+    return {
+        "training": {kind: _digests(_run(kind, pool)) for kind in LOSS_HEADS},
+        "artifacts": artifacts,
+    }
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +253,12 @@ def pool():
 
 @pytest.mark.parametrize("kind", list(LOSS_HEADS))
 def test_short_training_digest(kind, pinned, pool):
-    assert _digests(_run(kind, pool)) == tuple(pinned[kind])
+    assert _digests(_run(kind, pool)) == tuple(pinned["training"][kind])
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_pipeline_artifact_digests(layout, pinned, tmp_path):
+    assert pipeline_digests(tmp_path, LAYOUTS[layout]) == pinned["artifacts"][layout]
 
 
 if __name__ == "__main__":

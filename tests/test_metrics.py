@@ -13,12 +13,13 @@ import math
 import numpy as np
 import pytest
 
-from viewbench.angles import bin_center
+from viewbench.angles import TWO_PI, azimuth_to_bin, bin_center
 from viewbench.errors import InvalidBinning, InvalidParameter
 from viewbench.metrics import (
     Box,
     Detection,
     GroundTruth,
+    _match_class,
     evaluate,
     iou,
     pr_curve,
@@ -91,6 +92,71 @@ class TestPRCurve:
             pr_curve([True], 0)
         with pytest.raises(InvalidParameter):
             pr_curve([True], 1, "fivepoint")
+
+
+def _loop_envelope_ap(flags, n_gt):
+    """All-points AP with the precision envelope built by a scalar loop."""
+    cum_tp = np.cumsum(np.asarray(flags, dtype=float))
+    mrec = np.concatenate([[0.0], cum_tp / n_gt, [1.0]])
+    mpre = np.concatenate([[0.0], cum_tp / np.arange(1, cum_tp.size + 1), [0.0]])
+    for i in range(mpre.size - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    step = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
+    return float(np.sum((mrec[step] - mrec[step - 1]) * mpre[step]))
+
+
+def _scalar_match_class(gts, dets, bins, iou_threshold):
+    """Greedy matching with every azimuth binned by a scalar call."""
+    by_image = {}
+    for idx, g in enumerate(gts):
+        by_image.setdefault(g.image_id, []).append(idx)
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    taken = [False] * len(gts)
+    tp = [False] * len(dets)
+    avp_tp = {k: [False] * len(dets) for k in bins}
+    for rank, i in enumerate(order):
+        best_j, best_iou = -1, 0.0
+        for j in by_image.get(dets[i].image_id, ()):
+            ov = iou(dets[i].box, gts[j].box)
+            if not taken[j] and ov >= iou_threshold and ov > best_iou:
+                best_j, best_iou = j, ov
+        if best_j >= 0:
+            taken[best_j] = True
+            tp[rank] = True
+            for k in bins:
+                if azimuth_to_bin(dets[i].azimuth, k) == azimuth_to_bin(gts[best_j].azimuth, k):
+                    avp_tp[k][rank] = True
+    return tp, avp_tp
+
+
+class TestArrayFormsMatchLoops:
+    """The array envelope and array binning equal their scalar forms."""
+
+    def test_envelope(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 3, 10, 100, 1000):
+            for rate in (0.0, 0.1, 0.5, 0.9, 1.0):
+                flags = rng.random(n) < rate
+                for n_gt in (1, max(1, int(flags.sum())), n + 5):
+                    got = pr_curve(flags, n_gt).ap
+                    assert got.hex() == _loop_envelope_ap(flags, n_gt).hex()
+
+    def test_match_class_bins(self):
+        rng = np.random.default_rng(1)
+        bins = (3, 4, 8, 16, 24)
+        # edges of every binning, an ulp either side, and random angles
+        edges = [(2 * v - 1) * math.pi / k for k in bins for v in range(1, k + 1)]
+        special = edges + [math.nextafter(e, 0.0) for e in edges] + [
+            math.nextafter(e, 7.0) for e in edges] + [0.0, math.nextafter(TWO_PI, 0.0)]
+        for trial in range(20):
+            n_gt = int(rng.integers(1, 30))
+            gts = [_gt(f"img{int(rng.integers(3))}", box=UNIT if j % 2 else SHIFTED_06,
+                       azimuth=float(rng.choice(special)))
+                   for j in range(n_gt)]
+            dets = [_det(f"img{int(rng.integers(3))}", box=UNIT if j % 3 else SHIFTED_06,
+                         score=float(rng.integers(5)), azimuth=float(rng.choice(special)))
+                    for j in range(int(rng.integers(0, 60)))]
+            assert _match_class(gts, dets, bins, 0.5) == _scalar_match_class(gts, dets, bins, 0.5)
 
 
 class TestEvaluateHandExamples:

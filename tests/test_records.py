@@ -109,6 +109,19 @@ class TestRecordFiles:
         with pytest.raises(FormatError, match="non-finite"):
             parse_detections("img0 1 0 0 1 1 inf 10\n")
 
+    @pytest.mark.parametrize("class_id", ["0", "-3"])
+    @pytest.mark.parametrize("kind", ["gt", "det"])
+    def test_class_id_below_1_rejected(self, kind, class_id):
+        fmt, parse = {
+            "gt": (format_ground_truths, parse_ground_truths),
+            "det": (format_detections, parse_detections),
+        }[kind]
+        lines = fmt(self.GTS if kind == "gt" else self.DETS).splitlines()
+        tok = lines[2].split()
+        lines[2] = " ".join([tok[0], class_id, *tok[2:]])
+        with pytest.raises(FormatError, match=f"^f.txt:3: class id must be >= 1, got {class_id}$"):
+            parse("\n".join(lines) + "\n", path="f.txt")
+
 
 class TestDatasetFiles:
     def test_inline_round_trip(self):
@@ -160,6 +173,17 @@ class TestDatasetFiles:
         tok[1] = str(matched if matched < 0 else n_gt + matched)
         lines[i] = " ".join(tok)
         with pytest.raises(FormatError, match=rf"^data.txt:{i + 1}: matched_gt"):
+            parse_dataset("\n".join(lines), _specs(), "train", 0, path="data.txt")
+
+    @pytest.mark.parametrize("class_id", [0, 3, -1])
+    def test_gt_class_needs_a_spec(self, class_id):
+        lines = self._lines(generate(5, 2, _specs()))
+        i = next(k for k, l in enumerate(lines) if l.startswith("gt "))
+        tok = lines[i].split()
+        lines[i] = " ".join(["gt", str(class_id), *tok[2:]])
+        with pytest.raises(
+            FormatError, match=rf"^data.txt:{i + 1}: class id {class_id} has no class spec"
+        ):
             parse_dataset("\n".join(lines), _specs(), "train", 0, path="data.txt")
 
     def test_sidecar_width_checked(self):
@@ -272,6 +296,22 @@ class TestBenchmarkFiles:
         manifest_path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=message):
             read_benchmark(manifest_path, split="train")
+
+    @pytest.mark.parametrize("ids", [[2, 1, 3], [1, 3], [2], [1, 1], [1, 2, 2]])
+    def test_class_ids_must_be_1_to_n(self, tmp_path, ids):
+        specs = [ClassSpec(class_id=i + 1, seed=0, feature_dim=6) for i in range(len(ids))]
+        manifest_path = write_benchmark(
+            tmp_path, generate(1, 2, specs, split="train"), generate(2, 1, specs, split="test")
+        )
+        doc = json.loads(manifest_path.read_text())
+        for spec, class_id in zip(doc["class_specs"], ids):
+            spec["class_id"] = class_id
+        manifest_path.write_text(json.dumps(doc))
+        if sorted(ids) == list(range(1, len(ids) + 1)):
+            read_benchmark(manifest_path)  # any order of 1..n
+        else:
+            with pytest.raises(FormatError, match=rf"class_specs ids must be 1\.\.{len(ids)}"):
+                read_benchmark(manifest_path)
 
     def test_manifest_not_a_mapping(self, tmp_path):
         p = tmp_path / "manifest.json"

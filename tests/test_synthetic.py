@@ -15,9 +15,11 @@ import pytest
 
 from viewbench.angles import TWO_PI, azimuth_to_bin
 from viewbench.errors import GenerationError, InvalidParameter
-from viewbench.metrics import Detection, evaluate, iou
+from viewbench.metrics import Box, Detection, evaluate, iou
 from viewbench.synthetic import (
     ClassSpec,
+    _jittered_box,
+    _random_box,
     appearance,
     appearance_clean,
     default_benchmark,
@@ -184,6 +186,63 @@ class TestGenerate:
             generate(0, 1, _specs(), split="val")
         with pytest.raises(InvalidParameter):
             generate(0, 1, _specs(), objects_per_scene=(3, 1))
+
+
+def _scalar_random_box(rng, size_range):
+    """The box draw as four scalar uniform() calls."""
+    w = float(rng.uniform(*size_range))
+    h = float(rng.uniform(*size_range))
+    x0 = float(rng.uniform(0.0, 1.0 - w))
+    y0 = float(rng.uniform(0.0, 1.0 - h))
+    return Box(x0, y0, x0 + w, y0 + h)
+
+
+def _scalar_jittered_box(rng, src, jitter):
+    """The jitter as four scalar normal() calls."""
+    if jitter == 0.0:
+        return src
+    w = src.x_max - src.x_min
+    h = src.y_max - src.y_min
+    cx = 0.5 * (src.x_min + src.x_max) + float(rng.normal(0.0, jitter)) * w
+    cy = 0.5 * (src.y_min + src.y_max) + float(rng.normal(0.0, jitter)) * h
+    nw = w * max(1e-3, 1.0 + float(rng.normal(0.0, jitter)))
+    nh = h * max(1e-3, 1.0 + float(rng.normal(0.0, jitter)))
+    return Box(cx - nw / 2, cy - nh / 2, cx + nw / 2, cy + nh / 2)
+
+
+def _box_bits(box):
+    return [float(v).hex() for v in (box.x_min, box.y_min, box.x_max, box.y_max)]
+
+
+class TestBoxDrawsMatchScalarDraws:
+    """The box draws take one array of variates; boxes and generator state
+    must equal those of the scalar draws, bit for bit."""
+
+    @pytest.mark.parametrize("size_range", [(0.15, 0.4), (0.05, 0.95), (0.3, 0.3), (1e-9, 0.5)])
+    def test_random_box(self, size_range):
+        for seed in range(50):
+            a, b = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+            for _ in range(20):
+                assert _box_bits(_random_box(a, size_range)) == _box_bits(
+                    _scalar_random_box(b, size_range))
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_random_box_float32_range(self):
+        size_range = (np.float32(0.15), np.float32(0.4))
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(100):
+            assert _box_bits(_random_box(a, size_range)) == _box_bits(
+                _scalar_random_box(b, size_range))
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.15, 0.5, 3.0])
+    def test_jittered_box(self, jitter):
+        for seed in range(50):
+            a, b = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 2])
+            src = _scalar_random_box(np.random.default_rng(seed), (0.15, 0.4))
+            for _ in range(20):
+                assert _box_bits(_jittered_box(a, src, jitter)) == _box_bits(
+                    _scalar_jittered_box(b, src, jitter))
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestOracleEval:
