@@ -6,6 +6,11 @@ differences, f'(x) ~ (f(x+e) - f(x-e)) / 2e with e = 1e-5.  Agreement is
 scored per slot as |a - fd| / max(1, |a|, |fd|), so tiny slots are judged
 absolutely and large ones relatively.
 
+The central differences read only loss values.  A loss computes its
+gradient on first read (see ``losses.LossResult``), so the two evaluations
+per checked slot never compute one; the analytic gradient is read once per
+check.  Each perturbation is written into one reused copy of the point.
+
 Layouts with many slots are subsampled: the largest-magnitude analytic
 slots are always checked, the rest drawn by a seeded generator, so runs
 are deterministic and still cover the slots that matter.
@@ -87,12 +92,15 @@ def check_gradient(
     rng = np.random.default_rng(seed)
     slots = _pick_slots(analytic, max_slots, rng)
     worst = 0.0
+    x = x0.copy()
     for i in slots:
-        xp = x0.copy()
-        xp[i] += eps
-        xm = x0.copy()
-        xm[i] -= eps
-        fd = (f(xp) - f(xm)) / (2.0 * eps)
+        xi = x0[i]
+        x[i] = xi + eps
+        f_plus = f(x)
+        x[i] = xi - eps
+        f_minus = f(x)
+        x[i] = xi
+        fd = (f_plus - f_minus) / (2.0 * eps)
         a = analytic[i]
         err = abs(a - fd) / max(1.0, abs(a), abs(fd))
         worst = max(worst, err)
@@ -113,10 +121,16 @@ def _pack(outputs):
         return np.concatenate([det.ravel(), pose.ravel()]), unpack
     if isinstance(outputs, JointClsOutputs):
         obj, back = outputs.obj, outputs.back
-        split = obj.size
+        b, n_classes, n_bins = obj.shape
+        # where each slot of the (B, n_classes * n_bins + 1) rows the loss
+        # normalizes sits in the vector: a row's (class, bin) slots, then
+        # its background logit
+        rows = np.concatenate(
+            [np.arange(obj.size).reshape(b, -1), obj.size + np.arange(b)[:, None]], axis=1
+        )
 
         def unpack(vec):
-            return JointClsOutputs(vec[:split].reshape(obj.shape), vec[split:].copy())
+            return JointClsOutputs.from_flat(vec.take(rows), n_classes, n_bins)
 
         return np.concatenate([obj.ravel(), back.ravel()]), unpack
     arr = np.asarray(outputs, dtype=float)

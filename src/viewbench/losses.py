@@ -3,8 +3,10 @@
 Every loss takes the raw head outputs for a batch plus the batch targets and
 returns a :class:`LossResult` holding the summed loss value and its gradient
 with respect to the outputs, laid out exactly like the outputs themselves.
-Batch reduction is a plain sum; callers that want a per-sample figure divide
-by the batch size.
+The value is computed with the loss, the gradient on its first read, so a
+caller that only needs values (a finite-difference check, a probe batch)
+never computes one.  Batch reduction is a plain sum; callers that want a
+per-sample figure divide by the batch size.
 
 Targets come as one :class:`Labels` batch (class ids and azimuths as
 arrays, which is what ``net.make_batch`` produces) or as any sequence of
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -214,10 +216,38 @@ class JointClsOutputs:
 Grad = Union[np.ndarray, JointRegOutputs, JointClsOutputs]
 
 
-@dataclass(frozen=True)
 class LossResult:
-    value: float
-    grad: Grad
+    """A summed loss value and its gradient with respect to the outputs.
+
+    ``value`` is computed with the loss.  A loss built with
+    :meth:`deferred` computes ``grad`` on its first read, from a closure
+    over arrays the loss itself computed, and keeps it; the same reads of
+    the same arrays give the same bits as computing it eagerly.
+    """
+
+    __slots__ = ("value", "_grad", "_make_grad")
+
+    def __init__(self, value: float, grad: Grad):
+        self.value = value
+        self._grad = grad
+        self._make_grad = None
+
+    @classmethod
+    def deferred(cls, value: float, make_grad: Callable[[], Grad]) -> "LossResult":
+        """A result whose gradient ``make_grad()`` computes on first read."""
+        res = cls(value, None)
+        res._make_grad = make_grad
+        return res
+
+    @property
+    def grad(self) -> Grad:
+        if self._make_grad is not None:
+            self._grad = self._make_grad()
+            self._make_grad = None
+        return self._grad
+
+    def __repr__(self) -> str:
+        return f"LossResult(value={self.value!r}, grad={self.grad!r})"
 
 
 @dataclass(frozen=True)
@@ -258,16 +288,24 @@ def huber(residual, delta: float = 1.0):
     ``delta * (|r| - delta / 2)`` beyond; the derivative is ``r`` clipped
     to ``[-delta, delta]``.
     """
-    if delta <= 0:
-        raise InvalidParameter(f"huber delta must be positive, got {delta}")
     r = np.asarray(residual, dtype=float)
-    mag = np.abs(r)
-    value = np.where(mag <= delta, 0.5 * r * r, delta * (mag - 0.5 * delta))
-    # np.clip's value, bit for bit, without its Python-level dispatch
-    deriv = np.minimum(np.maximum(r, -delta), delta)
+    value = _huber_value(r, delta)
+    deriv = _huber_deriv(r, delta)
     if r.ndim == 0:
         return float(value), float(deriv)
     return value, deriv
+
+
+def _huber_value(r: np.ndarray, delta: float) -> np.ndarray:
+    if delta <= 0:
+        raise InvalidParameter(f"huber delta must be positive, got {delta}")
+    mag = np.abs(r)
+    return np.where(mag <= delta, 0.5 * r * r, delta * (mag - 0.5 * delta))
+
+
+def _huber_deriv(r: np.ndarray, delta: float) -> np.ndarray:
+    # np.clip's value, bit for bit, without its Python-level dispatch
+    return np.minimum(np.maximum(r, -delta), delta)
 
 
 def default_geometric_sigma(n_bins: int) -> float:
@@ -322,10 +360,16 @@ def regression_loss(
         raise LayoutError(f"{outputs.shape[0]} outputs vs {len(labels)} targets")
     cls = _class_ids(labels, outputs.shape[1], BackgroundInRegression)
     own = (np.arange(outputs.shape[0]), cls - 1)
-    value, deriv = huber(outputs[own] - labels.embeddings(dim), delta)
-    grad = np.zeros(outputs.shape)
-    grad[own] = deriv
-    return LossResult(float(np.add.reduce(value, axis=None)), grad)
+    r = outputs[own] - labels.embeddings(dim)
+    value = float(np.add.reduce(_huber_value(r, delta), axis=None))
+    shape = outputs.shape
+
+    def grad():
+        out = np.zeros(shape)
+        out[own] = _huber_deriv(r, delta)
+        return out
+
+    return LossResult.deferred(value, grad)
 
 
 def classification_loss(outputs: np.ndarray, targets: Labels | Sequence[Target]) -> LossResult:
@@ -343,11 +387,16 @@ def classification_loss(outputs: np.ndarray, targets: Labels | Sequence[Target])
     true_bin = (rows, labels.bins(n_bins) - 1)
     logp = log_softmax(outputs[own], axis=1)
     value = -float(np.add.reduce(logp[true_bin], axis=None))
-    row_grad = np.exp(logp)
-    row_grad[true_bin] -= 1.0
-    grad = np.zeros(outputs.shape)
-    grad[own] = row_grad
-    return LossResult(value, grad)
+    shape = outputs.shape
+
+    def grad():
+        row_grad = np.exp(logp)
+        row_grad[true_bin] -= 1.0
+        out = np.zeros(shape)
+        out[own] = row_grad
+        return out
+
+    return LossResult.deferred(value, grad)
 
 
 @functools.lru_cache(maxsize=64)
@@ -390,11 +439,16 @@ def geometric_classification_loss(
     own = (np.arange(n), cls - 1)
     logp = log_softmax(outputs[own], axis=1)
     value = -float(np.add.reduce(weights * logp, axis=None))
-    row_grad = np.add.reduce(weights, axis=1, keepdims=True) * np.exp(logp)
-    row_grad -= weights
-    grad = np.zeros(outputs.shape)
-    grad[own] = row_grad
-    return LossResult(value, grad)
+    shape = outputs.shape
+
+    def grad():
+        row_grad = np.add.reduce(weights, axis=1, keepdims=True) * np.exp(logp)
+        row_grad -= weights
+        out = np.zeros(shape)
+        out[own] = row_grad
+        return out
+
+    return LossResult.deferred(value, grad)
 
 
 def joint_regression_loss(
@@ -431,18 +485,25 @@ def joint_regression_loss(
     hit = (np.arange(n), cls)
     logp = log_softmax(det, axis=1)
     value = -float(np.add.reduce(logp[hit], axis=None))
-    det_grad = np.exp(logp)
-    det_grad[hit] -= 1.0
 
-    pose_grad = np.zeros(pose.shape)
+    r = own = None
     if lam != 0.0:
         fg = (cls > 0).nonzero()[0]
         if fg.size:
             own = (fg, cls[fg] - 1)
-            hval, hderiv = huber(pose[own] - labels.embeddings(dim)[fg], delta)
-            value += lam * float(np.add.reduce(hval, axis=None))
-            pose_grad[own] = lam * hderiv
-    return LossResult(value, JointRegOutputs(det=det_grad, pose=pose_grad))
+            r = pose[own] - labels.embeddings(dim)[fg]
+            value += lam * float(np.add.reduce(_huber_value(r, delta), axis=None))
+    pose_shape = pose.shape
+
+    def grad():
+        det_grad = np.exp(logp)
+        det_grad[hit] -= 1.0
+        pose_grad = np.zeros(pose_shape)
+        if r is not None:
+            pose_grad[own] = lam * _huber_deriv(r, delta)
+        return JointRegOutputs(det=det_grad, pose=pose_grad)
+
+    return LossResult.deferred(value, grad)
 
 
 def joint_classification_loss(
@@ -473,9 +534,13 @@ def joint_classification_loss(
     )
     hit = (np.arange(n), slots)
     value = -float(np.add.reduce(logp[hit], axis=None))
-    flat_grad = np.exp(logp)
-    flat_grad[hit] -= 1.0
-    return LossResult(value, JointClsOutputs.from_flat(flat_grad, n_classes, n_bins))
+
+    def grad():
+        flat_grad = np.exp(logp)
+        flat_grad[hit] -= 1.0
+        return JointClsOutputs.from_flat(flat_grad, n_classes, n_bins)
+
+    return LossResult.deferred(value, grad)
 
 
 def joint_detection_score(obj: np.ndarray, back: float, class_id: int) -> float:

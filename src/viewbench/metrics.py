@@ -11,6 +11,13 @@ recall (all-points rule); the 11-point rule is available for comparison.
 
 AVP positives are a subset of AP positives with the same recall
 denominator, so AVP_K <= AP always holds.
+
+The records (:class:`Box`, :class:`GroundTruth`, :class:`Detection`) are
+frozen dataclasses with slots and a hand-written ``__init__`` that runs the
+checks and then sets each field, since a pipeline run builds hundreds of
+thousands of them.  A record stores its azimuth canonical: a float already
+in [0, 2*pi) as it is (``canonicalize`` would return it unchanged), any
+other value through ``canonicalize``.
 """
 
 from __future__ import annotations
@@ -21,13 +28,21 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .angles import azimuth_to_bin, canonicalize
+from .angles import TWO_PI, azimuth_to_bin, canonicalize
 from .errors import InvalidBinning, InvalidParameter
 
 AP_RULES = ("allpoints", "elevenpoint")
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+def _canonical(azimuth):
+    if type(azimuth) is float and 0.0 <= azimuth < TWO_PI:
+        return azimuth
+    return canonicalize(azimuth)
+
+
+@dataclass(frozen=True, slots=True)
 class Box:
     """Axis-aligned box in arbitrary consistent units."""
 
@@ -36,29 +51,34 @@ class Box:
     x_max: float
     y_max: float
 
-    def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise InvalidParameter(
-                f"degenerate box ({self.x_min}, {self.y_min}, {self.x_max}, {self.y_max})"
-            )
+    def __init__(self, x_min: float, y_min: float, x_max: float, y_max: float):
+        if not (x_min < x_max and y_min < y_max):
+            raise InvalidParameter(f"degenerate box ({x_min}, {y_min}, {x_max}, {y_max})")
+        _set(self, "x_min", x_min)
+        _set(self, "y_min", y_min)
+        _set(self, "x_max", x_max)
+        _set(self, "y_max", y_max)
 
     @property
     def area(self) -> float:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruth:
     image_id: str
     class_id: int
     box: Box
     azimuth: float  # canonical radians
 
-    def __post_init__(self):
-        object.__setattr__(self, "azimuth", canonicalize(self.azimuth))
+    def __init__(self, image_id: str, class_id: int, box: Box, azimuth: float):
+        _set(self, "image_id", image_id)
+        _set(self, "class_id", class_id)
+        _set(self, "box", box)
+        _set(self, "azimuth", _canonical(azimuth))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     image_id: str
     class_id: int
@@ -66,10 +86,14 @@ class Detection:
     score: float
     azimuth: float  # predicted azimuth, canonical radians
 
-    def __post_init__(self):
-        if not math.isfinite(self.score):
-            raise InvalidParameter(f"detection score must be finite, got {self.score}")
-        object.__setattr__(self, "azimuth", canonicalize(self.azimuth))
+    def __init__(self, image_id: str, class_id: int, box: Box, score: float, azimuth: float):
+        if not math.isfinite(score):
+            raise InvalidParameter(f"detection score must be finite, got {score}")
+        _set(self, "image_id", image_id)
+        _set(self, "class_id", class_id)
+        _set(self, "box", box)
+        _set(self, "score", score)
+        _set(self, "azimuth", _canonical(azimuth))
 
 
 def iou(a: Box, b: Box) -> float:

@@ -72,6 +72,19 @@ LOSS_HEADS = {
 POSE_ONLY_LOSSES = ("regression", "classification", "geometric")
 
 
+def _check_integers(config, names: Sequence[str]) -> None:
+    """Reject a bool or a non-integer (an integral float too) in the named
+    fields of a config; a tuple field is checked item by item.  NumPy
+    integers pass."""
+    for name in names:
+        value = getattr(config, name)
+        many = isinstance(value, tuple)
+        for v in value if many else (value,):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                kind = "integers" if many else "an integer"
+                raise InvalidConfig(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NetConfig:
     input_dim: int
@@ -85,6 +98,10 @@ class NetConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "trunk_widths", tuple(self.trunk_widths))
+        _check_integers(
+            self, ("input_dim", "trunk_widths", "n_classes", "n_bins", "n_dims", "split_depth",
+                   "seed"),
+        )
         if self.input_dim < 1:
             raise InvalidConfig(f"input_dim must be >= 1, got {self.input_dim}")
         if any(w < 1 for w in self.trunk_widths):
@@ -119,6 +136,7 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "decay_at", tuple(self.decay_at))
+        _check_integers(self, ("batch_size", "total_iters", "decay_at", "log_every", "seed"))
         if not (np.isfinite(self.lr) and self.lr >= 0.0):
             raise InvalidConfig(f"lr must be >= 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:

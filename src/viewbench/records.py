@@ -453,11 +453,13 @@ def read_benchmark(
     if not isinstance(manifest, dict) or manifest.get("format") != "viewbench-benchmark":
         raise FormatError(f"{manifest_path}: not a benchmark manifest")
     specs = []
-    for d in _field(manifest, "class_specs", list, str(manifest_path)):
+    for i, d in enumerate(_field(manifest, "class_specs", list, str(manifest_path))):
         try:
             specs.append(ClassSpec(**d))
         except TypeError:
             raise FormatError(f"{manifest_path}: bad class spec {d!r}") from None
+        except InvalidParameter as e:
+            raise FormatError(f"{manifest_path}: class spec {i}: {e}") from None
     if not specs:
         raise FormatError(f"{manifest_path}: manifest has no class specs")
     ids = [spec.class_id for spec in specs]

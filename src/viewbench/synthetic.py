@@ -14,6 +14,13 @@ features are pure standard normal noise.  All randomness is derived from
 (seed, scene_index) streams so generation is bitwise reproducible, and
 every proposal records the seed of its own noise draw so features can be
 regenerated and audited exactly.
+
+Seeding a generator is mostly the hashing of numpy's ``SeedSequence``, so
+``generate`` hashes each split's seeds in one array pass instead
+(``seeding``): the scene entropies ``[seed, i]`` before its scene loop,
+the proposals' noise seeds after it.  The generators built from those state words are in the
+state ``default_rng`` would give them, so a feature is still the
+``default_rng(noise_seed)`` draw that ``regenerate_feature`` repeats.
 """
 
 from __future__ import annotations
@@ -92,7 +99,10 @@ def appearance(spec: ClassSpec, theta: float, rng: np.random.Generator) -> np.nd
     return feat
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True)
 class Proposal:
     """One candidate box with its observed feature vector.
 
@@ -108,6 +118,14 @@ class Proposal:
     matched_gt: int
     iou: float
     noise_seed: int
+
+    def __init__(self, box: Box, feature: np.ndarray, matched_gt: int, iou: float,
+                 noise_seed: int):
+        _set(self, "box", box)
+        _set(self, "feature", feature)
+        _set(self, "matched_gt", matched_gt)
+        _set(self, "iou", iou)
+        _set(self, "noise_seed", noise_seed)
 
     @property
     def is_background(self) -> bool:
@@ -192,7 +210,8 @@ def generate(
     """Generate a dataset of scenes with labeled proposals.
 
     Scene i draws everything from default_rng([seed, i]), so any scene can
-    be regenerated independently of the rest.  Foreground proposals are
+    be regenerated independently of the rest; each proposal's feature is
+    the draw of default_rng(noise_seed).  Foreground proposals are
     rejection-sampled to IoU >= 0.5 with their source object, backgrounds
     to IoU < 0.3 against every ground truth; a box that cannot satisfy its
     constraint within a bounded number of tries raises GenerationError.
@@ -225,10 +244,16 @@ def generate(
     if split not in ("train", "test"):
         raise InvalidParameter(f"split must be 'train' or 'test', got {split!r}")
 
+    # imported here: it loads numpy.random, which importing the package does not
+    from .seeding import generator, noise_states, scene_states
+
     spec_by_id = {s.class_id: s for s in class_specs}
-    scenes = []
+    scene_words = scene_states(seed, n_scenes)
+    # per scene: image id, ground truths, and each proposal's box, matched
+    # gt, IoU and noise seed; features are drawn once every seed is known
+    drawn = []
     for i in range(n_scenes):
-        rng = np.random.default_rng([seed, i])
+        rng = generator(scene_words[i])
         image_id = f"{split}_{i:05d}"
         n_obj = int(rng.integers(lo, hi + 1))
         gts = []
@@ -237,9 +262,8 @@ def generate(
             theta = float(rng.uniform(0.0, TWO_PI))  # GroundTruth canonicalizes
             gts.append(GroundTruth(image_id, cid, _random_box(rng, gt_size_range), theta))
 
-        proposals = []
+        props = []
         for j, g in enumerate(gts):
-            spec = spec_by_id[g.class_id]
             for _ in range(proposals_per_gt):
                 for attempt in range(_MAX_TRIES):
                     box = _jittered_box(rng, g.box, jitter)
@@ -251,8 +275,7 @@ def generate(
                         f"scene {i}: no jittered box reached IoU 0.5 in {_MAX_TRIES} tries"
                     )
                 noise_seed = int(rng.integers(0, 2**63))
-                feat = appearance(spec, g.azimuth, np.random.default_rng(noise_seed))
-                proposals.append(Proposal(box, feat, j, ov, noise_seed))
+                props.append((box, j, ov, noise_seed))
         for _ in range(backgrounds_per_scene):
             for attempt in range(_MAX_TRIES):
                 box = _random_box(rng, gt_size_range)
@@ -264,9 +287,24 @@ def generate(
                     f"scene {i}: no background box got IoU < 0.3 in {_MAX_TRIES} tries"
                 )
             noise_seed = int(rng.integers(0, 2**63))
-            feat = np.random.default_rng(noise_seed).standard_normal(feature_dim)
-            proposals.append(Proposal(box, feat, -1, worst, noise_seed))
-        scenes.append(Scene(image_id, tuple(gts), tuple(proposals)))
+            props.append((box, -1, worst, noise_seed))
+        drawn.append((image_id, tuple(gts), props))
+
+    noise_words = noise_states([p[3] for _, _, props in drawn for p in props])
+    scenes = []
+    k = 0
+    for image_id, gts, props in drawn:
+        proposals = []
+        for box, j, ov, noise_seed in props:
+            rng = generator(noise_words[k])
+            k += 1
+            if j < 0:
+                feat = rng.standard_normal(feature_dim)
+            else:
+                g = gts[j]
+                feat = appearance(spec_by_id[g.class_id], g.azimuth, rng)
+            proposals.append(Proposal(box, feat, j, ov, noise_seed))
+        scenes.append(Scene(image_id, gts, tuple(proposals)))
     return Dataset(tuple(scenes), class_specs, feature_dim, split, seed)
 
 

@@ -388,7 +388,14 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
     def renumber_class(doc):
         doc["class_specs"][1]["class_id"] = 3
 
+    def set_spec_field(key, value):
+        def fn(doc):
+            doc["class_specs"][0][key] = value
+        return edit_manifest(fn)
+
     bench("no_specs", edit_manifest(lambda doc: doc.pop("class_specs")))
+    bench("spec_class_0", set_spec_field("class_id", 0))
+    bench("spec_seed_negative", set_spec_field("seed", -1))
     bench("class_ids", edit_manifest(renumber_class))
     bench("no_splits", edit_manifest(lambda doc: doc.pop("splits")))
     for key in ("data", "seed", "n_proposals", "n_scenes"):
@@ -474,6 +481,14 @@ def _exit_code(argv):
             "manifest needs 'class_specs' as a list",
         ),
         (
+            ["predict", "{ckpt}", "{spec_class_0}", "--out", "{out}"],
+            "spec_class_0/manifest.json: class spec 0: class_id must be >= 1, got 0",
+        ),
+        (
+            ["predict", "{ckpt}", "{spec_seed_negative}", "--out", "{out}"],
+            "spec_seed_negative/manifest.json: class spec 0: seed must be >= 0, got -1",
+        ),
+        (
             ["predict", "{ckpt}", "{class_ids}", "--out", "{out}"],
             "class_specs ids must be 1..2, each once, got [1, 3]",
         ),
@@ -542,7 +557,8 @@ def _exit_code(argv):
         "objects-per-scene-scalar", "trunk-widths-string", "total-iters-fraction",
         "weight-decay-nan", "class-sigma-inf", "seed-flag-negative",
         "gradcheck-seed-negative", "train-seed-negative", "class-seed-negative",
-        "manifest-no-class-specs", "manifest-class-ids", "config-class-id-3",
+        "manifest-no-class-specs", "manifest-spec-class-0", "manifest-spec-seed-negative",
+        "manifest-class-ids", "config-class-id-3",
         "config-class-id-twice", "config-class-id-missing", "gt-class-0", "det-class-negative",
         "manifest-no-splits", "manifest-no-data",
         "manifest-no-seed", "manifest-no-n-proposals", "manifest-no-n-scenes",

@@ -15,12 +15,18 @@ Any change to generation, the record and dataset codecs, checkpoints,
 prediction, detection composition or evaluation that moves a byte shows up
 here.
 
+Gradcheck: ``loss_gradient_suite`` and ``net_gradient_suite`` run at
+seeds 0, 3 and 7, and the sha256 over every result's name, slot count and
+``max_rel_err`` (as ``float.hex``) is pinned.  Any change to the losses,
+the network's backward pass or the finite-difference harness that moves a
+single bit of a reported error shows up here.
+
 Float results depend on the machine, so the digests are keyed by the
 environment fingerprint of the benchmark (``perfbench/worker.py``: CPU,
 core count, Python, NumPy and BLAS build and thread count) and the tests are
 skipped on a fingerprint that has none pinned.  To pin a new machine, run
 ``PYTHONPATH=src python tests/test_golden.py``: it prints the training and
-the artifact digests of this machine in the layout of ``GOLDEN``, ready to
+the artifact and gradcheck digests of this machine in the layout of ``GOLDEN``, ready to
 paste.
 """
 
@@ -39,6 +45,7 @@ import pytest
 import yaml
 
 from viewbench.cli import entry
+from viewbench.gradcheck import loss_gradient_suite, net_gradient_suite
 from viewbench.losses import LossSpec
 from viewbench.net import LOSS_HEADS, POSE_ONLY_LOSSES, NetConfig, TrainConfig, build_pool, train
 from viewbench.synthetic import default_class_specs, generate
@@ -119,13 +126,26 @@ _XEON_2VCPU_ARTIFACTS = {
     },
 }
 
+# gradcheck suites at GRADCHECK_SEEDS, same machine
+_XEON_2VCPU_GRADCHECK = "f235956ae8e25adcd803bc56003ba8be68e6798601033ef17e17eb41ffe97b5f"
+
 # fingerprint key (``perfbench/run.py:fingerprint_key``) -> pinned digests
 GOLDEN = {
     # one BLAS thread, as the benchmark runs
-    "c4d7ea66397ccb79": {"training": _XEON_2VCPU, "artifacts": _XEON_2VCPU_ARTIFACTS},
+    "c4d7ea66397ccb79": {
+        "training": _XEON_2VCPU,
+        "artifacts": _XEON_2VCPU_ARTIFACTS,
+        "gradcheck": _XEON_2VCPU_GRADCHECK,
+    },
     # two BLAS threads
-    "67ee356a183fa293": {"training": _XEON_2VCPU, "artifacts": _XEON_2VCPU_ARTIFACTS},
+    "67ee356a183fa293": {
+        "training": _XEON_2VCPU,
+        "artifacts": _XEON_2VCPU_ARTIFACTS,
+        "gradcheck": _XEON_2VCPU_GRADCHECK,
+    },
 }
+
+GRADCHECK_SEEDS = (0, 3, 7)
 
 # The c8 pipeline (tests/test_acceptance.py): its configs, with
 # ``features_binary`` set per layout.
@@ -225,6 +245,17 @@ def pipeline_digests(root: Path, features_binary: bool) -> dict[str, str]:
     }
 
 
+def gradcheck_digest() -> str:
+    """sha256 over (name, n_slots, max_rel_err.hex()) of both suites at
+    every seed of GRADCHECK_SEEDS."""
+    h = hashlib.sha256()
+    for seed in GRADCHECK_SEEDS:
+        for suite in (loss_gradient_suite, net_gradient_suite):
+            for r in suite(seed):
+                h.update(f"{r.name} {r.n_slots} {r.max_rel_err.hex()}\n".encode())
+    return h.hexdigest()
+
+
 def record() -> dict:
     """Digests of every run on this machine (used to pin a new fingerprint)."""
     pool = _pool()
@@ -235,6 +266,7 @@ def record() -> dict:
     return {
         "training": {kind: _digests(_run(kind, pool)) for kind in LOSS_HEADS},
         "artifacts": artifacts,
+        "gradcheck": gradcheck_digest(),
     }
 
 
@@ -259,6 +291,10 @@ def test_short_training_digest(kind, pinned, pool):
 @pytest.mark.parametrize("layout", list(LAYOUTS))
 def test_pipeline_artifact_digests(layout, pinned, tmp_path):
     assert pipeline_digests(tmp_path, LAYOUTS[layout]) == pinned["artifacts"][layout]
+
+
+def test_gradcheck_digest(pinned):
+    assert gradcheck_digest() == pinned["gradcheck"]
 
 
 if __name__ == "__main__":

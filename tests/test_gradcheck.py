@@ -3,9 +3,11 @@
 The harness itself gets a known-good and a known-bad hand case first; the
 seeded suites then run as they do under the CLI, plus corrupted negative
 controls that must fail (guarding against a vacuously passing checker).
+The seed-0 suites run once each, in module fixtures their tests share.
 """
 
 import numpy as np
+import pytest
 
 from viewbench.gradcheck import (
     LOSS_TOL,
@@ -38,17 +40,25 @@ class TestHarness:
         assert not res.passed
 
 
-class TestLossSuite:
-    def test_all_pass(self):
-        results = loss_gradient_suite(0)
-        failed = [r for r in results if not r.passed]
-        assert not failed, [f"{r.name}: {r.max_rel_err:.2e}" for r in failed]
-        assert max(r.max_rel_err for r in results) < LOSS_TOL
+@pytest.fixture(scope="module")
+def loss_results():
+    return loss_gradient_suite(0)
 
-    def test_case_counts(self):
-        results = loss_gradient_suite(0)
+
+@pytest.fixture(scope="module")
+def net_results():
+    return net_gradient_suite(0)
+
+
+class TestLossSuite:
+    def test_all_pass(self, loss_results):
+        failed = [r for r in loss_results if not r.passed]
+        assert not failed, [f"{r.name}: {r.max_rel_err:.2e}" for r in failed]
+        assert max(r.max_rel_err for r in loss_results) < LOSS_TOL
+
+    def test_case_counts(self, loss_results):
         kinds = {}
-        for r in results:
+        for r in loss_results:
             kinds[r.name.split("[")[0]] = kinds.get(r.name.split("[")[0], 0) + 1
         assert set(kinds) == {
             "regression",
@@ -68,14 +78,13 @@ class TestLossSuite:
 
 
 class TestNetSuite:
-    def test_all_pass(self):
-        results = net_gradient_suite(0)
-        failed = [r for r in results if not r.passed]
+    def test_all_pass(self, net_results):
+        failed = [r for r in net_results if not r.passed]
         assert not failed, [f"{r.name}: {r.max_rel_err:.2e}" for r in failed]
-        assert max(r.max_rel_err for r in results) < NET_TOL
+        assert max(r.max_rel_err for r in net_results) < NET_TOL
 
-    def test_covers_every_head(self):
-        names = [r.name for r in net_gradient_suite(0)]
+    def test_covers_every_head(self, net_results):
+        names = [r.name for r in net_results]
         for head in ("reg", "cls", "joint_reg", "joint_cls"):
             assert any(f"[{head}," in n for n in names), names
 

@@ -142,6 +142,47 @@ class TestInit:
         with pytest.raises(InvalidConfig, match=key):
             TrainConfig(**{key: math.nan})
 
+    NET_BASE = dict(input_dim=4, trunk_widths=(8,), head="joint_reg", n_classes=2)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("input_dim", 4.0), ("input_dim", True), ("trunk_widths", (8.5,)),
+            ("trunk_widths", (8, False)), ("n_classes", 2.0), ("n_classes", np.float64(2)),
+            ("n_bins", 24.0), ("n_dims", 3.0), ("split_depth", True), ("split_depth", 1.0),
+            ("seed", 0.5), ("seed", "1"),
+        ],
+    )
+    def test_net_config_integer_fields_type_checked(self, key, value):
+        with pytest.raises(InvalidConfig, match=f"{key} must be"):
+            NetConfig(**{**self.NET_BASE, key: value})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("batch_size", True), ("batch_size", 16.0), ("total_iters", 2.5),
+            ("total_iters", np.float32(3)), ("decay_at", (1.5,)), ("decay_at", (10, True)),
+            ("log_every", 1.5), ("seed", 2.0), ("seed", None),
+        ],
+    )
+    def test_train_config_integer_fields_type_checked(self, key, value):
+        with pytest.raises(InvalidConfig, match=f"{key} must be"):
+            TrainConfig(**{key: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = NetConfig(
+            input_dim=np.int64(4), trunk_widths=(np.int32(8), np.uint8(6)), head="joint_reg",
+            n_classes=np.int16(2), n_bins=np.int64(24), n_dims=np.int64(2),
+            split_depth=np.int64(1), seed=np.uint64(3),
+        )
+        assert init_params(cfg).n_params == init_params(
+            NetConfig(input_dim=4, trunk_widths=(8, 6), head="joint_reg", n_classes=2,
+                      n_dims=2, seed=3)
+        ).n_params
+        tcfg = TrainConfig(batch_size=np.int64(8), total_iters=np.int32(5),
+                           decay_at=(np.int64(2),), log_every=np.uint16(2), seed=np.int64(1))
+        assert effective_lr(tcfg, 3) == tcfg.lr / tcfg.lr_decay_factor
+
     def test_gradcheck_nets_stay_small(self):
         # the end-to-end finite-difference oracle assumes compact nets
         for head, extra in (
