@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from .angles import canonicalize, decode, encode
-from .errors import ConfigError, DivergenceError, ViewbenchError
+from .errors import ConfigError, DivergenceError, FormatError, ViewbenchError
 from .experiments import compose_detections, pose_angles
 from .gradcheck import loss_gradient_suite, net_gradient_suite
 from .losses import LossSpec
@@ -36,6 +36,8 @@ from .records import (
     parse_detections,
     parse_ground_truths,
     read_benchmark,
+    read_lines,
+    read_text,
     save_checkpoint,
     write_benchmark,
 )
@@ -178,9 +180,11 @@ def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
     user: dict = {}
     if path is not None:
         try:
-            user = yaml.safe_load(Path(path).read_text())
+            user = yaml.safe_load(read_text(path))
         except yaml.YAMLError as e:
             raise ConfigError(f"{path}: invalid YAML: {e}") from None
+        except FormatError as e:
+            raise ConfigError(str(e)) from None
         if user is None:
             user = {}
         if not isinstance(user, dict):
@@ -367,8 +371,8 @@ def _bin_counts(text: str) -> tuple[int, ...]:
 
 def cmd_eval(args) -> int:
     bins = args.bins
-    gts = parse_ground_truths(Path(args.gt).read_text(), path=args.gt)
-    dets = parse_detections(Path(args.det).read_text(), path=args.det)
+    gts = parse_ground_truths(read_lines(args.gt), path=args.gt)
+    dets = parse_detections(read_lines(args.det), path=args.det)
     report = evaluate(gts, dets, bins=bins, iou_threshold=args.iou, rule=args.ap_rule)
     _print_report(report, bins)
     if args.out:

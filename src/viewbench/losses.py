@@ -268,17 +268,18 @@ class LossSpec:
             raise ConfigError(f"loss kind must be one of {LOSS_KINDS}, got {self.kind!r}")
 
 
-def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shift-stable log softmax."""
+def log_softmax(z: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Shift-stable log softmax, written into ``out`` if one is given."""
     z = np.asarray(z, dtype=float)
-    shifted = z - np.maximum.reduce(z, axis=axis, keepdims=True)
+    shifted = np.subtract(z, np.maximum.reduce(z, axis=axis, keepdims=True), out=out)
     lse = np.add.reduce(np.exp(shifted), axis=axis, keepdims=True)
     shifted -= np.log(lse, out=lse)
     return shifted
 
 
-def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    return np.exp(log_softmax(z, axis=axis))
+def softmax(z: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax, written into ``out`` if one is given."""
+    return np.exp(log_softmax(z, axis=axis, out=out), out=out)
 
 
 def huber(residual, delta: float = 1.0):

@@ -691,16 +691,42 @@ def _decode_grid(emb: np.ndarray) -> np.ndarray:
     return angles
 
 
+# Rows per block of the work after predict's forward pass; at least 2048,
+# so that every batch of the experiments (1,013 rows at most) is one block.
+PREDICT_BLOCK = 2048
+
+
 def predict(params: ModelParams, cfg: NetConfig, x: np.ndarray):
-    """Head-appropriate predictions for a batch of feature rows."""
+    """Head-appropriate predictions for a batch of feature rows.
+
+    The forward pass runs on the whole batch.  A matmul over a block of
+    rows need not give the bits of those rows of the whole product: at
+    the pipeline benchmark's shapes (OpenBLAS 0.3.31) 64- and 100-row
+    blocks did not, nor did 2048-row blocks whose last block held 5 to 130
+    rows, and no BLAS promises that any block size does.  The softmaxes,
+    argmax and detection scores that follow it are row-wise, give the same
+    bits in any block of rows, and run ``PREDICT_BLOCK`` rows at a time
+    into preallocated outputs, so their temporaries are one block's, not
+    the whole batch's; decoding goes one embedding at a time."""
     out = forward(params, cfg, x)
     if cfg.head == "reg":
         return RegPrediction(_decode_grid(out), out)
-    if cfg.head == "cls":
-        probs = softmax(out.reshape(-1, cfg.n_bins)).reshape(out.shape)
-        return ClsPrediction(np.argmax(out, axis=2) + 1, probs)
+    blocks = [slice(lo, lo + PREDICT_BLOCK) for lo in range(0, len(x), PREDICT_BLOCK)]
     if cfg.head == "joint_reg":
-        return JointRegPrediction(softmax(out.det), _decode_grid(out.pose), out.pose)
-    scores = joint_detection_scores(out)
-    probs = softmax(out.obj.reshape(-1, cfg.n_bins)).reshape(out.obj.shape)
-    return JointClsPrediction(scores, np.argmax(out.obj, axis=2) + 1, probs)
+        det_probs = np.empty(out.det.shape)
+        for rows in blocks:
+            softmax(out.det[rows], out=det_probs[rows])
+        return JointRegPrediction(det_probs, _decode_grid(out.pose), out.pose)
+    logits = out if cfg.head == "cls" else out.obj
+    probs = np.empty(logits.shape)
+    bins = np.empty(logits.shape[:2], dtype=np.intp)
+    scores = np.empty(logits.shape[:2]) if cfg.head == "joint_cls" else None
+    for rows in blocks:
+        block = logits[rows]
+        softmax(block.reshape(-1, cfg.n_bins), out=probs[rows].reshape(-1, cfg.n_bins))
+        bins[rows] = np.argmax(block, axis=2) + 1
+        if scores is not None:
+            scores[rows] = joint_detection_scores(JointClsOutputs(block, out.back[rows]))
+    if cfg.head == "cls":
+        return ClsPrediction(bins, probs)
+    return JointClsPrediction(scores, bins, probs)

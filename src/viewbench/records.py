@@ -21,10 +21,22 @@ the fast path.  Class ids in record files must be at least 1.
 Every write goes through a temp-file-then-rename, so a failed run never
 leaves a partially written artifact; multi-file outputs are staged
 completely before any file is moved into place.
+
+A benchmark's data files are the largest artifacts, and no whole-text
+copy of one is held.  ``write_benchmark`` streams each data file into its
+staged temp file, encoding its lines a chunk of ``_CHUNK_CHARS``
+characters at a time (``format_dataset`` joins the same lines into one
+string).  ``read_benchmark`` and ``read_lines`` read a file one physical
+line at a time, in the encoding ``Path.read_text`` uses, and split each
+with ``str.splitlines``, so the parsers see exactly the lines, and name
+exactly the line numbers, of ``read_text().splitlines()``.  The parsers
+take either that text or such an iterable of lines.  Bytes that the
+encoding cannot decode are a FormatError naming the file and the line.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import io
 import json
@@ -33,7 +45,7 @@ import os
 import secrets
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,11 +63,15 @@ LOG_HEADER = "# viewbench training log: iteration lr loss loss_per_sample"
 # Line templates: 17 significant digits round-trip float64 exactly; record
 # files carry angles as degrees at 12.
 _GT_LINE = "%s %s %.17g %.17g %.17g %.17g %.12g"
-_DET_LINE = "%s %s %.17g %.17g %.17g %.17g %.17g %.12g"
 _DATA_GT_LINE = "gt %s %.17g %.17g %.17g %.17g %.17g"
 _DATA_PROP_LINE = "prop %s %.17g %s %.17g %.17g %.17g %.17g"
+_DET_BOX = "%.17g %.17g %.17g %.17g"
+_DET_REST = "%s %s %s %.17g %.12g"  # a detection line around its formatted box
 _FLOAT17 = "%.17g".__mod__  # one float at 17 significant digits
 _LOG_LINE = "%s %.17g %.17g %.17g"
+
+# Characters of text encoded and written per chunk of a streamed file.
+_CHUNK_CHARS = 1 << 18
 
 
 def _parse_float(token: str, where: str) -> float:
@@ -82,11 +98,47 @@ def _class_id(token: str, where: str) -> int:
     return class_id
 
 
-def _data_lines(text: str) -> Iterable[tuple[int, list[str]]]:
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _data_lines(source: str | Iterable[str]) -> Iterable[tuple[int, list[str]]]:
+    lines = source.splitlines() if isinstance(source, str) else source
+    for lineno, line in enumerate(lines, start=1):
         tok = line.split()
         if tok and tok[0][0] != "#":
             yield lineno, tok
+
+
+def _undecodable(path: str | Path, encoding: str) -> FormatError:
+    """The error for a file holding bytes that ``encoding`` cannot decode,
+    naming the line of the first such byte."""
+    data = Path(path).read_bytes()
+    name = codecs.lookup(encoding).name
+    try:
+        data.decode(encoding)
+    except UnicodeDecodeError as e:
+        # a character after the prefix counts the line that holds the byte
+        line = len((data[:e.start].decode(encoding, "replace") + ".").splitlines())
+        return FormatError(f"{path}:{line}: not {name} text: {e.reason}")
+    return FormatError(f"{path}: not {name} text")
+
+
+def read_text(path: str | Path) -> str:
+    """``Path(path).read_text()``; undecodable bytes are a FormatError."""
+    with open(path) as fh:  # the default encoding, as read_text() opens it
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise _undecodable(path, fh.encoding) from None
+
+
+def read_lines(path: str | Path) -> Iterator[str]:
+    """The lines of ``read_text(path).splitlines()``, read one physical
+    line at a time.  Text mode has turned ``\\r\\n`` and ``\\r`` into ``\\n``;
+    ``splitlines`` splits each physical line at the other separators."""
+    with open(path) as fh:
+        try:
+            for physical in fh:
+                yield from physical.splitlines()
+        except UnicodeDecodeError:
+            raise _undecodable(path, fh.encoding) from None
 
 
 # ---------------------------------------------------------------- records
@@ -125,7 +177,7 @@ def _checked_ground_truth(tok: list[str], where: str) -> GroundTruth:
     return GroundTruth(tok[0], _class_id(tok[1], where), box, az)
 
 
-def parse_ground_truths(text: str, path: str = "<string>") -> list[GroundTruth]:
+def parse_ground_truths(text: str | Iterable[str], path: str = "<string>") -> list[GroundTruth]:
     out = []
     for lineno, tok in _data_lines(text):
         g = _fast_ground_truth(tok)
@@ -134,12 +186,16 @@ def parse_ground_truths(text: str, path: str = "<string>") -> list[GroundTruth]:
 
 
 def format_detections(dets: Sequence[Detection]) -> str:
+    """Detection lines; the box of a run of detections that share one
+    ``Box`` object (the classes of a proposal) is formatted once."""
     lines = [DET_HEADER]
+    box = box_text = None
     for d in dets:
-        b = d.box
-        lines.append(_DET_LINE % (
-            d.image_id, d.class_id, b.x_min, b.y_min, b.x_max, b.y_max, d.score,
-            math.degrees(d.azimuth),
+        if d.box is not box:
+            box = d.box
+            box_text = _DET_BOX % (box.x_min, box.y_min, box.x_max, box.y_max)
+        lines.append(_DET_REST % (
+            d.image_id, d.class_id, box_text, d.score, math.degrees(d.azimuth)
         ))
     return "\n".join(lines) + "\n"
 
@@ -166,7 +222,7 @@ def _checked_detection(tok: list[str], where: str) -> Detection:
     return Detection(tok[0], _class_id(tok[1], where), box, score, az)
 
 
-def parse_detections(text: str, path: str = "<string>") -> list[Detection]:
+def parse_detections(text: str | Iterable[str], path: str = "<string>") -> list[Detection]:
     out = []
     for lineno, tok in _data_lines(text):
         d = _fast_detection(tok)
@@ -177,21 +233,16 @@ def parse_detections(text: str, path: str = "<string>") -> list[Detection]:
 # ---------------------------------------------------------------- datasets
 
 
-def format_dataset(ds: Dataset, inline_features: bool = True) -> str:
-    """Scene/gt/prop lines; azimuths in radians for an exact round trip.
-    Without inline features the prop lines stop after the box and the
-    feature matrix travels in a binary sidecar."""
-    lines = [
+def _dataset_lines(ds: Dataset, inline_features: bool) -> Iterator[str]:
+    yield (
         f"# viewbench dataset: split={ds.split} feature_dim={ds.feature_dim} "
         f"inline_features={int(inline_features)}"
-    ]
+    )
     for scene in ds.scenes:
-        lines.append(f"scene {scene.image_id} {len(scene.gts)} {len(scene.proposals)}")
+        yield f"scene {scene.image_id} {len(scene.gts)} {len(scene.proposals)}"
         for g in scene.gts:
             b = g.box
-            lines.append(_DATA_GT_LINE % (
-                g.class_id, b.x_min, b.y_min, b.x_max, b.y_max, g.azimuth
-            ))
+            yield _DATA_GT_LINE % (g.class_id, b.x_min, b.y_min, b.x_max, b.y_max, g.azimuth)
         for p in scene.proposals:
             b = p.box
             line = _DATA_PROP_LINE % (
@@ -202,20 +253,26 @@ def format_dataset(ds: Dataset, inline_features: bool = True) -> str:
                 # growing buffer fragments the heap, which raised the peak RSS
                 # of the pipeline benchmark by 7%; joined text has its exact size
                 line += " " + " ".join(map(_FLOAT17, p.feature.tolist()))
-            lines.append(line)
-    return "\n".join(lines) + "\n"
+            yield line
+
+
+def format_dataset(ds: Dataset, inline_features: bool = True) -> str:
+    """Scene/gt/prop lines; azimuths in radians for an exact round trip.
+    Without inline features the prop lines stop after the box and the
+    feature matrix travels in a binary sidecar."""
+    return "\n".join(_dataset_lines(ds, inline_features)) + "\n"
 
 
 def parse_dataset(
-    text: str,
+    text: str | Iterable[str],
     class_specs: Sequence[ClassSpec],
     split: str,
     seed: int,
     path: str = "<string>",
     features: np.ndarray | None = None,
 ) -> Dataset:
-    """Rebuild a Dataset from its text form (plus sidecar features if the
-    file was written without inline features).
+    """Rebuild a Dataset from its text form, or from the lines of it
+    (plus sidecar features if the file was written without inline features).
 
     Each scene must hold as many gt and prop lines as its scene line
     declares, a gt's class id must be one of the class specs', a prop's
@@ -412,11 +469,11 @@ def write_benchmark(
     """Write both splits plus manifest; returns the manifest path."""
     out = Path(out_dir)
     manifest = benchmark_manifest(train, test, features_binary, config_echo)
-    files: dict[Path, bytes] = {}
+    files: dict[Path, bytes | LineStream] = {}
     for name, ds in (("train", train), ("test", test)):
-        files[out / f"{name}_data.txt"] = format_dataset(
-            ds, inline_features=not features_binary
-        ).encode()
+        files[out / f"{name}_data.txt"] = LineStream(
+            _dataset_lines(ds, inline_features=not features_binary)
+        )
         files[out / f"{name}_gt.txt"] = format_ground_truths(ds.ground_truths()).encode()
         if features_binary:
             files[out / f"{name}_features.npy"] = _npy_bytes(ds.features())
@@ -447,7 +504,7 @@ def read_benchmark(
         raise InvalidParameter(f"split must be 'train' or 'test', got {split!r}")
     manifest_path = Path(manifest_path)
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(read_text(manifest_path))
     except json.JSONDecodeError as e:
         raise FormatError(f"{manifest_path}: invalid JSON: {e}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != "viewbench-benchmark":
@@ -485,7 +542,7 @@ def read_benchmark(
             features = np.load(root / _field(entry, "features", str, where), allow_pickle=False)
         data_path = root / data
         ds = parse_dataset(
-            data_path.read_text(), specs, name, seed, path=str(data_path), features=features,
+            read_lines(data_path), specs, name, seed, path=str(data_path), features=features,
         )
         if ds.n_samples != n_proposals or len(ds.scenes) != n_scenes:
             raise FormatError(f"{data_path}: counts disagree with the manifest")
@@ -593,7 +650,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    return parse_checkpoint(Path(path).read_text(), path=str(path))
+    return parse_checkpoint(read_text(path), path=str(path))
 
 
 # ---------------------------------------------------------------- logs, reports
@@ -636,7 +693,37 @@ def _discard(tmps: Iterable[str]) -> None:
             os.unlink(tmp)
 
 
-def _stage(path: Path, data: bytes) -> str:
+class LineStream:
+    """A file's content given as lines, each written with a newline after
+    it, encoded as UTF-8 and written a chunk of ``_CHUNK_CHARS`` characters
+    at a time.  ``len()`` is the number of bytes written so far: the size
+    of the file once it is staged.  A stream is written once."""
+
+    def __init__(self, lines: Iterable[str]):
+        self._lines = lines
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def write_to(self, fh) -> None:
+        chunk: list[str] = []
+        n = 0
+        for line in self._lines:
+            chunk.append(line)
+            n += len(line) + 1
+            if n >= _CHUNK_CHARS:
+                self._write(fh, chunk)
+                chunk, n = [], 0
+        if chunk:
+            self._write(fh, chunk)
+
+    def _write(self, fh, chunk: list[str]) -> None:
+        chunk.append("")  # the newline after the chunk's last line
+        self._size += fh.write("\n".join(chunk).encode())
+
+
+def _stage(path: Path, data: bytes | LineStream) -> str:
     """Write ``data`` to a new temp file beside ``path`` and return its
     name.  The file is created with mode 0o666 less the umask, as a plain
     open() would make it (mkstemp's 0o600 would survive the rename); on
@@ -645,7 +732,10 @@ def _stage(path: Path, data: bytes) -> str:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            if isinstance(data, LineStream):
+                data.write_to(fh)
+            else:
+                fh.write(data)
     except BaseException:
         _discard([tmp])
         raise
@@ -664,7 +754,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
-def commit_files(files: dict[Path, bytes]) -> None:
+def commit_files(files: dict[Path, bytes | LineStream]) -> None:
     """Stage every file, then rename all: either the whole set lands or,
     on any failure while staging, nothing does."""
     staged: list[tuple[str, Path]] = []

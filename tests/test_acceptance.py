@@ -18,7 +18,6 @@ from test_metrics import _fuzz_case
 from viewbench.angles import circular_difference, decode, encode
 from viewbench.cli import entry
 from viewbench.experiments import median_comparison, symmetry_probe
-from viewbench.gradcheck import loss_gradient_suite, net_gradient_suite
 from viewbench.losses import (
     JointClsOutputs,
     Target,
@@ -79,11 +78,10 @@ def test_c1_codec_round_trip_and_grid_oracle():
     )
 
 
-def test_c2_gradient_suites():
-    start = time.perf_counter()
-    loss_results = loss_gradient_suite(0)
-    net_results = net_gradient_suite(0)
-    elapsed = time.perf_counter() - start
+def test_c2_gradient_suites(gradient_suites):
+    loss_results = gradient_suites.loss(0)
+    net_results = gradient_suites.net(0)
+    elapsed = gradient_suites.seconds(0)
 
     counts = {}
     for r in loss_results:

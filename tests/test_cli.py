@@ -162,6 +162,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="mapping at the top level"):
             load_run_config(str(cfg))
 
+    def test_not_utf8_is_a_config_error(self, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_bytes(b"seed: 0\n\n# caf\xff\n")
+        with pytest.raises(ConfigError, match=r"c.yaml:3: not utf-8 text"):
+            load_run_config(str(cfg))
+
     def test_seed_flows_into_net_and_train(self, tmp_path):
         cfg = load_run_config(None, seed_override=5)
         assert cfg["net"]["seed"] == 5 and cfg["train"]["seed"] == 5
@@ -425,6 +431,26 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
         lines[2] = " ".join([tok[0], class_id, *tok[2:]])
         out[name] = root / f"{name}.txt"
         out[name].write_text("\n".join(lines) + "\n")
+
+    # files with a byte that is not UTF-8 (0xff) on a known line
+    def insert_ff(path, lineno, after):
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert after in lines[lineno - 1]
+        lines[lineno - 1] = lines[lineno - 1].replace(after, after + b"\xff", 1)
+        path.write_bytes(b"".join(lines))
+
+    out["utf8_config"] = root / "utf8_config.yaml"
+    out["utf8_config"].write_bytes(b"seed: 0\n# caf\xff\n")
+    bench("utf8_manifest", lambda d: insert_ff(d / "manifest.json", 2, b'"class_specs'))
+    bench("utf8_data", lambda d: insert_ff(d / "test_data.txt", 2, b"scene "))
+    for name, src_path, lineno, after in (
+        ("utf8_gt", small_bench["dir"] / "test_gt.txt", 3, b""),
+        ("utf8_det", small_ckpt["dets"], 3, b""),
+        ("utf8_ckpt", small_ckpt["ckpt"], 2, b'"iteration'),
+    ):
+        out[name] = root / f"{name}.txt"
+        out[name].write_bytes(src_path.read_bytes())
+        insert_ff(out[name], lineno, after)
     return out
 
 
@@ -551,6 +577,30 @@ def _exit_code(argv):
             ["predict", "{ckpt_widths}", "{manifest}", "--out", "{out}"],
             "layer trunk0 8 16 does not match the header's net, which has layer trunk0 8 17",
         ),
+        (
+            ["generate", "--config", "{utf8_config}", "--out", "{out}"],
+            "utf8_config.yaml:2: not utf-8 text: invalid start byte",
+        ),
+        (
+            ["predict", "{ckpt}", "{utf8_manifest}", "--out", "{out}"],
+            "manifest.json:2: not utf-8 text: invalid start byte",
+        ),
+        (
+            ["predict", "{ckpt}", "{utf8_data}", "--out", "{out}"],
+            "test_data.txt:2: not utf-8 text: invalid start byte",
+        ),
+        (
+            ["eval", "{utf8_gt}", "{gt}", "--out", "{out}"],
+            "utf8_gt.txt:3: not utf-8 text: invalid start byte",
+        ),
+        (
+            ["eval", "{gt}", "{utf8_det}", "--out", "{out}"],
+            "utf8_det.txt:3: not utf-8 text: invalid start byte",
+        ),
+        (
+            ["predict", "{utf8_ckpt}", "{manifest}", "--out", "{out}"],
+            "utf8_ckpt.txt:2: not utf-8 text: invalid start byte",
+        ),
     ],
     ids=[
         "bins-not-integers", "bins-empty", "bins-below-2", "predict-split",
@@ -565,6 +615,8 @@ def _exit_code(argv):
         "scene-counts", "dataset-gt-class-7", "matched-gt-past", "sidecar-width",
         "sidecar-extra-rows",
         "checkpoint-renamed-layer", "checkpoint-widths",
+        "config-not-utf8", "manifest-not-utf8", "data-not-utf8", "gt-not-utf8",
+        "det-not-utf8", "checkpoint-not-utf8",
     ],
 )
 def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_path, capsys):

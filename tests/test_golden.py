@@ -245,12 +245,12 @@ def pipeline_digests(root: Path, features_binary: bool) -> dict[str, str]:
     }
 
 
-def gradcheck_digest() -> str:
+def gradcheck_digest(loss_suite=loss_gradient_suite, net_suite=net_gradient_suite) -> str:
     """sha256 over (name, n_slots, max_rel_err.hex()) of both suites at
     every seed of GRADCHECK_SEEDS."""
     h = hashlib.sha256()
     for seed in GRADCHECK_SEEDS:
-        for suite in (loss_gradient_suite, net_gradient_suite):
+        for suite in (loss_suite, net_suite):
             for r in suite(seed):
                 h.update(f"{r.name} {r.n_slots} {r.max_rel_err.hex()}\n".encode())
     return h.hexdigest()
@@ -293,8 +293,9 @@ def test_pipeline_artifact_digests(layout, pinned, tmp_path):
     assert pipeline_digests(tmp_path, LAYOUTS[layout]) == pinned["artifacts"][layout]
 
 
-def test_gradcheck_digest(pinned):
-    assert gradcheck_digest() == pinned["gradcheck"]
+def test_gradcheck_digest(pinned, gradient_suites):
+    digest = gradcheck_digest(gradient_suites.loss, gradient_suites.net)
+    assert digest == pinned["gradcheck"]
 
 
 if __name__ == "__main__":

@@ -3,19 +3,14 @@
 The harness itself gets a known-good and a known-bad hand case first; the
 seeded suites then run as they do under the CLI, plus corrupted negative
 controls that must fail (guarding against a vacuously passing checker).
-The seed-0 suites run once each, in module fixtures their tests share.
+Each suite runs once per session and seed (``gradient_suites`` in
+conftest), shared with the acceptance and golden tests.
 """
 
 import numpy as np
 import pytest
 
-from viewbench.gradcheck import (
-    LOSS_TOL,
-    NET_TOL,
-    check_gradient,
-    loss_gradient_suite,
-    net_gradient_suite,
-)
+from viewbench.gradcheck import LOSS_TOL, NET_TOL, check_gradient
 
 
 class TestHarness:
@@ -41,13 +36,13 @@ class TestHarness:
 
 
 @pytest.fixture(scope="module")
-def loss_results():
-    return loss_gradient_suite(0)
+def loss_results(gradient_suites):
+    return gradient_suites.loss(0)
 
 
 @pytest.fixture(scope="module")
-def net_results():
-    return net_gradient_suite(0)
+def net_results(gradient_suites):
+    return gradient_suites.net(0)
 
 
 class TestLossSuite:
@@ -69,12 +64,12 @@ class TestLossSuite:
         }
         assert all(count >= 20 for count in kinds.values()), kinds
 
-    def test_corrupted_suite_fails(self):
-        results = loss_gradient_suite(0, corrupt=True)
+    def test_corrupted_suite_fails(self, gradient_suites):
+        results = gradient_suites.loss(0, corrupt=True)
         assert all(not r.passed for r in results)
 
-    def test_other_seed_same_verdict(self):
-        assert all(r.passed for r in loss_gradient_suite(7))
+    def test_other_seed_same_verdict(self, gradient_suites):
+        assert all(r.passed for r in gradient_suites.loss(7))
 
 
 class TestNetSuite:
@@ -88,9 +83,9 @@ class TestNetSuite:
         for head in ("reg", "cls", "joint_reg", "joint_cls"):
             assert any(f"[{head}," in n for n in names), names
 
-    def test_corrupted_suite_fails(self):
-        results = net_gradient_suite(0, corrupt=True)
+    def test_corrupted_suite_fails(self, gradient_suites):
+        results = gradient_suites.net(0, corrupt=True)
         assert all(not r.passed for r in results)
 
-    def test_other_seed_same_verdict(self):
-        assert all(r.passed for r in net_gradient_suite(5))
+    def test_other_seed_same_verdict(self, gradient_suites):
+        assert all(r.passed for r in gradient_suites.net(5))

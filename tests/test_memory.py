@@ -1,0 +1,86 @@
+"""Peak memory of the record I/O and of prediction, traced by tracemalloc.
+
+A data file is streamed to disk and read back line by line, and the work
+after ``net.predict``'s forward pass runs in row blocks, so the peak of each
+step is set by what it keeps, not by a whole-text or whole-batch copy.  The
+bounds below were set from measurements (CPython 3.11, NumPy 2.4): for a
+3.2 MB data file the streamed writer peaked at 0.29 of the file's size above
+its start and the line reader at 0.007 above the dataset it returned; the
+whole-text writer and reader they replaced peaked at 3.1 and 2.1.  A
+joint_cls prediction over six blocks peaked at 0.4 of one block's
+(rows, classes, bins) array above its forward arrays and outputs; the
+whole-batch computation at 8 of them.  A batch of one block, as in the
+experiments, must peak no higher than the whole-batch computation did,
+but for its (rows, classes) outputs: each softmax writes into its output.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from test_streaming_equivalence import oracle_predict
+
+from viewbench import net
+from viewbench.records import read_benchmark, write_benchmark
+from viewbench.synthetic import default_class_specs, generate
+
+
+@pytest.fixture(scope="module")
+def split():
+    """A train split whose data file is about 3 MB."""
+    return generate(1, 400, default_class_specs(feature_dim=32), split="train")
+
+
+def _traced(fn):
+    """``fn()``'s result, its traced peak above the start, and the traced
+    memory still allocated above the start when it returned."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - start, current - start
+
+
+def test_write_benchmark_streams(split, tmp_path):
+    empty = generate(2, 0, split.class_specs, split="test")
+    _, peak, _ = _traced(lambda: write_benchmark(tmp_path, split, empty))
+    size = (tmp_path / "train_data.txt").stat().st_size
+    assert size > 3_000_000
+    assert peak < 0.5 * size, (peak, size)
+
+
+def test_read_benchmark_reads_by_line(split, tmp_path):
+    empty = generate(2, 0, split.class_specs, split="test")
+    manifest = write_benchmark(tmp_path, split, empty)
+    size = (tmp_path / "train_data.txt").stat().st_size
+    (ds, _, _), peak, kept = _traced(lambda: read_benchmark(manifest, split="train"))
+    assert ds.n_samples == split.n_samples
+    assert peak - kept < 0.05 * size, (peak - kept, size)
+
+
+def test_predict_post_processes_in_blocks():
+    cfg = net.NetConfig(input_dim=32, trunk_widths=(64,), head="joint_cls", n_classes=4)
+    params = net.init_params(cfg)
+    b = 6 * net.PREDICT_BLOCK + 5
+    x = np.random.default_rng(0).standard_normal((b, 32))
+    pred, peak, _ = _traced(lambda: net.predict(params, cfg, x))
+    slots = cfg.n_classes * cfg.n_bins
+    forward_arrays = b * (64 + slots + 1) * 8  # the hidden layer and the head
+    outputs = pred.scores.nbytes + pred.bins.nbytes + pred.probs.nbytes
+    block = net.PREDICT_BLOCK * slots * 8
+    assert peak < forward_arrays + outputs + 2 * block, (peak, forward_arrays, outputs, block)
+
+
+@pytest.mark.parametrize("head", ["cls", "joint_cls"])
+def test_one_block_predict_peak(head):
+    cfg = net.NetConfig(input_dim=32, trunk_widths=(64,), head=head, n_classes=4)
+    params = net.init_params(cfg)
+    x = np.random.default_rng(0).standard_normal((1013, 32))
+    _, whole, _ = _traced(lambda: oracle_predict(params, cfg, x))
+    pred, peak, _ = _traced(lambda: net.predict(params, cfg, x))
+    assert peak <= whole + 2 * pred.bins.nbytes, (peak, whole)

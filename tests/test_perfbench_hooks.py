@@ -80,3 +80,24 @@ def test_hooks_install_run_and_restore(mode):
             "angles.canonicalize.calls", tracing.TARGET_COUNTER,
         ):
             assert totals.get(key, 0) > 0, key
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_bytes_written_counts_streamed_files(binary, tmp_path):
+    """The count pass weighs ``commit_files`` by the ``len()`` of its values
+    after the call, so a streamed data file counts the bytes it staged."""
+    modules = _modules()
+    synthetic, records = modules["synthetic"], modules["records"]
+    specs = synthetic.default_class_specs(feature_dim=8)
+    train = synthetic.generate(3, 12, specs, split="train")
+    test = synthetic.generate(4, 0, specs, split="test")
+    installer = tracing.Installer()
+    counter = tracing.Counter()
+    counter.install(installer, modules)
+    try:
+        records.write_benchmark(tmp_path, train, test, features_binary=binary)
+    finally:
+        installer.restore()
+    on_disk = sum(p.stat().st_size for p in tmp_path.iterdir())
+    assert len(list(tmp_path.iterdir())) == (7 if binary else 5)
+    assert counter.totals()["records.bytes_written"] == on_disk
