@@ -29,7 +29,6 @@ from .metrics import evaluate
 from .net import NetConfig, TrainConfig, predict as net_predict, train
 from .records import (
     atomic_write_text,
-    format_detections,
     format_eval_report,
     format_train_log,
     load_checkpoint,
@@ -40,6 +39,7 @@ from .records import (
     read_text,
     save_checkpoint,
     write_benchmark,
+    write_detections,
 )
 from .synthetic import ClassSpec, default_class_specs, generate
 
@@ -325,7 +325,7 @@ def cmd_predict(args) -> int:
     scores, angles = pose_angles(net_predict(ckpt.params, ckpt.net, ds.features()))
     floor = cfg["predict"]["score_floor"]
     dets = compose_detections(ds, scores, angles, floor=floor)
-    atomic_write_text(args.out, format_detections(dets))
+    write_detections(args.out, dets)
     print(f"{len(dets)} detections ({ckpt.net.head} head, floor {floor}) -> {args.out}")
     return 0
 

@@ -9,7 +9,25 @@ absolutely and large ones relatively.
 The central differences read only loss values.  A loss computes its
 gradient on first read (see ``losses.LossResult``), so the two evaluations
 per checked slot never compute one; the analytic gradient is read once per
-check.  Each perturbation is written into one reused copy of the point.
+check.
+
+A loss check does not call the loss once per perturbed point.  Every loss
+is row-wise up to its final sum (see ``losses``), so moving one slot
+changes only the terms of the sample that owns it.  ``check_loss``
+evaluates the base point once, calls the loss once per block of perturbed
+sample rows (each slot's row at +e and at -e, with its own label), and
+rebuilds each copy's value: the base terms with that sample's rows put
+back from the block, totalled by the loss's own helper
+(``losses._total``).  The rebuilt values are the per-slot values bit for
+bit.  A term row comes from the same numbers through the same row-wise
+operations whichever batch holds it (a softmax reduces along one
+contiguous row; elementwise functions do not depend on an element's
+position), so the rebuilt term array is the one a per-slot call would
+build, and it is totalled as one contiguous run of the same length.  A block holds at most
+``BLOCK_DOUBLES`` doubles.  A result without terms (an eager
+``LossResult(value, grad)``) and ``check_net`` (every parameter moves
+every sample) take one evaluation per perturbed point, written into one
+reused copy of the point.  One function scores both evaluators.
 
 Layouts with many slots are subsampled: the largest-magnitude analytic
 slots are always checked, the rest drawn by a seeded generator, so runs
@@ -21,6 +39,7 @@ must then fail, which guards the harness against vacuous passes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,6 +52,8 @@ from .losses import (
     Labels,
     LossSpec,
     Target,
+    Terms,
+    _total,
     as_labels,
     classification_loss,
     geometric_classification_loss,
@@ -47,6 +68,9 @@ LOSS_TOL = 1e-5
 NET_TOL = 1e-4
 MAX_SLOTS = 256
 _TOP_SLOTS = 32
+# doubles of perturbed sample rows, and of the term copies rebuilt from
+# them, per stacked loss call
+BLOCK_DOUBLES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -70,6 +94,100 @@ def _pick_slots(analytic: np.ndarray, max_slots: int, rng: np.random.Generator) 
     return np.unique(np.concatenate([top, rest]))
 
 
+def _slots_to_check(
+    analytic: np.ndarray, n: int, max_slots: int, seed: int, corrupt: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The analytic gradient as compared (``corrupt`` biases one slot) and
+    the slots to check."""
+    analytic = np.asarray(analytic, dtype=float).ravel().copy()
+    if analytic.size != n:
+        raise ValueError(f"gradient has {analytic.size} slots, point has {n}")
+    if corrupt:
+        # bias the largest slot: subsampling always checks the top slots
+        analytic[int(np.argmax(np.abs(analytic)))] += 1e-2
+    return analytic, _pick_slots(analytic, max_slots, np.random.default_rng(seed))
+
+
+def _score(analytic: np.ndarray, values: np.ndarray, eps: float) -> float:
+    """The worst relative error of the central differences of ``values``
+    ((2, n): f at +eps and at -eps in each slot) against ``analytic``.  A
+    NaN error is passed over, as Python's ``max`` passes over it."""
+    fd = (values[0] - values[1]) / (2.0 * eps)
+    err = np.abs(analytic - fd) / np.fmax(np.fmax(1.0, np.abs(analytic)), np.abs(fd))
+    return float(np.fmax.reduce(err, initial=0.0))
+
+
+def _per_slot_values(
+    f: Callable[[np.ndarray], float], x0: np.ndarray, slots: np.ndarray, eps: float
+) -> np.ndarray:
+    """f at x0 + eps and at x0 - eps in each slot, one call per point:
+    (2, n), written into one reused copy of the point."""
+    values = np.empty((2, slots.size))
+    x = x0.copy()
+    for j, i in enumerate(slots):
+        xi = x0[i]
+        x[i] = xi + eps
+        values[0, j] = f(x)
+        x[i] = xi - eps
+        values[1, j] = f(x)
+        x[i] = xi
+    return values
+
+
+def _stacked_values(
+    loss_fn: Callable,
+    terms: Terms,
+    labels: Labels,
+    vec: np.ndarray,
+    rows: np.ndarray,
+    build: Callable,
+    slots: np.ndarray,
+    eps: float,
+) -> np.ndarray:
+    """The values of ``_per_slot_values`` for a loss whose terms at ``vec``
+    are ``terms``, from one loss call per block of perturbed sample rows.
+
+    Copy 2j of a block is slot j's sample row at +eps, copy 2j+1 at -eps,
+    each with its own label.  A copy's value is the total of the base
+    terms with its sample's term rows replaced by the copy's."""
+    b, width = rows.shape
+    sample = np.empty(vec.size, dtype=np.intp)
+    sample[rows] = np.arange(b)[:, None]
+    column = np.empty(vec.size, dtype=np.intp)
+    column[rows] = np.arange(width)
+    base_rows = vec.take(rows)
+    # where each sample's term row sits in each part's T
+    positions = []
+    for _, t, ids in terms:
+        pos = np.arange(b)
+        if ids is not None:
+            pos[ids] = np.arange(ids.size)
+        positions.append(pos)
+    per_slot = 2 * (width + sum(t.size for _, t, _ in terms))
+    step = max(1, BLOCK_DOUBLES // per_slot)
+    values = np.empty((2, slots.size))
+    for start in range(0, slots.size, step):
+        block = slots[start:start + step]
+        k = 2 * block.size
+        copy_sample = np.repeat(sample[block], 2)
+        stacked = base_rows[copy_sample]
+        x = vec[block]
+        stacked[np.arange(0, k, 2), column[block]] = x + eps
+        stacked[np.arange(1, k, 2), column[block]] = x - eps
+        stacked_terms = loss_fn(build(stacked), labels._rows(copy_sample)).terms
+        copies = []
+        for j, (coef, t, _) in enumerate(terms):
+            copy = np.repeat(t[None], k, axis=0)
+            # a joint regression block without foreground rows has no Huber part
+            if j < len(stacked_terms):
+                _, t_k, ids_k = stacked_terms[j]
+                c = np.arange(k) if ids_k is None else ids_k
+                copy[c, positions[j][copy_sample[c]]] = t_k
+            copies.append((coef, copy.reshape(k, -1), None))
+        values[:, start:start + block.size] = _total(copies, axis=1).reshape(-1, 2).T
+    return values
+
+
 def check_gradient(
     f: Callable[[np.ndarray], float],
     x0: np.ndarray,
@@ -83,58 +201,50 @@ def check_gradient(
 ) -> GradCheckResult:
     """Compare an analytic gradient against central differences of f."""
     x0 = np.asarray(x0, dtype=float).ravel()
-    analytic = np.asarray(analytic, dtype=float).ravel().copy()
-    if analytic.size != x0.size:
-        raise ValueError(f"gradient has {analytic.size} slots, point has {x0.size}")
-    if corrupt:
-        # bias the largest slot: subsampling always checks the top slots
-        analytic[int(np.argmax(np.abs(analytic)))] += 1e-2
-    rng = np.random.default_rng(seed)
-    slots = _pick_slots(analytic, max_slots, rng)
-    worst = 0.0
-    x = x0.copy()
-    for i in slots:
-        xi = x0[i]
-        x[i] = xi + eps
-        f_plus = f(x)
-        x[i] = xi - eps
-        f_minus = f(x)
-        x[i] = xi
-        fd = (f_plus - f_minus) / (2.0 * eps)
-        a = analytic[i]
-        err = abs(a - fd) / max(1.0, abs(a), abs(fd))
-        worst = max(worst, err)
-    return GradCheckResult(name, slots.size, worst, tolerance)
+    analytic, slots = _slots_to_check(analytic, x0.size, max_slots, seed, corrupt)
+    values = _per_slot_values(f, x0, slots, eps)
+    return GradCheckResult(name, slots.size, _score(analytic[slots], values, eps), tolerance)
 
 
-def _pack(outputs):
-    """Flatten a head-output structure to a vector plus its rebuilder."""
+def _layout(outputs) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """A head-output structure as a vector, the (B, W) index of each
+    sample's W slots in that vector, and the function that makes the
+    structure from an (M, W) matrix of sample rows."""
     if isinstance(outputs, JointRegOutputs):
         det, pose = outputs.det, outputs.pose
-        split = det.size
+        b, n_classes, dim = pose.shape
+        split = det.shape[1]
+        rows = np.concatenate(
+            [
+                np.arange(det.size).reshape(b, split),
+                det.size + np.arange(pose.size).reshape(b, n_classes * dim),
+            ],
+            axis=1,
+        )
 
-        def unpack(vec):
+        def build(mat):
             return JointRegOutputs(
-                vec[:split].reshape(det.shape), vec[split:].reshape(pose.shape)
+                np.ascontiguousarray(mat[:, :split]),
+                np.ascontiguousarray(mat[:, split:]).reshape(-1, n_classes, dim),
             )
 
-        return np.concatenate([det.ravel(), pose.ravel()]), unpack
+        return np.concatenate([det.ravel(), pose.ravel()]), rows, build
     if isinstance(outputs, JointClsOutputs):
         obj, back = outputs.obj, outputs.back
         b, n_classes, n_bins = obj.shape
-        # where each slot of the (B, n_classes * n_bins + 1) rows the loss
-        # normalizes sits in the vector: a row's (class, bin) slots, then
-        # its background logit
+        # a row's (class, bin) slots, then its background logit: the
+        # (B, n_classes * n_bins + 1) rows the loss normalizes
         rows = np.concatenate(
             [np.arange(obj.size).reshape(b, -1), obj.size + np.arange(b)[:, None]], axis=1
         )
 
-        def unpack(vec):
-            return JointClsOutputs.from_flat(vec.take(rows), n_classes, n_bins)
+        def build(mat):
+            return JointClsOutputs.from_flat(mat, n_classes, n_bins)
 
-        return np.concatenate([obj.ravel(), back.ravel()]), unpack
+        return np.concatenate([obj.ravel(), back.ravel()]), rows, build
     arr = np.asarray(outputs, dtype=float)
-    return arr.ravel().copy(), lambda vec: vec.reshape(arr.shape)
+    rows = np.arange(arr.size).reshape(arr.shape[0], math.prod(arr.shape[1:]))
+    return arr.ravel().copy(), rows, lambda mat: mat.reshape((-1,) + arr.shape[1:])
 
 
 def check_loss(
@@ -147,19 +257,17 @@ def check_loss(
     corrupt: bool = False,
 ) -> GradCheckResult:
     """Finite-difference check of one loss at one output point."""
-    targets = as_labels(targets)  # once, not at every evaluation
-    vec, unpack = _pack(outputs)
-    res = loss_fn(outputs, targets)
-    grad_vec, _ = _pack(res.grad)
-    return check_gradient(
-        lambda v: loss_fn(unpack(v), targets).value,
-        vec,
-        grad_vec,
-        tolerance=tolerance,
-        seed=seed,
-        name=name,
-        corrupt=corrupt,
-    )
+    labels = as_labels(targets)  # once, not at every evaluation
+    vec, rows, build = _layout(outputs)
+    base = loss_fn(outputs, labels)
+    analytic, slots = _slots_to_check(_layout(base.grad)[0], vec.size, MAX_SLOTS, seed, corrupt)
+    if base.terms is None:
+        values = _per_slot_values(
+            lambda v: loss_fn(build(v.take(rows)), labels).value, vec, slots, EPS
+        )
+    else:
+        values = _stacked_values(loss_fn, base.terms, labels, vec, rows, build, slots, EPS)
+    return GradCheckResult(name, slots.size, _score(analytic[slots], values, EPS), tolerance)
 
 
 def _pack_params(params: nets.ModelParams) -> tuple[np.ndarray, Callable]:

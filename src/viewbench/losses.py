@@ -8,6 +8,13 @@ caller that only needs values (a finite-difference check, a probe batch)
 never computes one.  Batch reduction is a plain sum; callers that want a
 per-sample figure divide by the batch size.
 
+Every loss is row-wise up to that sum: it computes per-sample terms (the
+picked log-probability, the weighted log-probabilities, the Huber rows)
+and its value is a signed sum of the totals of these term arrays, taken by
+one helper, :func:`_total`.  The result keeps the term arrays
+(``LossResult.terms``), so a caller can change some samples' rows and
+total them again exactly as the loss would have.
+
 Targets come as one :class:`Labels` batch (class ids and azimuths as
 arrays, which is what ``net.make_batch`` produces) or as any sequence of
 per-sample :class:`Target` values.  Each loss turns its input into
@@ -134,6 +141,16 @@ class Labels:
         object.__setattr__(self, "class_id", class_id)
         object.__setattr__(self, "azimuth", azimuth)
 
+    def _rows(self, index: np.ndarray) -> "Labels":
+        """The labels of rows ``index`` of this batch, with the bins and
+        embeddings derived so far taken along rather than derived again."""
+        labels = Labels._of_valid_rows(self.class_id[index], self.azimuth[index])
+        for key, derived in self._derived.items():
+            derived = derived[index]
+            derived.flags.writeable = False
+            labels._derived[key] = derived
+        return labels
+
     def __len__(self) -> int:
         return self.class_id.shape[0]
 
@@ -216,26 +233,49 @@ class JointClsOutputs:
 Grad = Union[np.ndarray, JointRegOutputs, JointClsOutputs]
 
 
+# A loss's row-aligned terms: ``(coef, T, rows)`` parts, where row ``i`` of
+# ``T`` holds terms of batch row ``rows[i]`` (of batch row ``i`` when
+# ``rows`` is None), and the value is the sum of ``coef`` times each
+# part's total, added in order.
+Terms = tuple[tuple[float, np.ndarray, Union[np.ndarray, None]], ...]
+
+
+def _total(terms: Terms, axis: int | None = None):
+    """The value of a loss's terms (see ``Terms``).  With ``axis``, each
+    ``T`` is a stack of copies of a part's terms, and the result holds one
+    value per copy, the totals taken over ``axis``."""
+    value = None
+    for coef, t, _ in terms:
+        total = np.add.reduce(t, axis=axis)
+        part = coef * (float(total) if axis is None else total)
+        value = part if value is None else value + part
+    return value
+
+
 class LossResult:
     """A summed loss value and its gradient with respect to the outputs.
 
     ``value`` is computed with the loss.  A loss built with
-    :meth:`deferred` computes ``grad`` on its first read, from a closure
-    over arrays the loss itself computed, and keeps it; the same reads of
-    the same arrays give the same bits as computing it eagerly.
+    :meth:`deferred` keeps its row-aligned ``terms`` (None otherwise),
+    computes ``grad`` on its first read, from a closure over arrays the
+    loss itself computed, and keeps it; the same reads of the same arrays
+    give the same bits as computing it eagerly.
     """
 
-    __slots__ = ("value", "_grad", "_make_grad")
+    __slots__ = ("value", "terms", "_grad", "_make_grad")
 
     def __init__(self, value: float, grad: Grad):
         self.value = value
+        self.terms = None
         self._grad = grad
         self._make_grad = None
 
     @classmethod
-    def deferred(cls, value: float, make_grad: Callable[[], Grad]) -> "LossResult":
-        """A result whose gradient ``make_grad()`` computes on first read."""
-        res = cls(value, None)
+    def deferred(cls, terms: Terms, make_grad: Callable[[], Grad]) -> "LossResult":
+        """A result whose value is the total of ``terms`` and whose gradient
+        ``make_grad()`` computes on first read."""
+        res = cls(_total(terms), None)
+        res.terms = terms
         res._make_grad = make_grad
         return res
 
@@ -362,7 +402,7 @@ def regression_loss(
     cls = _class_ids(labels, outputs.shape[1], BackgroundInRegression)
     own = (np.arange(outputs.shape[0]), cls - 1)
     r = outputs[own] - labels.embeddings(dim)
-    value = float(np.add.reduce(_huber_value(r, delta), axis=None))
+    terms = ((1.0, _huber_value(r, delta), None),)
     shape = outputs.shape
 
     def grad():
@@ -370,7 +410,7 @@ def regression_loss(
         out[own] = _huber_deriv(r, delta)
         return out
 
-    return LossResult.deferred(value, grad)
+    return LossResult.deferred(terms, grad)
 
 
 def classification_loss(outputs: np.ndarray, targets: Labels | Sequence[Target]) -> LossResult:
@@ -387,7 +427,7 @@ def classification_loss(outputs: np.ndarray, targets: Labels | Sequence[Target])
     own = (rows, cls - 1)
     true_bin = (rows, labels.bins(n_bins) - 1)
     logp = log_softmax(outputs[own], axis=1)
-    value = -float(np.add.reduce(logp[true_bin], axis=None))
+    terms = ((-1.0, logp[true_bin], None),)
     shape = outputs.shape
 
     def grad():
@@ -397,7 +437,7 @@ def classification_loss(outputs: np.ndarray, targets: Labels | Sequence[Target])
         out[own] = row_grad
         return out
 
-    return LossResult.deferred(value, grad)
+    return LossResult.deferred(terms, grad)
 
 
 @functools.lru_cache(maxsize=64)
@@ -439,7 +479,7 @@ def geometric_classification_loss(
     weights = _geometric_weights(n_bins, float(sigma))[labels.bins(n_bins) - 1]
     own = (np.arange(n), cls - 1)
     logp = log_softmax(outputs[own], axis=1)
-    value = -float(np.add.reduce(weights * logp, axis=None))
+    terms = ((-1.0, weights * logp, None),)
     shape = outputs.shape
 
     def grad():
@@ -449,7 +489,7 @@ def geometric_classification_loss(
         out[own] = row_grad
         return out
 
-    return LossResult.deferred(value, grad)
+    return LossResult.deferred(terms, grad)
 
 
 def joint_regression_loss(
@@ -485,7 +525,7 @@ def joint_regression_loss(
 
     hit = (np.arange(n), cls)
     logp = log_softmax(det, axis=1)
-    value = -float(np.add.reduce(logp[hit], axis=None))
+    terms = ((-1.0, logp[hit], None),)
 
     r = own = None
     if lam != 0.0:
@@ -493,7 +533,7 @@ def joint_regression_loss(
         if fg.size:
             own = (fg, cls[fg] - 1)
             r = pose[own] - labels.embeddings(dim)[fg]
-            value += lam * float(np.add.reduce(_huber_value(r, delta), axis=None))
+            terms += ((lam, _huber_value(r, delta), fg),)
     pose_shape = pose.shape
 
     def grad():
@@ -504,7 +544,7 @@ def joint_regression_loss(
             pose_grad[own] = lam * _huber_deriv(r, delta)
         return JointRegOutputs(det=det_grad, pose=pose_grad)
 
-    return LossResult.deferred(value, grad)
+    return LossResult.deferred(terms, grad)
 
 
 def joint_classification_loss(
@@ -534,14 +574,14 @@ def joint_classification_loss(
         cls > 0, (cls - 1) * n_bins + labels.bins(n_bins) - 1, n_classes * n_bins
     )
     hit = (np.arange(n), slots)
-    value = -float(np.add.reduce(logp[hit], axis=None))
+    terms = ((-1.0, logp[hit], None),)
 
     def grad():
         flat_grad = np.exp(logp)
         flat_grad[hit] -= 1.0
         return JointClsOutputs.from_flat(flat_grad, n_classes, n_bins)
 
-    return LossResult.deferred(value, grad)
+    return LossResult.deferred(terms, grad)
 
 
 def joint_detection_score(obj: np.ndarray, back: float, class_id: int) -> float:

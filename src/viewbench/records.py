@@ -15,8 +15,11 @@ template of its box.  Readers take a fast path on each line: unpack the
 fields, convert them with ``float`` and ``int``, and check finiteness
 once.  A line that fails any of that is read again by the checked path,
 which converts field by field and raises a FormatError naming
-``path:line`` and the first bad field, so the messages do not depend on
-the fast path.  Class ids in record files must be at least 1.
+``path:line`` and the first bad field (or the degenerate box), so the
+messages do not depend on the fast path.  Class ids in record files must
+be at least 1.  A detection line whose box tokens equal those of the last
+line read fast (the next class of the same proposal) shares that line's
+Box and reads only its score and azimuth.
 
 Every write goes through a temp-file-then-rename, so a failed run never
 leaves a partially written artifact; multi-file outputs are staged
@@ -26,7 +29,8 @@ A benchmark's data files are the largest artifacts, and no whole-text
 copy of one is held.  ``write_benchmark`` streams each data file into its
 staged temp file, encoding its lines a chunk of ``_CHUNK_CHARS``
 characters at a time (``format_dataset`` joins the same lines into one
-string).  ``read_benchmark`` and ``read_lines`` read a file one physical
+string); ``write_detections`` streams a detection file the same way.
+``read_benchmark`` and ``read_lines`` read a file one physical
 line at a time, in the encoding ``Path.read_text`` uses, and split each
 with ``str.splitlines``, so the parsers see exactly the lines, and name
 exactly the line numbers, of ``read_text().splitlines()``.  The parsers
@@ -98,6 +102,14 @@ def _class_id(token: str, where: str) -> int:
     return class_id
 
 
+def _checked_box(tokens: list[str], where: str) -> Box:
+    coords = [_parse_float(t, where) for t in tokens]
+    try:
+        return Box(*coords)
+    except InvalidParameter as e:
+        raise FormatError(f"{where}: {e}") from None
+
+
 def _data_lines(source: str | Iterable[str]) -> Iterable[tuple[int, list[str]]]:
     lines = source.splitlines() if isinstance(source, str) else source
     for lineno, line in enumerate(lines, start=1):
@@ -166,13 +178,17 @@ def _fast_ground_truth(tok: list[str]) -> GroundTruth | None:
     # only sends a good line to the checked path
     if class_id < 1 or not math.isfinite(x0 + y0 + x1 + y1 + deg):
         return None
-    return GroundTruth(image_id, class_id, Box(x0, y0, x1, y1), math.radians(deg))
+    try:
+        box = Box(x0, y0, x1, y1)
+    except InvalidParameter:  # degenerate: the checked path names the line
+        return None
+    return GroundTruth(image_id, class_id, box, math.radians(deg))
 
 
 def _checked_ground_truth(tok: list[str], where: str) -> GroundTruth:
     if len(tok) != 7:
         raise FormatError(f"{where}: expected 7 fields, got {len(tok)}")
-    box = Box(*(_parse_float(t, where) for t in tok[2:6]))
+    box = _checked_box(tok[2:6], where)
     az = math.radians(_parse_float(tok[6], where))
     return GroundTruth(tok[0], _class_id(tok[1], where), box, az)
 
@@ -185,47 +201,74 @@ def parse_ground_truths(text: str | Iterable[str], path: str = "<string>") -> li
     return out
 
 
-def format_detections(dets: Sequence[Detection]) -> str:
-    """Detection lines; the box of a run of detections that share one
-    ``Box`` object (the classes of a proposal) is formatted once."""
-    lines = [DET_HEADER]
+def _detection_lines(dets: Sequence[Detection]) -> Iterator[str]:
+    yield DET_HEADER
     box = box_text = None
     for d in dets:
         if d.box is not box:
             box = d.box
             box_text = _DET_BOX % (box.x_min, box.y_min, box.x_max, box.y_max)
-        lines.append(_DET_REST % (
-            d.image_id, d.class_id, box_text, d.score, math.degrees(d.azimuth)
-        ))
-    return "\n".join(lines) + "\n"
+        yield _DET_REST % (d.image_id, d.class_id, box_text, d.score, math.degrees(d.azimuth))
 
 
-def _fast_detection(tok: list[str]) -> Detection | None:
-    """The record of a well-formed line, or None to read it checked."""
+def format_detections(dets: Sequence[Detection]) -> str:
+    """Detection lines; the box of a run of detections that share one
+    ``Box`` object (the classes of a proposal) is formatted once."""
+    return "\n".join(_detection_lines(dets)) + "\n"
+
+
+def write_detections(path: str | Path, dets: Sequence[Detection]) -> None:
+    """Write the text of ``format_detections(dets)`` to ``path``, streamed
+    (see :class:`LineStream`)."""
+    atomic_write_bytes(path, LineStream(_detection_lines(dets)))
+
+
+def _fast_detection(tok: list[str], box: Box | None = None) -> Detection | None:
+    """The record of a well-formed line, or None to read it checked.
+    ``box``, if given, is the Box of the line's box tokens, which are then
+    not read again."""
     try:
         image_id, class_id, x0, y0, x1, y1, score, deg = tok
         class_id = int(class_id)
-        x0, y0, x1, y1, score, deg = map(float, tok[2:])
+        score, deg = float(score), float(deg)
+        if box is None:
+            x0, y0, x1, y1 = float(x0), float(y0), float(x1), float(y1)
     except ValueError:
         return None
-    if class_id < 1 or not math.isfinite(x0 + y0 + x1 + y1 + score + deg):
+    if class_id < 1 or not math.isfinite(score + deg):
         return None
-    return Detection(image_id, class_id, Box(x0, y0, x1, y1), score, math.radians(deg))
+    if box is None:
+        if not math.isfinite(x0 + y0 + x1 + y1):
+            return None
+        try:
+            box = Box(x0, y0, x1, y1)
+        except InvalidParameter:  # degenerate: the checked path names the line
+            return None
+    return Detection(image_id, class_id, box, score, math.radians(deg))
 
 
 def _checked_detection(tok: list[str], where: str) -> Detection:
     if len(tok) != 8:
         raise FormatError(f"{where}: expected 8 fields, got {len(tok)}")
-    box = Box(*(_parse_float(t, where) for t in tok[2:6]))
+    box = _checked_box(tok[2:6], where)
     score = _parse_float(tok[6], where)
     az = math.radians(_parse_float(tok[7], where))
     return Detection(tok[0], _class_id(tok[1], where), box, score, az)
 
 
 def parse_detections(text: str | Iterable[str], path: str = "<string>") -> list[Detection]:
+    """Detection records.  A line whose four box tokens equal those of the
+    last line read on the fast path (the classes of one proposal, as
+    ``format_detections`` writes them) shares that line's Box."""
     out = []
+    box_tok = box = None  # the box tokens of the last fast-path line, and its Box
     for lineno, tok in _data_lines(text):
-        d = _fast_detection(tok)
+        if tok[2:6] == box_tok:
+            d = _fast_detection(tok, box)
+        else:
+            d = _fast_detection(tok)
+            if d is not None:
+                box_tok, box = tok[2:6], d.box
         out.append(d if d is not None else _checked_detection(tok, f"{path}:{lineno}"))
     return out
 
@@ -319,7 +362,11 @@ def parse_dataset(
             return None
         if not math.isfinite(x0 + y0 + x1 + y1 + az):
             return None
-        return GroundTruth(cur_id, class_id, Box(x0, y0, x1, y1), az)
+        try:
+            box = Box(x0, y0, x1, y1)
+        except InvalidParameter:  # degenerate: the checked path names the line
+            return None
+        return GroundTruth(cur_id, class_id, box, az)
 
     def fast_prop(tok: list[str]) -> Proposal | None:
         """The proposal of a well-formed prop line, or None to read it checked."""
@@ -335,6 +382,10 @@ def parse_dataset(
             return None
         if not -1 <= matched < n_gt or not math.isfinite(sum(values, ov)):
             return None
+        try:
+            box = Box(*values[:4])
+        except InvalidParameter:  # degenerate: the checked path names the line
+            return None
         if len(values) == 4 + feature_dim:
             feat = np.array(values[4:])
         elif len(values) == 4 and next_feature < sidecar_rows:
@@ -342,7 +393,7 @@ def parse_dataset(
             next_feature += 1
         else:
             return None
-        return Proposal(Box(*values[:4]), feat, matched, ov, noise_seed)
+        return Proposal(box, feat, matched, ov, noise_seed)
 
     lineno = 0
     for lineno, tok in _data_lines(text):
@@ -371,7 +422,7 @@ def parse_dataset(
                 raise FormatError(f"{where}: gt line before any scene line")
             if len(tok) != 7:
                 raise FormatError(f"{where}: gt line needs 7 fields, got {len(tok)}")
-            box = Box(*(_parse_float(t, where) for t in tok[2:6]))
+            box = _checked_box(tok[2:6], where)
             class_id = _parse_int(tok[1], where)
             if class_id not in class_ids:
                 raise FormatError(
@@ -394,7 +445,7 @@ def parse_dataset(
                 )
             ov = _parse_float(tok[2], where)
             noise_seed = _parse_int(tok[3], where)
-            box = Box(*(_parse_float(t, where) for t in tok[4:8]))
+            box = _checked_box(tok[4:8], where)
             if len(tok) == 8 + feature_dim:
                 feat = np.array([_parse_float(t, where) for t in tok[8:]])
             else:
@@ -742,7 +793,7 @@ def _stage(path: Path, data: bytes | LineStream) -> str:
     return tmp
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+def atomic_write_bytes(path: str | Path, data: bytes | LineStream) -> None:
     """Write to a temp file in the target directory, then rename over the
     destination; a failure never leaves a partial file at ``path``."""
     path = Path(path)

@@ -385,6 +385,11 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
         tok = lines[i].split()
         lines[i] = " ".join(["prop", "9"] + tok[2:])
 
+    def gt_degenerate(lines):
+        i = next(i for i, l in enumerate(lines) if l.startswith("gt "))
+        tok = lines[i].split()
+        lines[i] = " ".join(tok[:4] + tok[2:4] + tok[6:])
+
     def edit_sidecar(fn):
         def mutate(d):
             path = d / "test_features.npy"
@@ -409,6 +414,7 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
     bench("scene_counts", edit_lines(more_gts))
     bench("matched_past", edit_lines(matched_past))
     bench("gt_class_7", edit_lines(gt_class_7))
+    bench("data_degenerate", edit_lines(gt_degenerate))
     bench("sidecar_width", edit_sidecar(lambda f: f[:, :-1]), binary=True)
     bench("sidecar_rows", edit_sidecar(lambda f: np.concatenate([f, f[:1]])), binary=True)
 
@@ -429,6 +435,18 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
         lines = src_path.read_text().splitlines()
         tok = lines[2].split()
         lines[2] = " ".join([tok[0], class_id, *tok[2:]])
+        out[name] = root / f"{name}.txt"
+        out[name].write_text("\n".join(lines) + "\n")
+
+    # record files whose second record has a degenerate box (x_max = x_min)
+    for name, src_path in (
+        ("gt_degenerate", small_bench["dir"] / "test_gt.txt"),
+        ("det_degenerate", small_ckpt["dets"]),
+    ):
+        lines = src_path.read_text().splitlines()
+        tok = lines[2].split()
+        tok[4] = tok[2]
+        lines[2] = " ".join(tok)
         out[name] = root / f"{name}.txt"
         out[name].write_text("\n".join(lines) + "\n")
 
@@ -601,6 +619,18 @@ def _exit_code(argv):
             ["predict", "{utf8_ckpt}", "{manifest}", "--out", "{out}"],
             "utf8_ckpt.txt:2: not utf-8 text: invalid start byte",
         ),
+        (
+            ["eval", "{gt_degenerate}", "{gt}", "--out", "{out}"],
+            "gt_degenerate.txt:3: degenerate box (",
+        ),
+        (
+            ["eval", "{gt}", "{det_degenerate}", "--out", "{out}"],
+            "det_degenerate.txt:3: degenerate box (",
+        ),
+        (
+            ["predict", "{ckpt}", "{data_degenerate}", "--out", "{out}"],
+            "test_data.txt:3: degenerate box (",
+        ),
     ],
     ids=[
         "bins-not-integers", "bins-empty", "bins-below-2", "predict-split",
@@ -616,7 +646,8 @@ def _exit_code(argv):
         "sidecar-extra-rows",
         "checkpoint-renamed-layer", "checkpoint-widths",
         "config-not-utf8", "manifest-not-utf8", "data-not-utf8", "gt-not-utf8",
-        "det-not-utf8", "checkpoint-not-utf8",
+        "det-not-utf8", "checkpoint-not-utf8", "gt-degenerate-box", "det-degenerate-box",
+        "data-degenerate-box",
     ],
 )
 def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_path, capsys):

@@ -7,6 +7,9 @@ writers must give the same bytes, the readers the same objects (floats
 compared as ``float.hex``), and a malformed line the same exception type
 and message.  The intended differences, class ids below 1 in record files
 and dataset gt class ids without a class spec, are checked in test_records.
+The oracle wraps a degenerate box's error as the readers do, in a
+FormatError that names ``path:line`` (the per-field readers raised the
+box's own error, which named neither).
 """
 
 import math
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 
 from viewbench.angles import TWO_PI, canonicalize
-from viewbench.errors import FormatError
+from viewbench.errors import FormatError, InvalidParameter
 from viewbench.metrics import Box, Detection, GroundTruth
 from viewbench.net import LogEntry
 from viewbench.records import (
@@ -60,6 +63,14 @@ def _parse_int(token, where):
         raise FormatError(f"{where}: not an integer: {token!r}") from None
 
 
+def _box(tokens, where):
+    coords = [_parse_float(t, where) for t in tokens]
+    try:
+        return Box(*coords)
+    except InvalidParameter as e:
+        raise FormatError(f"{where}: {e}") from None
+
+
 def _data_lines(text):
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -84,7 +95,7 @@ def oracle_parse_ground_truths(text, path="<string>"):
         where = f"{path}:{lineno}"
         if len(tok) != 7:
             raise FormatError(f"{where}: expected 7 fields, got {len(tok)}")
-        box = Box(*(_parse_float(t, where) for t in tok[2:6]))
+        box = _box(tok[2:6], where)
         az = canonicalize(math.radians(_parse_float(tok[6], where)))
         out.append(GroundTruth(tok[0], _parse_int(tok[1], where), box, az))
     return out
@@ -106,7 +117,7 @@ def oracle_parse_detections(text, path="<string>"):
         where = f"{path}:{lineno}"
         if len(tok) != 8:
             raise FormatError(f"{where}: expected 8 fields, got {len(tok)}")
-        box = Box(*(_parse_float(t, where) for t in tok[2:6]))
+        box = _box(tok[2:6], where)
         score = _parse_float(tok[6], where)
         az = canonicalize(math.radians(_parse_float(tok[7], where)))
         out.append(Detection(tok[0], _parse_int(tok[1], where), box, score, az))
@@ -173,7 +184,7 @@ def oracle_parse_dataset(text, class_specs, split, seed, path="<string>", featur
                 raise FormatError(f"{where}: gt line before any scene line")
             if len(tok) != 7:
                 raise FormatError(f"{where}: gt line needs 7 fields, got {len(tok)}")
-            box = Box(*(_parse_float(t, where) for t in tok[2:6]))
+            box = _box(tok[2:6], where)
             gts.append(
                 GroundTruth(cur_id, _parse_int(tok[1], where), box, _parse_float(tok[6], where))
             )
@@ -192,7 +203,7 @@ def oracle_parse_dataset(text, class_specs, split, seed, path="<string>", featur
                 )
             ov = _parse_float(tok[2], where)
             noise_seed = _parse_int(tok[3], where)
-            box = Box(*(_parse_float(t, where) for t in tok[4:8]))
+            box = _box(tok[4:8], where)
             if len(tok) == 8 + feature_dim:
                 feat = np.array([_parse_float(t, where) for t in tok[8:]])
             else:

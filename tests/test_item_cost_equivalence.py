@@ -29,7 +29,7 @@ import pytest
 from viewbench import losses, synthetic
 from viewbench.angles import TWO_PI, canonicalize
 from viewbench.errors import InvalidAngle, InvalidParameter
-from viewbench.gradcheck import _pack
+from viewbench.gradcheck import _layout
 from viewbench.losses import (
     JointClsOutputs,
     JointRegOutputs,
@@ -580,9 +580,9 @@ def test_packed_joint_cls_rows_equal_concatenation():
     rng = np.random.default_rng(3)
     for b, n_c, n_v in ((1, 1, 2), (4, 2, 8), (7, 5, 24)):
         outputs = JointClsOutputs(rng.normal(size=(b, n_c, n_v)), rng.normal(size=b))
-        vec, unpack = _pack(outputs)
+        vec, rows, build = _layout(outputs)
         assert _same_bits(vec, np.concatenate([outputs.obj.ravel(), outputs.back]))
-        again = unpack(vec)
+        again = build(vec.take(rows))
         want = np.concatenate([outputs.obj.reshape(b, -1), outputs.back[:, None]], axis=1)
         assert _same_bits(again.flat, want)
         assert _same_bits(again.obj, outputs.obj) and _same_bits(again.back, outputs.back)

@@ -6,7 +6,8 @@ pass in row blocks.  The whole-text and whole-batch paths they replaced are
 kept here as the oracle: readers over an open file must give the objects
 (floats compared as ``float.hex``), or the exception type and message, of
 the parsers over ``Path.read_text()``; a staged data file must hold the
-bytes of ``format_dataset(...).encode()``; and a prediction must equal the
+bytes of ``format_dataset(...).encode()``, a streamed detection file
+those of the per-line template; and a prediction must equal the
 whole-batch computation bit for bit, dtype and shape included.
 """
 
@@ -27,9 +28,11 @@ from test_codec_equivalence import (
     _records_key,
     _same_outcome,
     _special_dataset,
+    oracle_parse_detections,
 )
 
 from viewbench import records
+from viewbench.errors import FormatError
 from viewbench.losses import joint_detection_scores, softmax
 from viewbench.metrics import Box, Detection
 from viewbench.net import (
@@ -335,6 +338,46 @@ class TestSharedBoxes:
     def test_records(self):
         _, dets = _records()
         assert format_detections(dets) == oracle_format_detections(dets)
+
+    @pytest.mark.parametrize("which", ["shared", "single", "empty", "records"])
+    def test_written_file_is_the_formatted_text(self, which, tmp_path):
+        dets = {
+            "shared": self._dets(), "single": self._dets()[:1], "empty": [],
+            "records": _records()[1],
+        }[which]
+        records.write_detections(tmp_path / "dets.txt", dets)
+        assert (tmp_path / "dets.txt").read_bytes() == oracle_format_detections(dets).encode()
+
+    def test_equal_box_tokens_share_one_box(self):
+        dets = self._dets()
+        got = parse_detections(format_detections(dets))
+        assert _records_key(got) == _records_key(oracle_parse_detections(format_detections(dets)))
+        # box and twin print the same tokens: one Box for the first five lines
+        assert all(d.box is got[0].box for d in got[:5])
+        assert got[5].box is not got[0].box
+        assert got[6].box is not got[0].box and got[6].box == got[0].box
+
+    def test_other_box_text_is_parsed_on_its_own(self):
+        text = (
+            "a 1 0.1 0.2 0.3 0.4 0.5 10\n"
+            "a 2 0.10 0.2 0.3 0.4 0.25 20\n"
+            "a 3 0.10 0.2 0.3 0.4 0.125 30\n"
+            "a 4 0.1 0.2 0.3 0.4 0.0625 40\n"
+        )
+        got = parse_detections(text)
+        assert _records_key(got) == _records_key(oracle_parse_detections(text))
+        assert got[1].box is not got[0].box and got[1].box == got[0].box
+        assert got[2].box is got[1].box
+        assert got[3].box is not got[2].box and got[3].box == got[0].box
+
+    @pytest.mark.parametrize("rest, message", [
+        ("x 10", "not a number: 'x'"), ("0.5 inf", "non-finite value 'inf'"),
+        ("0.5", "expected 8 fields, got 7"),
+    ])
+    def test_bad_line_after_equal_box_tokens_is_read_checked(self, rest, message):
+        text = "a 1 0.1 0.2 0.3 0.4 0.5 10\na 2 0.1 0.2 0.3 0.4 " + rest + "\n"
+        with pytest.raises(FormatError, match=f"^d.txt:2: {message}$"):
+            parse_detections(text, path="d.txt")
 
 
 # ---------------------------------------------------------------- predict
