@@ -15,13 +15,11 @@ from viewbench import (
     AmbiguousDecode,
     azimuth_to_bin,
     bin_center,
-    bin_distance,
     canonicalize,
     circular_difference,
     decode,
     encode,
     flip_azimuth,
-    mirror_bin,
 )
 
 print("== canonical angles ==")
@@ -36,16 +34,10 @@ for deg in (0.0, 7.49, 7.51, 352.4, 352.6):
     print(f"{deg:7.2f} deg -> bin {b:2d} (center {math.degrees(bin_center(b, 24)):6.1f} deg)")
 
 print()
-print("== circular bin distance ==")
-print("bins 1 and 24 of 24 are neighbors:", bin_distance(1, 24, 24))
-print("bins 1 and 13 of 24 are opposite:", bin_distance(1, 13, 24))
-
-print()
 print("== left-right flips ==")
 theta = math.radians(40.0)
 print(f"flip_azimuth(40 deg) = {math.degrees(flip_azimuth(theta)):.1f} deg")
 print("flip is an involution:", math.degrees(flip_azimuth(flip_azimuth(theta))))
-print("mirror_bin(5, 24) =", mirror_bin(5, 24))
 
 print()
 print("== embedding codecs ==")

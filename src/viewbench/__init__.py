@@ -10,19 +10,16 @@ CLI for end-to-end runs.
 from .angles import (
     azimuth_to_bin,
     bin_center,
-    bin_distance,
     canonicalize,
     circular_difference,
     decode,
     encode,
     flip_azimuth,
-    mirror_bin,
 )
 from .errors import (
     AmbiguousDecode,
     BackgroundInPoseLoss,
     BackgroundInRegression,
-    BinningMismatch,
     ClassOutOfRange,
     ConfigError,
     DivergenceError,

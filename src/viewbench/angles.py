@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     AmbiguousDecode,
-    BinningMismatch,
     InvalidAngle,
     InvalidBinning,
     InvalidParameter,
@@ -107,33 +106,10 @@ def bin_center(index: int, n_bins: int) -> float:
     return canonicalize(TWO_PI * (index - 1) / n_bins)
 
 
-def bin_distance(a: int, b: int, n_bins: int, n_bins_b: int | None = None) -> int:
-    """Circular step distance between two bin indices of the same binning.
-
-    Returns an integer in [0, n_bins // 2].
-    """
-    if n_bins_b is not None and n_bins_b != n_bins:
-        raise BinningMismatch(f"cannot compare {n_bins}-bin and {n_bins_b}-bin indices")
-    if n_bins < 2:
-        raise InvalidBinning(f"need at least 2 bins, got {n_bins}")
-    for idx in (a, b):
-        if not 1 <= idx <= n_bins:
-            raise InvalidBinning(f"bin index {idx} outside 1..{n_bins}")
-    d = abs(a - b)
-    return min(d, n_bins - d)
-
-
 def flip_azimuth(theta):
     """Azimuth of the horizontally mirrored object: 2*pi - theta, canonical.
     Elementwise on an ndarray."""
     return canonicalize(-canonicalize(theta))
-
-
-def mirror_bin(index: int, n_bins: int) -> int:
-    """Bin index that ``flip_azimuth`` maps bin ``index`` onto (edges aside)."""
-    if not 1 <= index <= n_bins:
-        raise InvalidBinning(f"bin index {index} outside 1..{n_bins}")
-    return 1 if index == 1 else n_bins - index + 2
 
 
 def encode(theta, dim: int) -> np.ndarray:

@@ -13,10 +13,6 @@ class InvalidBinning(ViewbenchError):
     """Bin count below 2, or otherwise unusable."""
 
 
-class BinningMismatch(ViewbenchError):
-    """Two bin indices with different bin counts were combined."""
-
-
 class AmbiguousDecode(ViewbenchError):
     """Embedding has no meaningful direction (projection numerically zero)."""
 

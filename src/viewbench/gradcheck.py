@@ -111,10 +111,11 @@ def _slots_to_check(
 def _score(analytic: np.ndarray, values: np.ndarray, eps: float) -> float:
     """The worst relative error of the central differences of ``values``
     ((2, n): f at +eps and at -eps in each slot) against ``analytic``.  A
-    NaN error is passed over, as Python's ``max`` passes over it."""
+    NaN error (a NaN value or analytic slot) makes the result NaN, which
+    fails every tolerance."""
     fd = (values[0] - values[1]) / (2.0 * eps)
     err = np.abs(analytic - fd) / np.fmax(np.fmax(1.0, np.abs(analytic)), np.abs(fd))
-    return float(np.fmax.reduce(err, initial=0.0))
+    return float(np.max(err, initial=0.0))
 
 
 def _per_slot_values(
@@ -235,7 +236,8 @@ def _layout(outputs) -> tuple[np.ndarray, np.ndarray, Callable]:
         # a row's (class, bin) slots, then its background logit: the
         # (B, n_classes * n_bins + 1) rows the loss normalizes
         rows = np.concatenate(
-            [np.arange(obj.size).reshape(b, -1), obj.size + np.arange(b)[:, None]], axis=1
+            [np.arange(obj.size).reshape(b, n_classes * n_bins), obj.size + np.arange(b)[:, None]],
+            axis=1,
         )
 
         def build(mat):

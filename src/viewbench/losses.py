@@ -226,7 +226,8 @@ class JointClsOutputs:
         if flat is None:
             obj = np.asarray(self.obj, dtype=float)
             back = np.asarray(self.back, dtype=float)
-            flat = np.concatenate([obj.reshape(obj.shape[0], -1), back[:, None]], axis=1)
+            b, n_classes, n_bins = obj.shape  # not -1: an empty batch has no inferable width
+            flat = np.concatenate([obj.reshape(b, n_classes * n_bins), back[:, None]], axis=1)
         return flat
 
 

@@ -11,15 +11,18 @@ as a C99 hex float (``float.hex()``), a lossless text encoding.
 Writers build each line with one ``%`` template over Python floats
 (``"%.17g" % x`` is the text of ``format(x, ".17g")``); a dataset prop
 line appends its features, each formatted by ``"%.17g" %``, to the
-template of its box.  Readers take a fast path on each line: unpack the
-fields, convert them with ``float`` and ``int``, and check finiteness
-once.  A line that fails any of that is read again by the checked path,
-which converts field by field and raises a FormatError naming
-``path:line`` and the first bad field (or the degenerate box), so the
-messages do not depend on the fast path.  Class ids in record files must
-be at least 1.  A detection line whose box tokens equal those of the last
-line read fast (the next class of the same proposal) shares that line's
-Box and reads only its score and azimuth.
+template of its box.  Readers read each line once, with ``float`` and
+``int`` and one finiteness check of the sum of its floats (each float is
+looked at only when the sum is not finite, so finite values whose sum
+overflows still read).  Ground-truth, detection and dataset gt lines
+share one read (a label, a class id, four box floats, then floats), and
+each caller applies its class rule; prop lines have their own.  A refused
+line goes to ``_diagnose``, which only raises: it walks the kind's column
+table, ``(token position, check)`` pairs in reporting order, and raises
+the first error, naming ``path:line`` and the bad field (or the
+degenerate box).  Class ids in record files must be at least 1.  A
+detection line whose box tokens equal those of the line before it (the
+next class of a proposal) shares that line's Box.
 
 Every write goes through a temp-file-then-rename, so a failed run never
 leaves a partially written artifact; multi-file outputs are staged
@@ -49,11 +52,11 @@ import os
 import secrets
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import FormatError, InvalidParameter
+from .errors import ConfigError, FormatError, InvalidParameter
 from .metrics import Box, Detection, EvalReport, GroundTruth
 from .net import Dense, LogEntry, ModelParams, NetConfig, layer_plan
 from .synthetic import ClassSpec, Dataset, Proposal, Scene
@@ -95,19 +98,67 @@ def _parse_int(token: str, where: str) -> int:
         raise FormatError(f"{where}: not an integer: {token!r}") from None
 
 
-def _class_id(token: str, where: str) -> int:
-    class_id = _parse_int(token, where)
-    if class_id < 1:
-        raise FormatError(f"{where}: class id must be >= 1, got {class_id}")
-    return class_id
-
-
 def _checked_box(tokens: list[str], where: str) -> Box:
     coords = [_parse_float(t, where) for t in tokens]
     try:
         return Box(*coords)
     except InvalidParameter as e:
         raise FormatError(f"{where}: {e}") from None
+
+
+def _int_check(ok: Callable[[int], bool], problem: Callable[[int], str]) -> Callable:
+    """The check that a token is an integer that ``ok`` accepts;
+    ``problem(value)`` is the error for one it refuses."""
+    def check(token: str, where: str) -> None:
+        value = _parse_int(token, where)
+        if not ok(value):
+            raise FormatError(f"{where}: {problem(value)}")
+    return check
+
+
+_CLASS_ID = _int_check((1).__le__, "class id must be >= 1, got {}".format)
+
+# A column table holds a line kind's (token position, check) pairs, in the
+# order in which their errors are reported.
+_GT_COLUMNS = ((slice(2, 6), _checked_box), (6, _parse_float), (1, _CLASS_ID))
+_DET_COLUMNS = ((slice(2, 6), _checked_box), (6, _parse_float), (7, _parse_float), (1, _CLASS_ID))
+
+
+def _diagnose(tok: list[str], what: str, counts: tuple, columns: tuple, where: str) -> NoReturn:
+    """Raise the error of a line that its read refused: a field count not
+    in ``counts`` (``what`` words the message), or else the error of the
+    first ``(position, check)`` in ``columns`` that fails on ``tok[position]``."""
+    if len(tok) not in counts:
+        raise FormatError(f"{where}: {what} {' or '.join(map(str, counts))} fields, got {len(tok)}")
+    for position, check in columns:
+        check(tok[position], where)
+    raise AssertionError(f"{where}: a refused line passes every check")
+
+
+def _finite(values: list[float]) -> bool:
+    """Whether every value is finite.  One sum decides unless it is not
+    finite; then each value is looked at, since finite values can overflow."""
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
+def _read_box_line(tok: list[str], n_fields: int, box: Box | None = None) -> tuple | None:
+    """The class id, Box and last floats of a well-formed box line (a
+    label, a class id, four box floats, then floats: ``n_fields`` in all),
+    or None for ``_diagnose`` to explain.  ``box``, if given, is the Box of
+    the line's box tokens, which are then not read again."""
+    if len(tok) != n_fields:
+        return None
+    try:
+        class_id = int(tok[1])
+        values = list(map(float, tok[2:] if box is None else tok[6:]))
+        if not _finite(values):
+            return None
+        if box is None:
+            box = Box(*values[:4])  # a degenerate box raises
+            del values[:4]
+    except (ValueError, InvalidParameter):
+        return None
+    return class_id, box, values
 
 
 def _data_lines(source: str | Iterable[str]) -> Iterable[tuple[int, list[str]]]:
@@ -166,38 +217,14 @@ def format_ground_truths(gts: Sequence[GroundTruth]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fast_ground_truth(tok: list[str]) -> GroundTruth | None:
-    """The record of a well-formed line, or None to read it checked."""
-    try:
-        image_id, class_id, x0, y0, x1, y1, deg = tok
-        class_id = int(class_id)
-        x0, y0, x1, y1, deg = map(float, tok[2:])
-    except ValueError:
-        return None
-    # a non-finite value makes the sum non-finite; a sum that overflows
-    # only sends a good line to the checked path
-    if class_id < 1 or not math.isfinite(x0 + y0 + x1 + y1 + deg):
-        return None
-    try:
-        box = Box(x0, y0, x1, y1)
-    except InvalidParameter:  # degenerate: the checked path names the line
-        return None
-    return GroundTruth(image_id, class_id, box, math.radians(deg))
-
-
-def _checked_ground_truth(tok: list[str], where: str) -> GroundTruth:
-    if len(tok) != 7:
-        raise FormatError(f"{where}: expected 7 fields, got {len(tok)}")
-    box = _checked_box(tok[2:6], where)
-    az = math.radians(_parse_float(tok[6], where))
-    return GroundTruth(tok[0], _class_id(tok[1], where), box, az)
-
-
 def parse_ground_truths(text: str | Iterable[str], path: str = "<string>") -> list[GroundTruth]:
     out = []
     for lineno, tok in _data_lines(text):
-        g = _fast_ground_truth(tok)
-        out.append(g if g is not None else _checked_ground_truth(tok, f"{path}:{lineno}"))
+        line = _read_box_line(tok, 7)
+        if line is None or line[0] < 1:
+            _diagnose(tok, "expected", (7,), _GT_COLUMNS, f"{path}:{lineno}")
+        class_id, box, (deg,) = line
+        out.append(GroundTruth(tok[0], class_id, box, math.radians(deg)))
     return out
 
 
@@ -223,53 +250,20 @@ def write_detections(path: str | Path, dets: Sequence[Detection]) -> None:
     atomic_write_bytes(path, LineStream(_detection_lines(dets)))
 
 
-def _fast_detection(tok: list[str], box: Box | None = None) -> Detection | None:
-    """The record of a well-formed line, or None to read it checked.
-    ``box``, if given, is the Box of the line's box tokens, which are then
-    not read again."""
-    try:
-        image_id, class_id, x0, y0, x1, y1, score, deg = tok
-        class_id = int(class_id)
-        score, deg = float(score), float(deg)
-        if box is None:
-            x0, y0, x1, y1 = float(x0), float(y0), float(x1), float(y1)
-    except ValueError:
-        return None
-    if class_id < 1 or not math.isfinite(score + deg):
-        return None
-    if box is None:
-        if not math.isfinite(x0 + y0 + x1 + y1):
-            return None
-        try:
-            box = Box(x0, y0, x1, y1)
-        except InvalidParameter:  # degenerate: the checked path names the line
-            return None
-    return Detection(image_id, class_id, box, score, math.radians(deg))
-
-
-def _checked_detection(tok: list[str], where: str) -> Detection:
-    if len(tok) != 8:
-        raise FormatError(f"{where}: expected 8 fields, got {len(tok)}")
-    box = _checked_box(tok[2:6], where)
-    score = _parse_float(tok[6], where)
-    az = math.radians(_parse_float(tok[7], where))
-    return Detection(tok[0], _class_id(tok[1], where), box, score, az)
-
-
 def parse_detections(text: str | Iterable[str], path: str = "<string>") -> list[Detection]:
     """Detection records.  A line whose four box tokens equal those of the
-    last line read on the fast path (the classes of one proposal, as
-    ``format_detections`` writes them) shares that line's Box."""
+    line before it (the classes of one proposal, as ``format_detections``
+    writes them) shares that line's Box."""
     out = []
-    box_tok = box = None  # the box tokens of the last fast-path line, and its Box
+    box_tok = box = None  # the box tokens of the line before, and its Box
     for lineno, tok in _data_lines(text):
-        if tok[2:6] == box_tok:
-            d = _fast_detection(tok, box)
-        else:
-            d = _fast_detection(tok)
-            if d is not None:
-                box_tok, box = tok[2:6], d.box
-        out.append(d if d is not None else _checked_detection(tok, f"{path}:{lineno}"))
+        line_box_tok = tok[2:6]
+        line = _read_box_line(tok, 8, box if line_box_tok == box_tok else None)
+        if line is None or line[0] < 1:
+            _diagnose(tok, "expected", (8,), _DET_COLUMNS, f"{path}:{lineno}")
+        class_id, box, (score, deg) = line
+        box_tok = line_box_tok
+        out.append(Detection(tok[0], class_id, box, score, math.radians(deg)))
     return out
 
 
@@ -304,6 +298,22 @@ def format_dataset(ds: Dataset, inline_features: bool = True) -> str:
     Without inline features the prop lines stop after the box and the
     feature matrix travels in a binary sidecar."""
     return "\n".join(_dataset_lines(ds, inline_features)) + "\n"
+
+
+def _read_prop_line(tok: list[str], counts: tuple, n_gt: int) -> tuple | None:
+    """The matched gt, IoU, noise seed, Box and inline features (none if it
+    reads a sidecar row) of a well-formed prop line of ``counts`` fields in a
+    scene of ``n_gt`` ground truths, or None for ``_diagnose`` to explain."""
+    if len(tok) not in counts:
+        return None
+    try:
+        matched, ov, noise_seed = int(tok[1]), float(tok[2]), int(tok[3])
+        values = list(map(float, tok[4:]))
+        if not -1 <= matched < n_gt or not math.isfinite(ov) or not _finite(values):
+            return None
+        return matched, ov, noise_seed, Box(*values[:4]), values[4:]
+    except (ValueError, InvalidParameter):  # InvalidParameter: a degenerate box
+        return None
 
 
 def parse_dataset(
@@ -343,73 +353,62 @@ def parse_dataset(
             )
         scenes.append(Scene(cur_id, tuple(gts), tuple(props)))
 
-    # rows a prop line without inline features may read from a usable sidecar
-    sidecar_rows = (
-        features.shape[0]
-        if features is not None and features.ndim == 2 and features.shape[1] == feature_dim
-        else 0
+    # the rows a prop line without inline features may read from the
+    # sidecar, and the error of such a line once there are none
+    sidecar_rows, no_row = 0, "no inline features and no sidecar given"
+    if features is not None and (features.ndim != 2 or features.shape[1] != feature_dim):
+        no_row = (
+            f"sidecar rows must have {feature_dim} values, the sidecar has shape {features.shape}"
+        )
+    elif features is not None:
+        sidecar_rows, no_row = features.shape[0], "sidecar has too few feature rows"
+
+    def feature_values(tokens: list[str], where: str) -> None:
+        for t in tokens:
+            _parse_float(t, where)
+        if not tokens:
+            raise FormatError(f"{where}: {no_row}")
+
+    gt_columns = (
+        (slice(2, 6), _checked_box),
+        (1, _int_check(class_ids.__contains__, lambda c: (
+            f"class id {c} has no class spec, the specs have ids {sorted(class_ids)}"
+        ))),
+        (6, _parse_float),
     )
-
-    def fast_gt(tok: list[str]) -> GroundTruth | None:
-        """The ground truth of a well-formed gt line, or None to read it checked."""
-        try:
-            _, class_id, x0, y0, x1, y1, az = tok
-            class_id = int(class_id)
-            x0, y0, x1, y1, az = map(float, tok[2:])
-        except ValueError:
-            return None
-        if cur_id is None or class_id not in class_ids:
-            return None
-        if not math.isfinite(x0 + y0 + x1 + y1 + az):
-            return None
-        try:
-            box = Box(x0, y0, x1, y1)
-        except InvalidParameter:  # degenerate: the checked path names the line
-            return None
-        return GroundTruth(cur_id, class_id, box, az)
-
-    def fast_prop(tok: list[str]) -> Proposal | None:
-        """The proposal of a well-formed prop line, or None to read it checked."""
-        nonlocal next_feature
-        if cur_id is None or len(tok) < 8:
-            return None
-        try:
-            matched = int(tok[1])
-            ov = float(tok[2])
-            noise_seed = int(tok[3])
-            values = list(map(float, tok[4:]))
-        except ValueError:
-            return None
-        if not -1 <= matched < n_gt or not math.isfinite(sum(values, ov)):
-            return None
-        try:
-            box = Box(*values[:4])
-        except InvalidParameter:  # degenerate: the checked path names the line
-            return None
-        if len(values) == 4 + feature_dim:
-            feat = np.array(values[4:])
-        elif len(values) == 4 and next_feature < sidecar_rows:
-            feat = np.array(features[next_feature], dtype=np.float64)
-            next_feature += 1
-        else:
-            return None
-        return Proposal(box, feat, matched, ov, noise_seed)
+    prop_fields = (8, 8 + feature_dim)
+    prop_columns = (
+        (1, _int_check(lambda m: -1 <= m < n_gt, lambda m: (
+            f"matched_gt {m} is neither -1 nor one of the scene's {n_gt} ground truths"
+        ))),
+        (2, _parse_float),
+        (3, _parse_int),
+        (slice(4, 8), _checked_box),
+        (slice(8, None), feature_values),
+    )
 
     lineno = 0
     for lineno, tok in _data_lines(text):
         kind = tok[0]
+        if cur_id is None and kind in ("gt", "prop"):
+            raise FormatError(f"{path}:{lineno}: {kind} line before any scene line")
         if kind == "prop":
-            prop = fast_prop(tok)
-            if prop is not None:
-                props.append(prop)
-                continue
+            line = _read_prop_line(tok, prop_fields, n_gt)
+            if line is None or not line[4] and next_feature >= sidecar_rows:
+                _diagnose(tok, "prop line needs", prop_fields, prop_columns, f"{path}:{lineno}")
+            matched, ov, noise_seed, box, feat = line
+            if not feat:
+                feat = features[next_feature]
+                next_feature += 1
+            props.append(Proposal(box, np.array(feat, dtype=np.float64), matched, ov, noise_seed))
         elif kind == "gt":
-            gt = fast_gt(tok)
-            if gt is not None:
-                gts.append(gt)
-                continue
-        where = f"{path}:{lineno}"
-        if kind == "scene":
+            line = _read_box_line(tok, 7)
+            if line is None or line[0] not in class_ids:
+                _diagnose(tok, "gt line needs", (7,), gt_columns, f"{path}:{lineno}")
+            class_id, box, (az,) = line
+            gts.append(GroundTruth(cur_id, class_id, box, az))
+        elif kind == "scene":
+            where = f"{path}:{lineno}"
             if len(tok) != 4:
                 raise FormatError(f"{where}: scene line needs 4 fields, got {len(tok)}")
             flush()
@@ -417,52 +416,8 @@ def parse_dataset(
             scene_where = where
             n_gt, n_prop = _parse_int(tok[2], where), _parse_int(tok[3], where)
             gts, props = [], []
-        elif kind == "gt":
-            if cur_id is None:
-                raise FormatError(f"{where}: gt line before any scene line")
-            if len(tok) != 7:
-                raise FormatError(f"{where}: gt line needs 7 fields, got {len(tok)}")
-            box = _checked_box(tok[2:6], where)
-            class_id = _parse_int(tok[1], where)
-            if class_id not in class_ids:
-                raise FormatError(
-                    f"{where}: class id {class_id} has no class spec, the specs have ids "
-                    f"{sorted(class_ids)}"
-                )
-            gts.append(GroundTruth(cur_id, class_id, box, _parse_float(tok[6], where)))
-        elif kind == "prop":
-            if cur_id is None:
-                raise FormatError(f"{where}: prop line before any scene line")
-            if len(tok) not in (8, 8 + feature_dim):
-                raise FormatError(
-                    f"{where}: prop line needs 8 or {8 + feature_dim} fields, got {len(tok)}"
-                )
-            matched = _parse_int(tok[1], where)
-            if not -1 <= matched < n_gt:
-                raise FormatError(
-                    f"{where}: matched_gt {matched} is neither -1 nor one of the "
-                    f"scene's {n_gt} ground truths"
-                )
-            ov = _parse_float(tok[2], where)
-            noise_seed = _parse_int(tok[3], where)
-            box = _checked_box(tok[4:8], where)
-            if len(tok) == 8 + feature_dim:
-                feat = np.array([_parse_float(t, where) for t in tok[8:]])
-            else:
-                if features is None:
-                    raise FormatError(f"{where}: no inline features and no sidecar given")
-                if features.ndim != 2 or features.shape[1] != feature_dim:
-                    raise FormatError(
-                        f"{where}: sidecar rows must have {feature_dim} values, "
-                        f"the sidecar has shape {features.shape}"
-                    )
-                if next_feature >= features.shape[0]:
-                    raise FormatError(f"{where}: sidecar has too few feature rows")
-                feat = np.array(features[next_feature], dtype=np.float64)
-                next_feature += 1
-            props.append(Proposal(box, feat, matched, ov, noise_seed))
         else:
-            raise FormatError(f"{where}: unknown line type {kind!r}")
+            raise FormatError(f"{path}:{lineno}: unknown line type {kind!r}")
     flush()
     if features is not None and features.shape[:1] != (next_feature,):
         raise FormatError(
@@ -482,7 +437,7 @@ def benchmark_manifest(
     config_echo: dict | None,
 ) -> dict:
     def split_entry(ds: Dataset, name: str) -> dict:
-        entry = {
+        return {
             "data": f"{name}_data.txt",
             "gt": f"{name}_gt.txt",
             "features": f"{name}_features.npy" if features_binary else None,
@@ -491,7 +446,6 @@ def benchmark_manifest(
             "n_gt": len(ds.ground_truths()),
             "n_proposals": ds.n_samples,
         }
-        return entry
 
     return {
         "format": "viewbench-benchmark",
@@ -544,6 +498,18 @@ def _field(doc, key: str, kind: type, where: str):
     return value
 
 
+def _read_sidecar(path: Path) -> np.ndarray:
+    """A feature sidecar: a .npy array of integers or floats, all finite."""
+    try:
+        with open(path, "rb") as fh:
+            features = np.lib.format.read_array(fh, allow_pickle=False)
+    except ValueError as e:
+        raise FormatError(f"{path}: not a .npy array: {e}") from None
+    if features.dtype.kind not in "iuf" or not np.isfinite(features).all():
+        raise FormatError(f"{path}: features must be finite integers or floats")
+    return features
+
+
 def read_benchmark(
     manifest_path: str | Path, split: str | None = None
 ) -> tuple[Dataset | None, Dataset | None, dict]:
@@ -590,7 +556,7 @@ def read_benchmark(
         n_scenes = _field(entry, "n_scenes", int, where)
         features = None
         if entry.get("features"):
-            features = np.load(root / _field(entry, "features", str, where), allow_pickle=False)
+            features = _read_sidecar(root / _field(entry, "features", str, where))
         data_path = root / data
         ds = parse_dataset(
             read_lines(data_path), specs, name, seed, path=str(data_path), features=features,
@@ -658,6 +624,8 @@ def parse_checkpoint(text: str, path: str = "<string>") -> Checkpoint:
                 vals = np.array([float.fromhex(t) for t in row[1:]])
             except ValueError:
                 raise FormatError(f"{path}:{i + 2 + j}: bad hex float") from None
+            if not np.isfinite(vals).all():
+                raise FormatError(f"{path}:{i + 2 + j}: non-finite {tag!r} value")
             arrays[tag] = vals.reshape((fan_in, fan_out) if tag in ("w", "vw") else (fan_out,))
         layers[name] = Dense(arrays["w"], arrays["b"], arrays["vw"], arrays["vb"])
         layer_lines.append((i + 1, name, fan_in, fan_out))
@@ -683,7 +651,7 @@ def _header_net(header, path: str) -> NetConfig:
         raise FormatError(f"{path}:2: checkpoint header lacks the net config")
     try:
         return NetConfig(**net)
-    except TypeError as e:
+    except (TypeError, ConfigError) as e:
         raise FormatError(f"{path}:2: bad net config in the checkpoint header: {e}") from None
 
 

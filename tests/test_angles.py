@@ -16,17 +16,14 @@ from viewbench.angles import (
     TWO_PI,
     azimuth_to_bin,
     bin_center,
-    bin_distance,
     canonicalize,
     circular_difference,
     decode,
     encode,
     flip_azimuth,
-    mirror_bin,
 )
 from viewbench.errors import (
     AmbiguousDecode,
-    BinningMismatch,
     InvalidAngle,
     InvalidBinning,
     InvalidParameter,
@@ -111,21 +108,6 @@ class TestBinning:
                 seen[fine] = coarse
         assert len(seen) == 24
 
-    def test_bin_distance_examples(self):
-        assert bin_distance(1, 1, 360) == 0
-        assert bin_distance(1, 360, 360) == 1
-        assert bin_distance(10, 190, 360) == 180
-
-    def test_bin_distance_mismatch(self):
-        with pytest.raises(BinningMismatch):
-            bin_distance(1, 1, 24, 8)
-
-    def test_bin_distance_bounds(self):
-        with pytest.raises(InvalidBinning):
-            bin_distance(0, 1, 24)
-        with pytest.raises(InvalidBinning):
-            bin_distance(1, 25, 24)
-
 
 class TestFlip:
     def test_fixed_points(self):
@@ -142,18 +124,13 @@ class TestFlip:
             assert circular_difference(back, float(theta)) < 1e-12
 
     def test_mirror_bin_consistency(self):
-        # away from bin edges, flipping the angle lands in the mirrored bin
+        # away from bin edges, flipping the angle lands in the mirrored bin:
+        # bin 1 maps onto itself, bin v onto bin n_bins - v + 2
         for n_bins in (4, 8, 24):
             for v in range(1, n_bins + 1):
                 theta = bin_center(v, n_bins)
-                assert azimuth_to_bin(flip_azimuth(theta), n_bins) == mirror_bin(
-                    v, n_bins
-                )
-
-    def test_mirror_bin_involution(self):
-        for n_bins in (2, 24, 360):
-            for v in range(1, n_bins + 1):
-                assert mirror_bin(mirror_bin(v, n_bins), n_bins) == v
+                mirrored = 1 if v == 1 else n_bins - v + 2
+                assert azimuth_to_bin(flip_azimuth(theta), n_bins) == mirrored
 
 
 class TestEncode:

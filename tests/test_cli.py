@@ -396,6 +396,21 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
             np.save(path, fn(np.load(path)))
         return mutate
 
+    def replace_sidecar(fn):
+        def mutate(d):
+            path = d / "test_features.npy"
+            path.write_bytes(fn(path.read_bytes()))
+        return mutate
+
+    def first_nan(f):
+        f = f.copy()
+        f[0, 0] = np.nan
+        return f
+
+    def pickled(d):
+        path = d / "test_features.npy"
+        np.save(path, np.load(path).astype(object), allow_pickle=True)
+
     def renumber_class(doc):
         doc["class_specs"][1]["class_id"] = 3
 
@@ -417,6 +432,12 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
     bench("data_degenerate", edit_lines(gt_degenerate))
     bench("sidecar_width", edit_sidecar(lambda f: f[:, :-1]), binary=True)
     bench("sidecar_rows", edit_sidecar(lambda f: np.concatenate([f, f[:1]])), binary=True)
+    bench("sidecar_empty", replace_sidecar(lambda data: b""), binary=True)
+    bench("sidecar_garbage", replace_sidecar(lambda data: b"not a feature array\n"), binary=True)
+    bench("sidecar_truncated", replace_sidecar(lambda data: data[:-8]), binary=True)
+    bench("sidecar_pickled", pickled, binary=True)
+    bench("sidecar_complex", edit_sidecar(lambda f: f * (1 + 1j)), binary=True)
+    bench("sidecar_nan", edit_sidecar(first_nan), binary=True)
 
     text = small_ckpt["ckpt"].read_text()
     for name, old, new in (
@@ -426,6 +447,14 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
         assert old in text
         out[name] = root / f"{name}.txt"
         out[name].write_text(text.replace(old, new))
+
+    # checkpoints with a non-finite first value in a parameter row
+    for name, tag, value in (("ckpt_nan", "w", "nan"), ("ckpt_inf", "vb", "-inf")):
+        lines = text.splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(tag + " "))
+        lines[i] = " ".join([tag, value, *lines[i].split()[2:]])
+        out[name] = root / f"{name}.txt"
+        out[name].write_text("\n".join(lines) + "\n")
 
     # record files whose second record has a class id below 1
     for name, src_path, class_id in (
@@ -587,6 +616,26 @@ def _exit_code(argv):
             ["predict", "{ckpt}", "{sidecar_rows}", "--out", "{out}"],
             "sidecar rows, the sidecar has shape",
         ),
+        *(
+            (["predict", "{ckpt}", "{sidecar_%s}" % case, "--out", "{out}"],
+             f"sidecar_{case}/test_features.npy: {message}")
+            for case, message in (
+                ("empty", "not a .npy array: "),
+                ("garbage", "not a .npy array: "),
+                ("truncated", "not a .npy array: "),
+                ("pickled", "not a .npy array: Object arrays cannot be loaded"),
+                ("complex", "features must be finite integers or floats"),
+                ("nan", "features must be finite integers or floats"),
+            )
+        ),
+        (
+            ["predict", "{ckpt_nan}", "{manifest}", "--out", "{out}"],
+            "ckpt_nan.txt:4: non-finite 'w' value",
+        ),
+        (
+            ["predict", "{ckpt_inf}", "{manifest}", "--out", "{out}"],
+            "ckpt_inf.txt:7: non-finite 'vb' value",
+        ),
         (
             ["predict", "{ckpt_renamed}", "{manifest}", "--out", "{out}"],
             "layer heed 16 48 does not match the header's net, which has layer head 16 48",
@@ -643,7 +692,8 @@ def _exit_code(argv):
         "manifest-no-splits", "manifest-no-data",
         "manifest-no-seed", "manifest-no-n-proposals", "manifest-no-n-scenes",
         "scene-counts", "dataset-gt-class-7", "matched-gt-past", "sidecar-width",
-        "sidecar-extra-rows",
+        "sidecar-extra-rows", "sidecar-empty", "sidecar-garbage", "sidecar-truncated",
+        "sidecar-pickled", "sidecar-complex", "sidecar-nan", "checkpoint-nan", "checkpoint-inf",
         "checkpoint-renamed-layer", "checkpoint-widths",
         "config-not-utf8", "manifest-not-utf8", "data-not-utf8", "gt-not-utf8",
         "det-not-utf8", "checkpoint-not-utf8", "gt-degenerate-box", "det-degenerate-box",

@@ -1,15 +1,15 @@
 """The line-at-a-time record and dataset codecs against their per-field form.
 
-The writers build each line from one ``%`` template and the readers take a
-fast path with the per-token code as fallback.  The per-field writers and
-readers they replaced are kept here as the oracle: on every input the
-writers must give the same bytes, the readers the same objects (floats
-compared as ``float.hex``), and a malformed line the same exception type
-and message.  The intended differences, class ids below 1 in record files
-and dataset gt class ids without a class spec, are checked in test_records.
-The oracle wraps a degenerate box's error as the readers do, in a
-FormatError that names ``path:line`` (the per-field readers raised the
-box's own error, which named neither).
+The writers build each line from one ``%`` template, and the readers read
+each line once and send a refused line to a diagnosis that only raises.
+The per-field writers and readers they replaced are kept here as the
+oracle: on every input the writers must give the same bytes, the readers
+the same objects (floats compared as ``float.hex``), and a malformed line
+the same exception type and message.  The intended differences, class ids
+below 1 in record files and dataset gt class ids without a class spec, are
+checked in test_records.  The oracle wraps a degenerate box's error as the
+readers do, in a FormatError that names ``path:line`` (the per-field
+readers raised the box's own error, which named neither).
 """
 
 import math
@@ -426,13 +426,23 @@ class TestReaders:
         _same_outcome(parse_detections, oracle_parse_detections, _records_key, det)
 
     def test_sum_overflow_is_read_checked(self):
-        """Finite values whose sum overflows take the checked path and parse."""
+        """Finite values whose sum overflows are checked one by one and parse."""
         text = "img0 1 1e308 1e308 1.5e308 1.7e308 10\n"
         got = _same_outcome(parse_ground_truths, oracle_parse_ground_truths, _records_key, text)
         assert got[0] == "ok"
         text = "img0 1 0 0 1 1 1.7e308 1.7e308\n"
         got = _same_outcome(parse_detections, oracle_parse_detections, _records_key, text)
         assert got[0] == "ok"
+        ds, specs = _dataset_text()
+        for i, line in (
+            (2, "gt 1 1e308 1e308 1.5e308 1.7e308 1.0"),
+            (3, "prop 0 1.7e308 7 0.12 0.2 0.5 0.62 1.7e308 -1.25 1e308"),
+        ):
+            lines = format_dataset(ds).splitlines()
+            lines[i] = line
+            got = _same_outcome(parse_dataset, oracle_parse_dataset, _dataset_key,
+                                "\n".join(lines) + "\n", specs, "train", 0, path="d.txt")
+            assert got[0] == "ok"
 
     def test_layout_variants(self):
         """Comments, blank lines, indentation and tabs read the same."""
@@ -495,6 +505,9 @@ def _malformed(good, int_cols, box_at):
 RECORD_CASES = (
     [("gt", name, tok) for name, tok in _malformed(GOOD_GT, [1], 2)]
     + [("det", name, tok) for name, tok in _malformed(GOOD_DET, [1], 2)]
+    # the box tokens of the good line before it (a shared Box), and both a
+    # bad score and a bad azimuth: the score is reported first
+    + [("det", "shared-box-bad-score-and-azimuth", GOOD_DET[:6] + ["x", "nan"])]
 )
 
 
@@ -549,7 +562,7 @@ def test_malformed_dataset_line(kind, name, tok):
 
 @pytest.mark.parametrize("case", [
     "no-sidecar", "sidecar-width", "sidecar-1d", "sidecar-short", "sidecar-long",
-    "lines-before-scene", "mixed-inline-and-sidecar",
+    "lines-before-scene", "mixed-inline-and-sidecar", "sidecar-empty",
 ])
 def test_dataset_structure(case):
     ds, specs = _dataset_text()
@@ -566,6 +579,8 @@ def test_dataset_structure(case):
         features = features[:1]
     elif case == "sidecar-long":
         features = np.concatenate([features, features])
+    elif case == "sidecar-empty":
+        features = features[:0]
     elif case == "lines-before-scene":
         features = None
         lines = [lines[0], lines[2], lines[3], *lines[1:]]

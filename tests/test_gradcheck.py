@@ -48,6 +48,20 @@ class TestHarness:
         assert res.n_slots <= 64
         assert not res.passed
 
+    @pytest.mark.parametrize("f, analytic", [
+        (lambda x: float("nan"), np.ones(3)),
+        (lambda x: float(np.sum(x * x)), np.full(3, np.nan)),
+    ], ids=["nan-value", "nan-gradient"])
+    def test_nan_error_fails(self, f, analytic):
+        res = check_gradient(f, np.ones(3), analytic)
+        assert np.isnan(res.max_rel_err) and not res.passed
+
+    def test_nan_loss_fails(self):
+        outputs = np.zeros((2, 2, 8))
+        outputs[0, 0, 0] = np.nan
+        res = check_loss(classification_loss, outputs, [Target(1, 0.5), Target(2, 1.0)])
+        assert np.isnan(res.max_rel_err) and not res.passed
+
 
 @pytest.fixture(scope="module")
 def loss_results(gradient_suites):
@@ -297,6 +311,7 @@ class TestRowPath:
     @pytest.mark.parametrize("loss_fn, outputs", [
         (classification_loss, np.zeros((0, 2, 8))),
         (joint_regression_loss, JointRegOutputs(np.zeros((0, 3)), np.zeros((0, 2, 3)))),
+        (joint_classification_loss, JointClsOutputs(np.zeros((0, 2, 8)), np.zeros(0))),
     ])
     def test_empty_batch_checks_no_slot(self, loss_fn, outputs):
         res = check_loss(loss_fn, outputs, [])

@@ -229,6 +229,11 @@ class TestJointClsFlat:
         # every row of a softmax gradient sums to zero
         np.testing.assert_allclose(res.grad.flat.sum(axis=1), 0.0, atol=1e-12)
 
+    def test_empty_batch(self):
+        res = joint_classification_loss(_joint_cls_out(0, 2), [])
+        assert res.value == 0.0
+        assert res.grad.flat.shape == (0, 2 * 6 + 1)
+
 
 def _joint_reg_out(n, n_classes, dim=2):
     rng = np.random.default_rng(n)

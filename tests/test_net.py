@@ -20,7 +20,6 @@ from viewbench.angles import (
     circular_difference,
     encode,
     flip_azimuth,
-    mirror_bin,
 )
 from viewbench.errors import (
     ClassOutOfRange,
@@ -390,7 +389,7 @@ class TestMakeBatch:
         tcfg = TrainConfig(batch_size=64, positive_fraction=1.0, flip_augment=True)
         _, labels = make_batch(pool, tcfg, np.random.default_rng(1))
         bins = {azimuth_to_bin(float(a), 24) for a in labels.azimuth}
-        assert bins == {5, mirror_bin(5, 24)}
+        assert bins == {5, 24 - 5 + 2}  # bin 5 and its mirror image
 
     def test_no_flip_keeps_azimuth(self):
         tcfg = TrainConfig(batch_size=32, positive_fraction=1.0, flip_augment=False)

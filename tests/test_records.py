@@ -402,7 +402,12 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="layer head 4 4 does not match .* trunk0 4 4"):
             parse_checkpoint("\n".join(swapped), path="c")
 
-    @pytest.mark.parametrize("header", ['{"iteration": 0}', "[1]", '{"net": {"depth": 3}}'])
+    @pytest.mark.parametrize("header", [
+        '{"iteration": 0}', "[1]", '{"net": {"depth": 3}}',
+        # net configs that NetConfig rejects by value
+        '{"net": {"input_dim": 4, "trunk_widths": [0], "head": "cls", "n_classes": 2}}',
+        '{"net": {"input_dim": 4, "trunk_widths": [4], "head": "bogus", "n_classes": 2}}',
+    ])
     def test_bad_header_net(self, header):
         lines = self._text().splitlines()
         lines[1] = header
