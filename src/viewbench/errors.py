@@ -50,11 +50,15 @@ class EmptyClassError(ViewbenchError):
 
 
 class DivergenceError(ViewbenchError):
-    """Training produced a non-finite loss or parameters."""
+    """Training produced a non-finite loss or parameters.  Carries the
+    iteration and the last finite probe loss, where they are known."""
 
-    def __init__(self, message: str, iteration: int | None = None):
+    def __init__(
+        self, message: str, iteration: int | None = None, probe_loss: float | None = None
+    ):
         super().__init__(message)
         self.iteration = iteration
+        self.probe_loss = probe_loss
 
 
 class GenerationError(ViewbenchError):

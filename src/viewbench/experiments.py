@@ -37,7 +37,9 @@ from .net import (
     JointClsPrediction,
     JointRegPrediction,
     NetConfig,
+    Pool,
     TrainConfig,
+    build_pool,
     predict,
     train,
 )
@@ -82,17 +84,20 @@ class TrainedArm:
     params: object
 
 
-def train_detector(train_ds: Dataset, seed: int, iters: int = 3000, width: int = 64) -> TrainedArm:
+def train_detector(
+    train_ds: Dataset, pool: Pool, seed: int, iters: int = 3000, width: int = 64
+) -> TrainedArm:
     """Shared proposal scorer: joint-regression net at lambda 0 (pure
-    detection cross-entropy; the pose branch gets zero gradient)."""
+    detection cross-entropy; the pose branch gets zero gradient).  Like
+    every arm, it trains on ``pool``, which is ``build_pool(train_ds)``."""
     s = _arm_seed(seed, "detector")
     cfg = _net_cfg(train_ds, "joint_reg", s, width, n_dims=3, split_depth=1)
-    res = train(train_ds, cfg, _detector_tcfg(s, iters), LossSpec("joint_regression", lam=0.0))
+    res = train(pool, cfg, _detector_tcfg(s, iters), LossSpec("joint_regression", lam=0.0))
     return TrainedArm("detector", cfg, res.params)
 
 
 def train_pose_arm(
-    train_ds: Dataset, arm: str, seed: int, iters: int = 3000, width: int = 64
+    train_ds: Dataset, pool: Pool, arm: str, seed: int, iters: int = 3000, width: int = 64
 ) -> TrainedArm:
     """Pose-only net: 'reg2d', 'reg3d', or 'cls'."""
     s = _arm_seed(seed, arm)
@@ -107,14 +112,16 @@ def train_pose_arm(
         loss = LossSpec("classification")
     else:
         raise ValueError(f"unknown pose arm {arm!r}")
-    res = train(train_ds, cfg, _pose_tcfg(s, iters), loss)
+    res = train(pool, cfg, _pose_tcfg(s, iters), loss)
     return TrainedArm(arm, cfg, res.params)
 
 
-def train_joint_cls(train_ds: Dataset, seed: int, iters: int = 3000, width: int = 64) -> TrainedArm:
+def train_joint_cls(
+    train_ds: Dataset, pool: Pool, seed: int, iters: int = 3000, width: int = 64
+) -> TrainedArm:
     s = _arm_seed(seed, "joint_cls")
     cfg = _net_cfg(train_ds, "joint_cls", s, width)
-    res = train(train_ds, cfg, _detector_tcfg(s, iters), LossSpec("joint_classification"))
+    res = train(pool, cfg, _detector_tcfg(s, iters), LossSpec("joint_classification"))
     return TrainedArm("joint_cls", cfg, res.params)
 
 
@@ -127,7 +134,7 @@ def pose_angles(pred) -> tuple[np.ndarray, np.ndarray]:
     Classified bins map to their centres.
     """
     if isinstance(pred, (ClsPrediction, JointClsPrediction)):
-        angles = TWO_PI * (pred.bins - 1) / pred.probs.shape[2]
+        angles = TWO_PI * (pred.bins - 1) / pred.n_bins
     else:
         angles = pred.angles
     if isinstance(pred, JointClsPrediction):
@@ -170,19 +177,21 @@ class ComparisonResult:
 def compare_formulations(seed: int, iters: int = 3000, width: int = 64) -> ComparisonResult:
     """Train all arms on one seeded benchmark and score them on its test
     split.  The three pose arms share the detector's proposal ordering;
-    the joint arm supplies its own scores (that coupling is the point)."""
+    the joint arm supplies its own scores (that coupling is the point).
+    All arms train on one pool of the training split."""
     train_ds, test_ds = default_benchmark(seed)
+    pool = build_pool(train_ds)
     feats = test_ds.features()
 
     def scored(arm: TrainedArm) -> tuple[np.ndarray, np.ndarray]:
         return pose_angles(predict(arm.params, arm.cfg, feats))
 
-    scores, _ = scored(train_detector(train_ds, seed, iters, width))
+    scores, _ = scored(train_detector(train_ds, pool, seed, iters, width))
     values = {}
     for arm_name in ("reg2d", "reg3d", "cls"):
-        _, angles = scored(train_pose_arm(train_ds, arm_name, seed, iters, width))
+        _, angles = scored(train_pose_arm(train_ds, pool, arm_name, seed, iters, width))
         values[arm_name] = mavp24(test_ds, compose_detections(test_ds, scores, angles))
-    joint = scored(train_joint_cls(train_ds, seed, iters, width))
+    joint = scored(train_joint_cls(train_ds, pool, seed, iters, width))
     values["joint_cls"] = mavp24(test_ds, compose_detections(test_ds, *joint))
     return ComparisonResult(**values)
 
@@ -247,32 +256,20 @@ def symmetry_probe(
     ``pair_mass`` is the mean mass on that pair.
     """
     train_ds = _ambiguous_dataset(seed, noise_sigma, n_scenes, "train")
+    pool = build_pool(train_ds)
 
-    feats, true_bins, pair_bins = [], [], []
-    for scene in train_ds.scenes:
-        for p in scene.proposals:
-            if p.is_background:
-                continue
-            g = scene.gts[p.matched_gt]
-            b = azimuth_to_bin(g.azimuth, N_BINS)
-            feats.append(p.feature)
-            true_bins.append(b)
-            pair_bins.append((b - 1 + N_BINS // 2) % N_BINS + 1)
-    feats = np.array(feats)
-    true_bins = np.array(true_bins)
-    pair_bins = np.array(pair_bins)
+    # the foreground rows: the first rows of the pool's label table
+    feats = pool.fg_features
+    true_bins = pool.labels.bins(N_BINS)[: len(feats)]
+    pair_bins = (true_bins - 1 + N_BINS // 2) % N_BINS + 1
 
     accuracy = {}
-    for arm_name, loss in (("reg3d", LossSpec("regression")),
-                           ("reg2d", LossSpec("regression"))):
+    for arm_name in ("reg3d", "reg2d"):
         s = _arm_seed(seed, arm_name)
         cfg = _net_cfg(train_ds, "reg", s, width,
                        n_dims=2 if arm_name == "reg2d" else 3)
-        res = train(train_ds, cfg, _probe_tcfg(s, iters), loss)
-        pred_bins = np.array(
-            [azimuth_to_bin(a, N_BINS)
-             for a in predict(res.params, cfg, feats).angles[:, 0]]
-        )
+        res = train(pool, cfg, _probe_tcfg(s, iters), LossSpec("regression"))
+        pred_bins = azimuth_to_bin(predict(res.params, cfg, feats).angles[:, 0], N_BINS)
         # paired query: the feature is asked for both azimuths, one answer
         # serves both, so each pair hit counts once out of two questions
         hits = (pred_bins == true_bins) | (pred_bins == pair_bins)
@@ -280,7 +277,7 @@ def symmetry_probe(
 
     s = _arm_seed(seed, "cls")
     cls_cfg = _net_cfg(train_ds, "cls", s, width)
-    cls_res = train(train_ds, cls_cfg, _probe_tcfg(s, iters), LossSpec("classification"))
+    cls_res = train(pool, cls_cfg, _probe_tcfg(s, iters), LossSpec("classification"))
     probs = predict(cls_res.params, cls_cfg, feats).probs[:, 0, :]
     rows = np.arange(len(true_bins))
     pair_mass = float(np.mean(probs[rows, true_bins - 1] + probs[rows, pair_bins - 1]))

@@ -284,10 +284,10 @@ def _pack_params(params: nets.ModelParams) -> tuple[np.ndarray, Callable]:
         pos = 0
         for n, (ws, bs) in zip(names, shapes):
             wn = int(np.prod(ws))
-            out.layers[n].w = v[pos : pos + wn].reshape(ws)
+            out.layers[n].w[...] = v[pos : pos + wn].reshape(ws)
             pos += wn
             bn = int(np.prod(bs))
-            out.layers[n].b = v[pos : pos + bn].reshape(bs)
+            out.layers[n].b[...] = v[pos : pos + bn]
             pos += bn
         return out
 

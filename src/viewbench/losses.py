@@ -97,12 +97,17 @@ class Labels:
     Validated once for the whole batch with the rules of :class:`Target`;
     foreground azimuths must also be finite.  The arrays are read-only
     copies, so what a loss derives from them (bins per bin count,
-    embeddings per dimension) is computed once per batch and kept.
+    embeddings per dimension) is computed once per batch and kept.  Labels
+    made of rows of other labels (:meth:`_rows`, which is how ``net.Pool``
+    hands out a batch's rows of its label table) take what they derive
+    from those labels' rows, which derive it once for all their rows.
     """
 
     class_id: np.ndarray
     azimuth: np.ndarray
     _derived: dict = field(default_factory=dict, init=False, repr=False)
+    # (labels, index): these are rows ``index`` of ``labels``, or None
+    _source: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         cls = np.array(self.class_id)
@@ -132,6 +137,7 @@ class Labels:
         or checking them again."""
         labels = object.__new__(cls)
         object.__setattr__(labels, "_derived", {})
+        object.__setattr__(labels, "_source", None)
         labels._set(class_id, azimuth)
         return labels
 
@@ -142,13 +148,11 @@ class Labels:
         object.__setattr__(self, "azimuth", azimuth)
 
     def _rows(self, index: np.ndarray) -> "Labels":
-        """The labels of rows ``index`` of this batch, with the bins and
-        embeddings derived so far taken along rather than derived again."""
+        """The labels of rows ``index`` of these labels; their bins and
+        embeddings are gathered from these labels' rather than derived
+        again."""
         labels = Labels._of_valid_rows(self.class_id[index], self.azimuth[index])
-        for key, derived in self._derived.items():
-            derived = derived[index]
-            derived.flags.writeable = False
-            labels._derived[key] = derived
+        object.__setattr__(labels, "_source", (self, index))
         return labels
 
     def __len__(self) -> int:
@@ -157,26 +161,28 @@ class Labels:
     def bins(self, n_bins: int) -> np.ndarray:
         """1-based bin of each row's azimuth among ``n_bins``, 0 on
         background rows; derived once per bin count."""
-        key = ("bins", n_bins)
-        out = self._derived.get(key)
-        if out is None:
-            if np.minimum.reduce(self.class_id, initial=1) > 0:  # no background rows
-                out = azimuth_to_bin(self.azimuth, n_bins)
-            else:
-                fg = self.class_id > 0
-                out = np.zeros(len(self), dtype=int)
-                out[fg] = azimuth_to_bin(self.azimuth[fg], n_bins)
-            out.flags.writeable = False
-            self._derived[key] = out
-        return out
+        return self._kept(("bins", n_bins), lambda az: azimuth_to_bin(az, n_bins), 0, ())
 
     def embeddings(self, dim: int) -> np.ndarray:
         """(B, dim) pose embedding of each row's azimuth, NaN on
         background rows; derived once per dimension."""
-        key = ("embeddings", dim)
+        return self._kept(("embeddings", dim), lambda az: encode(az, dim), np.nan, (dim,))
+
+    def _kept(self, key: tuple, fn: Callable, background, shape: tuple) -> np.ndarray:
+        """``fn`` of each row's azimuth, with ``background`` on background
+        rows, which are never evaluated; kept under ``key``, and gathered
+        from the source labels' rows if these are rows of other labels."""
         out = self._derived.get(key)
         if out is None:
-            out = encode(self.azimuth, dim)
+            if self._source is not None:
+                labels, index = self._source
+                out = labels._kept(key, fn, background, shape)[index]
+            elif np.minimum.reduce(self.class_id, initial=1) > 0:  # no background rows
+                out = fn(self.azimuth)
+            else:
+                fg = self.class_id > 0
+                out = np.full((len(self),) + shape, background)
+                out[fg] = fn(self.azimuth[fg])
             out.flags.writeable = False
             self._derived[key] = out
         return out
@@ -597,12 +603,15 @@ def joint_detection_score(obj: np.ndarray, back: float, class_id: int) -> float:
     return float(scores[0, class_id - 1])
 
 
-def joint_detection_scores(outputs: JointClsOutputs) -> np.ndarray:
-    """Batched detection scores, shape (B, n_classes); rows sum with the
-    background probability to 1."""
+def joint_detection_scores(
+    outputs: JointClsOutputs, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Batched detection scores, shape (B, n_classes), written into ``out``
+    if one is given; rows sum with the background probability to 1."""
     obj = np.asarray(outputs.obj, dtype=float)
     back = np.asarray(outputs.back, dtype=float)
     m = np.maximum(np.max(obj, axis=(1, 2)), back)
-    e = np.exp(obj - m[:, None, None])
+    e = np.subtract(obj, m[:, None, None])
+    np.exp(e, out=e)
     denom = np.exp(back - m) + np.sum(e, axis=(1, 2))
-    return np.sum(e, axis=2) / denom[:, None]
+    return np.divide(np.sum(e, axis=2), denom[:, None], out=out)

@@ -11,12 +11,22 @@ kinds cover the loss formulations:
   first and the background slot last
 
 Training is plain SGD with momentum, weight decay on weights only, and a
-step learning-rate schedule.  Batches mix foreground and background
-proposals with replacement; foreground samples are mirrored with
-probability 1/2 by regenerating the feature at the flipped azimuth.
-``make_batch`` returns the features and one ``losses.Labels`` batch,
-assembled by array indexing from tables the ``Pool`` computes once.  All
-randomness comes from seeded generators, so runs are bitwise
+step learning-rate schedule.  A net's parameters, their momentum and
+their gradient are three flat vectors (``ModelParams``), weights first,
+and each layer's arrays are views into them: ``backward`` writes every
+layer's gradient into its slot and ``sgd_step`` is one update of the
+vectors, in place.  A caller that keeps parameters across steps copies
+them.  A ``joint_reg`` branch whose loss gradient is all +0 (the pose
+branch at ``lam=0``) is not back-propagated while its cached inputs and
+weights are finite, which is when the full pass would give exactly +0.
+
+Batches mix foreground and background proposals with replacement;
+foreground samples are mirrored with probability 1/2 by regenerating the
+feature at the flipped azimuth.  ``make_batch`` returns the features and
+one ``losses.Labels`` batch, assembled by array indexing from tables the
+``Pool`` computes once: its labels are rows of the pool's label table,
+whose bins and embeddings are derived once per bin count and dimension.
+All randomness comes from seeded generators, so runs are bitwise
 reproducible.  The training log measures loss on a fixed probe batch, so
 it reflects parameter movement rather than batch sampling noise.
 """
@@ -26,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -161,35 +172,91 @@ class TrainConfig:
 
 @dataclass
 class Dense:
+    """One affine layer's weights, biases and their momentum: views into
+    the vectors of the ``ModelParams`` that holds the layer, so they are
+    updated in place, never rebound."""
+
     w: np.ndarray
     b: np.ndarray
     vw: np.ndarray
     vb: np.ndarray
 
 
-@dataclass
 class ModelParams:
-    """Ordered mapping of layer name to parameters, plus momentum state."""
+    """Ordered mapping of layer name to parameters, plus momentum state.
 
-    layers: dict[str, Dense]
+    The parameters, their momentum and their gradient are three flat
+    float64 vectors laid out alike: every layer's weights in layer order,
+    then every layer's biases (``n_weights`` weights in all).  Each
+    ``Dense`` array is a view into its slot of ``values`` or ``velocity``,
+    and ``grads`` holds the ``(dw, db)`` views into ``grad`` that
+    ``backward`` writes.  Built from layers, the params copy their arrays
+    into fresh vectors.
+    """
+
+    def __init__(self, layers: dict[str, Dense]):
+        ls = list(layers.values())
+        self._bind(
+            [(name, layer.w.shape) for name, layer in layers.items()],
+            np.concatenate([l.w.ravel() for l in ls] + [l.b.ravel() for l in ls], dtype=float),
+            np.concatenate([l.vw.ravel() for l in ls] + [l.vb.ravel() for l in ls], dtype=float),
+        )
+
+    def _bind(self, shapes, values: np.ndarray, velocity: np.ndarray) -> None:
+        self.values, self.velocity, self.grad = values, velocity, np.zeros_like(values)
+        self.n_weights = sum(fan_in * fan_out for _, (fan_in, fan_out) in shapes)
+        self.slots: dict[str, tuple[slice, tuple[int, int], slice]] = {}
+        self.layers: dict[str, Dense] = {}
+        self.grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        w_at, b_at = 0, self.n_weights
+        for name, (fan_in, fan_out) in shapes:
+            w = slice(w_at, w_at + fan_in * fan_out)
+            b = slice(b_at, b_at + fan_out)
+            w_at, b_at = w.stop, b.stop
+            shape = (fan_in, fan_out)
+            self.slots[name] = (w, shape, b)
+            self.layers[name] = Dense(
+                values[w].reshape(shape), values[b], velocity[w].reshape(shape), velocity[b]
+            )
+            self.grads[name] = (self.grad[w].reshape(shape), self.grad[b])
 
     @property
     def n_params(self) -> int:
-        return sum(layer.w.size + layer.b.size for layer in self.layers.values())
+        return self.values.size
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            {
-                name: Dense(l.w.copy(), l.b.copy(), l.vw.copy(), l.vb.copy())
-                for name, l in self.layers.items()
-            }
+        out = object.__new__(ModelParams)
+        out._bind(
+            [(name, shape) for name, (_, shape, _) in self.slots.items()],
+            self.values.copy(),
+            self.velocity.copy(),
         )
+        return out
 
     def all_finite(self) -> bool:
-        return all(
-            np.all(np.isfinite(l.w)) and np.all(np.isfinite(l.b))
-            for l in self.layers.values()
-        )
+        return bool(np.isfinite(self.values).all())
+
+
+class Gradients(Mapping):
+    """One backward pass's parameter gradients, ``name -> (dw, db)``: views
+    into one flat vector ``flat`` laid out like ``ModelParams.values``,
+    which is the caller's own."""
+
+    __slots__ = ("flat", "_slots")
+
+    def __init__(self, flat: np.ndarray, slots: dict):
+        self.flat = flat
+        self._slots = slots
+
+    def __getitem__(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        w, shape, b = self._slots[name]
+        return self.flat[w].reshape(shape), self.flat[b]
+
+    def __iter__(self):
+        return iter(self._slots)
+
+    def __len__(self) -> int:
+        return len(self._slots)
 
 
 def head_width(cfg: NetConfig) -> int:
@@ -325,8 +392,9 @@ def _back_chain(
     out: np.ndarray | None,
     input_grad: bool,
 ) -> np.ndarray | None:
-    """Backprop through a chain; returns the delta at its input, or None
-    without ``input_grad`` (the chain reads ``x``, so nothing needs it).
+    """Backprop through a chain, writing each layer's gradient into its
+    ``grads`` slots; returns the delta at its input, or None without
+    ``input_grad`` (the chain reads ``x``, so nothing needs it).
 
     ``out`` is the chain's ReLU output, or None if it ends in a head.  The
     ReLU mask is applied in place, on deltas this function computed, never
@@ -336,12 +404,29 @@ def _back_chain(
         a_in = cache[name]
         if out is not None:
             np.multiply(delta, out > 0.0, out=delta)
-        grads[name] = (a_in.T @ delta, np.add.reduce(delta, axis=0))
+        dw, db = grads[name]
+        np.matmul(a_in.T, delta, out=dw)
+        np.add.reduce(delta, axis=0, out=db)
         if i == 0 and not input_grad:
             return None
         delta = delta @ layers[name].w.T
         out = a_in
     return delta
+
+
+def _provably_zero(
+    layers: dict[str, Dense], names: Sequence[str], delta: np.ndarray, cache: dict
+) -> bool:
+    """Whether back-propagating ``delta`` through the head chain ``names``
+    gives exactly +0 everywhere: ``delta`` is all +0 (bit for bit), and
+    every input the chain's layers cached and every one of their weights
+    is finite, so that no 0 * inf or NaN can arise.  Then each product
+    and sum on the way is +0, as is the delta at the chain's input."""
+    if delta.dtype != np.float64 or delta.view(np.int64).any():
+        return False
+    return all(
+        np.isfinite(cache[name]).all() and np.isfinite(layers[name].w).all() for name in names
+    )
 
 
 def backward(
@@ -350,15 +435,21 @@ def backward(
     x: np.ndarray,
     out_grad,
     cache: dict | None = None,
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+) -> Gradients:
     """Parameter gradients given the loss gradient at the head outputs.
 
     ``out_grad`` mirrors the forward output structure.  Without a cache
-    the forward pass is recomputed.
+    the forward pass is recomputed.  Each layer's gradient is written into
+    its slot of ``params.grad``, and the result is a copy of that vector,
+    the caller's own.  A ``joint_reg`` branch whose loss gradient is all
+    +0 (the pose branch of ``joint_regression_loss`` at ``lam=0``) is not
+    back-propagated when :func:`_provably_zero` holds; its slots hold +0,
+    and the shared trunk gets the delta that adding its +0 would give.
+    Otherwise it is back-propagated like any other, so a NaN spreads.
     """
     if cache is None:
         _, cache = forward(params, cfg, x, want_cache=True)
-    grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    grads = params.grads
     layers = params.layers
     b = np.asarray(x).shape[0]
     if cfg.head == "joint_reg":
@@ -366,21 +457,26 @@ def backward(
         # with no shared trunk both branches read x
         split = bool(shared)
         d_det = _back_chain(layers, det_names, out_grad.det, cache, grads, None, split)
-        d_pose = _back_chain(
-            layers, pose_names, out_grad.pose.reshape(b, -1), cache, grads, None, split
-        )
+        pose_grad = out_grad.pose.reshape(b, -1)
+        if _provably_zero(layers, pose_names, pose_grad, cache):
+            for name in pose_names:
+                for slot in grads[name]:
+                    slot.fill(0.0)
+            d_pose = 0.0  # x + (+0) is x, but for -0 + +0, which is +0
+        else:
+            d_pose = _back_chain(layers, pose_names, pose_grad, cache, grads, None, split)
         if split:
             _back_chain(
                 layers, shared, d_det + d_pose, cache, grads, cache[det_names[0]], False
             )
-        return grads
-    if cfg.head == "joint_cls":
-        flat = out_grad.flat
     else:
-        flat = out_grad.reshape(b, -1)
-    (names,) = _chains(cfg)
-    _back_chain(layers, names, flat, cache, grads, None, False)
-    return grads
+        if cfg.head == "joint_cls":
+            flat = out_grad.flat
+        else:
+            flat = out_grad.reshape(b, -1)
+        (names,) = _chains(cfg)
+        _back_chain(layers, names, flat, cache, grads, None, False)
+    return Gradients(params.grad.copy(), params.slots)
 
 
 def effective_lr(tcfg: TrainConfig, iteration: int) -> float:
@@ -392,26 +488,32 @@ def effective_lr(tcfg: TrainConfig, iteration: int) -> float:
 
 def sgd_step(
     params: ModelParams,
-    grads: dict[str, tuple[np.ndarray, np.ndarray]],
+    grads: Mapping[str, tuple[np.ndarray, np.ndarray]],
     tcfg: TrainConfig,
     iteration: int,
 ) -> None:
     """In-place momentum SGD update.  Weight decay applies to weights
     only, never biases, and enters through the velocity:
-    v <- momentum*v + g + wd*w;  w <- w - lr_t*v.  The arrays of
-    ``params`` are updated in place, in that order of operations."""
+    v <- momentum*v + g + wd*w;  w <- w - lr_t*v.  The vectors of
+    ``params`` are updated in place, in that order of operations, as one
+    update over all layers (weights first, so the decay is one slice).
+    ``grads`` is what ``backward`` returned, or any mapping with a
+    ``(dw, db)`` for every layer."""
+    if isinstance(grads, Gradients):
+        g = grads.flat
+    else:
+        for name, (dw, db) in params.grads.items():
+            if name not in grads:
+                raise LayoutError(f"sgd_step needs a gradient for every layer, {name!r} has none")
+            dw[...], db[...] = grads[name]
+        g = params.grad
     lr = effective_lr(tcfg, iteration)
-    momentum, decay = tcfg.momentum, tcfg.weight_decay
-    for name, (dw, db) in grads.items():
-        layer = params.layers[name]
-        vw, vb = layer.vw, layer.vb
-        vw *= momentum
-        vw += dw
-        vw += decay * layer.w
-        layer.w -= lr * vw
-        vb *= momentum
-        vb += db
-        layer.b -= lr * vb
+    n_w = params.n_weights
+    w, v = params.values, params.velocity
+    v *= tcfg.momentum
+    v += g
+    v[:n_w] += tcfg.weight_decay * w[:n_w]
+    w -= lr * v
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,10 +522,16 @@ class Pool:
 
     Construction checks the rows once, so the batches drawn from them need
     no checks: foreground rows have a class id >= 1 and a finite azimuth.
-    It also tabulates, per foreground row, what a flip needs: the
-    mirrored azimuth, the class's noiseless feature at that azimuth and
-    the class's noise scale.  Rows of a class without a spec get NaN
-    there and cannot be flipped.
+    It also tabulates, per foreground row, what a flip needs: the class's
+    noiseless feature at the mirrored azimuth and the class's noise
+    scale.  Rows of a class without a spec get NaN there and cannot be
+    flipped.
+
+    ``labels`` is the label table that batches draw their rows from: row
+    ``i`` labels foreground row ``i``, row ``n + i`` its mirror (or is a
+    background row if it cannot be flipped), and row ``2n`` the
+    background.  Its bins and embeddings are derived once per bin count
+    and dimension, over the rows that carry a class.
     """
 
     fg_features: np.ndarray
@@ -431,11 +539,11 @@ class Pool:
     fg_azimuth: np.ndarray
     bg_features: np.ndarray
     specs: dict[int, ClassSpec]
-    fg_flip_azimuth: np.ndarray = field(init=False, repr=False)
     fg_flip_clean: np.ndarray = field(init=False, repr=False)
     fg_noise_sigma: np.ndarray = field(init=False, repr=False)
     # whether some foreground row cannot be flipped
     has_unflippable: bool = field(init=False, repr=False)
+    labels: Labels = field(init=False, repr=False)
 
     def __post_init__(self):
         fg = np.asarray(self.fg_features, dtype=float)
@@ -471,15 +579,21 @@ class Pool:
                 )
             clean[i] = appearance_clean(spec, theta)
             sigma[i] = spec.noise_sigma
+        cls = cls.astype(int, copy=False)
+        flippable = ~np.isnan(sigma)
+        labels = Labels._of_valid_rows(
+            np.concatenate([cls, np.where(flippable, cls, 0), [0]]),
+            np.concatenate([az, np.where(flippable, flip_az, np.nan), [np.nan]]),
+        )
         for name, value in (
             ("fg_features", fg),
-            ("fg_class", cls.astype(int, copy=False)),
+            ("fg_class", cls),
             ("fg_azimuth", az),
             ("bg_features", bg),
-            ("fg_flip_azimuth", flip_az),
             ("fg_flip_clean", clean),
             ("fg_noise_sigma", sigma),
-            ("has_unflippable", bool(np.isnan(sigma).any())),
+            ("has_unflippable", not flippable.all()),
+            ("labels", labels),
         ):
             object.__setattr__(self, name, value)
 
@@ -519,19 +633,19 @@ def make_batch(
     noise.  The noise of all flipped rows of noisy classes is one
     ``(k, feature_dim)`` draw, row by row the same numbers as one draw per
     flipped row.  Backgrounds are rotation-free, so flipping leaves them
-    alone.  The rows were checked when the pool was built, so the labels
-    are not checked again.
+    alone.  The labels are the drawn rows of the pool's label table
+    (``Pool.labels``), whose rows were checked when the pool was built.
     """
     n_fg = math.ceil(tcfg.positive_fraction * tcfg.batch_size)
     n_bg = tcfg.batch_size - n_fg
-    if n_fg > 0 and pool.fg_features.shape[0] == 0:
+    n = pool.fg_features.shape[0]
+    if n_fg > 0 and n == 0:
         raise EmptyClassError("batch needs foreground samples but the pool has none")
     if n_bg > 0 and pool.bg_features.shape[0] == 0:
         raise EmptyClassError("batch needs background samples but the pool has none")
     if n_fg > 0:
-        idx = rng.integers(0, pool.fg_features.shape[0], n_fg)
+        idx = rng.integers(0, n, n_fg)
         fg_x = pool.fg_features.take(idx, axis=0)
-        fg_az = pool.fg_azimuth[idx]
         if tcfg.flip_augment:
             rows = (rng.random(n_fg) < 0.5).nonzero()[0]
             src = idx[rows]
@@ -545,17 +659,15 @@ def make_batch(
             noise *= sigma[noisy, None]
             flip_x[noisy] += noise
             fg_x[rows] = flip_x
-            fg_az[rows] = pool.fg_flip_azimuth[src]
+            idx[rows] += n  # the mirror's row of the label table
         if n_bg == 0:
-            return fg_x, Labels._of_valid_rows(pool.fg_class[idx], fg_az)
+            return fg_x, pool.labels._rows(idx)
     bg_x = pool.bg_features.take(rng.integers(0, pool.bg_features.shape[0], n_bg), axis=0)
-    cls = np.zeros(n_bg + n_fg, dtype=int)
-    az = np.full(n_bg + n_fg, np.nan)
+    table_rows = np.full(n_fg + n_bg, 2 * n)
     if n_fg == 0:
-        return bg_x, Labels._of_valid_rows(cls, az)
-    cls[:n_fg] = pool.fg_class[idx]
-    az[:n_fg] = fg_az
-    return np.concatenate([fg_x, bg_x]), Labels._of_valid_rows(cls, az)
+        return bg_x, pool.labels._rows(table_rows)
+    table_rows[:n_fg] = idx
+    return np.concatenate([fg_x, bg_x]), pool.labels._rows(table_rows)
 
 
 def _loss_fn(spec: LossSpec, cfg: NetConfig) -> Callable[[object, Labels], LossResult]:
@@ -599,11 +711,19 @@ def train(
     The loss must match the head kind.  Pose-only losses cannot digest
     background rows, so they require positive_fraction == 1.  The log
     holds probe-batch loss every log_every iterations (and at the last);
-    identical seeds give bitwise identical parameters and logs.  A
-    non-finite batch loss aborts with DivergenceError carrying the
-    iteration.
+    identical seeds give bitwise identical parameters and logs.  Batches
+    carry rows of the pool's label table, so a step derives no bin or
+    embedding.  A ``joint_reg`` branch whose loss gradient is all +0 (the
+    pose branch at ``lam=0``) is not back-propagated while its cached
+    inputs and weights are finite (see :func:`backward`).
 
-    Every step updates the arrays of the parameters in place: the
+    A non-finite batch loss aborts with DivergenceError carrying the
+    iteration and the last finite probe loss, and naming the first layer,
+    in forward order, whose cached input activation, weights or biases
+    hold a non-finite value.
+
+    Parameters, momentum and gradients are flat vectors that every step
+    updates in place, and each layer's arrays are views into them: the
     ``params`` a callback receives are the live ones, so a callback that
     keeps them past its return must copy them (``params.copy()``).
     """
@@ -630,17 +750,25 @@ def train(
         pool, dataclasses.replace(tcfg, flip_augment=False), probe_rng
     )
     log: list[LogEntry] = []
+    probe_loss = None  # the last finite one
     for t in range(tcfg.total_iters):
         if t % tcfg.log_every == 0 or t == tcfg.total_iters - 1:
             probe = fn(forward(params, cfg, probe_x), probe_t)
             log.append(
                 LogEntry(t, effective_lr(tcfg, t), probe.value, probe.value / len(probe_t))
             )
+            if math.isfinite(probe.value):
+                probe_loss = probe.value
         x, labels = make_batch(pool, tcfg, batch_rng)
         out, cache = forward(params, cfg, x, want_cache=True)
         res = fn(out, labels)
         if not math.isfinite(res.value):
-            raise DivergenceError(f"non-finite loss {res.value}", iteration=t)
+            raise DivergenceError(
+                f"non-finite loss {res.value}; {_first_non_finite(params, cache)}; "
+                f"last finite probe loss {probe_loss}",
+                iteration=t,
+                probe_loss=probe_loss,
+            )
         grads = backward(params, cfg, x, res.grad, cache)
         sgd_step(params, grads, tcfg, t)
         if callback is not None:
@@ -648,6 +776,20 @@ def train(
     if not params.all_finite():
         raise DivergenceError("non-finite parameters after final step")
     return TrainResult(params, log)
+
+
+def _first_non_finite(params: ModelParams, cache: dict) -> str:
+    """Where a step whose loss is not finite first held a non-finite
+    value: the first layer, in forward order (the cache's), whose cached
+    input activation, weights (``w``) or biases (``b``) do."""
+    finite = np.isfinite(params.values)
+    for name, a_in in cache.items():
+        w, _, b = params.slots[name]
+        for what, ok in (("activation", np.isfinite(a_in).all()), ("w", finite[w].all()),
+                         ("b", finite[b].all())):
+            if not ok:
+                return f"first non-finite value in layer {name} {what}"
+    return "every cached activation and parameter is finite, so the outputs or the loss overflowed"
 
 
 @dataclass(frozen=True)
@@ -664,6 +806,10 @@ class ClsPrediction:
     bins: np.ndarray  # (B, n_classes), 1-based argmax bin
     probs: np.ndarray  # (B, n_classes, n_bins) per-class softmax
 
+    @property
+    def n_bins(self) -> int:
+        return self.probs.shape[2]
+
 
 @dataclass(frozen=True)
 class JointRegPrediction:
@@ -676,7 +822,7 @@ class JointRegPrediction:
 class JointClsPrediction:
     scores: np.ndarray  # (B, n_classes) marginal detection scores
     bins: np.ndarray  # (B, n_classes)
-    probs: np.ndarray  # (B, n_classes, n_bins) pose posterior given class
+    n_bins: int
 
 
 def _decode_grid(emb: np.ndarray) -> np.ndarray:
@@ -704,10 +850,11 @@ def predict(params: ModelParams, cfg: NetConfig, x: np.ndarray):
     the pipeline benchmark's shapes (OpenBLAS 0.3.31) 64- and 100-row
     blocks did not, nor did 2048-row blocks whose last block held 5 to 130
     rows, and no BLAS promises that any block size does.  The softmaxes,
-    argmax and detection scores that follow it are row-wise, give the same
+    detection scores and argmax that follow it are row-wise, give the same
     bits in any block of rows, and run ``PREDICT_BLOCK`` rows at a time
     into preallocated outputs, so their temporaries are one block's, not
-    the whole batch's; decoding goes one embedding at a time."""
+    the whole batch's; a joint classification head takes no softmax over
+    its bins.  Decoding goes one embedding at a time."""
     out = forward(params, cfg, x)
     if cfg.head == "reg":
         return RegPrediction(_decode_grid(out), out)
@@ -717,16 +864,21 @@ def predict(params: ModelParams, cfg: NetConfig, x: np.ndarray):
         for rows in blocks:
             softmax(out.det[rows], out=det_probs[rows])
         return JointRegPrediction(det_probs, _decode_grid(out.pose), out.pose)
-    logits = out if cfg.head == "cls" else out.obj
-    probs = np.empty(logits.shape)
-    bins = np.empty(logits.shape[:2], dtype=np.intp)
-    scores = np.empty(logits.shape[:2]) if cfg.head == "joint_cls" else None
-    for rows in blocks:
-        block = logits[rows]
-        softmax(block.reshape(-1, cfg.n_bins), out=probs[rows].reshape(-1, cfg.n_bins))
-        bins[rows] = np.argmax(block, axis=2) + 1
-        if scores is not None:
-            scores[rows] = joint_detection_scores(JointClsOutputs(block, out.back[rows]))
     if cfg.head == "cls":
-        return ClsPrediction(bins, probs)
-    return JointClsPrediction(scores, bins, probs)
+        probs = np.empty(out.shape)
+        for rows in blocks:
+            softmax(out[rows].reshape(-1, cfg.n_bins), out=probs[rows].reshape(-1, cfg.n_bins))
+        return ClsPrediction(_argmax_bins(out, blocks), probs)
+    scores = np.empty(out.obj.shape[:2])
+    for rows in blocks:
+        joint_detection_scores(JointClsOutputs(out.obj[rows], out.back[rows]), out=scores[rows])
+    return JointClsPrediction(scores, _argmax_bins(out.obj, blocks), cfg.n_bins)
+
+
+def _argmax_bins(logits: np.ndarray, blocks: list[slice]) -> np.ndarray:
+    """The 1-based argmax bin of each (row, class) of (B, n_classes,
+    n_bins) logits, a block of rows at a time."""
+    bins = np.empty(logits.shape[:2], dtype=np.intp)
+    for rows in blocks:
+        bins[rows] = np.argmax(logits[rows], axis=2) + 1
+    return bins

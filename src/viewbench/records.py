@@ -141,24 +141,21 @@ def _finite(values: list[float]) -> bool:
     return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
-def _read_box_line(tok: list[str], n_fields: int, box: Box | None = None) -> tuple | None:
+def _read_box_line(tok: list[str], n_fields: int) -> tuple | None:
     """The class id, Box and last floats of a well-formed box line (a
     label, a class id, four box floats, then floats: ``n_fields`` in all),
-    or None for ``_diagnose`` to explain.  ``box``, if given, is the Box of
-    the line's box tokens, which are then not read again."""
+    or None for ``_diagnose`` to explain."""
     if len(tok) != n_fields:
         return None
     try:
         class_id = int(tok[1])
-        values = list(map(float, tok[2:] if box is None else tok[6:]))
+        values = list(map(float, tok[2:]))
         if not _finite(values):
             return None
-        if box is None:
-            box = Box(*values[:4])  # a degenerate box raises
-            del values[:4]
+        box = Box(*values[:4])  # a degenerate box raises
     except (ValueError, InvalidParameter):
         return None
-    return class_id, box, values
+    return class_id, box, values[4:]
 
 
 def _data_lines(source: str | Iterable[str]) -> Iterable[tuple[int, list[str]]]:
@@ -258,11 +255,23 @@ def parse_detections(text: str | Iterable[str], path: str = "<string>") -> list[
     box_tok = box = None  # the box tokens of the line before, and its Box
     for lineno, tok in _data_lines(text):
         line_box_tok = tok[2:6]
-        line = _read_box_line(tok, 8, box if line_box_tok == box_tok else None)
-        if line is None or line[0] < 1:
-            _diagnose(tok, "expected", (8,), _DET_COLUMNS, f"{path}:{lineno}")
-        class_id, box, (score, deg) = line
-        box_tok = line_box_tok
+        if line_box_tok == box_tok:  # the box was read: read the class id, score, azimuth
+            try:
+                _, class_id, _, _, _, _, score, deg = tok
+                class_id, score, deg = int(class_id), float(score), float(deg)
+                ok = class_id >= 1 and (
+                    math.isfinite(score + deg) or math.isfinite(score) and math.isfinite(deg)
+                )
+            except ValueError:
+                ok = False
+            if not ok:
+                _diagnose(tok, "expected", (8,), _DET_COLUMNS, f"{path}:{lineno}")
+        else:
+            line = _read_box_line(tok, 8)
+            if line is None or line[0] < 1:
+                _diagnose(tok, "expected", (8,), _DET_COLUMNS, f"{path}:{lineno}")
+            class_id, box, (score, deg) = line
+            box_tok = line_box_tok
         out.append(Detection(tok[0], class_id, box, score, math.radians(deg)))
     return out
 

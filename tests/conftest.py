@@ -4,7 +4,11 @@ import time
 
 import pytest
 
+from viewbench.experiments import median_comparison, symmetry_probe
 from viewbench.gradcheck import loss_gradient_suite, net_gradient_suite
+
+# the formulation comparison's seeds (criteria c5 and c6)
+COMPARISON_SEEDS = (0, 1, 2, 3, 4)
 
 
 class GradientSuites:
@@ -42,3 +46,18 @@ class GradientSuites:
 @pytest.fixture(scope="session")
 def gradient_suites():
     return GradientSuites()
+
+
+@pytest.fixture(scope="session")
+def comparison_medians():
+    """``median_comparison(COMPARISON_SEEDS)``, computed once per session,
+    and the seconds it took."""
+    start = time.perf_counter()
+    med = median_comparison(COMPARISON_SEEDS)
+    return med, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
+def symmetry_probe_0():
+    """``symmetry_probe(0)``, computed once per session."""
+    return symmetry_probe(0)

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import COMPARISON_SEEDS
 from test_metrics import _fuzz_case
 
 from viewbench.angles import circular_difference, decode, encode
 from viewbench.cli import entry
-from viewbench.experiments import median_comparison, symmetry_probe
 from viewbench.losses import (
     JointClsOutputs,
     Target,
@@ -28,21 +28,11 @@ from viewbench.losses import (
 )
 from viewbench.metrics import Box, Detection, GroundTruth, evaluate
 
-SEEDS = (0, 1, 2, 3, 4)
-
-
 def _verdict(n, label, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
     print(f"\n[{status}] criterion {n}: {label}{suffix}")
     assert ok, f"criterion {n} failed: {label}{suffix}"
-
-
-@pytest.fixture(scope="module")
-def medians():
-    start = time.perf_counter()
-    med = median_comparison(SEEDS)
-    return med, time.perf_counter() - start
 
 
 def test_c1_codec_round_trip_and_grid_oracle():
@@ -181,8 +171,8 @@ def test_c4_metric_oracles():
     )
 
 
-def test_c5_formulation_ordering(medians):
-    med, elapsed = medians
+def test_c5_formulation_ordering(comparison_medians):
+    med, elapsed = comparison_medians
     gap = med["cls"] - med["reg2d"]
     ok = (
         med["cls"] > med["reg3d"] > med["reg2d"]
@@ -194,12 +184,12 @@ def test_c5_formulation_ordering(medians):
         "median mAVP24 ranks classification > 3D regression > 2D regression",
         ok,
         f"cls={med['cls']:.4f} reg3d={med['reg3d']:.4f} reg2d={med['reg2d']:.4f} "
-        f"gap={gap:.4f}, {elapsed:.0f} s for {len(SEEDS)} seeds",
+        f"gap={gap:.4f}, {elapsed:.0f} s for {len(COMPARISON_SEEDS)} seeds",
     )
 
 
-def test_c6_joint_training_helps(medians):
-    med, elapsed = medians
+def test_c6_joint_training_helps(comparison_medians):
+    med, elapsed = comparison_medians
     ok = med["joint_cls"] > med["cls"] and elapsed < 600.0
     _verdict(
         6,
@@ -209,8 +199,8 @@ def test_c6_joint_training_helps(medians):
     )
 
 
-def test_c7_symmetry_ambiguity():
-    probe = symmetry_probe(0)
+def test_c7_symmetry_ambiguity(symmetry_probe_0):
+    probe = symmetry_probe_0
     reg_ok = (
         abs(probe.reg3d_accuracy - 0.5) <= 0.05
         and abs(probe.reg2d_accuracy - 0.5) <= 0.05

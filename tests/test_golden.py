@@ -21,6 +21,11 @@ seeds 0, 3 and 7, and the sha256 over every result's name, slot count and
 the network's backward pass or the finite-difference harness that moves a
 single bit of a reported error shows up here.
 
+Experiments: the ``repr`` of the five-seed ``median_comparison`` (the
+numbers of criteria c5 and c6) and of ``symmetry_probe(0)`` (c7) is
+pinned.  They come from the session fixtures the acceptance criteria use,
+so pinning them costs no training run of its own.
+
 Float results depend on the machine, so the digests are keyed by the
 environment fingerprint of the benchmark (``perfbench/worker.py``: CPU,
 core count, Python, NumPy and BLAS build and thread count) and the tests are
@@ -44,7 +49,10 @@ from pathlib import Path
 import pytest
 import yaml
 
+from conftest import COMPARISON_SEEDS
+
 from viewbench.cli import entry
+from viewbench.experiments import median_comparison, symmetry_probe
 from viewbench.gradcheck import loss_gradient_suite, net_gradient_suite
 from viewbench.losses import LossSpec
 from viewbench.net import LOSS_HEADS, POSE_ONLY_LOSSES, NetConfig, TrainConfig, build_pool, train
@@ -129,6 +137,15 @@ _XEON_2VCPU_ARTIFACTS = {
 # gradcheck suites at GRADCHECK_SEEDS, same machine
 _XEON_2VCPU_GRADCHECK = "f235956ae8e25adcd803bc56003ba8be68e6798601033ef17e17eb41ffe97b5f"
 
+# repr of median_comparison(COMPARISON_SEEDS) and of symmetry_probe(0),
+# same machine, with one and with two BLAS threads
+_XEON_2VCPU_EXPERIMENTS = {
+    "median_comparison": "{'reg2d': 0.33973687602879443, 'reg3d': 0.3722204084784951, "
+                         "'cls': 0.4918437241459055, 'joint_cls': 0.503732806643828}",
+    "symmetry_probe": "SymmetryProbeResult(reg3d_accuracy=0.5, reg2d_accuracy=0.5, "
+                      "pair_mass=0.9999885395868422)",
+}
+
 # fingerprint key (``perfbench/run.py:fingerprint_key``) -> pinned digests
 GOLDEN = {
     # one BLAS thread, as the benchmark runs
@@ -136,12 +153,14 @@ GOLDEN = {
         "training": _XEON_2VCPU,
         "artifacts": _XEON_2VCPU_ARTIFACTS,
         "gradcheck": _XEON_2VCPU_GRADCHECK,
+        "experiments": _XEON_2VCPU_EXPERIMENTS,
     },
     # two BLAS threads
     "67ee356a183fa293": {
         "training": _XEON_2VCPU,
         "artifacts": _XEON_2VCPU_ARTIFACTS,
         "gradcheck": _XEON_2VCPU_GRADCHECK,
+        "experiments": _XEON_2VCPU_EXPERIMENTS,
     },
 }
 
@@ -267,6 +286,10 @@ def record() -> dict:
         "training": {kind: _digests(_run(kind, pool)) for kind in LOSS_HEADS},
         "artifacts": artifacts,
         "gradcheck": gradcheck_digest(),
+        "experiments": {
+            "median_comparison": repr(median_comparison(COMPARISON_SEEDS)),
+            "symmetry_probe": repr(symmetry_probe(0)),
+        },
     }
 
 
@@ -296,6 +319,14 @@ def test_pipeline_artifact_digests(layout, pinned, tmp_path):
 def test_gradcheck_digest(pinned, gradient_suites):
     digest = gradcheck_digest(gradient_suites.loss, gradient_suites.net)
     assert digest == pinned["gradcheck"]
+
+
+def test_median_comparison_repr(pinned, comparison_medians):
+    assert repr(comparison_medians[0]) == pinned["experiments"]["median_comparison"]
+
+
+def test_symmetry_probe_repr(pinned, symmetry_probe_0):
+    assert repr(symmetry_probe_0) == pinned["experiments"]["symmetry_probe"]
 
 
 if __name__ == "__main__":

@@ -306,6 +306,59 @@ class TestBackward:
         assert np.array_equal(_layout(grad)[0], before)
 
 
+class TestFlatParams:
+    CFG = NetConfig(input_dim=3, trunk_widths=(4, 5), head="joint_reg", n_classes=2,
+                    n_dims=2, split_depth=1, seed=5)
+
+    def test_layers_view_the_vectors(self):
+        params = init_params(self.CFG)
+        plan = layer_plan(self.CFG)
+        assert params.n_weights == sum(i * o for _, i, o in plan)
+        assert params.n_params == params.values.size == params.n_weights + sum(o for *_, o in plan)
+        w_parts = [params.layers[name].w.ravel() for name, _, _ in plan]
+        b_parts = [params.layers[name].b.ravel() for name, _, _ in plan]
+        assert np.array_equal(params.values, np.concatenate(w_parts + b_parts))
+        params.values[:] = 1.5
+        params.velocity[:] = -2.0
+        for layer in params.layers.values():
+            assert (layer.w == 1.5).all() and (layer.b == 1.5).all()
+            assert (layer.vw == -2.0).all() and (layer.vb == -2.0).all()
+
+    def test_copy_is_independent_and_identical(self):
+        params = init_params(self.CFG)
+        params.velocity[:] = np.random.default_rng(0).normal(size=params.velocity.size)
+        copy = params.copy()
+        for vec in ("values", "velocity"):
+            got, want = getattr(copy, vec), getattr(params, vec)
+            assert got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, want)
+        assert list(copy.layers) == list(params.layers)
+        copy.layers["pose0"].w[0, 0] += 1.0
+        copy.velocity[-1] += 1.0
+        assert not np.array_equal(copy.layers["pose0"].w, params.layers["pose0"].w)
+        assert copy.velocity[-1] != params.velocity[-1]
+
+    def test_backward_result_is_the_callers(self):
+        params = init_params(self.CFG)
+        x = np.random.default_rng(1).normal(size=(5, 3))
+        out = forward(params, self.CFG, x)
+        ones = JointRegOutputs(np.ones_like(out.det), np.ones_like(out.pose))
+        first = backward(params, self.CFG, x, ones)
+        kept = first.flat.copy()
+        second = backward(params, self.CFG, x, JointRegOutputs(-out.det, out.pose))
+        assert first.flat.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first.flat, second.flat)
+        assert not np.shares_memory(first.flat, params.grad)
+        assert list(first) == list(params.layers)
+
+    def test_sgd_step_needs_every_layer(self):
+        params = init_params(self.CFG)
+        grads = {name: (np.zeros_like(l.w), np.zeros_like(l.b)) for name, l in params.layers.items()}
+        del grads["pose_head"]
+        with pytest.raises(LayoutError, match="pose_head"):
+            sgd_step(params, grads, TrainConfig(), 0)
+
+
 class TestSGD:
     def _scalar_params(self, w=1.0, b=0.0):
         return ModelParams(
@@ -545,13 +598,66 @@ class TestMakeBatchEquivalence:
 
     def test_pool_tables(self):
         pool = _mixed_noise_pool()
-        for i in range(pool.fg_class.shape[0]):
+        n = pool.fg_class.shape[0]
+        for i in range(n):
             spec = pool.specs[int(pool.fg_class[i])]
             theta = flip_azimuth(float(pool.fg_azimuth[i]))
-            assert _bits(pool.fg_flip_azimuth[i]) == _bits(theta)
+            assert _bits(pool.labels.azimuth[n + i]) == _bits(theta)
+            assert pool.labels.class_id[n + i] == pool.fg_class[i]
             assert pool.fg_noise_sigma[i] == spec.noise_sigma
             clean = appearance_clean(spec, theta)
             assert np.array_equal(_bits(pool.fg_flip_clean[i]), _bits(clean))
+
+
+@pytest.mark.parametrize("pool_fn", [_mixed_noise_pool, _generated_pool, _toy_pool])
+def test_label_tables_equal_fresh_codecs(pool_fn):
+    """The pool's label table holds, bit for bit, what ``azimuth_to_bin``
+    and ``encode`` give for every foreground row and for the mirror of
+    every row that can be flipped; the mirror rows of the rest and the
+    background row carry no class, bin 0 and a NaN embedding."""
+    pool = pool_fn()
+    n = pool.fg_class.shape[0]
+    flippable = ~np.isnan(pool.fg_noise_sigma)
+    mirrors = [flip_azimuth(float(a)) for a in pool.fg_azimuth]
+    labels = pool.labels
+    assert len(labels) == 2 * n + 1
+    assert labels.class_id.tolist() == (
+        pool.fg_class.tolist() + np.where(flippable, pool.fg_class, 0).tolist() + [0]
+    )
+    for n_bins in (2, 8, 24, 360):
+        bins = labels.bins(n_bins)
+        for i in range(n):
+            assert bins[i] == azimuth_to_bin(float(pool.fg_azimuth[i]), n_bins)
+            want = azimuth_to_bin(mirrors[i], n_bins) if flippable[i] else 0
+            assert bins[n + i] == want
+        assert bins[2 * n] == 0
+    for dim in (2, 3):
+        emb = labels.embeddings(dim)
+        for i in range(n):
+            fresh = encode(np.array([pool.fg_azimuth[i]]), dim)[0]
+            assert np.array_equal(_bits(emb[i]), _bits(fresh))
+            if flippable[i]:
+                fresh = encode(np.array([mirrors[i]]), dim)[0]
+                assert np.array_equal(_bits(emb[n + i]), _bits(fresh))
+            else:
+                assert np.isnan(emb[n + i]).all()
+        assert np.isnan(emb[2 * n]).all()
+
+
+def test_batch_labels_are_table_rows():
+    """A batch's labels derive nothing themselves: their bins and
+    embeddings are rows of the pool's, which are derived once."""
+    pool = _mixed_noise_pool()
+    tcfg = TrainConfig(batch_size=24, positive_fraction=0.5, flip_augment=True)
+    rng = np.random.default_rng(0)
+    _, first = make_batch(pool, tcfg, rng)
+    table_bins = pool.labels.bins(6)
+    for labels in (first, make_batch(pool, tcfg, rng)[1]):
+        _, rows = labels._source
+        assert labels._source[0] is pool.labels
+        assert np.array_equal(labels.bins(6), table_bins[rows])
+        assert np.array_equal(_bits(labels.embeddings(3)), _bits(pool.labels.embeddings(3)[rows]))
+    assert pool.labels.bins(6) is table_bins
 
 
 def _all_noisy_pool():
@@ -732,6 +838,10 @@ def _step_cases():
                     for flip in (True, False):
                         cases.append((kind, widths, split, decay, flip))
     cases.append(("joint_regression", (7,), 1, 5e-3, True, 0.0))  # the detector's lam
+    # lam 0, whose all-zero pose branch is not back-propagated, at every split
+    for split in range(3):
+        for decay in (0.0, 5e-3):
+            cases.append(("joint_regression", (7, 5), split, decay, True, 0.0))
     return [c if len(c) == 6 else c + (0.5,) for c in cases]
 
 
@@ -779,6 +889,55 @@ class TestStepEquivalence:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         for name, ref in ref_params.layers.items():
             assert np.array_equal(_bits(params.layers[name].vw), _bits(ref.vw))
+
+
+def test_lam0_non_finite_pose_activation_matches_full_backprop():
+    """A detector (lam 0) whose pose branch holds a non-finite activation
+    is back-propagated in full, so its NaN spreads step by step and the
+    run diverges exactly where the straightforward step diverges, with
+    the same bits in every parameter before that."""
+    pool = _all_noisy_pool()
+    cfg = NetConfig(
+        input_dim=pool.fg_features.shape[1], trunk_widths=(7, 5), head="joint_reg",
+        n_classes=2, n_dims=2, split_depth=1, seed=3,
+    )
+    tcfg = TrainConfig(lr=0.05, batch_size=12, total_iters=12, decay_at=(6,), log_every=4,
+                       positive_fraction=0.5, weight_decay=5e-3, seed=4)
+    spec = LossSpec("joint_regression", lam=0.0, delta=0.7)
+
+    def poison(t, layers):
+        if t == 2:  # an infinite pose0 unit: the pose head's input is not finite
+            layers["pose0"].b[1] = np.inf
+
+    steps = []
+
+    def callback(t, params, value):
+        poison(t, params.layers)
+        steps.append((value, params.copy()))
+
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+        train(pool, cfg, tcfg, spec, callback=callback)
+
+    ref = init_params(cfg)
+    rng = np.random.default_rng([tcfg.seed, 0])
+    with np.errstate(all="ignore"):
+        for t in range(tcfg.total_iters):
+            x, targets = _make_batch_oracle(pool, tcfg, rng)
+            out, cache = _oracle_forward(ref, cfg, x)
+            value, grad = _oracle_loss(spec, cfg, out, targets)
+            if not math.isfinite(value):
+                break
+            _oracle_sgd(ref, _oracle_backward(ref, cfg, x, grad, cache), tcfg, t)
+            poison(t, ref.layers)
+            value_then, params = steps[t]
+            assert value_then == value
+            for name, layer in ref.layers.items():
+                for attr in ("w", "b", "vw", "vb"):
+                    got = getattr(params.layers[name], attr)
+                    assert np.array_equal(_bits(got), _bits(getattr(layer, attr))), (t, name, attr)
+    assert err.value.iteration == t == len(steps)
+    assert np.isnan(steps[3][1].layers["pose_head"].w).any()  # the NaN did spread
+    assert not np.isnan(steps[2][1].layers["pose_head"].w).any()
 
 
 class TestTrain:
@@ -838,6 +997,49 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
             train(_toy_pool(), self.CFG, tcfg, "classification")
         assert err.value.iteration is not None
+
+    @pytest.mark.parametrize("layer, attr, where", [
+        ("trunk0", "w", "layer trunk0 w"),
+        ("trunk0", "b", "layer trunk0 b"),
+        ("head", "w", "layer head w"),
+        ("head", "b", "layer head b"),
+    ])
+    def test_divergence_names_where(self, layer, attr, where):
+        def poison(t, params, value):
+            if t == 3:
+                getattr(params.layers[layer], attr)[0] = np.nan
+
+        with pytest.raises(DivergenceError) as err:
+            train(_toy_pool(), self.CFG, self.TCFG, "classification", callback=poison)
+        probe = train(_toy_pool(), self.CFG, self.TCFG, "classification").log[0].loss
+        assert err.value.iteration == 4
+        assert err.value.probe_loss == probe
+        assert str(err.value) == (
+            f"non-finite loss nan; first non-finite value in {where}; "
+            f"last finite probe loss {probe}"
+        )
+
+    def test_divergence_names_the_activation_before_the_weights(self):
+        pool = _toy_pool()
+
+        def poison(t, params, value):
+            if t == 0:  # the next batch's inputs and trunk0's weights
+                pool.fg_features[:] = np.nan
+                params.layers["trunk0"].w[0] = np.nan
+
+        with pytest.raises(DivergenceError) as err:
+            train(pool, self.CFG, self.TCFG, "classification", callback=poison)
+        assert err.value.iteration == 1
+        assert "first non-finite value in layer trunk0 activation;" in str(err.value)
+
+    def test_divergence_names_a_non_finite_input(self):
+        pool = _toy_pool()
+        pool.fg_features[5, 1] = np.inf
+        tcfg = dataclasses.replace(self.TCFG, log_every=1)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            train(pool, self.CFG, tcfg, "classification")
+        assert "first non-finite value in layer trunk0 activation" in str(err.value)
+        assert math.isfinite(err.value.probe_loss)
 
 
 class TestPredict:

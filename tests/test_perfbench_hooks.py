@@ -1,9 +1,12 @@
 """The benchmark's tracing hooks still find every function they wrap.
 
 ``perfbench/tracing.py`` wraps viewbench functions by name for its span and
-count passes.  Renaming or unbinding one of them would only fail the
-benchmark's traced run; here it fails the test suite.  The module is
-imported from the ``perfbench`` directory as it stands.
+count passes, and ``perfbench/worker.py``'s plain pass wraps ``net.train``
+to time training, reading the ``TrainConfig`` from its third argument.
+Renaming or unbinding one of them, or changing how ``train`` is called,
+would only fail the benchmark's runs (or zero its
+``train_samples_per_s``); here it fails the test suite.  The modules are
+imported from the ``perfbench`` directory as they stand.
 """
 
 import importlib
@@ -80,6 +83,23 @@ def test_hooks_install_run_and_restore(mode):
             "angles.canonicalize.calls", tracing.TARGET_COUNTER,
         ):
             assert totals.get(key, 0) > 0, key
+
+
+def test_plain_pass_times_training():
+    modules = _modules()
+    before = _bound_functions(modules)
+    installer = tracing.Installer()
+    speed = worker.SpeedProbe()
+    totals = {"train_s": 0.0, "train_rows": 0}
+    worker._time_training(installer, modules["net"], speed, totals, [])
+    try:
+        with speed:
+            _short_runs(modules)
+    finally:
+        installer.restore()
+    assert _bound_functions(modules) == before
+    assert totals["train_rows"] == 2 * 5 * 16  # two runs of 5 iterations of 16 rows
+    assert totals["train_s"] > 0.0
 
 
 @pytest.mark.parametrize("binary", [False, True])

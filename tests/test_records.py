@@ -347,6 +347,26 @@ class TestCheckpoints:
                     getattr(params.layers[name], attr),
                 )
 
+    def test_save_load_save_gives_identical_vectors(self, tmp_path):
+        cfg = NetConfig(input_dim=3, trunk_widths=(4, 3), head="joint_reg", n_classes=2,
+                        n_dims=2, split_depth=1, seed=9)
+        params = init_params(cfg)
+        params.values[:] = np.random.default_rng(0).normal(size=params.values.size)
+        params.velocity[:] = np.random.default_rng(1).normal(size=params.velocity.size)
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(first, params, cfg, iteration=7)
+        loaded = load_checkpoint(first).params
+        save_checkpoint(second, loaded, cfg, iteration=7)
+        assert first.read_bytes() == second.read_bytes()
+        for vec in ("values", "velocity"):
+            got, want = getattr(loaded, vec), getattr(params, vec)
+            assert got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, want)
+        assert loaded.n_weights == params.n_weights
+        for layer in loaded.layers.values():
+            assert np.shares_memory(layer.w, loaded.values)
+            assert np.shares_memory(layer.vb, loaded.velocity)
+
     def test_missing_magic(self, tmp_path):
         p = tmp_path / "bad.ckpt"
         p.write_text("not a checkpoint\n")

@@ -90,8 +90,7 @@ def oracle_predict(params, cfg, x):
     if cfg.head == "joint_reg":
         return JointRegPrediction(softmax(out.det), _decode_grid(out.pose), out.pose)
     scores = joint_detection_scores(out)
-    probs = softmax(out.obj.reshape(-1, cfg.n_bins)).reshape(out.obj.shape)
-    return JointClsPrediction(scores, np.argmax(out.obj, axis=2) + 1, probs)
+    return JointClsPrediction(scores, np.argmax(out.obj, axis=2) + 1, cfg.n_bins)
 
 
 # the per-line template format_detections used before it shared box text
@@ -399,5 +398,8 @@ def test_row_block_predict(head):
         assert type(got) is type(want)
         for field in type(want).__dataclass_fields__:
             g, w = getattr(got, field), getattr(want, field)
+            if not isinstance(w, np.ndarray):
+                assert g == w, (b, field)
+                continue
             assert (g.dtype, g.shape) == (w.dtype, w.shape), (b, field)
             assert g.tobytes() == w.tobytes(), (b, field)
