@@ -257,15 +257,20 @@ def cmd_generate(args) -> int:
         jitter=ds["jitter"],
         gt_size_range=tuple(ds["gt_size_range"]),
     )
-    train_ds = generate(int(state[0]), ds["n_train_scenes"], specs, split="train", **common)
-    test_ds = generate(int(state[1]), ds["n_test_scenes"], specs, split="test", **common)
+    # each split is made while write_benchmark stages it, so one is in memory at a time
     manifest = write_benchmark(
-        out, train_ds, test_ds, config_echo=cfg, features_binary=ds["features_binary"]
+        out,
+        lambda: generate(int(state[0]), ds["n_train_scenes"], specs, split="train", **common),
+        lambda: generate(int(state[1]), ds["n_test_scenes"], specs, split="test", **common),
+        config_echo=cfg,
+        features_binary=ds["features_binary"],
     )
-    for name, d in (("train", train_ds), ("test", test_ds)):
+    splits = json.loads(read_text(manifest))["splits"]
+    for name in ("train", "test"):
+        e = splits[name]
         print(
-            f"{name}: {len(d.scenes)} scenes, {len(d.ground_truths())} ground truths, "
-            f"{d.n_samples} proposals"
+            f"{name}: {e['n_scenes']} scenes, {e['n_gt']} ground truths, "
+            f"{e['n_proposals']} proposals"
         )
     print(f"manifest: {manifest}")
     return 0

@@ -10,8 +10,8 @@ as a C99 hex float (``float.hex()``), a lossless text encoding.
 
 Writers build each line with one ``%`` template over Python floats
 (``"%.17g" % x`` is the text of ``format(x, ".17g")``); a dataset prop
-line appends its features, each formatted by ``"%.17g" %``, to the
-template of its box.  Readers read each line once, with ``float`` and
+line with inline features takes the template of its feature count, made
+once per count.  Readers read each line once, with ``float`` and
 ``int`` and one finiteness check of the sum of its floats (each float is
 looked at only when the sum is not finite, so finite values whose sum
 overflows still read).  Ground-truth, detection and dataset gt lines
@@ -33,6 +33,10 @@ copy of one is held.  ``write_benchmark`` streams each data file into its
 staged temp file, encoding its lines a chunk of ``_CHUNK_CHARS``
 characters at a time (``format_dataset`` joins the same lines into one
 string); ``write_detections`` streams a detection file the same way.
+Nor are two splits held at once: ``write_benchmark`` makes and stages the
+splits one at a time, each when its first file is staged, lets each go
+after its last file, and stages the manifest last, from the seed and
+counts it recorded of each split.
 ``read_benchmark`` and ``read_lines`` read a file one physical
 line at a time, in the encoding ``Path.read_text`` uses, and split each
 with ``str.splitlines``, so the parsers see exactly the lines, and name
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import codecs
 import contextlib
+import functools
 import io
 import json
 import math
@@ -74,7 +79,6 @@ _DATA_GT_LINE = "gt %s %.17g %.17g %.17g %.17g %.17g"
 _DATA_PROP_LINE = "prop %s %.17g %s %.17g %.17g %.17g %.17g"
 _DET_BOX = "%.17g %.17g %.17g %.17g"
 _DET_REST = "%s %s %s %.17g %.12g"  # a detection line around its formatted box
-_FLOAT17 = "%.17g".__mod__  # one float at 17 significant digits
 _LOG_LINE = "%s %.17g %.17g %.17g"
 
 # Characters of text encoded and written per chunk of a streamed file.
@@ -204,14 +208,17 @@ def read_lines(path: str | Path) -> Iterator[str]:
 # ---------------------------------------------------------------- records
 
 
-def format_ground_truths(gts: Sequence[GroundTruth]) -> str:
-    lines = [GT_HEADER]
+def _ground_truth_lines(gts: Sequence[GroundTruth]) -> Iterator[str]:
+    yield GT_HEADER
     for g in gts:
         b = g.box
-        lines.append(_GT_LINE % (
+        yield _GT_LINE % (
             g.image_id, g.class_id, b.x_min, b.y_min, b.x_max, b.y_max, math.degrees(g.azimuth)
-        ))
-    return "\n".join(lines) + "\n"
+        )
+
+
+def format_ground_truths(gts: Sequence[GroundTruth]) -> str:
+    return "\n".join(_ground_truth_lines(gts)) + "\n"
 
 
 def parse_ground_truths(text: str | Iterable[str], path: str = "<string>") -> list[GroundTruth]:
@@ -279,6 +286,14 @@ def parse_detections(text: str | Iterable[str], path: str = "<string>") -> list[
 # ---------------------------------------------------------------- datasets
 
 
+@functools.cache
+def _inline_prop_line(n_features: int) -> str:
+    """The template of a prop line with ``n_features`` inline features: the
+    box template, a space, then the features joined by spaces (so a line
+    with no features ends in a space)."""
+    return _DATA_PROP_LINE + " " + " ".join(["%.17g"] * n_features)
+
+
 def _dataset_lines(ds: Dataset, inline_features: bool) -> Iterator[str]:
     yield (
         f"# viewbench dataset: split={ds.split} feature_dim={ds.feature_dim} "
@@ -291,15 +306,16 @@ def _dataset_lines(ds: Dataset, inline_features: bool) -> Iterator[str]:
             yield _DATA_GT_LINE % (g.class_id, b.x_min, b.y_min, b.x_max, b.y_max, g.azimuth)
         for p in scene.proposals:
             b = p.box
-            line = _DATA_PROP_LINE % (
-                p.matched_gt, p.iou, p.noise_seed, b.x_min, b.y_min, b.x_max, b.y_max
-            )
             if inline_features:
-                # joined rather than one template over the line: a template's
-                # growing buffer fragments the heap, which raised the peak RSS
-                # of the pipeline benchmark by 7%; joined text has its exact size
-                line += " " + " ".join(map(_FLOAT17, p.feature.tolist()))
-            yield line
+                feature = p.feature.tolist()
+                yield _inline_prop_line(len(feature)) % (
+                    p.matched_gt, p.iou, p.noise_seed, b.x_min, b.y_min, b.x_max, b.y_max,
+                    *feature,
+                )
+            else:
+                yield _DATA_PROP_LINE % (
+                    p.matched_gt, p.iou, p.noise_seed, b.x_min, b.y_min, b.x_max, b.y_max
+                )
 
 
 def format_dataset(ds: Dataset, inline_features: bool = True) -> str:
@@ -439,21 +455,36 @@ def parse_dataset(
 # ---------------------------------------------------------------- manifest
 
 
-def benchmark_manifest(
-    train: Dataset,
-    test: Dataset,
-    features_binary: bool,
-    config_echo: dict | None,
+@dataclass(frozen=True)
+class _SplitSummary:
+    """What a manifest records of a split: its seed and counts, and (taken
+    from the train split) the feature dimension and class specs."""
+
+    seed: int
+    n_scenes: int
+    n_gt: int
+    n_proposals: int
+    feature_dim: int
+    class_specs: tuple[ClassSpec, ...]
+
+    @classmethod
+    def of(cls, ds: Dataset) -> _SplitSummary:
+        n_gt = sum(len(scene.gts) for scene in ds.scenes)
+        return cls(ds.seed, len(ds.scenes), n_gt, ds.n_samples, ds.feature_dim, ds.class_specs)
+
+
+def _manifest(
+    train: _SplitSummary, test: _SplitSummary, features_binary: bool, config_echo: dict | None
 ) -> dict:
-    def split_entry(ds: Dataset, name: str) -> dict:
+    def split_entry(summary: _SplitSummary, name: str) -> dict:
         return {
             "data": f"{name}_data.txt",
             "gt": f"{name}_gt.txt",
             "features": f"{name}_features.npy" if features_binary else None,
-            "seed": ds.seed,
-            "n_scenes": len(ds.scenes),
-            "n_gt": len(ds.ground_truths()),
-            "n_proposals": ds.n_samples,
+            "seed": summary.seed,
+            "n_scenes": summary.n_scenes,
+            "n_gt": summary.n_gt,
+            "n_proposals": summary.n_proposals,
         }
 
     return {
@@ -467,34 +498,96 @@ def benchmark_manifest(
     }
 
 
+def benchmark_manifest(
+    train: Dataset,
+    test: Dataset,
+    features_binary: bool,
+    config_echo: dict | None,
+) -> dict:
+    """The manifest ``write_benchmark`` writes for these two splits."""
+    return _manifest(
+        _SplitSummary.of(train), _SplitSummary.of(test), features_binary, config_echo
+    )
+
+
 def _npy_bytes(arr: np.ndarray) -> bytes:
     buf = io.BytesIO()
     np.save(buf, arr, allow_pickle=False)
     return buf.getvalue()
 
 
+def _split_files(
+    out: Path,
+    name: str,
+    source: Dataset | Callable[[], Dataset],
+    features_binary: bool,
+    summaries: dict[str, _SplitSummary],
+) -> dict[Path, ByteStream]:
+    """A split's files as streams.  The split is made (a callable ``source``
+    called) when the first of them is staged, and its summary put in
+    ``summaries``.  Only the streams' generators reach it, and a generator
+    lets go of its frame once exhausted, so the split goes once the last of
+    its files is staged."""
+    ds: Dataset | None = None
+
+    def dataset() -> Dataset:
+        nonlocal ds
+        if ds is None:
+            ds = source() if callable(source) else source
+            summaries[name] = _SplitSummary.of(ds)
+        return ds
+
+    def data_lines() -> Iterator[str]:
+        yield from _dataset_lines(dataset(), inline_features=not features_binary)
+
+    def gt_lines() -> Iterator[str]:
+        yield from _ground_truth_lines(dataset().ground_truths())
+
+    def feature_chunks() -> Iterator[bytes]:
+        yield _npy_bytes(dataset().features())
+
+    files = {
+        out / f"{name}_data.txt": LineStream(data_lines()),
+        out / f"{name}_gt.txt": LineStream(gt_lines()),
+    }
+    if features_binary:
+        files[out / f"{name}_features.npy"] = ByteStream(feature_chunks())
+    return files
+
+
 def write_benchmark(
     out_dir: str | Path,
-    train: Dataset,
-    test: Dataset,
+    train: Dataset | Callable[[], Dataset],
+    test: Dataset | Callable[[], Dataset],
     config_echo: dict | None = None,
     features_binary: bool = False,
 ) -> Path:
-    """Write both splits plus manifest; returns the manifest path."""
+    """Write both splits plus manifest; returns the manifest path.
+
+    Each split is given as a Dataset or as a zero-argument callable that
+    makes one.  The splits are made and staged one at a time, train first:
+    a split is made when its first file is staged and let go after its
+    last, so two splits given as callables are never in memory together.
+    The manifest is staged last, from the seed and counts recorded of each
+    split, and every file lands through one ``commit_files`` call."""
     out = Path(out_dir)
-    manifest = benchmark_manifest(train, test, features_binary, config_echo)
-    files: dict[Path, bytes | LineStream] = {}
-    for name, ds in (("train", train), ("test", test)):
-        files[out / f"{name}_data.txt"] = LineStream(
-            _dataset_lines(ds, inline_features=not features_binary)
-        )
-        files[out / f"{name}_gt.txt"] = format_ground_truths(ds.ground_truths()).encode()
-        if features_binary:
-            files[out / f"{name}_features.npy"] = _npy_bytes(ds.features())
-    files[out / "manifest.json"] = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+    summaries: dict[str, _SplitSummary] = {}
+
+    def manifest_lines() -> Iterator[str]:
+        doc = _manifest(summaries["train"], summaries["test"], features_binary, config_echo)
+        yield json.dumps(doc, indent=2, sort_keys=True)
+
+    files = {
+        **_split_files(out, "train", train, features_binary, summaries),
+        **_split_files(out, "test", test, features_binary, summaries),
+        out / "manifest.json": LineStream(manifest_lines()),
+    }
     commit_files(files)
     return out / "manifest.json"
 
+
+# The counts a manifest records of each split, checked against its files.
+_COUNT_KEYS = ("n_scenes", "n_gt", "n_proposals")
 
 _KIND_NAMES = {list: "a list", dict: "a mapping", str: "a string", int: "an integer"}
 
@@ -550,6 +643,14 @@ def read_benchmark(
         raise FormatError(
             f"{manifest_path}: class_specs ids must be 1..{len(ids)}, each once, got {ids}"
         )
+    dims = [spec.feature_dim for spec in specs]
+    if len(set(dims)) != 1:
+        raise FormatError(f"{manifest_path}: class specs disagree on feature_dim, got {dims}")
+    feature_dim = _field(manifest, "feature_dim", int, str(manifest_path))
+    if feature_dim != dims[0]:
+        raise FormatError(
+            f"{manifest_path}: feature_dim {feature_dim} disagrees with the class specs' {dims[0]}"
+        )
     splits = _field(manifest, "splits", dict, str(manifest_path))
     root = manifest_path.parent
     out = []
@@ -561,8 +662,7 @@ def read_benchmark(
         entry = _field(splits, name, dict, str(manifest_path))
         data = _field(entry, "data", str, where)
         seed = _field(entry, "seed", int, where)
-        n_proposals = _field(entry, "n_proposals", int, where)
-        n_scenes = _field(entry, "n_scenes", int, where)
+        counts = {key: _field(entry, key, int, where) for key in _COUNT_KEYS}
         features = None
         if entry.get("features"):
             features = _read_sidecar(root / _field(entry, "features", str, where))
@@ -570,8 +670,13 @@ def read_benchmark(
         ds = parse_dataset(
             read_lines(data_path), specs, name, seed, path=str(data_path), features=features,
         )
-        if ds.n_samples != n_proposals or len(ds.scenes) != n_scenes:
-            raise FormatError(f"{data_path}: counts disagree with the manifest")
+        summary = _SplitSummary.of(ds)
+        for key, want in counts.items():
+            if getattr(summary, key) != want:
+                raise FormatError(
+                    f"{data_path}: counts disagree with the manifest: {key} is {want} "
+                    f"in the manifest, {getattr(summary, key)} in the file"
+                )
         out.append(ds)
     return out[0], out[1], manifest
 
@@ -721,37 +826,47 @@ def _discard(tmps: Iterable[str]) -> None:
             os.unlink(tmp)
 
 
-class LineStream:
-    """A file's content given as lines, each written with a newline after
-    it, encoded as UTF-8 and written a chunk of ``_CHUNK_CHARS`` characters
-    at a time.  ``len()`` is the number of bytes written so far: the size
-    of the file once it is staged.  A stream is written once."""
+class ByteStream:
+    """A file's content given as chunks of bytes, written one at a time.
+    ``len()`` is the number of bytes written so far: the size of the file
+    once it is staged.  A stream is written once."""
 
-    def __init__(self, lines: Iterable[str]):
-        self._lines = lines
+    def __init__(self, chunks: Iterable[bytes]):
+        self._chunks = chunks
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
     def write_to(self, fh) -> None:
-        chunk: list[str] = []
-        n = 0
-        for line in self._lines:
-            chunk.append(line)
-            n += len(line) + 1
-            if n >= _CHUNK_CHARS:
-                self._write(fh, chunk)
-                chunk, n = [], 0
-        if chunk:
-            self._write(fh, chunk)
-
-    def _write(self, fh, chunk: list[str]) -> None:
-        chunk.append("")  # the newline after the chunk's last line
-        self._size += fh.write("\n".join(chunk).encode())
+        for chunk in self._chunks:
+            self._size += fh.write(chunk)
 
 
-def _stage(path: Path, data: bytes | LineStream) -> str:
+class LineStream(ByteStream):
+    """A file's content given as lines, each written with a newline after
+    it, encoded as UTF-8 a chunk of ``_CHUNK_CHARS`` characters at a time."""
+
+    def __init__(self, lines: Iterable[str]):
+        super().__init__(_encoded_chunks(lines))
+
+
+def _encoded_chunks(lines: Iterable[str]) -> Iterator[bytes]:
+    chunk: list[str] = []
+    n = 0
+    for line in lines:
+        chunk.append(line)
+        n += len(line) + 1
+        if n >= _CHUNK_CHARS:
+            chunk.append("")  # the newline after the chunk's last line
+            yield "\n".join(chunk).encode()
+            chunk, n = [], 0
+    if chunk:
+        chunk.append("")
+        yield "\n".join(chunk).encode()
+
+
+def _stage(path: Path, data: bytes | ByteStream) -> str:
     """Write ``data`` to a new temp file beside ``path`` and return its
     name.  The file is created with mode 0o666 less the umask, as a plain
     open() would make it (mkstemp's 0o600 would survive the rename); on
@@ -760,7 +875,7 @@ def _stage(path: Path, data: bytes | LineStream) -> str:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            if isinstance(data, LineStream):
+            if isinstance(data, ByteStream):
                 data.write_to(fh)
             else:
                 fh.write(data)
@@ -770,7 +885,7 @@ def _stage(path: Path, data: bytes | LineStream) -> str:
     return tmp
 
 
-def atomic_write_bytes(path: str | Path, data: bytes | LineStream) -> None:
+def atomic_write_bytes(path: str | Path, data: bytes | ByteStream) -> None:
     """Write to a temp file in the target directory, then rename over the
     destination; a failure never leaves a partial file at ``path``."""
     path = Path(path)
@@ -782,16 +897,36 @@ def atomic_write_bytes(path: str | Path, data: bytes | LineStream) -> None:
         raise
 
 
-def commit_files(files: dict[Path, bytes | LineStream]) -> None:
-    """Stage every file, then rename all: either the whole set lands or,
-    on any failure while staging, nothing does."""
+def _missing_dirs(directory: Path) -> list[Path]:
+    """``directory`` and its parents that do not exist, parents first."""
+    missing = []
+    while not directory.exists():
+        missing.append(directory)
+        directory = directory.parent
+    return missing[::-1]
+
+
+def commit_files(files: dict[Path, bytes | ByteStream]) -> None:
+    """Stage every file, in order, then rename all: either the whole set
+    lands or, on any failure while staging, nothing does (the directories
+    made for the files are removed too).  A failed rename removes the temp
+    files not yet renamed before it raises."""
     staged: list[tuple[str, Path]] = []
+    made: list[Path] = []  # directories made here, parents first
     try:
         for path, data in files.items():
+            made += _missing_dirs(path.parent)
             path.parent.mkdir(parents=True, exist_ok=True)
             staged.append((_stage(path, data), path))
     except BaseException:
         _discard(tmp for tmp, _ in staged)
+        for directory in reversed(made):
+            with contextlib.suppress(OSError):
+                directory.rmdir()
         raise
-    for tmp, path in staged:
-        os.replace(tmp, path)
+    for i, (tmp, path) in enumerate(staged):
+        try:
+            os.replace(tmp, path)
+        except BaseException:
+            _discard(tmp for tmp, _ in staged[i:])
+            raise

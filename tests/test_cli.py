@@ -6,8 +6,11 @@ seeds.  Exit code 2 flags input or config problems, 3 flags numerical
 failures (divergence, gradient checks over tolerance).
 """
 
+import importlib
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +227,30 @@ class TestGenerate:
         out = capsys.readouterr().out
         assert "train: 8 scenes" in out and "test: 4 scenes" in out
 
+    @pytest.mark.parametrize("binary, n_bytes", [(False, 39667), (True, 28699)])
+    def test_traced_bytes_written(self, tmp_path, binary, n_bytes):
+        """The benchmark's count pass weighs what generate writes by the
+        bytes it staged: the size of the files on disk, and the count taken
+        when both splits were made before any file was staged."""
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            import tracing
+            import worker
+        finally:
+            sys.path.pop(0)
+        modules = {m: importlib.import_module(f"viewbench.{m}") for m in worker.MODULES}
+        cfg = _write_yaml(tmp_path / "gen.yaml", {
+            "seed": 0, "dataset": {**SMALL_DATASET, "features_binary": binary},
+        })
+        installer, counter = tracing.Installer(), tracing.Counter()
+        counter.install(installer, modules)
+        try:
+            assert entry(["generate", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        finally:
+            installer.restore()
+        on_disk = sum(p.stat().st_size for p in (tmp_path / "b").iterdir())
+        assert counter.totals()["records.bytes_written"] == on_disk == n_bytes
+
 
 class TestTrain:
     def test_reruns_byte_identical(self, small_bench, tmp_path):
@@ -424,8 +451,11 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
     bench("spec_seed_negative", set_spec_field("seed", -1))
     bench("class_ids", edit_manifest(renumber_class))
     bench("no_splits", edit_manifest(lambda doc: doc.pop("splits")))
-    for key in ("data", "seed", "n_proposals", "n_scenes"):
+    for key in ("data", "seed", "n_proposals", "n_scenes", "n_gt"):
         bench(f"no_{key}", edit_manifest(lambda doc, k=key: doc["splits"]["test"].pop(k)))
+    bench("n_gt_off", edit_manifest(lambda doc: doc["splits"]["test"].update(n_gt=9)))
+    bench("spec_dims", set_spec_field("feature_dim", 16))
+    bench("top_dim", edit_manifest(lambda doc: doc.update(feature_dim=7)))
     bench("scene_counts", edit_lines(more_gts))
     bench("matched_past", edit_lines(matched_past))
     bench("gt_class_7", edit_lines(gt_class_7))
@@ -594,7 +624,7 @@ def _exit_code(argv):
                 ["predict", "{ckpt}", "{no_%s}" % key, "--out", "{out}"],
                 f"split 'test': manifest needs '{key}' as a",
             )
-            for key in ("data", "seed", "n_proposals", "n_scenes")
+            for key in ("data", "seed", "n_proposals", "n_scenes", "n_gt")
         ),
         (
             ["predict", "{ckpt}", "{scene_counts}", "--out", "{out}"],
@@ -680,6 +710,27 @@ def _exit_code(argv):
             ["predict", "{ckpt}", "{data_degenerate}", "--out", "{out}"],
             "test_data.txt:3: degenerate box (",
         ),
+        (
+            ["predict", "{ckpt}", "{n_gt_off}", "--out", "{out}"],
+            "test_data.txt: counts disagree with the manifest: n_gt is 9 in the manifest, "
+            "8 in the file",
+        ),
+        (
+            ["predict", "{ckpt}", "{spec_dims}", "--out", "{out}"],
+            "spec_dims/manifest.json: class specs disagree on feature_dim, got [16, 8]",
+        ),
+        (
+            ["train", "--config", "{top_dim_train}", "--out", "{out}"],
+            "top_dim/manifest.json: feature_dim 7 disagrees with the class specs' 8",
+        ),
+        (
+            ["generate", "--config", "{small_gen}", "--out", "{blocked}"],
+            "Is a directory",
+        ),
+        (
+            ["generate", "--config", "{test_split_fails}", "--out", "{out}"],
+            "scene 0: no background box got IoU < 0.3",
+        ),
     ],
     ids=[
         "bins-not-integers", "bins-empty", "bins-below-2", "predict-split",
@@ -690,18 +741,22 @@ def _exit_code(argv):
         "manifest-class-ids", "config-class-id-3",
         "config-class-id-twice", "config-class-id-missing", "gt-class-0", "det-class-negative",
         "manifest-no-splits", "manifest-no-data",
-        "manifest-no-seed", "manifest-no-n-proposals", "manifest-no-n-scenes",
+        "manifest-no-seed", "manifest-no-n-proposals", "manifest-no-n-scenes", "manifest-no-n-gt",
         "scene-counts", "dataset-gt-class-7", "matched-gt-past", "sidecar-width",
         "sidecar-extra-rows", "sidecar-empty", "sidecar-garbage", "sidecar-truncated",
         "sidecar-pickled", "sidecar-complex", "sidecar-nan", "checkpoint-nan", "checkpoint-inf",
         "checkpoint-renamed-layer", "checkpoint-widths",
         "config-not-utf8", "manifest-not-utf8", "data-not-utf8", "gt-not-utf8",
         "det-not-utf8", "checkpoint-not-utf8", "gt-degenerate-box", "det-degenerate-box",
-        "data-degenerate-box",
+        "data-degenerate-box", "manifest-n-gt-off-by-one", "manifest-spec-feature-dims",
+        "manifest-feature-dim", "generate-rename-fails", "generate-test-split-fails",
     ],
 )
 def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_path, capsys):
-    """Bad values are rejected where they enter, with a message and exit 2."""
+    """Bad values are rejected where they enter, with a message and exit 2;
+    a failed write leaves no temp file."""
+    blocked = tmp_path / "blocked"  # an output directory whose test_data.txt cannot be replaced
+    (blocked / "test_data.txt").mkdir(parents=True)
     paths = {
         "gt": small_bench["dir"] / "test_gt.txt",
         "ckpt": small_ckpt["ckpt"],
@@ -739,6 +794,15 @@ def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_p
                 ("train_seed", {"train": {"seed": -3}}),
             )
         },
+        "top_dim_train": _write_yaml(
+            tmp_path / "top_dim_train.yaml", {"data": str(broken["top_dim"]), **SMALL_TRAIN}
+        ),
+        "small_gen": small_bench["gen_cfg"],
+        "blocked": blocked,
+        "test_split_fails": _write_yaml(tmp_path / "t.yaml", {"dataset": {
+            "n_train_scenes": 0, "n_test_scenes": 1, "gt_size_range": [0.9, 0.95],
+            "backgrounds_per_scene": 2,
+        }}),
         **broken,
         "out": tmp_path / "out.txt",
     }
@@ -748,6 +812,7 @@ def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_p
     assert message in err
     assert "Traceback" not in err
     assert not paths["out"].exists()
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 GT_TEXT = """\

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from viewbench.angles import circular_difference
-from viewbench.errors import FormatError, InvalidParameter
+from viewbench.errors import FormatError, GenerationError, InvalidParameter
 from viewbench.metrics import Box, Detection, GroundTruth
 from viewbench.net import NetConfig, TrainConfig, init_params
 from viewbench.records import (
@@ -283,6 +283,8 @@ class TestBenchmarkFiles:
             (("splits", "train", "seed"), "split 'train': manifest needs 'seed' as an integer"),
             (("splits", "train", "n_proposals"), "manifest needs 'n_proposals' as an integer"),
             (("splits", "train", "n_scenes"), "manifest needs 'n_scenes' as an integer"),
+            (("splits", "train", "n_gt"), "manifest needs 'n_gt' as an integer"),
+            (("feature_dim",), "manifest needs 'feature_dim' as an integer"),
         ],
     )
     def test_manifest_keys_required(self, tmp_path, path, message):
@@ -296,6 +298,62 @@ class TestBenchmarkFiles:
         manifest_path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=message):
             read_benchmark(manifest_path, split="train")
+
+    @pytest.mark.parametrize("key", ["n_scenes", "n_gt", "n_proposals"])
+    def test_each_count_checked(self, tmp_path, key):
+        train = generate(1, 3, _specs(), split="train")
+        test = generate(2, 2, _specs(), split="test")
+        manifest_path = write_benchmark(tmp_path, train, test)
+        doc = json.loads(manifest_path.read_text())
+        n = doc["splits"]["test"][key]
+        doc["splits"]["test"][key] = n - 1
+        manifest_path.write_text(json.dumps(doc))
+        message = f"test_data.txt: counts disagree with the manifest: {key} is {n - 1} in the "
+        with pytest.raises(FormatError, match=f"{message}manifest, {n} in the file$"):
+            read_benchmark(manifest_path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["class_specs"][1].update(feature_dim=7),
+             "class specs disagree on feature_dim, got [6, 7]"),
+            (lambda doc: doc.update(feature_dim=7),
+             "feature_dim 7 disagrees with the class specs' 6"),
+        ],
+        ids=["specs", "top-level"],
+    )
+    def test_feature_dims_must_agree(self, tmp_path, edit, message):
+        train = generate(1, 2, _specs(), split="train")
+        test = generate(2, 1, _specs(), split="test")
+        manifest_path = write_benchmark(tmp_path, train, test)
+        doc = json.loads(manifest_path.read_text())
+        edit(doc)
+        manifest_path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as e:
+            read_benchmark(manifest_path, split="train")
+        assert str(e.value) == f"{manifest_path}: {message}"
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_failure_making_the_test_split_leaves_nothing(self, tmp_path, existed, binary):
+        """A split given as a callable is made while the files are staged; if
+        the second fails, the first split's staged files go and no file of
+        the set lands."""
+        out = tmp_path / "bench" / "v1"
+        if existed:
+            out.mkdir(parents=True)
+            (out / "train_data.txt").write_text("an older file\n")
+        before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+        with pytest.raises(GenerationError, match="no background box"):
+            write_benchmark(
+                out,
+                lambda: generate(1, 3, _specs(), split="train"),
+                lambda: generate(2, 1, _specs(), split="test", gt_size_range=(0.9, 0.95),
+                                 backgrounds_per_scene=2),
+                features_binary=binary,
+            )
+        after = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+        assert after == before
 
     @pytest.mark.parametrize("ids", [[2, 1, 3], [1, 3], [2], [1, 1], [1, 2, 2]])
     def test_class_ids_must_be_1_to_n(self, tmp_path, ids):
@@ -503,6 +561,24 @@ class TestAtomicWrites:
             commit_files(files)
         assert not (tmp_path / "ok.txt").exists()
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "b.txt").mkdir()
+        files = {tmp_path / name: name.encode() for name in ("a.txt", "b.txt", "c.txt")}
+        with pytest.raises(IsADirectoryError):
+            commit_files(files)
+        # a.txt was renamed before the failure; b.txt is the directory
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+        assert list((tmp_path / "b.txt").iterdir()) == []
+
+    def test_failed_commit_removes_the_directories_it_made(self, tmp_path):
+        files = {
+            tmp_path / "new" / "deeper" / "a.txt": b"ok",
+            tmp_path / "new" / "b.txt": "not bytes",
+        }
+        with pytest.raises(TypeError):
+            commit_files(files)
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         files = {tmp_path / "a.txt": b"ok", tmp_path / "b.txt": "not bytes"}

@@ -11,6 +11,7 @@ those of the per-line template; and a prediction must equal the
 whole-batch computation bit for bit, dtype and shape included.
 """
 
+import json
 import math
 from pathlib import Path
 
@@ -299,6 +300,30 @@ class TestStreamedWriter:
             data = (tmp_path / f"{name}_data.txt").read_bytes()
             assert data == format_dataset(ds, inline_features=not binary).encode()
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_callables_write_the_bytes_of_datasets(self, tmp_path, binary):
+        """Splits made while they are staged give the files, manifest
+        included, of the same splits made beforehand."""
+        specs = default_class_specs(feature_dim=6)
+
+        def train():
+            return generate(3, 30, specs, split="train")
+
+        def test():
+            return generate(4, 9, specs, split="test")
+
+        echo = {"seed": 3}
+        write_benchmark(tmp_path / "made", train, test, echo, features_binary=binary)
+        write_benchmark(tmp_path / "given", train(), test(), echo, features_binary=binary)
+        names = sorted(p.name for p in (tmp_path / "given").iterdir())
+        assert len(names) == (7 if binary else 5)
+        assert sorted(p.name for p in (tmp_path / "made").iterdir()) == names
+        for name in names:
+            made, given = tmp_path / "made" / name, tmp_path / "given" / name
+            assert made.read_bytes() == given.read_bytes(), name
+        manifest = records.benchmark_manifest(train(), test(), binary, echo)
+        assert json.loads((tmp_path / "made" / "manifest.json").read_text()) == manifest
 
     def test_failed_stream_leaves_nothing(self, tmp_path):
         def lines():
