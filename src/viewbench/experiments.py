@@ -16,16 +16,20 @@ Three reproducible effects are exercised on the synthetic benchmark:
    splits its probability mass across both candidate bins instead of
    committing to one.
 
-Every arm is seeded; the same seed reproduces every number bitwise.
-The detector is a two-branch net trained with the joint regression loss
-at lambda = 0, which reduces it to a pure proposal classifier; the same
-detector (per seed) serves every pose arm so ordering differences come
-from the pose heads alone.
+Every arm is one row of ``_ARMS`` (seed offset, head, loss, net
+fields) and trains through ``train_arm``; both protocols use the same
+arms and differ only in the training config function each passes
+(``_compare_tcfg``, ``_probe_tcfg``).  Every arm is seeded; the same seed
+reproduces every number bitwise.  The detector is a two-branch net
+trained with the joint regression loss at lambda = 0, which reduces it to
+a pure proposal classifier; the same detector (per seed) serves every
+pose arm so ordering differences come from the pose heads alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +40,7 @@ from .net import (
     ClsPrediction,
     JointClsPrediction,
     JointRegPrediction,
+    ModelParams,
     NetConfig,
     Pool,
     TrainConfig,
@@ -47,82 +52,41 @@ from .synthetic import ClassSpec, Dataset, default_benchmark, generate
 
 N_BINS = 24
 
-# stable per-arm seed offsets so arms stay decoupled under one run seed
-_ARM = {"detector": 11, "reg2d": 12, "reg3d": 13, "cls": 14, "joint_cls": 15}
+# arm -> (seed offset, head, loss, extra NetConfig fields); the stable
+# per-arm seed offsets keep arms decoupled under one run seed
+_ARMS = {
+    "detector": (11, "joint_reg", LossSpec("joint_regression", lam=0.0),
+                 {"n_dims": 3, "split_depth": 1}),
+    "reg2d": (12, "reg", LossSpec("regression"), {"n_dims": 2}),
+    "reg3d": (13, "reg", LossSpec("regression"), {"n_dims": 3}),
+    "cls": (14, "cls", LossSpec("classification"), {}),
+    "joint_cls": (15, "joint_cls", LossSpec("joint_classification"), {}),
+}
 
 
-def _arm_seed(seed: int, arm: str) -> int:
-    return int(np.random.SeedSequence([seed, _ARM[arm]]).generate_state(1)[0])
-
-
-def _net_cfg(ds: Dataset, head: str, seed: int, width: int, **kw) -> NetConfig:
-    return NetConfig(
-        input_dim=ds.feature_dim,
-        trunk_widths=(width,),
-        head=head,
-        n_classes=ds.n_classes,
-        n_bins=N_BINS,
-        seed=seed,
-        **kw,
+def train_arm(
+    train_ds: Dataset, pool: Pool, arm: str, seed: int, iters: int, width: int,
+    tcfg: Callable[[str, int, int], TrainConfig],
+) -> tuple[NetConfig, ModelParams]:
+    """Train one arm of ``_ARMS`` on ``pool``, which is
+    ``build_pool(train_ds)``: a net with one trunk layer of ``width``,
+    seeded from ``seed`` and the arm's offset, trained under
+    ``tcfg(head, arm_seed, iters)``.  Returns the net and its parameters."""
+    offset, head, loss, extra = _ARMS[arm]
+    s = int(np.random.SeedSequence([seed, offset]).generate_state(1)[0])
+    cfg = NetConfig(
+        input_dim=train_ds.feature_dim, trunk_widths=(width,), head=head,
+        n_classes=train_ds.n_classes, n_bins=N_BINS, seed=s, **extra,
     )
+    return cfg, train(pool, cfg, tcfg(head, s, iters), loss).params
 
 
-def _detector_tcfg(seed: int, iters: int) -> TrainConfig:
-    return TrainConfig(total_iters=iters, seed=seed)
-
-
-def _pose_tcfg(seed: int, iters: int) -> TrainConfig:
-    # same number of foreground samples per iteration as the joint arms
-    # see at batch 128 with a quarter positives
+def _compare_tcfg(head: str, seed: int, iters: int) -> TrainConfig:
+    if head in ("joint_reg", "joint_cls"):
+        return TrainConfig(total_iters=iters, seed=seed)
+    # pose-only heads see the same number of foreground samples per
+    # iteration as the joint arms at batch 128 with a quarter positives
     return TrainConfig(batch_size=32, positive_fraction=1.0, total_iters=iters, seed=seed)
-
-
-@dataclass(frozen=True)
-class TrainedArm:
-    name: str
-    cfg: NetConfig
-    params: object
-
-
-def train_detector(
-    train_ds: Dataset, pool: Pool, seed: int, iters: int = 3000, width: int = 64
-) -> TrainedArm:
-    """Shared proposal scorer: joint-regression net at lambda 0 (pure
-    detection cross-entropy; the pose branch gets zero gradient).  Like
-    every arm, it trains on ``pool``, which is ``build_pool(train_ds)``."""
-    s = _arm_seed(seed, "detector")
-    cfg = _net_cfg(train_ds, "joint_reg", s, width, n_dims=3, split_depth=1)
-    res = train(pool, cfg, _detector_tcfg(s, iters), LossSpec("joint_regression", lam=0.0))
-    return TrainedArm("detector", cfg, res.params)
-
-
-def train_pose_arm(
-    train_ds: Dataset, pool: Pool, arm: str, seed: int, iters: int = 3000, width: int = 64
-) -> TrainedArm:
-    """Pose-only net: 'reg2d', 'reg3d', or 'cls'."""
-    s = _arm_seed(seed, arm)
-    if arm == "reg2d":
-        cfg = _net_cfg(train_ds, "reg", s, width, n_dims=2)
-        loss = LossSpec("regression")
-    elif arm == "reg3d":
-        cfg = _net_cfg(train_ds, "reg", s, width, n_dims=3)
-        loss = LossSpec("regression")
-    elif arm == "cls":
-        cfg = _net_cfg(train_ds, "cls", s, width)
-        loss = LossSpec("classification")
-    else:
-        raise ValueError(f"unknown pose arm {arm!r}")
-    res = train(pool, cfg, _pose_tcfg(s, iters), loss)
-    return TrainedArm(arm, cfg, res.params)
-
-
-def train_joint_cls(
-    train_ds: Dataset, pool: Pool, seed: int, iters: int = 3000, width: int = 64
-) -> TrainedArm:
-    s = _arm_seed(seed, "joint_cls")
-    cfg = _net_cfg(train_ds, "joint_cls", s, width)
-    res = train(pool, cfg, _detector_tcfg(s, iters), LossSpec("joint_classification"))
-    return TrainedArm("joint_cls", cfg, res.params)
 
 
 def pose_angles(pred) -> tuple[np.ndarray, np.ndarray]:
@@ -183,16 +147,16 @@ def compare_formulations(seed: int, iters: int = 3000, width: int = 64) -> Compa
     pool = build_pool(train_ds)
     feats = test_ds.features()
 
-    def scored(arm: TrainedArm) -> tuple[np.ndarray, np.ndarray]:
-        return pose_angles(predict(arm.params, arm.cfg, feats))
+    def scored(arm: str) -> tuple[np.ndarray, np.ndarray]:
+        cfg, params = train_arm(train_ds, pool, arm, seed, iters, width, _compare_tcfg)
+        return pose_angles(predict(params, cfg, feats))
 
-    scores, _ = scored(train_detector(train_ds, pool, seed, iters, width))
+    scores, _ = scored("detector")
     values = {}
-    for arm_name in ("reg2d", "reg3d", "cls"):
-        _, angles = scored(train_pose_arm(train_ds, pool, arm_name, seed, iters, width))
-        values[arm_name] = mavp24(test_ds, compose_detections(test_ds, scores, angles))
-    joint = scored(train_joint_cls(train_ds, pool, seed, iters, width))
-    values["joint_cls"] = mavp24(test_ds, compose_detections(test_ds, *joint))
+    for arm in ("reg2d", "reg3d", "cls"):
+        _, angles = scored(arm)
+        values[arm] = mavp24(test_ds, compose_detections(test_ds, scores, angles))
+    values["joint_cls"] = mavp24(test_ds, compose_detections(test_ds, *scored("joint_cls")))
     return ComparisonResult(**values)
 
 
@@ -222,7 +186,7 @@ def _ambiguous_dataset(seed: int, noise_sigma: float, n_scenes: int, split: str)
     )
 
 
-def _probe_tcfg(seed: int, iters: int) -> TrainConfig:
+def _probe_tcfg(head: str, seed: int, iters: int) -> TrainConfig:
     # near-full batches, no decay or flips: the probe wants the cleanest
     # possible fit of each ambiguous feature, free of protocol noise
     return TrainConfig(
@@ -264,21 +228,16 @@ def symmetry_probe(
     pair_bins = (true_bins - 1 + N_BINS // 2) % N_BINS + 1
 
     accuracy = {}
-    for arm_name in ("reg3d", "reg2d"):
-        s = _arm_seed(seed, arm_name)
-        cfg = _net_cfg(train_ds, "reg", s, width,
-                       n_dims=2 if arm_name == "reg2d" else 3)
-        res = train(pool, cfg, _probe_tcfg(s, iters), LossSpec("regression"))
-        pred_bins = azimuth_to_bin(predict(res.params, cfg, feats).angles[:, 0], N_BINS)
+    for arm in ("reg3d", "reg2d"):
+        cfg, params = train_arm(train_ds, pool, arm, seed, iters, width, _probe_tcfg)
+        pred_bins = azimuth_to_bin(predict(params, cfg, feats).angles[:, 0], N_BINS)
         # paired query: the feature is asked for both azimuths, one answer
         # serves both, so each pair hit counts once out of two questions
         hits = (pred_bins == true_bins) | (pred_bins == pair_bins)
-        accuracy[arm_name] = float(np.mean(hits)) / 2.0
+        accuracy[arm] = float(np.mean(hits)) / 2.0
 
-    s = _arm_seed(seed, "cls")
-    cls_cfg = _net_cfg(train_ds, "cls", s, width)
-    cls_res = train(pool, cls_cfg, _probe_tcfg(s, iters), LossSpec("classification"))
-    probs = predict(cls_res.params, cls_cfg, feats).probs[:, 0, :]
+    cfg, params = train_arm(train_ds, pool, "cls", seed, iters, width, _probe_tcfg)
+    probs = predict(params, cfg, feats).probs[:, 0, :]
     rows = np.arange(len(true_bins))
     pair_mass = float(np.mean(probs[rows, true_bins - 1] + probs[rows, pair_bins - 1]))
     return SymmetryProbeResult(accuracy["reg3d"], accuracy["reg2d"], pair_mass)

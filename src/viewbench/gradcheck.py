@@ -26,8 +26,10 @@ position), so the rebuilt term array is the one a per-slot call would
 build, and it is totalled as one contiguous run of the same length.  A block holds at most
 ``BLOCK_DOUBLES`` doubles.  A result without terms (an eager
 ``LossResult(value, grad)``) and ``check_net`` (every parameter moves
-every sample) take one evaluation per perturbed point, written into one
-reused copy of the point.  One function scores both evaluators.
+every sample) take one evaluation per perturbed point, each slot moved
+in place in one copy of the point.  ``check_net``'s point is the flat
+``values`` vector of one ``params.copy()``, laid out like the flat
+gradient ``backward`` returns.  One function scores both evaluators.
 
 Layouts with many slots are subsampled: the largest-magnitude analytic
 slots are always checked, the rest drawn by a seeded generator, so runs
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,14 +122,13 @@ def _score(analytic: np.ndarray, values: np.ndarray, eps: float) -> float:
 
 
 def _per_slot_values(
-    f: Callable[[np.ndarray], float], x0: np.ndarray, slots: np.ndarray, eps: float
+    f: Callable[[np.ndarray], float], x: np.ndarray, slots: np.ndarray, eps: float
 ) -> np.ndarray:
-    """f at x0 + eps and at x0 - eps in each slot, one call per point:
-    (2, n), written into one reused copy of the point."""
+    """f at x + eps and at x - eps in each slot, one call per point:
+    (2, n).  Each slot of ``x`` is moved in place and put back."""
     values = np.empty((2, slots.size))
-    x = x0.copy()
     for j, i in enumerate(slots):
-        xi = x0[i]
+        xi = x[i]
         x[i] = xi + eps
         values[0, j] = f(x)
         x[i] = xi - eps
@@ -203,7 +205,7 @@ def check_gradient(
     """Compare an analytic gradient against central differences of f."""
     x0 = np.asarray(x0, dtype=float).ravel()
     analytic, slots = _slots_to_check(analytic, x0.size, max_slots, seed, corrupt)
-    values = _per_slot_values(f, x0, slots, eps)
+    values = _per_slot_values(f, x0.copy(), slots, eps)
     return GradCheckResult(name, slots.size, _score(analytic[slots], values, eps), tolerance)
 
 
@@ -272,37 +274,6 @@ def check_loss(
     return GradCheckResult(name, slots.size, _score(analytic[slots], values, EPS), tolerance)
 
 
-def _pack_params(params: nets.ModelParams) -> tuple[np.ndarray, Callable]:
-    names = list(params.layers)
-    shapes = [(params.layers[n].w.shape, params.layers[n].b.shape) for n in names]
-    vec = np.concatenate(
-        [np.concatenate([params.layers[n].w.ravel(), params.layers[n].b.ravel()]) for n in names]
-    )
-
-    def unpack(v):
-        out = params.copy()
-        pos = 0
-        for n, (ws, bs) in zip(names, shapes):
-            wn = int(np.prod(ws))
-            out.layers[n].w[...] = v[pos : pos + wn].reshape(ws)
-            pos += wn
-            bn = int(np.prod(bs))
-            out.layers[n].b[...] = v[pos : pos + bn]
-            pos += bn
-        return out
-
-    return vec, unpack
-
-
-def _pack_grads(params: nets.ModelParams, grads: dict) -> np.ndarray:
-    parts = []
-    for n in params.layers:
-        dw, db = grads[n]
-        parts.append(dw.ravel())
-        parts.append(db.ravel())
-    return np.concatenate(parts)
-
-
 def check_net(
     cfg: nets.NetConfig,
     loss: LossSpec,
@@ -313,22 +284,20 @@ def check_net(
     seed: int = 0,
     corrupt: bool = False,
 ) -> GradCheckResult:
-    """End-to-end check: d(loss)/d(parameters) through forward/backward."""
+    """End-to-end check: d(loss)/d(parameters) through forward/backward,
+    against central differences of one copy of the parameters whose flat
+    ``values`` vector is perturbed in place."""
     targets = as_labels(targets)
     params = nets.init_params(cfg)
     fn = nets._loss_fn(loss, cfg)
     out, cache = nets.forward(params, cfg, x, want_cache=True)
-    res = fn(out, targets)
-    grads = nets.backward(params, cfg, x, res.grad, cache)
-    vec, unpack = _pack_params(params)
-
-    def f(v):
-        return fn(nets.forward(unpack(v), cfg, x), targets).value
-
-    return check_gradient(
-        f, vec, _pack_grads(params, grads), tolerance=tolerance, seed=seed,
-        name=name, corrupt=corrupt,
+    grads = nets.backward(params, cfg, x, fn(out, targets).grad, cache)
+    probe = params.copy()
+    analytic, slots = _slots_to_check(grads.flat, probe.n_params, MAX_SLOTS, seed, corrupt)
+    values = _per_slot_values(
+        lambda _: fn(nets.forward(probe, cfg, x), targets).value, probe.values, slots, EPS
     )
+    return GradCheckResult(name, slots.size, _score(analytic[slots], values, EPS), tolerance)
 
 
 def _random_targets(
@@ -354,77 +323,46 @@ def loss_gradient_suite(seed: int = 0, corrupt: bool = False) -> list[GradCheckR
     """
     rng = np.random.default_rng(seed)
     results = []
-    n_classes_grid = (1, 2, 5)
     bins_grid = (2, 8, 24, 360)
     dims_grid = (2, 3)
 
-    def draws(tag, n_c, extra):
-        out = []
-        for rep in range(2):
-            b = int(rng.integers(1, 9))
-            out.append((f"{tag}[n_c={n_c},{extra},B={b}]", b))
-        return out
+    def normal(*shape):
+        return rng.normal(0.0, 2.0, shape)
 
-    for n_c in n_classes_grid:
+    def run(tag, n_c, extra, loss_fn, outputs_of, background=False):
+        """Two cases of one layout: both batch sizes are drawn first, then
+        per case the outputs, the targets and the check's seed."""
+        for b in [int(rng.integers(1, 9)) for _ in range(2)]:
+            outputs = outputs_of(b)
+            targets = _random_targets(rng, b, n_c, with_background=background)
+            results.append(
+                check_loss(
+                    loss_fn, outputs, targets, name=f"{tag}[n_c={n_c},{extra},B={b}]",
+                    seed=int(rng.integers(2**31)), corrupt=corrupt,
+                )
+            )
+
+    for n_c in (1, 2, 5):
         for dim in dims_grid:
-            for rep in range(2):
-                for name, b in draws("regression", n_c, f"dim={dim}"):
-                    outputs = rng.normal(0.0, 2.0, (b, n_c, dim))
-                    targets = _random_targets(rng, b, n_c, with_background=False)
-                    results.append(
-                        check_loss(
-                            lambda o, t, d=dim: regression_loss(o, t, dim=d),
-                            outputs, targets, name=name,
-                            seed=int(rng.integers(2**31)), corrupt=corrupt,
-                        )
-                    )
+            for _ in range(2):
+                run("regression", n_c, f"dim={dim}", partial(regression_loss, dim=dim),
+                    lambda b: normal(b, n_c, dim))
         for n_v in bins_grid:
-            for name, b in draws("classification", n_c, f"n_v={n_v}"):
-                outputs = rng.normal(0.0, 2.0, (b, n_c, n_v))
-                targets = _random_targets(rng, b, n_c, with_background=False)
-                results.append(
-                    check_loss(
-                        classification_loss, outputs, targets, name=name,
-                        seed=int(rng.integers(2**31)), corrupt=corrupt,
-                    )
-                )
-            for name, b in draws("geometric", n_c, f"n_v={n_v}"):
-                outputs = rng.normal(0.0, 2.0, (b, n_c, n_v))
-                targets = _random_targets(rng, b, n_c, with_background=False)
-                results.append(
-                    check_loss(
-                        geometric_classification_loss, outputs, targets, name=name,
-                        seed=int(rng.integers(2**31)), corrupt=corrupt,
-                    )
-                )
+            run("classification", n_c, f"n_v={n_v}", classification_loss,
+                lambda b: normal(b, n_c, n_v))
+            run("geometric", n_c, f"n_v={n_v}", geometric_classification_loss,
+                lambda b: normal(b, n_c, n_v))
         for dim in dims_grid:
             for lam in (0.0, 1.0):
-                for name, b in draws("joint_regression", n_c, f"dim={dim},lam={lam}"):
-                    outputs = JointRegOutputs(
-                        rng.normal(0.0, 2.0, (b, n_c + 1)),
-                        rng.normal(0.0, 2.0, (b, n_c, dim)),
-                    )
-                    targets = _random_targets(rng, b, n_c, with_background=True)
-                    results.append(
-                        check_loss(
-                            lambda o, t, l=lam: joint_regression_loss(o, t, lam=l),
-                            outputs, targets, name=name,
-                            seed=int(rng.integers(2**31)), corrupt=corrupt,
-                        )
-                    )
+                run("joint_regression", n_c, f"dim={dim},lam={lam}",
+                    partial(joint_regression_loss, lam=lam),
+                    lambda b: JointRegOutputs(normal(b, n_c + 1), normal(b, n_c, dim)),
+                    background=True)
         for n_v in bins_grid:
-            for rep in range(2):
-                for name, b in draws("joint_classification", n_c, f"n_v={n_v}"):
-                    outputs = JointClsOutputs(
-                        rng.normal(0.0, 2.0, (b, n_c, n_v)), rng.normal(0.0, 2.0, b)
-                    )
-                    targets = _random_targets(rng, b, n_c, with_background=True)
-                    results.append(
-                        check_loss(
-                            joint_classification_loss, outputs, targets, name=name,
-                            seed=int(rng.integers(2**31)), corrupt=corrupt,
-                        )
-                    )
+            for _ in range(2):
+                run("joint_classification", n_c, f"n_v={n_v}", joint_classification_loss,
+                    lambda b: JointClsOutputs(normal(b, n_c, n_v), normal(b)),
+                    background=True)
     return results
 
 

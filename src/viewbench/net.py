@@ -729,8 +729,6 @@ def train(
     """
     if isinstance(loss, str):
         loss = LossSpec(loss)
-    if loss.kind not in LOSS_HEADS:
-        raise ConfigError(f"unknown loss kind {loss.kind!r}")
     if LOSS_HEADS[loss.kind] != cfg.head:
         raise ConfigError(
             f"loss {loss.kind!r} trains a {LOSS_HEADS[loss.kind]!r} head, "

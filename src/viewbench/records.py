@@ -26,7 +26,9 @@ next class of a proposal) shares that line's Box.
 
 Every write goes through a temp-file-then-rename, so a failed run never
 leaves a partially written artifact; multi-file outputs are staged
-completely before any file is moved into place.
+completely before any file is moved into place, and a failed move puts
+back every file the set had replaced, so the set lands whole or not at
+all.
 
 A benchmark's data files are the largest artifacts, and no whole-text
 copy of one is held.  ``write_benchmark`` streams each data file into its
@@ -55,6 +57,7 @@ import json
 import math
 import os
 import secrets
+import stat
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
@@ -724,6 +727,11 @@ def parse_checkpoint(text: str, path: str = "<string>") -> Checkpoint:
         name = tok[1]
         fan_in = _parse_int(tok[2], f"{path}:{i + 1}")
         fan_out = _parse_int(tok[3], f"{path}:{i + 1}")
+        if fan_in < 1 or fan_out < 1:
+            raise FormatError(
+                f"{path}:{i + 1}: layer {name} needs a fan-in and fan-out of at least 1, "
+                f"got {fan_in} {fan_out}"
+            )
         arrays = {}
         for j, tag in enumerate(("w", "b", "vw", "vb")):
             row = lines[i + 1 + j].split() if i + 1 + j < len(lines) else []
@@ -866,12 +874,16 @@ def _encoded_chunks(lines: Iterable[str]) -> Iterator[bytes]:
         yield "\n".join(chunk).encode()
 
 
+def _temp_name(path: Path) -> str:
+    return str(path.parent / f"{path.name}.{secrets.token_hex(4)}.tmp")
+
+
 def _stage(path: Path, data: bytes | ByteStream) -> str:
     """Write ``data`` to a new temp file beside ``path`` and return its
     name.  The file is created with mode 0o666 less the umask, as a plain
     open() would make it (mkstemp's 0o600 would survive the rename); on
     failure it is removed."""
-    tmp = str(path.parent / f"{path.name}.{secrets.token_hex(4)}.tmp")
+    tmp = _temp_name(path)
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -883,6 +895,20 @@ def _stage(path: Path, data: bytes | ByteStream) -> str:
         _discard([tmp])
         raise
     return tmp
+
+
+def _backup(path: Path) -> str | None:
+    """Hard-link ``path`` to a new temp name beside it and return that
+    name; None if ``path`` is absent or a directory (a rename onto a
+    directory fails, so there is nothing to put back)."""
+    try:
+        if stat.S_ISDIR(os.lstat(path).st_mode):
+            return None
+    except FileNotFoundError:
+        return None
+    backup = _temp_name(path)
+    os.link(path, backup, follow_symlinks=False)
+    return backup
 
 
 def atomic_write_bytes(path: str | Path, data: bytes | ByteStream) -> None:
@@ -908,25 +934,36 @@ def _missing_dirs(directory: Path) -> list[Path]:
 
 def commit_files(files: dict[Path, bytes | ByteStream]) -> None:
     """Stage every file, in order, then rename all: either the whole set
-    lands or, on any failure while staging, nothing does (the directories
-    made for the files are removed too).  A failed rename removes the temp
-    files not yet renamed before it raises."""
+    lands or, on any failure, the targets are left as they were.  Each
+    existing target is hard-linked to a backup before the renames; a
+    failure puts the backups back over the files already replaced, removes
+    the ones that were new and the directories made for them, removes
+    every temp file and re-raises."""
     staged: list[tuple[str, Path]] = []
+    backups: list[str | None] = []
     made: list[Path] = []  # directories made here, parents first
+    renamed = 0
     try:
         for path, data in files.items():
             made += _missing_dirs(path.parent)
             path.parent.mkdir(parents=True, exist_ok=True)
             staged.append((_stage(path, data), path))
+        for _, path in staged:
+            backups.append(_backup(path))
+        for tmp, path in staged:
+            os.replace(tmp, path)
+            renamed += 1
     except BaseException:
-        _discard(tmp for tmp, _ in staged)
+        for (_, path), backup in zip(staged[:renamed], backups):
+            with contextlib.suppress(OSError):
+                if backup is None:
+                    os.unlink(path)
+                else:
+                    os.replace(backup, path)
+        _discard(tmp for tmp, _ in staged[renamed:])
         for directory in reversed(made):
             with contextlib.suppress(OSError):
                 directory.rmdir()
         raise
-    for i, (tmp, path) in enumerate(staged):
-        try:
-            os.replace(tmp, path)
-        except BaseException:
-            _discard(tmp for tmp, _ in staged[i:])
-            raise
+    finally:
+        _discard(b for b in backups if b is not None)

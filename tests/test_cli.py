@@ -251,6 +251,20 @@ class TestGenerate:
         on_disk = sum(p.stat().st_size for p in (tmp_path / "b").iterdir())
         assert counter.totals()["records.bytes_written"] == on_disk == n_bytes
 
+    def test_failed_regenerate_keeps_the_old_set(self, small_bench, tmp_path, capsys):
+        """Regenerating another seed over a benchmark whose test data file
+        cannot be replaced exits 2 and leaves every old file's bytes."""
+        out = tmp_path / "bench"
+        assert entry(["generate", "--config", small_bench["gen_cfg"], "--out", str(out)]) == 0
+        (out / "test_data.txt").unlink()
+        (out / "test_data.txt").mkdir()
+        before = {p.name: _read(p) for p in out.iterdir() if p.is_file()}
+        argv = ["generate", "--config", small_bench["gen_cfg"], "--seed", "1", "--out", str(out)]
+        assert entry(argv) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert {p.name: _read(p) for p in out.iterdir() if p.is_file()} == before
+        assert sorted(p.name for p in out.iterdir()) == sorted([*before, "test_data.txt"])
+
 
 class TestTrain:
     def test_reruns_byte_identical(self, small_bench, tmp_path):
@@ -478,6 +492,14 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
         out[name] = root / f"{name}.txt"
         out[name].write_text(text.replace(old, new))
 
+    # a checkpoint whose first layer has a negative shape and 6 weights
+    lines = text.splitlines()
+    i = lines.index("layer trunk0 8 16")
+    lines[i] = "layer trunk0 -2 -3"
+    lines[i + 1] = " ".join(lines[i + 1].split()[:7])
+    out["ckpt_negative"] = root / "ckpt_negative.txt"
+    out["ckpt_negative"].write_text("\n".join(lines) + "\n")
+
     # checkpoints with a non-finite first value in a parameter row
     for name, tag, value in (("ckpt_nan", "w", "nan"), ("ckpt_inf", "vb", "-inf")):
         lines = text.splitlines()
@@ -675,6 +697,11 @@ def _exit_code(argv):
             "layer trunk0 8 16 does not match the header's net, which has layer trunk0 8 17",
         ),
         (
+            ["predict", "{ckpt_negative}", "{manifest}", "--out", "{out}"],
+            "ckpt_negative.txt:3: layer trunk0 needs a fan-in and fan-out of at least 1, "
+            "got -2 -3",
+        ),
+        (
             ["generate", "--config", "{utf8_config}", "--out", "{out}"],
             "utf8_config.yaml:2: not utf-8 text: invalid start byte",
         ),
@@ -745,7 +772,7 @@ def _exit_code(argv):
         "scene-counts", "dataset-gt-class-7", "matched-gt-past", "sidecar-width",
         "sidecar-extra-rows", "sidecar-empty", "sidecar-garbage", "sidecar-truncated",
         "sidecar-pickled", "sidecar-complex", "sidecar-nan", "checkpoint-nan", "checkpoint-inf",
-        "checkpoint-renamed-layer", "checkpoint-widths",
+        "checkpoint-renamed-layer", "checkpoint-widths", "checkpoint-negative-shape",
         "config-not-utf8", "manifest-not-utf8", "data-not-utf8", "gt-not-utf8",
         "det-not-utf8", "checkpoint-not-utf8", "gt-degenerate-box", "det-degenerate-box",
         "data-degenerate-box", "manifest-n-gt-off-by-one", "manifest-spec-feature-dims",

@@ -102,6 +102,26 @@ def test_plain_pass_times_training():
     assert totals["train_s"] > 0.0
 
 
+def test_arm_tags_name_every_arm():
+    """Every arm of the experiments' arm table trains under its own tag, so
+    ``experiments.arm_train_s.<arm>`` is reported for each."""
+    modules = _modules()
+    experiments, synthetic = modules["experiments"], modules["synthetic"]
+    ds = synthetic.generate(3, 4, synthetic.default_class_specs(feature_dim=8))
+    pool = modules["net"].build_pool(ds)
+    installer = tracing.Installer()
+    tracer = tracing.Tracer("tier1")
+    tracer.install(installer, modules)
+    try:
+        for arm in experiments._ARMS:
+            cfg, _ = experiments.train_arm(ds, pool, arm, 0, 1, 6, experiments._compare_tcfg)
+            assert tracing._arm((None, cfg), {}) == arm
+    finally:
+        installer.restore()
+    tags = [tag for name, *_, tag in tracer.spans if name == "net.train"]
+    assert tags == list(experiments._ARMS)
+
+
 @pytest.mark.parametrize("binary", [False, True])
 def test_bytes_written_counts_streamed_files(binary, tmp_path):
     """The count pass weighs ``commit_files`` by the ``len()`` of its values

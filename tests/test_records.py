@@ -567,8 +567,8 @@ class TestAtomicWrites:
         files = {tmp_path / name: name.encode() for name in ("a.txt", "b.txt", "c.txt")}
         with pytest.raises(IsADirectoryError):
             commit_files(files)
-        # a.txt was renamed before the failure; b.txt is the directory
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+        # a.txt, renamed before the failure, is removed again: it was new
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.txt"]
         assert list((tmp_path / "b.txt").iterdir()) == []
 
     def test_failed_commit_removes_the_directories_it_made(self, tmp_path):
