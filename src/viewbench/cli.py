@@ -17,7 +17,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .angles import canonicalize, decode, encode
@@ -41,7 +40,7 @@ from .records import (
     write_benchmark,
     write_detections,
 )
-from .synthetic import ClassSpec, default_class_specs, generate
+from .synthetic import ClassSpec, benchmark_splits, default_class_specs
 
 # A class entry's keys, each with a value of the type its field takes.
 _CLASS_KEYS = {f.name: {"int": 0, "float": 0.0}[f.type] for f in dataclasses.fields(ClassSpec)}
@@ -213,10 +212,11 @@ def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
         cfg["net"]["seed"] = cfg["seed"]
     if cfg["train"]["seed"] is None:
         cfg["train"]["seed"] = cfg["seed"]
-    for key, seed in (("seed", cfg["seed"]), ("net.seed", cfg["net"]["seed"]),
-                      ("train.seed", cfg["train"]["seed"])):
-        if seed < 0:
-            raise ConfigError(f"config key {key} must be >= 0, got {seed}")
+    for key, value in (("seed", cfg["seed"]), ("net.seed", cfg["net"]["seed"]),
+                       ("train.seed", cfg["train"]["seed"]),
+                       ("train.checkpoint_every", cfg["train"]["checkpoint_every"])):
+        if value < 0:
+            raise ConfigError(f"config key {key} must be >= 0, got {value}")
     split = cfg["predict"]["split"]
     if split not in ("train", "test"):
         raise ConfigError(f"predict.split must be 'train' or 'test', got {split!r}")
@@ -248,9 +248,8 @@ def cmd_generate(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     out = _out_dir(args, cfg)
     ds = cfg["dataset"]
-    specs = _class_specs(cfg)
-    state = np.random.SeedSequence(cfg["seed"]).generate_state(2, np.uint64)
-    common = dict(
+    splits = benchmark_splits(
+        cfg["seed"], ds["n_train_scenes"], ds["n_test_scenes"], _class_specs(cfg),
         objects_per_scene=tuple(ds["objects_per_scene"]),
         proposals_per_gt=ds["proposals_per_gt"],
         backgrounds_per_scene=ds["backgrounds_per_scene"],
@@ -260,8 +259,7 @@ def cmd_generate(args) -> int:
     # each split is made while write_benchmark stages it, so one is in memory at a time
     manifest = write_benchmark(
         out,
-        lambda: generate(int(state[0]), ds["n_train_scenes"], specs, split="train", **common),
-        lambda: generate(int(state[1]), ds["n_test_scenes"], specs, split="test", **common),
+        *splits,
         config_echo=cfg,
         features_binary=ds["features_binary"],
     )

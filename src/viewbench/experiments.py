@@ -64,6 +64,11 @@ _ARMS = {
 }
 
 
+def _derived_seed(seed: int, offset: int) -> int:
+    """The seed that ``offset`` derives from the run seed ``seed``."""
+    return int(np.random.SeedSequence([seed, offset]).generate_state(1)[0])
+
+
 def train_arm(
     train_ds: Dataset, pool: Pool, arm: str, seed: int, iters: int, width: int,
     tcfg: Callable[[str, int, int], TrainConfig],
@@ -73,7 +78,7 @@ def train_arm(
     seeded from ``seed`` and the arm's offset, trained under
     ``tcfg(head, arm_seed, iters)``.  Returns the net and its parameters."""
     offset, head, loss, extra = _ARMS[arm]
-    s = int(np.random.SeedSequence([seed, offset]).generate_state(1)[0])
+    s = _derived_seed(seed, offset)
     cfg = NetConfig(
         input_dim=train_ds.feature_dim, trunk_widths=(width,), head=head,
         n_classes=train_ds.n_classes, n_bins=N_BINS, seed=s, **extra,
@@ -176,14 +181,9 @@ class SymmetryProbeResult:
     pair_mass: float  # mean classified mass on the two antipodal true bins
 
 
-def _ambiguous_dataset(seed: int, noise_sigma: float, n_scenes: int, split: str) -> Dataset:
+def _ambiguous_dataset(seed: int, noise_sigma: float, n_scenes: int) -> Dataset:
     spec = ClassSpec(class_id=1, seed=seed, symmetry_order=2, noise_sigma=noise_sigma)
-    return generate(
-        int(np.random.SeedSequence([seed, 21 if split == "train" else 22]).generate_state(1)[0]),
-        n_scenes,
-        (spec,),
-        split=split,
-    )
+    return generate(_derived_seed(seed, 21), n_scenes, (spec,), split="train")
 
 
 def _probe_tcfg(head: str, seed: int, iters: int) -> TrainConfig:
@@ -219,7 +219,7 @@ def symmetry_probe(
     spreads its probability mass over both candidate bins, and
     ``pair_mass`` is the mean mass on that pair.
     """
-    train_ds = _ambiguous_dataset(seed, noise_sigma, n_scenes, "train")
+    train_ds = _ambiguous_dataset(seed, noise_sigma, n_scenes)
     pool = build_pool(train_ds)
 
     # the foreground rows: the first rows of the pool's label table

@@ -15,6 +15,10 @@ one helper, :func:`_total`.  The result keeps the term arrays
 (``LossResult.terms``), so a caller can change some samples' rows and
 total them again exactly as the loss would have.
 
+The losses share their parts: one cross-entropy, one Huber part, one
+entry that checks the inputs of the three per-class pose losses, and one
+zero-scatter that builds their gradients.
+
 Targets come as one :class:`Labels` batch (class ids and azimuths as
 arrays, which is what ``net.make_batch`` produces) or as any sequence of
 per-sample :class:`Target` values.  Each loss turns its input into
@@ -130,17 +134,6 @@ class Labels:
             raise InvalidAngle(f"sample {i}: azimuth must be finite, got {float(az[i])!r}")
         self._set(cls, az)
 
-    @classmethod
-    def _of_valid_rows(cls, class_id: np.ndarray, azimuth: np.ndarray) -> "Labels":
-        """Labels that take ownership of arrays whose rows were already
-        checked where they entered (``net.Pool`` rows), without copying
-        or checking them again."""
-        labels = object.__new__(cls)
-        object.__setattr__(labels, "_derived", {})
-        object.__setattr__(labels, "_source", None)
-        labels._set(class_id, azimuth)
-        return labels
-
     def _set(self, class_id: np.ndarray, azimuth: np.ndarray) -> None:
         class_id.flags.writeable = False
         azimuth.flags.writeable = False
@@ -148,11 +141,14 @@ class Labels:
         object.__setattr__(self, "azimuth", azimuth)
 
     def _rows(self, index: np.ndarray) -> "Labels":
-        """The labels of rows ``index`` of these labels; their bins and
-        embeddings are gathered from these labels' rather than derived
+        """The labels of rows ``index`` of these labels, which were checked
+        already, so they are neither checked nor copied again; their bins
+        and embeddings are gathered from these labels' rather than derived
         again."""
-        labels = Labels._of_valid_rows(self.class_id[index], self.azimuth[index])
+        labels = object.__new__(Labels)
+        object.__setattr__(labels, "_derived", {})
         object.__setattr__(labels, "_source", (self, index))
+        labels._set(self.class_id[index], self.azimuth[index])
         return labels
 
     def __len__(self) -> int:
@@ -385,6 +381,63 @@ def _class_ids(labels: Labels, n_classes: int, background_error=None) -> np.ndar
     raise ClassOutOfRange(f"sample {i} has class {cls[i]} but outputs cover 1..{n_classes}")
 
 
+def _pose_entry(
+    outputs: np.ndarray,
+    targets: Labels | Sequence[Target],
+    background_error,
+    dim: int | None = None,
+    check: Callable[[int], None] | None = None,
+) -> tuple[Labels, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The checked inputs of a per-class pose loss: its labels, its float
+    ``(B, n_classes, dim or n_bins)`` outputs, and the index of each
+    sample's own class row.  ``check(n_bins)``, if given, runs after the
+    layout and batch checks and before the class ids are checked, which
+    reject background rows with ``background_error``."""
+    labels = as_labels(targets)
+    outputs = np.asarray(outputs, dtype=float)
+    if outputs.ndim != 3 or (dim is not None and outputs.shape[2] != dim):
+        raise LayoutError(
+            f"expected outputs (batch, n_classes, {dim or 'n_bins'}), got {outputs.shape}"
+        )
+    if outputs.shape[0] != len(labels):
+        raise LayoutError(f"{outputs.shape[0]} outputs vs {len(labels)} targets")
+    if check is not None:
+        check(outputs.shape[2])
+    cls = _class_ids(labels, outputs.shape[1], background_error)
+    return labels, outputs, (np.arange(len(labels)), cls - 1)
+
+
+def _cross_entropy(logits: np.ndarray, hit: tuple) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """Cross-entropy of each row of ``logits`` against its ``hit`` column:
+    the picked log-probabilities (the loss is minus their total) and a
+    function computing the gradient with respect to ``logits``, the
+    softmax less 1 at the hit."""
+    logp = log_softmax(logits, axis=1)
+
+    def grad():
+        out = np.exp(logp)
+        out[hit] -= 1.0
+        return out
+
+    return logp[hit], grad
+
+
+def _huber_part(
+    pose: np.ndarray, own: tuple, target: np.ndarray, delta: float
+) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """Huber terms of the ``own`` pose rows' residuals from ``target``, and
+    a function computing their derivative."""
+    r = pose[own] - target
+    return _huber_value(r, delta), lambda: _huber_deriv(r, delta)
+
+
+def _scatter(shape: tuple, own: tuple, rows: np.ndarray) -> np.ndarray:
+    """A per-class gradient: zeros of ``shape`` with ``rows`` at ``own``."""
+    out = np.zeros(shape)
+    out[own] = rows
+    return out
+
+
 def regression_loss(
     outputs: np.ndarray,
     targets: Labels | Sequence[Target],
@@ -398,53 +451,19 @@ def regression_loss(
     """
     if dim not in (2, 3):
         raise InvalidParameter(f"embedding dim must be 2 or 3, got {dim}")
-    labels = as_labels(targets)
-    outputs = np.asarray(outputs, dtype=float)
-    if outputs.ndim != 3 or outputs.shape[2] != dim:
-        raise LayoutError(
-            f"expected outputs (batch, n_classes, {dim}), got {outputs.shape}"
-        )
-    if outputs.shape[0] != len(labels):
-        raise LayoutError(f"{outputs.shape[0]} outputs vs {len(labels)} targets")
-    cls = _class_ids(labels, outputs.shape[1], BackgroundInRegression)
-    own = (np.arange(outputs.shape[0]), cls - 1)
-    r = outputs[own] - labels.embeddings(dim)
-    terms = ((1.0, _huber_value(r, delta), None),)
+    labels, outputs, own = _pose_entry(outputs, targets, BackgroundInRegression, dim)
+    value, deriv = _huber_part(outputs, own, labels.embeddings(dim), delta)
     shape = outputs.shape
-
-    def grad():
-        out = np.zeros(shape)
-        out[own] = _huber_deriv(r, delta)
-        return out
-
-    return LossResult.deferred(terms, grad)
+    return LossResult.deferred(((1.0, value, None),), lambda: _scatter(shape, own, deriv()))
 
 
 def classification_loss(outputs: np.ndarray, targets: Labels | Sequence[Target]) -> LossResult:
     """Cross-entropy over the viewpoint bins of each sample's class row."""
-    labels = as_labels(targets)
-    outputs = np.asarray(outputs, dtype=float)
-    if outputs.ndim != 3:
-        raise LayoutError(f"expected outputs (batch, n_classes, n_bins), got {outputs.shape}")
-    if outputs.shape[0] != len(labels):
-        raise LayoutError(f"{outputs.shape[0]} outputs vs {len(labels)} targets")
-    n, n_classes, n_bins = outputs.shape
-    cls = _class_ids(labels, n_classes, BackgroundInPoseLoss)
-    rows = np.arange(n)
-    own = (rows, cls - 1)
-    true_bin = (rows, labels.bins(n_bins) - 1)
-    logp = log_softmax(outputs[own], axis=1)
-    terms = ((-1.0, logp[true_bin], None),)
+    labels, outputs, own = _pose_entry(outputs, targets, BackgroundInPoseLoss)
+    true_bin = (own[0], labels.bins(outputs.shape[2]) - 1)
+    picked, grad = _cross_entropy(outputs[own], true_bin)
     shape = outputs.shape
-
-    def grad():
-        row_grad = np.exp(logp)
-        row_grad[true_bin] -= 1.0
-        out = np.zeros(shape)
-        out[own] = row_grad
-        return out
-
-    return LossResult.deferred(terms, grad)
+    return LossResult.deferred(((-1.0, picked, None),), lambda: _scatter(shape, own, grad()))
 
 
 @functools.lru_cache(maxsize=64)
@@ -471,20 +490,17 @@ def geometric_classification_loss(
     ``sigma -> 0`` the weights collapse to the true-bin indicator and the
     loss reduces to :func:`classification_loss`.
     """
-    labels = as_labels(targets)
-    outputs = np.asarray(outputs, dtype=float)
-    if outputs.ndim != 3:
-        raise LayoutError(f"expected outputs (batch, n_classes, n_bins), got {outputs.shape}")
-    if outputs.shape[0] != len(labels):
-        raise LayoutError(f"{outputs.shape[0]} outputs vs {len(labels)} targets")
-    n, n_classes, n_bins = outputs.shape
-    if sigma is None:
-        sigma = default_geometric_sigma(n_bins)
-    if sigma <= 0:
-        raise InvalidParameter(f"sigma must be positive, got {sigma}")
-    cls = _class_ids(labels, n_classes, BackgroundInPoseLoss)
+
+    def check_sigma(n_bins):
+        nonlocal sigma
+        if sigma is None:
+            sigma = default_geometric_sigma(n_bins)
+        if sigma <= 0:
+            raise InvalidParameter(f"sigma must be positive, got {sigma}")
+
+    labels, outputs, own = _pose_entry(outputs, targets, BackgroundInPoseLoss, check=check_sigma)
+    n_bins = outputs.shape[2]
     weights = _geometric_weights(n_bins, float(sigma))[labels.bins(n_bins) - 1]
-    own = (np.arange(n), cls - 1)
     logp = log_softmax(outputs[own], axis=1)
     terms = ((-1.0, weights * logp, None),)
     shape = outputs.shape
@@ -492,9 +508,7 @@ def geometric_classification_loss(
     def grad():
         row_grad = np.add.reduce(weights, axis=1, keepdims=True) * np.exp(logp)
         row_grad -= weights
-        out = np.zeros(shape)
-        out[own] = row_grad
-        return out
+        return _scatter(shape, own, row_grad)
 
     return LossResult.deferred(terms, grad)
 
@@ -529,27 +543,23 @@ def joint_regression_loss(
         raise LayoutError(f"{det.shape[0]} outputs vs {len(labels)} targets")
     n, n_classes, dim = pose.shape
     cls = _class_ids(labels, n_classes)
+    picked, det_grad = _cross_entropy(det, (np.arange(n), cls))
+    terms = ((-1.0, picked, None),)
 
-    hit = (np.arange(n), cls)
-    logp = log_softmax(det, axis=1)
-    terms = ((-1.0, logp[hit], None),)
-
-    r = own = None
+    own = deriv = None
     if lam != 0.0:
         fg = (cls > 0).nonzero()[0]
         if fg.size:
             own = (fg, cls[fg] - 1)
-            r = pose[own] - labels.embeddings(dim)[fg]
-            terms += ((lam, _huber_value(r, delta), fg),)
+            value, deriv = _huber_part(pose, own, labels.embeddings(dim)[fg], delta)
+            terms += ((lam, value, fg),)
     pose_shape = pose.shape
 
     def grad():
-        det_grad = np.exp(logp)
-        det_grad[hit] -= 1.0
-        pose_grad = np.zeros(pose_shape)
-        if r is not None:
-            pose_grad[own] = lam * _huber_deriv(r, delta)
-        return JointRegOutputs(det=det_grad, pose=pose_grad)
+        det = det_grad()
+        if deriv is None:
+            return JointRegOutputs(det=det, pose=np.zeros(pose_shape))
+        return JointRegOutputs(det=det, pose=_scatter(pose_shape, own, lam * deriv()))
 
     return LossResult.deferred(terms, grad)
 
@@ -575,20 +585,14 @@ def joint_classification_loss(
         raise LayoutError(f"{obj.shape[0]} outputs vs {len(labels)} targets")
     n, n_classes, n_bins = obj.shape
     cls = _class_ids(labels, n_classes)
-    logp = log_softmax(outputs.flat, axis=1)
     # a foreground sample's (class, bin) slot; background is the last slot
     slots = np.where(
         cls > 0, (cls - 1) * n_bins + labels.bins(n_bins) - 1, n_classes * n_bins
     )
-    hit = (np.arange(n), slots)
-    terms = ((-1.0, logp[hit], None),)
-
-    def grad():
-        flat_grad = np.exp(logp)
-        flat_grad[hit] -= 1.0
-        return JointClsOutputs.from_flat(flat_grad, n_classes, n_bins)
-
-    return LossResult.deferred(terms, grad)
+    picked, grad = _cross_entropy(outputs.flat, (np.arange(n), slots))
+    return LossResult.deferred(
+        ((-1.0, picked, None),), lambda: JointClsOutputs.from_flat(grad(), n_classes, n_bins)
+    )
 
 
 def joint_detection_score(obj: np.ndarray, back: float, class_id: int) -> float:

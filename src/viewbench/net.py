@@ -10,6 +10,10 @@ kinds cover the loss formulations:
 - ``joint_cls``: one head of n_classes*n_bins + 1 logits, class-bin slots
   first and the background slot last
 
+One cached function, ``_chains``, gives each chain's ``(name, fan_in,
+fan_out)`` layers; ``layer_plan`` (initialization order, checkpoint
+layout), ``forward`` and ``backward`` all read it.
+
 Training is plain SGD with momentum, weight decay on weights only, and a
 step learning-rate schedule.  A net's parameters, their momentum and
 their gradient are three flat vectors (``ModelParams``), weights first,
@@ -22,10 +26,12 @@ weights are finite, which is when the full pass would give exactly +0.
 
 Batches mix foreground and background proposals with replacement;
 foreground samples are mirrored with probability 1/2 by regenerating the
-feature at the flipped azimuth.  ``make_batch`` returns the features and
-one ``losses.Labels`` batch, assembled by array indexing from tables the
-``Pool`` computes once: its labels are rows of the pool's label table,
-whose bins and embeddings are derived once per bin count and dimension.
+feature at the flipped azimuth.  A ``Pool`` holds one feature table of
+foreground rows, their noiseless mirrors and background rows, and a label
+table of the same rows, whose bins and embeddings are derived once per
+bin count and dimension.  ``make_batch`` draws one index array into both:
+the features are those rows (a flipped row of a noisy class plus fresh
+noise), and the labels one ``losses.Labels`` batch of the same rows.
 All randomness comes from seeded generators, so runs are bitwise
 reproducible.  The training log measures loss on a fixed probe batch, so
 it reflects parameter movement rather than batch sampling noise.
@@ -259,42 +265,45 @@ class Gradients(Mapping):
         return len(self._slots)
 
 
-def head_width(cfg: NetConfig) -> int:
-    if cfg.head == "reg":
-        return cfg.n_classes * cfg.n_dims
-    if cfg.head == "cls":
-        return cfg.n_classes * cfg.n_bins
-    return cfg.n_classes * cfg.n_bins + 1  # joint_cls
+# a chain of layers, input side first, each as (name, fan_in, fan_out)
+Chain = tuple[tuple[str, int, int], ...]
+
+
+@functools.lru_cache(maxsize=64)
+def _chains(cfg: NetConfig) -> tuple[Chain, ...]:
+    """The net's chains of ``(name, fan_in, fan_out)`` layers, input side
+    first: ``(trunk + head,)``, or for ``joint_reg`` ``(shared trunk, det
+    branch + det_head, pose branch + pose_head)``.  Resolved once per
+    config."""
+
+    def chain(prefix, widths, d, head=None):
+        layers = []
+        for i, w in enumerate(widths):
+            layers.append((f"{prefix}{i}", d, w))
+            d = w
+        if head is not None:
+            layers.append((head[0], d, head[1]))
+        return tuple(layers)
+
+    widths = cfg.trunk_widths
+    bins, pose = cfg.n_classes * cfg.n_bins, cfg.n_classes * cfg.n_dims
+    if cfg.head != "joint_reg":
+        out = {"reg": pose, "cls": bins, "joint_cls": bins + 1}[cfg.head]
+        return (chain("trunk", widths, cfg.input_dim, ("head", out)),)
+    s = cfg.split_depth
+    d = (cfg.input_dim, *widths)[s]  # the width where the branches split
+    return (
+        chain("trunk", widths[:s], cfg.input_dim),
+        chain("det", widths[s:], d, ("det_head", cfg.n_classes + 1)),
+        chain("pose", widths[s:], d, ("pose_head", pose)),
+    )
 
 
 def layer_plan(cfg: NetConfig) -> list[tuple[str, int, int]]:
-    """(name, fan_in, fan_out) in definition order, which is also the
-    parameter initialization draw order."""
-    widths = cfg.trunk_widths
-    plan = []
-    if cfg.head == "joint_reg":
-        s = cfg.split_depth
-        d = cfg.input_dim
-        for i in range(s):
-            plan.append((f"trunk{i}", d, widths[i]))
-            d = widths[i]
-        split_dim = d
-        for i in range(s, len(widths)):
-            plan.append((f"det{i - s}", d, widths[i]))
-            d = widths[i]
-        plan.append(("det_head", d, cfg.n_classes + 1))
-        d = split_dim
-        for i in range(s, len(widths)):
-            plan.append((f"pose{i - s}", d, widths[i]))
-            d = widths[i]
-        plan.append(("pose_head", d, cfg.n_classes * cfg.n_dims))
-        return plan
-    d = cfg.input_dim
-    for i, w in enumerate(widths):
-        plan.append((f"trunk{i}", d, w))
-        d = w
-    plan.append(("head", d, head_width(cfg)))
-    return plan
+    """(name, fan_in, fan_out) in definition order, the net's chains one
+    after another, which is also the parameter initialization draw
+    order."""
+    return [layer for chain in _chains(cfg) for layer in chain]
 
 
 def init_params(cfg: NetConfig) -> ModelParams:
@@ -307,34 +316,19 @@ def init_params(cfg: NetConfig) -> ModelParams:
     return ModelParams(layers)
 
 
-@functools.lru_cache(maxsize=64)
-def _chains(cfg: NetConfig) -> tuple[tuple[str, ...], ...]:
-    """Layer names of the net's chains, input side first: ``(trunk +
-    head,)``, or for ``joint_reg`` ``(shared trunk, det branch + det_head,
-    pose branch + pose_head)``.  Resolved once per config."""
-    n = len(cfg.trunk_widths)
-    if cfg.head != "joint_reg":
-        return (tuple(f"trunk{i}" for i in range(n)) + ("head",),)
-    s = cfg.split_depth
-    return (
-        tuple(f"trunk{i}" for i in range(s)),
-        tuple(f"det{i}" for i in range(n - s)) + ("det_head",),
-        tuple(f"pose{i}" for i in range(n - s)) + ("pose_head",),
-    )
-
-
 def _chain(
     layers: dict[str, Dense],
-    names: Sequence[str],
+    chain: Chain,
     a: np.ndarray,
     cache: dict | None,
     head: bool,
 ) -> np.ndarray:
-    """Affine+ReLU chain, the last layer affine only if it is a ``head``.
-    Records each layer's input in the cache; a ReLU output doubles as the
-    mask that backward() needs, so no preactivation is kept."""
-    last = len(names) - 1
-    for i, name in enumerate(names):
+    """Affine+ReLU chain (one of :func:`_chains`), the last layer affine
+    only if it is a ``head``.  Records each layer's input in the cache; a
+    ReLU output doubles as the mask that backward() needs, so no
+    preactivation is kept."""
+    last = len(chain) - 1
+    for i, (name, _, _) in enumerate(chain):
         if cache is not None:
             cache[name] = a
         layer = layers[name]
@@ -364,14 +358,14 @@ def forward(
     layers = params.layers
     b = x.shape[0]
     if cfg.head == "joint_reg":
-        shared, det_names, pose_names = _chains(cfg)
+        shared, det_chain, pose_chain = _chains(cfg)
         a = _chain(layers, shared, x, cache, head=False)
-        det = _chain(layers, det_names, a, cache, head=True)
-        pose = _chain(layers, pose_names, a, cache, head=True)
+        det = _chain(layers, det_chain, a, cache, head=True)
+        pose = _chain(layers, pose_chain, a, cache, head=True)
         out = JointRegOutputs(det, pose.reshape(b, cfg.n_classes, cfg.n_dims))
     else:
-        (names,) = _chains(cfg)
-        raw = _chain(layers, names, x, cache, head=True)
+        (chain,) = _chains(cfg)
+        raw = _chain(layers, chain, x, cache, head=True)
         if cfg.head == "reg":
             out = raw.reshape(b, cfg.n_classes, cfg.n_dims)
         elif cfg.head == "cls":
@@ -385,7 +379,7 @@ def forward(
 
 def _back_chain(
     layers: dict[str, Dense],
-    names: Sequence[str],
+    chain: Chain,
     delta: np.ndarray,
     cache: dict,
     grads: dict,
@@ -399,8 +393,8 @@ def _back_chain(
     ``out`` is the chain's ReLU output, or None if it ends in a head.  The
     ReLU mask is applied in place, on deltas this function computed, never
     on the caller's ``delta``."""
-    for i in range(len(names) - 1, -1, -1):
-        name = names[i]
+    for i in range(len(chain) - 1, -1, -1):
+        name = chain[i][0]
         a_in = cache[name]
         if out is not None:
             np.multiply(delta, out > 0.0, out=delta)
@@ -415,9 +409,9 @@ def _back_chain(
 
 
 def _provably_zero(
-    layers: dict[str, Dense], names: Sequence[str], delta: np.ndarray, cache: dict
+    layers: dict[str, Dense], chain: Chain, delta: np.ndarray, cache: dict
 ) -> bool:
-    """Whether back-propagating ``delta`` through the head chain ``names``
+    """Whether back-propagating ``delta`` through the head chain ``chain``
     gives exactly +0 everywhere: ``delta`` is all +0 (bit for bit), and
     every input the chain's layers cached and every one of their weights
     is finite, so that no 0 * inf or NaN can arise.  Then each product
@@ -425,7 +419,8 @@ def _provably_zero(
     if delta.dtype != np.float64 or delta.view(np.int64).any():
         return False
     return all(
-        np.isfinite(cache[name]).all() and np.isfinite(layers[name].w).all() for name in names
+        np.isfinite(cache[name]).all() and np.isfinite(layers[name].w).all()
+        for name, _, _ in chain
     )
 
 
@@ -453,29 +448,29 @@ def backward(
     layers = params.layers
     b = np.asarray(x).shape[0]
     if cfg.head == "joint_reg":
-        shared, det_names, pose_names = _chains(cfg)
+        shared, det_chain, pose_chain = _chains(cfg)
         # with no shared trunk both branches read x
         split = bool(shared)
-        d_det = _back_chain(layers, det_names, out_grad.det, cache, grads, None, split)
+        d_det = _back_chain(layers, det_chain, out_grad.det, cache, grads, None, split)
         pose_grad = out_grad.pose.reshape(b, -1)
-        if _provably_zero(layers, pose_names, pose_grad, cache):
-            for name in pose_names:
+        if _provably_zero(layers, pose_chain, pose_grad, cache):
+            for name, _, _ in pose_chain:
                 for slot in grads[name]:
                     slot.fill(0.0)
             d_pose = 0.0  # x + (+0) is x, but for -0 + +0, which is +0
         else:
-            d_pose = _back_chain(layers, pose_names, pose_grad, cache, grads, None, split)
+            d_pose = _back_chain(layers, pose_chain, pose_grad, cache, grads, None, split)
         if split:
             _back_chain(
-                layers, shared, d_det + d_pose, cache, grads, cache[det_names[0]], False
+                layers, shared, d_det + d_pose, cache, grads, cache[det_chain[0][0]], False
             )
     else:
         if cfg.head == "joint_cls":
             flat = out_grad.flat
         else:
             flat = out_grad.reshape(b, -1)
-        (names,) = _chains(cfg)
-        _back_chain(layers, names, flat, cache, grads, None, False)
+        (chain,) = _chains(cfg)
+        _back_chain(layers, chain, flat, cache, grads, None, False)
     return Gradients(params.grad.copy(), params.slots)
 
 
@@ -488,7 +483,7 @@ def effective_lr(tcfg: TrainConfig, iteration: int) -> float:
 
 def sgd_step(
     params: ModelParams,
-    grads: Mapping[str, tuple[np.ndarray, np.ndarray]],
+    grads: Gradients,
     tcfg: TrainConfig,
     iteration: int,
 ) -> None:
@@ -497,21 +492,13 @@ def sgd_step(
     v <- momentum*v + g + wd*w;  w <- w - lr_t*v.  The vectors of
     ``params`` are updated in place, in that order of operations, as one
     update over all layers (weights first, so the decay is one slice).
-    ``grads`` is what ``backward`` returned, or any mapping with a
-    ``(dw, db)`` for every layer."""
-    if isinstance(grads, Gradients):
-        g = grads.flat
-    else:
-        for name, (dw, db) in params.grads.items():
-            if name not in grads:
-                raise LayoutError(f"sgd_step needs a gradient for every layer, {name!r} has none")
-            dw[...], db[...] = grads[name]
-        g = params.grad
+    ``grads`` is what ``backward`` returned: its flat vector is laid out
+    like ``params.values``."""
     lr = effective_lr(tcfg, iteration)
     n_w = params.n_weights
     w, v = params.values, params.velocity
     v *= tcfg.momentum
-    v += g
+    v += grads.flat
     v[:n_w] += tcfg.weight_decay * w[:n_w]
     w -= lr * v
 
@@ -522,16 +509,18 @@ class Pool:
 
     Construction checks the rows once, so the batches drawn from them need
     no checks: foreground rows have a class id >= 1 and a finite azimuth.
-    It also tabulates, per foreground row, what a flip needs: the class's
-    noiseless feature at the mirrored azimuth and the class's noise
-    scale.  Rows of a class without a spec get NaN there and cannot be
-    flipped.
 
-    ``labels`` is the label table that batches draw their rows from: row
-    ``i`` labels foreground row ``i``, row ``n + i`` its mirror (or is a
-    background row if it cannot be flipped), and row ``2n`` the
-    background.  Its bins and embeddings are derived once per bin count
-    and dimension, over the rows that carry a class.
+    ``rows`` is the one feature table that batches are drawn from, of
+    ``2n + m`` rows: the n foreground features, their noiseless mirrors
+    (the class's feature at the mirrored azimuth), then the m background
+    features.  ``fg_features``, ``fg_flip_clean`` and ``bg_features`` are
+    views of these three parts, so a write into them reaches the batches.
+    ``labels`` labels the same rows; its bins and embeddings are derived
+    once per bin count and dimension, over the rows that carry a class.
+    ``fg_noise_sigma`` is each foreground row's class noise scale.  Rows of
+    a class without a spec cannot be flipped: their mirror row and noise
+    scale are NaN, and their mirror is labelled as background, class 0
+    with a NaN azimuth, as every background row is.
     """
 
     fg_features: np.ndarray
@@ -539,6 +528,7 @@ class Pool:
     fg_azimuth: np.ndarray
     bg_features: np.ndarray
     specs: dict[int, ClassSpec]
+    rows: np.ndarray = field(init=False, repr=False)
     fg_flip_clean: np.ndarray = field(init=False, repr=False)
     fg_noise_sigma: np.ndarray = field(init=False, repr=False)
     # whether some foreground row cannot be flipped
@@ -555,6 +545,7 @@ class Pool:
                 f"pool features must be two (rows, dim) arrays, got {fg.shape} and {bg.shape}"
             )
         n, d = fg.shape
+        m = bg.shape[0]
         if cls.shape != (n,) or az.shape != (n,) or cls.dtype.kind not in "iu":
             raise LayoutError(
                 f"pool needs ({n},) integer class ids and ({n},) azimuths, "
@@ -567,7 +558,9 @@ class Pool:
                 raise ClassOutOfRange(f"foreground row {i}: class_id must be >= 1, got {cls[i]}")
             raise InvalidAngle(f"foreground row {i}: azimuth must be finite, got {float(az[i])!r}")
         flip_az = flip_azimuth(az)
-        clean = np.full((n, d), np.nan)
+        rows = np.full((2 * n + m, d), np.nan)
+        rows[:n] = fg
+        rows[2 * n:] = bg
         sigma = np.full(n, np.nan)
         for i, (cid, theta) in enumerate(zip(cls.tolist(), flip_az.tolist())):
             spec = self.specs.get(cid)
@@ -577,20 +570,21 @@ class Pool:
                 raise LayoutError(
                     f"class {cid} has feature_dim {spec.feature_dim}, pool rows have {d}"
                 )
-            clean[i] = appearance_clean(spec, theta)
+            rows[n + i] = appearance_clean(spec, theta)
             sigma[i] = spec.noise_sigma
         cls = cls.astype(int, copy=False)
         flippable = ~np.isnan(sigma)
-        labels = Labels._of_valid_rows(
-            np.concatenate([cls, np.where(flippable, cls, 0), [0]]),
-            np.concatenate([az, np.where(flippable, flip_az, np.nan), [np.nan]]),
+        labels = Labels(
+            np.concatenate([cls, np.where(flippable, cls, 0), np.zeros(m, dtype=int)]),
+            np.concatenate([az, np.where(flippable, flip_az, np.nan), np.full(m, np.nan)]),
         )
         for name, value in (
-            ("fg_features", fg),
+            ("rows", rows),
+            ("fg_features", rows[:n]),
             ("fg_class", cls),
             ("fg_azimuth", az),
-            ("bg_features", bg),
-            ("fg_flip_clean", clean),
+            ("bg_features", rows[2 * n:]),
+            ("fg_flip_clean", rows[n : 2 * n]),
             ("fg_noise_sigma", sigma),
             ("has_unflippable", not flippable.all()),
             ("labels", labels),
@@ -630,44 +624,41 @@ def make_batch(
     With flip_augment each foreground draw is mirrored with probability
     1/2: the target azimuth is reflected and the feature is regenerated
     from the class appearance model at the mirrored azimuth with fresh
-    noise.  The noise of all flipped rows of noisy classes is one
+    noise, that is, the draw's mirror row of ``Pool.rows`` plus noise.
+    The noise of all flipped rows of noisy classes is one
     ``(k, feature_dim)`` draw, row by row the same numbers as one draw per
     flipped row.  Backgrounds are rotation-free, so flipping leaves them
-    alone.  The labels are the drawn rows of the pool's label table
-    (``Pool.labels``), whose rows were checked when the pool was built.
+    alone.  The batch is one index array into ``Pool.rows``: the features
+    are those rows, and the labels the same rows of ``Pool.labels``, whose
+    rows were checked when the pool was built.
     """
     n_fg = math.ceil(tcfg.positive_fraction * tcfg.batch_size)
     n_bg = tcfg.batch_size - n_fg
-    n = pool.fg_features.shape[0]
+    n = pool.fg_class.shape[0]
+    m = pool.bg_features.shape[0]
     if n_fg > 0 and n == 0:
         raise EmptyClassError("batch needs foreground samples but the pool has none")
-    if n_bg > 0 and pool.bg_features.shape[0] == 0:
+    if n_bg > 0 and m == 0:
         raise EmptyClassError("batch needs background samples but the pool has none")
-    if n_fg > 0:
-        idx = rng.integers(0, n, n_fg)
-        fg_x = pool.fg_features.take(idx, axis=0)
-        if tcfg.flip_augment:
-            rows = (rng.random(n_fg) < 0.5).nonzero()[0]
-            src = idx[rows]
-            sigma = pool.fg_noise_sigma[src]
-            if pool.has_unflippable and np.isnan(sigma).any():
-                cid = pool.fg_class[src[np.argmax(np.isnan(sigma))]]
-                raise ConfigError(f"flip_augment needs class {cid}'s spec, which the pool lacks")
-            flip_x = pool.fg_flip_clean.take(src, axis=0)
-            noisy = (sigma > 0.0).nonzero()[0]
-            noise = rng.standard_normal((noisy.size, flip_x.shape[1]))
-            noise *= sigma[noisy, None]
-            flip_x[noisy] += noise
-            fg_x[rows] = flip_x
-            idx[rows] += n  # the mirror's row of the label table
-        if n_bg == 0:
-            return fg_x, pool.labels._rows(idx)
-    bg_x = pool.bg_features.take(rng.integers(0, pool.bg_features.shape[0], n_bg), axis=0)
-    table_rows = np.full(n_fg + n_bg, 2 * n)
-    if n_fg == 0:
-        return bg_x, pool.labels._rows(table_rows)
-    table_rows[:n_fg] = idx
-    return np.concatenate([fg_x, bg_x]), pool.labels._rows(table_rows)
+    # a draw of no rows leaves the generator as it was
+    idx = rng.integers(0, n, n_fg)
+    noise = None
+    if tcfg.flip_augment:
+        flipped = (rng.random(n_fg) < 0.5).nonzero()[0]
+        sigma = pool.fg_noise_sigma[idx[flipped]]
+        if pool.has_unflippable and np.isnan(sigma).any():
+            cid = pool.fg_class[idx[flipped[np.argmax(np.isnan(sigma))]]]
+            raise ConfigError(f"flip_augment needs class {cid}'s spec, which the pool lacks")
+        idx[flipped] += n  # the mirror rows
+        noisy = (sigma > 0.0).nonzero()[0]
+        noise = rng.standard_normal((noisy.size, pool.rows.shape[1]))
+        noise *= sigma[noisy, None]
+    if n_bg > 0:
+        idx = np.concatenate([idx, rng.integers(2 * n, 2 * n + m, n_bg)])
+    x = pool.rows.take(idx, axis=0)
+    if noise is not None:
+        x[flipped[noisy]] += noise
+    return x, pool.labels._rows(idx)
 
 
 def _loss_fn(spec: LossSpec, cfg: NetConfig) -> Callable[[object, Labels], LossResult]:

@@ -882,9 +882,13 @@ def _stage(path: Path, data: bytes | ByteStream) -> str:
     """Write ``data`` to a new temp file beside ``path`` and return its
     name.  The file is created with mode 0o666 less the umask, as a plain
     open() would make it (mkstemp's 0o600 would survive the rename); on
-    failure it is removed."""
+    failure it is removed.  If the temp file cannot be made, the error,
+    of the same type, names ``path`` rather than the random temp name."""
     tmp = _temp_name(path)
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as e:
+        raise type(e)(e.errno, e.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             if isinstance(data, ByteStream):

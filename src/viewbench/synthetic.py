@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -345,6 +345,24 @@ def default_class_specs(
     )
 
 
+def benchmark_splits(
+    seed: int,
+    n_train_scenes: int,
+    n_test_scenes: int,
+    specs: Sequence[ClassSpec],
+    **scene_args,
+) -> tuple[Callable[[], Dataset], Callable[[], Dataset]]:
+    """Makers of a benchmark's train and test splits, each a call of
+    ``generate`` with its own seed derived from ``seed`` and with
+    ``scene_args``; a caller can make and drop one split before it makes
+    the other."""
+    state = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    return (
+        lambda: generate(int(state[0]), n_train_scenes, specs, split="train", **scene_args),
+        lambda: generate(int(state[1]), n_test_scenes, specs, split="test", **scene_args),
+    )
+
+
 def default_benchmark(
     seed: int = 0,
     n_train_scenes: int = 200,
@@ -354,7 +372,5 @@ def default_benchmark(
 ) -> tuple[Dataset, Dataset]:
     """Standard train/test pair sharing one class roster."""
     specs = default_class_specs(seed, feature_dim, noise_sigma)
-    state = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    train = generate(int(state[0]), n_train_scenes, specs, split="train")
-    test = generate(int(state[1]), n_test_scenes, specs, split="test")
-    return train, test
+    make_train, make_test = benchmark_splits(seed, n_train_scenes, n_test_scenes, specs)
+    return make_train(), make_test()

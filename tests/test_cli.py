@@ -598,6 +598,10 @@ def _exit_code(argv):
             "config key train.seed must be >= 0, got -3",
         ),
         (
+            ["train", "--config", "{checkpoint_every}", "--out", "{out}"],
+            "config key train.checkpoint_every must be >= 0, got -5",
+        ),
+        (
             ["generate", "--config", "{class_seed}", "--out", "{out}"],
             "seed must be >= 0, got -4",
         ),
@@ -763,7 +767,8 @@ def _exit_code(argv):
         "bins-not-integers", "bins-empty", "bins-below-2", "predict-split",
         "objects-per-scene-scalar", "trunk-widths-string", "total-iters-fraction",
         "weight-decay-nan", "class-sigma-inf", "seed-flag-negative",
-        "gradcheck-seed-negative", "train-seed-negative", "class-seed-negative",
+        "gradcheck-seed-negative", "train-seed-negative",
+        "train-checkpoint-every-negative", "class-seed-negative",
         "manifest-no-class-specs", "manifest-spec-class-0", "manifest-spec-seed-negative",
         "manifest-class-ids", "config-class-id-3",
         "config-class-id-twice", "config-class-id-missing", "gt-class-0", "det-class-negative",
@@ -819,6 +824,7 @@ def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_p
                 }),
                 ("decay", {"train": {"weight_decay": float("nan")}}),
                 ("train_seed", {"train": {"seed": -3}}),
+                ("checkpoint_every", {"train": {"checkpoint_every": -5}}),
             )
         },
         "top_dim_train": _write_yaml(
@@ -921,6 +927,16 @@ class TestEval:
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert entry(["eval", str(tmp_path / "no.txt"), str(tmp_path / "no2.txt")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_out_in_missing_directory_names_the_target(self, tmp_path, capsys):
+        gt, det = tmp_path / "gt.txt", tmp_path / "dets.txt"
+        gt.write_text(GT_TEXT)
+        det.write_text(DET_TEXT)
+        target = tmp_path / "missing" / "r.json"
+        assert entry(["eval", str(gt), str(det), "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: [Errno 2] No such file or directory: '{target}'\n" in err
+        assert ".tmp" not in err
 
 
 class TestGradcheck:

@@ -43,6 +43,7 @@ from viewbench.net import (
     LOSS_HEADS,
     POSE_ONLY_LOSSES,
     Dense,
+    Gradients,
     ModelParams,
     NetConfig,
     Pool,
@@ -351,12 +352,11 @@ class TestFlatParams:
         assert not np.shares_memory(first.flat, params.grad)
         assert list(first) == list(params.layers)
 
-    def test_sgd_step_needs_every_layer(self):
-        params = init_params(self.CFG)
-        grads = {name: (np.zeros_like(l.w), np.zeros_like(l.b)) for name, l in params.layers.items()}
-        del grads["pose_head"]
-        with pytest.raises(LayoutError, match="pose_head"):
-            sgd_step(params, grads, TrainConfig(), 0)
+
+def _scalar_grads(params, dw, db):
+    """The gradients of the one-layer ``params`` of ``TestSGD``, laid out
+    as ``backward`` returns them: one flat vector, weight then bias."""
+    return Gradients(np.array([dw, db], dtype=float), params.slots)
 
 
 class TestSGD:
@@ -372,13 +372,13 @@ class TestSGD:
     def test_fixed_point(self):
         params = self._scalar_params()
         tcfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0)
-        sgd_step(params, {"head": (np.zeros((1, 1)), np.zeros(1))}, tcfg, 0)
+        sgd_step(params, _scalar_grads(params, 0.0, 0.0), tcfg, 0)
         assert params.layers["head"].w[0, 0] == 1.0
 
     def test_two_step_recurrence(self):
         params = self._scalar_params()
         tcfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0, decay_at=())
-        g = {"head": (np.ones((1, 1)), np.zeros(1))}
+        g = _scalar_grads(params, 1.0, 0.0)
         sgd_step(params, g, tcfg, 0)
         assert params.layers["head"].w[0, 0] == pytest.approx(0.9, abs=1e-15)
         sgd_step(params, g, tcfg, 1)
@@ -396,7 +396,7 @@ class TestSGD:
         params = self._scalar_params()
         arrays = [getattr(params.layers["head"], a) for a in ("w", "b", "vw", "vb")]
         tcfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.5, decay_at=())
-        sgd_step(params, {"head": (np.ones((1, 1)), np.ones(1))}, tcfg, 0)
+        sgd_step(params, _scalar_grads(params, 1.0, 1.0), tcfg, 0)
         assert all(
             getattr(params.layers["head"], a) is arr
             for a, arr in zip(("w", "b", "vw", "vb"), arrays)
@@ -406,7 +406,7 @@ class TestSGD:
     def test_weight_decay_spares_biases(self):
         params = self._scalar_params(w=2.0, b=3.0)
         tcfg = TrainConfig(lr=0.1, momentum=0.0, weight_decay=0.5, decay_at=())
-        sgd_step(params, {"head": (np.zeros((1, 1)), np.zeros(1))}, tcfg, 0)
+        sgd_step(params, _scalar_grads(params, 0.0, 0.0), tcfg, 0)
         assert params.layers["head"].w[0, 0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
         assert params.layers["head"].b[0] == 3.0
 
@@ -614,15 +614,16 @@ def test_label_tables_equal_fresh_codecs(pool_fn):
     """The pool's label table holds, bit for bit, what ``azimuth_to_bin``
     and ``encode`` give for every foreground row and for the mirror of
     every row that can be flipped; the mirror rows of the rest and the
-    background row carry no class, bin 0 and a NaN embedding."""
+    background rows carry no class, bin 0 and a NaN embedding."""
     pool = pool_fn()
     n = pool.fg_class.shape[0]
+    m = pool.bg_features.shape[0]
     flippable = ~np.isnan(pool.fg_noise_sigma)
     mirrors = [flip_azimuth(float(a)) for a in pool.fg_azimuth]
     labels = pool.labels
-    assert len(labels) == 2 * n + 1
+    assert len(labels) == len(pool.rows) == 2 * n + m
     assert labels.class_id.tolist() == (
-        pool.fg_class.tolist() + np.where(flippable, pool.fg_class, 0).tolist() + [0]
+        pool.fg_class.tolist() + np.where(flippable, pool.fg_class, 0).tolist() + [0] * m
     )
     for n_bins in (2, 8, 24, 360):
         bins = labels.bins(n_bins)
@@ -630,7 +631,7 @@ def test_label_tables_equal_fresh_codecs(pool_fn):
             assert bins[i] == azimuth_to_bin(float(pool.fg_azimuth[i]), n_bins)
             want = azimuth_to_bin(mirrors[i], n_bins) if flippable[i] else 0
             assert bins[n + i] == want
-        assert bins[2 * n] == 0
+        assert (bins[2 * n:] == 0).all()
     for dim in (2, 3):
         emb = labels.embeddings(dim)
         for i in range(n):
@@ -641,7 +642,59 @@ def test_label_tables_equal_fresh_codecs(pool_fn):
                 assert np.array_equal(_bits(emb[n + i]), _bits(fresh))
             else:
                 assert np.isnan(emb[n + i]).all()
-        assert np.isnan(emb[2 * n]).all()
+        assert np.isnan(emb[2 * n:]).all()
+
+
+@pytest.mark.parametrize("m", [1, 7])
+def test_background_table_rows(m):
+    """The last m rows of the pool's tables are its background rows: the
+    background features given, in order, labelled class 0 with a NaN
+    azimuth, bin 0 and a NaN embedding."""
+    base = _mixed_noise_pool()
+    bg = np.random.default_rng(m).normal(size=(m, 6))
+    pool = dataclasses.replace(base, bg_features=bg)
+    n = pool.fg_class.shape[0]
+    assert pool.rows.shape == (2 * n + m, 6)
+    assert np.array_equal(_bits(pool.rows[2 * n:]), _bits(bg))
+    assert np.array_equal(_bits(pool.rows[: 2 * n]), _bits(base.rows[: 2 * n]))
+    labels = pool.labels
+    assert (labels.class_id[2 * n:] == 0).all()
+    assert np.isnan(labels.azimuth[2 * n:]).all()
+    assert (labels.bins(24)[2 * n:] == 0).all()
+    for dim in (2, 3):
+        assert labels.embeddings(dim)[2 * n:].shape == (m, dim)
+        assert np.isnan(labels.embeddings(dim)[2 * n:]).all()
+
+
+@pytest.mark.parametrize("pool_fn", [_mixed_noise_pool, _generated_pool])
+@pytest.mark.parametrize("flip", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batch_rows_are_pool_rows(pool_fn, flip, seed):
+    """Every batch row is, bit for bit, the ``pool.rows`` row its label was
+    drawn from, except a flipped row of a noisy class, which is that
+    mirror row plus its noise: the draws replayed from the batch
+    generator's state, sigma times a standard normal row."""
+    pool = pool_fn()
+    n = pool.fg_class.shape[0]
+    tcfg = TrainConfig(batch_size=40, positive_fraction=0.5, flip_augment=flip)
+    rng = np.random.default_rng([seed, 3])
+    for _ in range(3):
+        replay = np.random.default_rng(0)
+        replay.bit_generator.state = rng.bit_generator.state
+        x, labels = make_batch(pool, tcfg, rng)
+        _, idx = labels._source
+        n_fg = math.ceil(tcfg.positive_fraction * tcfg.batch_size)
+        replay.integers(0, n, n_fg)
+        want = pool.rows[idx]
+        if flip:
+            replay.random(n_fg)
+            mirror = idx[:n_fg] >= n
+            sigma = pool.fg_noise_sigma[idx[:n_fg] - n * mirror]
+            noisy = (mirror & (sigma > 0.0)).nonzero()[0]
+            want[noisy] += sigma[noisy, None] * replay.standard_normal((noisy.size, x.shape[1]))
+        assert np.array_equal(_bits(x), _bits(want))
+        assert flip == bool(np.any(idx[:n_fg] >= n))
+        assert (idx[n_fg:] >= 2 * n).all()
 
 
 def test_batch_labels_are_table_rows():
