@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check that a
+config's or spec's integer fields hold integers."""
+
+from typing import Sequence
+
+import numpy as np
 
 
 class ViewbenchError(Exception):
@@ -67,3 +72,16 @@ class GenerationError(ViewbenchError):
 
 class FormatError(ViewbenchError):
     """A record file or serialized artifact could not be parsed."""
+
+
+def check_integers(owner, names: Sequence[str], error: type[ViewbenchError]) -> None:
+    """Raise ``error`` for a bool or a non-integer (an integral float too)
+    in the named fields of ``owner``; a tuple field is checked item by
+    item.  NumPy integers pass."""
+    for name in names:
+        value = getattr(owner, name)
+        many = isinstance(value, tuple)
+        for v in value if many else (value,):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                kind = "integers" if many else "an integer"
+                raise error(f"{name} must be {kind}, got {value!r}")

@@ -293,7 +293,7 @@ def check_net(
     out, cache = nets.forward(params, cfg, x, want_cache=True)
     grads = nets.backward(params, cfg, x, fn(out, targets).grad, cache)
     probe = params.copy()
-    analytic, slots = _slots_to_check(grads.flat, probe.n_params, MAX_SLOTS, seed, corrupt)
+    analytic, slots = _slots_to_check(grads, probe.n_params, MAX_SLOTS, seed, corrupt)
     values = _per_slot_values(
         lambda _: fn(nets.forward(probe, cfg, x), targets).value, probe.values, slots, EPS
     )

@@ -11,14 +11,15 @@ kinds cover the loss formulations:
   first and the background slot last
 
 One cached function, ``_chains``, gives each chain's ``(name, fan_in,
-fan_out)`` layers; ``layer_plan`` (initialization order, checkpoint
-layout), ``forward`` and ``backward`` all read it.
+fan_out)`` layers; ``layer_plan`` (initialization order, parameter and
+checkpoint layout), ``forward`` and ``backward`` all read it.
 
 Training is plain SGD with momentum, weight decay on weights only, and a
 step learning-rate schedule.  A net's parameters, their momentum and
-their gradient are three flat vectors (``ModelParams``), weights first,
-and each layer's arrays are views into them: ``backward`` writes every
-layer's gradient into its slot and ``sgd_step`` is one update of the
+their gradient are three flat vectors (``ModelParams``), built from the
+layer plan, weights first, and each layer's arrays are views into them:
+``backward`` writes every layer's gradient into its slot and returns a
+copy of the flat gradient, and ``sgd_step`` is one update of the
 vectors, in place.  A caller that keeps parameters across steps copies
 them.  A ``joint_reg`` branch whose loss gradient is all +0 (the pose
 branch at ``lam=0``) is not back-propagated while its cached inputs and
@@ -42,7 +43,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -58,6 +58,7 @@ from .errors import (
     InvalidAngle,
     InvalidConfig,
     LayoutError,
+    check_integers,
 )
 from .losses import (
     JointClsOutputs,
@@ -89,19 +90,6 @@ LOSS_HEADS = {
 POSE_ONLY_LOSSES = ("regression", "classification", "geometric")
 
 
-def _check_integers(config, names: Sequence[str]) -> None:
-    """Reject a bool or a non-integer (an integral float too) in the named
-    fields of a config; a tuple field is checked item by item.  NumPy
-    integers pass."""
-    for name in names:
-        value = getattr(config, name)
-        many = isinstance(value, tuple)
-        for v in value if many else (value,):
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                kind = "integers" if many else "an integer"
-                raise InvalidConfig(f"{name} must be {kind}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class NetConfig:
     input_dim: int
@@ -115,9 +103,9 @@ class NetConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "trunk_widths", tuple(self.trunk_widths))
-        _check_integers(
+        check_integers(
             self, ("input_dim", "trunk_widths", "n_classes", "n_bins", "n_dims", "split_depth",
-                   "seed"),
+                   "seed"), InvalidConfig,
         )
         if self.input_dim < 1:
             raise InvalidConfig(f"input_dim must be >= 1, got {self.input_dim}")
@@ -153,7 +141,9 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "decay_at", tuple(self.decay_at))
-        _check_integers(self, ("batch_size", "total_iters", "decay_at", "log_every", "seed"))
+        check_integers(
+            self, ("batch_size", "total_iters", "decay_at", "log_every", "seed"), InvalidConfig
+        )
         if not (np.isfinite(self.lr) and self.lr >= 0.0):
             raise InvalidConfig(f"lr must be >= 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
@@ -189,41 +179,43 @@ class Dense:
 
 
 class ModelParams:
-    """Ordered mapping of layer name to parameters, plus momentum state.
+    """A net's parameters and their momentum, laid out by its layer plan.
 
-    The parameters, their momentum and their gradient are three flat
-    float64 vectors laid out alike: every layer's weights in layer order,
-    then every layer's biases (``n_weights`` weights in all).  Each
-    ``Dense`` array is a view into its slot of ``values`` or ``velocity``,
-    and ``grads`` holds the ``(dw, db)`` views into ``grad`` that
-    ``backward`` writes.  Built from layers, the params copy their arrays
-    into fresh vectors.
+    ``plan`` is a :func:`layer_plan`, ``(name, fan_in, fan_out)`` per
+    layer.  The parameters, their momentum and their gradient are three
+    flat float64 vectors laid out alike: every layer's weights in plan
+    order, then every layer's biases (``n_weights`` weights in all).
+    ``values`` and ``velocity`` are the given vectors, held as they are,
+    or zeros.  ``slots`` maps each layer to its ``(weights slice, weights
+    shape, biases slice)``; each ``Dense`` array is a view into its slot of
+    ``values`` or ``velocity``, and ``grads`` holds the ``(dw, db)`` views
+    into ``grad`` that ``backward`` writes.
     """
 
-    def __init__(self, layers: dict[str, Dense]):
-        ls = list(layers.values())
-        self._bind(
-            [(name, layer.w.shape) for name, layer in layers.items()],
-            np.concatenate([l.w.ravel() for l in ls] + [l.b.ravel() for l in ls], dtype=float),
-            np.concatenate([l.vw.ravel() for l in ls] + [l.vb.ravel() for l in ls], dtype=float),
-        )
-
-    def _bind(self, shapes, values: np.ndarray, velocity: np.ndarray) -> None:
-        self.values, self.velocity, self.grad = values, velocity, np.zeros_like(values)
-        self.n_weights = sum(fan_in * fan_out for _, (fan_in, fan_out) in shapes)
+    def __init__(
+        self,
+        plan: Sequence[tuple[str, int, int]],
+        values: np.ndarray | None = None,
+        velocity: np.ndarray | None = None,
+    ):
+        self.plan = list(plan)
+        self.n_weights = sum(fan_in * fan_out for _, fan_in, fan_out in self.plan)
+        n = self.n_weights + sum(fan_out for _, _, fan_out in self.plan)
+        self.values = np.zeros(n) if values is None else values
+        self.velocity = np.zeros(n) if velocity is None else velocity
+        self.grad = np.zeros(n)
         self.slots: dict[str, tuple[slice, tuple[int, int], slice]] = {}
         self.layers: dict[str, Dense] = {}
         self.grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         w_at, b_at = 0, self.n_weights
-        for name, (fan_in, fan_out) in shapes:
+        for name, fan_in, fan_out in self.plan:
             w = slice(w_at, w_at + fan_in * fan_out)
             b = slice(b_at, b_at + fan_out)
             w_at, b_at = w.stop, b.stop
             shape = (fan_in, fan_out)
             self.slots[name] = (w, shape, b)
-            self.layers[name] = Dense(
-                values[w].reshape(shape), values[b], velocity[w].reshape(shape), velocity[b]
-            )
+            self.layers[name] = Dense(self.values[w].reshape(shape), self.values[b],
+                                      self.velocity[w].reshape(shape), self.velocity[b])
             self.grads[name] = (self.grad[w].reshape(shape), self.grad[b])
 
     @property
@@ -231,38 +223,10 @@ class ModelParams:
         return self.values.size
 
     def copy(self) -> "ModelParams":
-        out = object.__new__(ModelParams)
-        out._bind(
-            [(name, shape) for name, (_, shape, _) in self.slots.items()],
-            self.values.copy(),
-            self.velocity.copy(),
-        )
-        return out
+        return ModelParams(self.plan, self.values.copy(), self.velocity.copy())
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.values).all())
-
-
-class Gradients(Mapping):
-    """One backward pass's parameter gradients, ``name -> (dw, db)``: views
-    into one flat vector ``flat`` laid out like ``ModelParams.values``,
-    which is the caller's own."""
-
-    __slots__ = ("flat", "_slots")
-
-    def __init__(self, flat: np.ndarray, slots: dict):
-        self.flat = flat
-        self._slots = slots
-
-    def __getitem__(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        w, shape, b = self._slots[name]
-        return self.flat[w].reshape(shape), self.flat[b]
-
-    def __iter__(self):
-        return iter(self._slots)
-
-    def __len__(self) -> int:
-        return len(self._slots)
 
 
 # a chain of layers, input side first, each as (name, fan_in, fan_out)
@@ -307,13 +271,13 @@ def layer_plan(cfg: NetConfig) -> list[tuple[str, int, int]]:
 
 
 def init_params(cfg: NetConfig) -> ModelParams:
-    """Weights N(0, 1/sqrt(fan_in)), biases zero, momentum zero."""
+    """Weights N(0, 1/sqrt(fan_in)), drawn layer by layer in plan order
+    into each layer's slot; biases zero, momentum zero."""
     rng = np.random.default_rng(cfg.seed)
-    layers = {}
-    for name, fan_in, fan_out in layer_plan(cfg):
-        w = rng.normal(0.0, 1.0 / math.sqrt(fan_in), (fan_in, fan_out))
-        layers[name] = Dense(w, np.zeros(fan_out), np.zeros_like(w), np.zeros(fan_out))
-    return ModelParams(layers)
+    params = ModelParams(layer_plan(cfg))
+    for name, fan_in, fan_out in params.plan:
+        params.layers[name].w[:] = rng.normal(0.0, 1.0 / math.sqrt(fan_in), (fan_in, fan_out))
+    return params
 
 
 def _chain(
@@ -430,8 +394,9 @@ def backward(
     x: np.ndarray,
     out_grad,
     cache: dict | None = None,
-) -> Gradients:
-    """Parameter gradients given the loss gradient at the head outputs.
+) -> np.ndarray:
+    """The flat parameter gradient given the loss gradient at the head
+    outputs, laid out like ``params.values`` (by the net's layer plan).
 
     ``out_grad`` mirrors the forward output structure.  Without a cache
     the forward pass is recomputed.  Each layer's gradient is written into
@@ -471,7 +436,7 @@ def backward(
             flat = out_grad.reshape(b, -1)
         (chain,) = _chains(cfg)
         _back_chain(layers, chain, flat, cache, grads, None, False)
-    return Gradients(params.grad.copy(), params.slots)
+    return params.grad.copy()
 
 
 def effective_lr(tcfg: TrainConfig, iteration: int) -> float:
@@ -483,7 +448,7 @@ def effective_lr(tcfg: TrainConfig, iteration: int) -> float:
 
 def sgd_step(
     params: ModelParams,
-    grads: Gradients,
+    grads: np.ndarray,
     tcfg: TrainConfig,
     iteration: int,
 ) -> None:
@@ -492,13 +457,13 @@ def sgd_step(
     v <- momentum*v + g + wd*w;  w <- w - lr_t*v.  The vectors of
     ``params`` are updated in place, in that order of operations, as one
     update over all layers (weights first, so the decay is one slice).
-    ``grads`` is what ``backward`` returned: its flat vector is laid out
-    like ``params.values``."""
+    ``grads`` is what ``backward`` returned, a flat vector laid out like
+    ``params.values``."""
     lr = effective_lr(tcfg, iteration)
     n_w = params.n_weights
     w, v = params.values, params.velocity
     v *= tcfg.momentum
-    v += grads.flat
+    v += grads
     v[:n_w] += tcfg.weight_decay * w[:n_w]
     w -= lr * v
 

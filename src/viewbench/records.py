@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, InvalidParameter
 from .metrics import Box, Detection, EvalReport, GroundTruth
-from .net import Dense, LogEntry, ModelParams, NetConfig, layer_plan
+from .net import LogEntry, ModelParams, NetConfig, layer_plan
 from .synthetic import ClassSpec, Dataset, Proposal, Scene
 
 GT_HEADER = "# viewbench ground truth: image_id class_id x_min y_min x_max y_max azimuth_deg"
@@ -355,7 +355,8 @@ def parse_dataset(
     """Rebuild a Dataset from its text form, or from the lines of it
     (plus sidecar features if the file was written without inline features).
 
-    Each scene must hold as many gt and prop lines as its scene line
+    Each scene line must open a scene id no line before it opened, each
+    scene must hold as many gt and prop lines as its scene line
     declares, a gt's class id must be one of the class specs', a prop's
     ``matched_gt`` must be -1 or index one of the scene's gts, and a
     sidecar must be (rows, feature_dim) with one row per prop line that
@@ -364,6 +365,7 @@ def parse_dataset(
     feature_dim = class_specs[0].feature_dim
     class_ids = {spec.class_id for spec in class_specs}
     scenes: list[Scene] = []
+    scene_lines: dict[str, int] = {}  # scene id -> the line that opened it
     cur_id: str | None = None
     scene_where = ""
     n_gt = n_prop = 0
@@ -441,6 +443,11 @@ def parse_dataset(
                 raise FormatError(f"{where}: scene line needs 4 fields, got {len(tok)}")
             flush()
             cur_id = tok[1]
+            if cur_id in scene_lines:
+                raise FormatError(
+                    f"{where}: scene {cur_id} repeats the scene id of line {scene_lines[cur_id]}"
+                )
+            scene_lines[cur_id] = lineno
             scene_where = where
             n_gt, n_prop = _parse_int(tok[2], where), _parse_int(tok[3], where)
             gts, props = [], []
@@ -707,64 +714,61 @@ def format_checkpoint(params: ModelParams, header: dict) -> str:
 
 
 def parse_checkpoint(text: str, path: str = "<string>") -> Checkpoint:
+    """Read a checkpoint by its header's net.  After the magic and header
+    lines, the net's ``layer_plan`` gives, layer by layer, the layer line
+    the file must hold next, token for token as ``format_checkpoint``
+    writes it (blank lines may come before it), and the value counts of
+    the ``w``, ``b``, ``vw`` and ``vb`` lines that follow it, whose finite
+    hex floats are the layer's slots of the parameter and momentum
+    vectors.  Any other line, or one missing, is a FormatError naming
+    ``path:line``, or ``path`` alone where the file ends before a layer;
+    after the last layer only blank lines may follow."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}:1: missing checkpoint magic line")
     try:
         header = json.loads(lines[1])
-    except (IndexError, json.JSONDecodeError):
+    except (IndexError, json.JSONDecodeError, RecursionError):  # RecursionError: deep nesting
         raise FormatError(f"{path}:2: bad checkpoint header") from None
-    layers: dict[str, Dense] = {}
-    layer_lines: list[tuple[int, str, int, int]] = []
-    i = 2
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        tok = lines[i].split()
-        if tok[0] != "layer" or len(tok) != 4:
-            raise FormatError(f"{path}:{i + 1}: expected a layer line, got {lines[i]!r}")
-        name = tok[1]
-        fan_in = _parse_int(tok[2], f"{path}:{i + 1}")
-        fan_out = _parse_int(tok[3], f"{path}:{i + 1}")
-        if fan_in < 1 or fan_out < 1:
-            raise FormatError(
-                f"{path}:{i + 1}: layer {name} needs a fan-in and fan-out of at least 1, "
-                f"got {fan_in} {fan_out}"
-            )
-        arrays = {}
-        for j, tag in enumerate(("w", "b", "vw", "vb")):
-            row = lines[i + 1 + j].split() if i + 1 + j < len(lines) else []
-            if not row or row[0] != tag:
-                raise FormatError(f"{path}:{i + 2 + j}: expected {tag!r} line")
-            want = fan_in * fan_out if tag in ("w", "vw") else fan_out
-            if len(row) - 1 != want:
-                raise FormatError(
-                    f"{path}:{i + 2 + j}: expected {want} values, got {len(row) - 1}"
-                )
-            try:
-                vals = np.array([float.fromhex(t) for t in row[1:]])
-            except ValueError:
-                raise FormatError(f"{path}:{i + 2 + j}: bad hex float") from None
-            if not np.isfinite(vals).all():
-                raise FormatError(f"{path}:{i + 2 + j}: non-finite {tag!r} value")
-            arrays[tag] = vals.reshape((fan_in, fan_out) if tag in ("w", "vw") else (fan_out,))
-        layers[name] = Dense(arrays["w"], arrays["b"], arrays["vw"], arrays["vb"])
-        layer_lines.append((i + 1, name, fan_in, fan_out))
-        i += 5
     net = _header_net(header, path)
     plan = layer_plan(net)
-    for (lineno, *got), want in zip(layer_lines, plan):
-        if tuple(got) != want:
+    rows: dict[str, list[np.ndarray]] = {"w": [], "b": [], "vw": [], "vb": []}
+    at = 2  # the index of the next line to read
+    for k, (name, fan_in, fan_out) in enumerate(plan):
+        while at < len(lines) and not lines[at].strip():
+            at += 1
+        if at == len(lines):
+            raise FormatError(f"{path}: the header's net has {len(plan)} layers, the file {k}")
+        if lines[at].split() != ["layer", name, str(fan_in), str(fan_out)]:
             raise FormatError(
-                f"{path}:{lineno}: layer {' '.join(map(str, got))} does not match the "
-                f"header's net, which has layer {' '.join(map(str, want))} here"
+                f"{path}:{at + 1}: {lines[at].strip()} does not match the header's net, "
+                f"which has layer {name} {fan_in} {fan_out} here"
             )
-    if len(layer_lines) != len(plan):
-        raise FormatError(
-            f"{path}: the header's net has {len(plan)} layers, the file {len(layer_lines)}"
-        )
-    return Checkpoint(ModelParams(layers), net, header)
+        for tag, want in (("w", fan_in * fan_out), ("b", fan_out), ("vw", fan_in * fan_out),
+                          ("vb", fan_out)):
+            at += 1
+            row, where = lines[at].split() if at < len(lines) else [], f"{path}:{at + 1}"
+            if not row or row[0] != tag:
+                raise FormatError(f"{where}: expected {tag!r} line")
+            if len(row) - 1 != want:
+                raise FormatError(f"{where}: expected {want} values, got {len(row) - 1}")
+            try:
+                values = [float.fromhex(t) for t in row[1:]]
+            except ValueError:
+                raise FormatError(f"{where}: bad hex float") from None
+            if not _finite(values):
+                raise FormatError(f"{where}: non-finite {tag!r} value")
+            rows[tag].append(np.array(values))
+        at += 1
+    tail = [i for i in range(at, len(lines)) if lines[i].strip()]
+    if tail:
+        more = sum(lines[i].split()[0] == "layer" for i in tail)
+        raise FormatError(f"{path}:{tail[0] + 1}: the header's net has {len(plan)} layers, " + (
+            f"the file {len(plan) + more}" if more else f"then the file has {lines[tail[0]]!r}"))
+    params = ModelParams(
+        plan, np.concatenate(rows["w"] + rows["b"]), np.concatenate(rows["vw"] + rows["vb"])
+    )
+    return Checkpoint(params, net, header)
 
 
 def _header_net(header, path: str) -> NetConfig:

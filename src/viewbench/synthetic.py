@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .angles import TWO_PI, canonicalize
-from .errors import GenerationError, InvalidParameter
+from .errors import GenerationError, InvalidParameter, check_integers
 from .metrics import Box, Detection, EvalReport, GroundTruth, evaluate, iou
 
 _MAX_TRIES = 200
@@ -56,6 +56,10 @@ class ClassSpec:
     noise_sigma: float = 0.25
 
     def __post_init__(self):
+        check_integers(
+            self, ("class_id", "seed", "feature_dim", "n_harmonics", "symmetry_order"),
+            InvalidParameter,
+        )
         if self.class_id < 1:
             raise InvalidParameter(f"class_id must be >= 1, got {self.class_id}")
         if self.seed < 0:
@@ -224,8 +228,8 @@ def generate(
     if not class_specs:
         raise InvalidParameter("need at least one class spec")
     ids = [s.class_id for s in class_specs]
-    if len(set(ids)) != len(ids):
-        raise InvalidParameter(f"duplicate class ids: {ids}")
+    if sorted(ids) != list(range(1, len(ids) + 1)):
+        raise InvalidParameter(f"class_specs ids must be 1..{len(ids)}, each once, got {ids}")
     dims = {s.feature_dim for s in class_specs}
     if len(dims) != 1:
         raise InvalidParameter(f"class specs disagree on feature_dim: {sorted(dims)}")

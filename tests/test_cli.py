@@ -426,6 +426,11 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
         tok = lines[i].split()
         lines[i] = " ".join(["prop", "9"] + tok[2:])
 
+    def repeat_scene_id(lines):
+        first, second = [i for i, l in enumerate(lines) if l.startswith("scene ")][:2]
+        tok = lines[second].split()
+        lines[second] = " ".join(["scene", lines[first].split()[1], *tok[2:]])
+
     def gt_degenerate(lines):
         i = next(i for i, l in enumerate(lines) if l.startswith("gt "))
         tok = lines[i].split()
@@ -463,6 +468,10 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
     bench("no_specs", edit_manifest(lambda doc: doc.pop("class_specs")))
     bench("spec_class_0", set_spec_field("class_id", 0))
     bench("spec_seed_negative", set_spec_field("seed", -1))
+    bench("spec_harmonics_fraction", set_spec_field("n_harmonics", 3.5))
+    bench("spec_dim_float", set_spec_field("feature_dim", 8.0))
+    bench("spec_symmetry_fraction", set_spec_field("symmetry_order", 1.5))
+    bench("spec_class_bool", set_spec_field("class_id", True))
     bench("class_ids", edit_manifest(renumber_class))
     bench("no_splits", edit_manifest(lambda doc: doc.pop("splits")))
     for key in ("data", "seed", "n_proposals", "n_scenes", "n_gt"):
@@ -473,6 +482,7 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
     bench("scene_counts", edit_lines(more_gts))
     bench("matched_past", edit_lines(matched_past))
     bench("gt_class_7", edit_lines(gt_class_7))
+    bench("scene_repeated", edit_lines(repeat_scene_id))
     bench("data_degenerate", edit_lines(gt_degenerate))
     bench("sidecar_width", edit_sidecar(lambda f: f[:, :-1]), binary=True)
     bench("sidecar_rows", edit_sidecar(lambda f: np.concatenate([f, f[:1]])), binary=True)
@@ -618,6 +628,24 @@ def _exit_code(argv):
             "spec_seed_negative/manifest.json: class spec 0: seed must be >= 0, got -1",
         ),
         (
+            ["train", "--config", "{spec_harmonics_train}", "--out", "{out}"],
+            "spec_harmonics_fraction/manifest.json: class spec 0: n_harmonics must be an "
+            "integer, got 3.5",
+        ),
+        (
+            ["predict", "{ckpt}", "{spec_dim_float}", "--out", "{out}"],
+            "spec_dim_float/manifest.json: class spec 0: feature_dim must be an integer, got 8.0",
+        ),
+        (
+            ["predict", "{ckpt}", "{spec_symmetry_fraction}", "--out", "{out}"],
+            "spec_symmetry_fraction/manifest.json: class spec 0: symmetry_order must be an "
+            "integer, got 1.5",
+        ),
+        (
+            ["predict", "{ckpt}", "{spec_class_bool}", "--out", "{out}"],
+            "spec_class_bool/manifest.json: class spec 0: class_id must be an integer, got True",
+        ),
+        (
             ["predict", "{ckpt}", "{class_ids}", "--out", "{out}"],
             "class_specs ids must be 1..2, each once, got [1, 3]",
         ),
@@ -661,6 +689,10 @@ def _exit_code(argv):
             "test_data.txt:3: class id 7 has no class spec, the specs have ids [1, 2]",
         ),
         (
+            ["predict", "{ckpt}", "{scene_repeated}", "--out", "{out}"],
+            "scene test_00000 repeats the scene id of line 2",
+        ),
+        (
             ["predict", "{ckpt}", "{matched_past}", "--out", "{out}"],
             "matched_gt 9 is neither -1 nor one of the scene's",
         ),
@@ -702,8 +734,8 @@ def _exit_code(argv):
         ),
         (
             ["predict", "{ckpt_negative}", "{manifest}", "--out", "{out}"],
-            "ckpt_negative.txt:3: layer trunk0 needs a fan-in and fan-out of at least 1, "
-            "got -2 -3",
+            "ckpt_negative.txt:3: layer trunk0 -2 -3 does not match the header's net, "
+            "which has layer trunk0 8 16 here",
         ),
         (
             ["generate", "--config", "{utf8_config}", "--out", "{out}"],
@@ -770,11 +802,14 @@ def _exit_code(argv):
         "gradcheck-seed-negative", "train-seed-negative",
         "train-checkpoint-every-negative", "class-seed-negative",
         "manifest-no-class-specs", "manifest-spec-class-0", "manifest-spec-seed-negative",
-        "manifest-class-ids", "config-class-id-3",
+        "manifest-spec-harmonics-fraction", "manifest-spec-feature-dim-float",
+        "manifest-spec-symmetry-fraction", "manifest-spec-class-id-bool", "manifest-class-ids",
+        "config-class-id-3",
         "config-class-id-twice", "config-class-id-missing", "gt-class-0", "det-class-negative",
         "manifest-no-splits", "manifest-no-data",
         "manifest-no-seed", "manifest-no-n-proposals", "manifest-no-n-scenes", "manifest-no-n-gt",
-        "scene-counts", "dataset-gt-class-7", "matched-gt-past", "sidecar-width",
+        "scene-counts", "dataset-gt-class-7", "dataset-scene-id-repeated",
+        "matched-gt-past", "sidecar-width",
         "sidecar-extra-rows", "sidecar-empty", "sidecar-garbage", "sidecar-truncated",
         "sidecar-pickled", "sidecar-complex", "sidecar-nan", "checkpoint-nan", "checkpoint-inf",
         "checkpoint-renamed-layer", "checkpoint-widths", "checkpoint-negative-shape",
@@ -829,6 +864,10 @@ def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_p
         },
         "top_dim_train": _write_yaml(
             tmp_path / "top_dim_train.yaml", {"data": str(broken["top_dim"]), **SMALL_TRAIN}
+        ),
+        "spec_harmonics_train": _write_yaml(
+            tmp_path / "spec_harmonics_train.yaml",
+            {"data": str(broken["spec_harmonics_fraction"]), **SMALL_TRAIN},
         ),
         "small_gen": small_bench["gen_cfg"],
         "blocked": blocked,

@@ -42,8 +42,6 @@ from viewbench.losses import (
 from viewbench.net import (
     LOSS_HEADS,
     POSE_ONLY_LOSSES,
-    Dense,
-    Gradients,
     ModelParams,
     NetConfig,
     Pool,
@@ -238,10 +236,17 @@ class TestForward:
             forward(init_params(GOLDEN_CFG), GOLDEN_CFG, np.zeros((2, 5)))
 
 
+def _layer_grads(params, flat):
+    """The flat gradient that ``backward`` returns, as ``name -> (dw, db)``
+    views through ``params.slots``."""
+    slots = params.slots.items()
+    return {name: (flat[w].reshape(shape), flat[b]) for name, (w, shape, b) in slots}
+
+
 class TestBackward:
     def test_zero_out_grad(self):
         params = init_params(GOLDEN_CFG)
-        grads = backward(params, GOLDEN_CFG, GOLDEN_X, np.zeros((2, 2, 3)))
+        grads = _layer_grads(params, backward(params, GOLDEN_CFG, GOLDEN_X, np.zeros((2, 2, 3))))
         for dw, db in grads.values():
             assert not dw.any() and not db.any()
 
@@ -251,7 +256,7 @@ class TestBackward:
         params = init_params(cfg)
         x = np.array([[1.5, -0.5]])
         out = forward(params, cfg, x)
-        grads = backward(params, cfg, x, out)
+        grads = _layer_grads(params, backward(params, cfg, x, out))
         want_dw = x.T @ out.reshape(1, 2)
         np.testing.assert_allclose(grads["head"][0], want_dw, atol=1e-15)
         np.testing.assert_allclose(grads["head"][1], out.reshape(2), atol=1e-15)
@@ -263,7 +268,7 @@ class TestBackward:
         x = np.random.default_rng(1).normal(size=(4, 3))
         out, cache = forward(params, cfg, x, want_cache=True)
         np.testing.assert_array_equal(out, np.tile(params.layers["head"].b, (4, 1)).reshape(4, 1, 3))
-        grads = backward(params, cfg, x, np.ones_like(out), cache)
+        grads = _layer_grads(params, backward(params, cfg, x, np.ones_like(out), cache))
         assert not grads["trunk0"][0].any() and not grads["trunk0"][1].any()
         assert not grads["head"][0].any()  # head input is all zeros
         assert grads["head"][1].any()  # bias still learns
@@ -279,12 +284,12 @@ class TestBackward:
         from viewbench.losses import JointRegOutputs
 
         pose_only = JointRegOutputs(np.zeros_like(out.det), np.ones_like(out.pose))
-        grads = backward(params, cfg, x, pose_only)
+        grads = _layer_grads(params, backward(params, cfg, x, pose_only))
         assert not grads["det0"][0].any() and not grads["det_head"][0].any()
         assert grads["pose0"][0].any() and grads["trunk0"][0].any()
 
         det_only = JointRegOutputs(np.ones_like(out.det), np.zeros_like(out.pose))
-        grads = backward(params, cfg, x, det_only)
+        grads = _layer_grads(params, backward(params, cfg, x, det_only))
         assert not grads["pose0"][0].any() and not grads["pose_head"][0].any()
         assert grads["det0"][0].any() and grads["trunk0"][0].any()
 
@@ -345,40 +350,34 @@ class TestFlatParams:
         out = forward(params, self.CFG, x)
         ones = JointRegOutputs(np.ones_like(out.det), np.ones_like(out.pose))
         first = backward(params, self.CFG, x, ones)
-        kept = first.flat.copy()
+        kept = first.copy()
         second = backward(params, self.CFG, x, JointRegOutputs(-out.det, out.pose))
-        assert first.flat.tobytes() == kept.tobytes()
-        assert not np.shares_memory(first.flat, second.flat)
-        assert not np.shares_memory(first.flat, params.grad)
-        assert list(first) == list(params.layers)
+        assert first.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, params.grad)
+        assert first.shape == params.values.shape
 
 
-def _scalar_grads(params, dw, db):
+def _scalar_grads(dw, db):
     """The gradients of the one-layer ``params`` of ``TestSGD``, laid out
     as ``backward`` returns them: one flat vector, weight then bias."""
-    return Gradients(np.array([dw, db], dtype=float), params.slots)
+    return np.array([dw, db], dtype=float)
 
 
 class TestSGD:
     def _scalar_params(self, w=1.0, b=0.0):
-        return ModelParams(
-            {
-                "head": Dense(
-                    np.array([[w]]), np.array([b]), np.zeros((1, 1)), np.zeros(1)
-                )
-            }
-        )
+        return ModelParams([("head", 1, 1)], np.array([w, b], dtype=float), np.zeros(2))
 
     def test_fixed_point(self):
         params = self._scalar_params()
         tcfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0)
-        sgd_step(params, _scalar_grads(params, 0.0, 0.0), tcfg, 0)
+        sgd_step(params, _scalar_grads(0.0, 0.0), tcfg, 0)
         assert params.layers["head"].w[0, 0] == 1.0
 
     def test_two_step_recurrence(self):
         params = self._scalar_params()
         tcfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0, decay_at=())
-        g = _scalar_grads(params, 1.0, 0.0)
+        g = _scalar_grads(1.0, 0.0)
         sgd_step(params, g, tcfg, 0)
         assert params.layers["head"].w[0, 0] == pytest.approx(0.9, abs=1e-15)
         sgd_step(params, g, tcfg, 1)
@@ -396,7 +395,7 @@ class TestSGD:
         params = self._scalar_params()
         arrays = [getattr(params.layers["head"], a) for a in ("w", "b", "vw", "vb")]
         tcfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.5, decay_at=())
-        sgd_step(params, _scalar_grads(params, 1.0, 1.0), tcfg, 0)
+        sgd_step(params, _scalar_grads(1.0, 1.0), tcfg, 0)
         assert all(
             getattr(params.layers["head"], a) is arr
             for a, arr in zip(("w", "b", "vw", "vb"), arrays)
@@ -406,7 +405,7 @@ class TestSGD:
     def test_weight_decay_spares_biases(self):
         params = self._scalar_params(w=2.0, b=3.0)
         tcfg = TrainConfig(lr=0.1, momentum=0.0, weight_decay=0.5, decay_at=())
-        sgd_step(params, _scalar_grads(params, 0.0, 0.0), tcfg, 0)
+        sgd_step(params, _scalar_grads(0.0, 0.0), tcfg, 0)
         assert params.layers["head"].w[0, 0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
         assert params.layers["head"].b[0] == 3.0
 

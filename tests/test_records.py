@@ -186,6 +186,19 @@ class TestDatasetFiles:
         ):
             parse_dataset("\n".join(lines), _specs(), "train", 0, path="data.txt")
 
+    def test_repeated_scene_id(self):
+        lines = self._lines(generate(5, 3, _specs()))
+        first, second = [k for k, l in enumerate(lines) if l.startswith("scene ")][:2]
+        scene_id = lines[first].split()[1]
+        tok = lines[second].split()
+        lines[second] = " ".join(["scene", scene_id, *tok[2:]])
+        with pytest.raises(
+            FormatError,
+            match=rf"^data.txt:{second + 1}: scene {scene_id} repeats the scene id of line "
+                  rf"{first + 1}$",
+        ):
+            parse_dataset("\n".join(lines), _specs(), "train", 0, path="data.txt")
+
     def test_sidecar_width_checked(self):
         ds = generate(5, 2, _specs())
         lines = self._lines(ds, inline=False)
@@ -496,6 +509,144 @@ class TestCheckpoints:
         lines = self._text().splitlines()
         with pytest.raises(FormatError, match="expected 'vb' line"):
             parse_checkpoint("\n".join(lines[:6]), path="c")
+
+
+def _contract_text():
+    """A small joint_reg checkpoint (three chains, five layers) with
+    random parameters and momentum."""
+    cfg = NetConfig(input_dim=3, trunk_widths=(4, 3), head="joint_reg", n_classes=2,
+                    n_dims=2, split_depth=1, seed=9)
+    params = init_params(cfg)
+    params.values[:] = np.random.default_rng(0).normal(size=params.values.size)
+    params.velocity[:] = np.random.default_rng(1).normal(size=params.velocity.size)
+    return format_checkpoint(params, {"net": asdict(cfg), "iteration": 0})
+
+
+def _contract_cases():
+    """``id -> (text, message start)`` per malformed checkpoint: the text
+    truncated after every line, and every token of every line kind
+    mutated.  The FormatError names ``c:line``, or ``c`` alone where the
+    file ends before a layer."""
+    lines = _contract_text().splitlines()
+    n_layers = sum(line.startswith("layer ") for line in lines)
+    joined = lambda ls: "\n".join(ls) + "\n"
+    cases = []
+    for k in range(len(lines)):
+        if k < 2:
+            want = "c:1: missing checkpoint magic" if k == 0 else "c:2: bad checkpoint header"
+        elif lines[k].startswith("layer "):
+            done = sum(line.startswith("layer ") for line in lines[:k])
+            want = f"c: the header's net has {n_layers} layers, the file {done}"
+        else:
+            want = f"c:{k + 1}: expected '{lines[k].split()[0]}' line"
+        cases.append((f"truncated-after-{k}", joined(lines[:k]), want))
+
+    def mutated(i, new):
+        return joined(lines[:i] + new + lines[i + 1:])
+
+    cases.append(
+        ("magic", mutated(0, ["# viewbench checkpoint v2"]), "c:1: missing checkpoint magic")
+    )
+    header = json.loads(lines[1])
+    for name, doc in (
+        ("header-json", "{"), ("header-deep", "[" * 100_000), ("header-list", "[1]"),
+        ("header-no-net", '{"iteration": 0}'),
+        ("net-unknown-key", json.dumps({"net": {**header["net"], "depth": 3}})),
+        ("net-head", json.dumps({"net": {**header["net"], "head": "bogus"}})),
+        ("net-width-0", json.dumps({"net": {**header["net"], "trunk_widths": [0, 3]}})),
+        ("net-input-dim-fraction", json.dumps({"net": {**header["net"], "input_dim": 2.5}})),
+        ("net-split-depth", json.dumps({"net": {**header["net"], "split_depth": 5}})),
+    ):
+        cases.append((name, mutated(1, [doc]), "c:2: "))
+    other = json.dumps({"net": {**header["net"], "input_dim": 4}})
+    cases.append(("net-other-plan", mutated(1, [other]), "c:3: layer trunk0 3 4 does not match "
+                  "the header's net, which has layer trunk0 4 4"))
+
+    for i, line in enumerate(lines):
+        tok = line.split()
+        at = f"c:{i + 1}: "
+        if tok[0] == "layer":
+            name, fan_in, fan_out = tok[1:]
+            for what, new in (
+                ("name", ["layer", name + "x", fan_in, fan_out]),
+                ("fan-in-fraction", ["layer", name, "1.5", fan_out]),
+                ("fan-out-word", ["layer", name, fan_in, "four"]),
+                ("fan-in-negative", ["layer", name, "-" + fan_in, fan_out]),
+                ("fan-in-leading-zero", ["layer", name, "0" + fan_in, fan_out]),
+                ("fan-out-zero", ["layer", name, fan_in, "0"]),
+                ("tag", ["layers", name, fan_in, fan_out]),
+                ("extra-token", tok + ["1"]),
+                ("missing-token", tok[:3]),
+            ):
+                bad = " ".join(new)
+                want = f"{bad} does not match the header's net, which has {line} here"
+                cases.append((f"line-{i + 1}-layer-{what}", mutated(i, [bad]), at + want))
+        elif i >= 2:
+            tag, values = tok[0], tok[1:]
+            n = len(values)
+            other_tag = "b" if tag == "w" else "w"
+            for what, new, want in (
+                ("tag", [other_tag] + values, f"expected '{tag}' line"),
+                ("one-too-many", tok + [values[0]], f"expected {n} values, got {n + 1}"),
+                ("one-too-few", tok[:-1], f"expected {n} values, got {n - 1}"),
+                ("bad-hex", [tag, "0xg.1p+0"] + values[1:], "bad hex float"),
+                ("nan", [tag] + values[:-1] + ["nan"], f"non-finite '{tag}' value"),
+                ("inf", [tag, "inf"] + values[1:], f"non-finite '{tag}' value"),
+                ("minus-inf", [tag] + values[:-1] + ["-inf"], f"non-finite '{tag}' value"),
+                ("blank", [], f"expected '{tag}' line"),
+            ):
+                cases.append((f"line-{i + 1}-{tag}-{what}", mutated(i, [" ".join(new)]), at + want))
+    end = f"c:{len(lines) + 1}: "
+    cases.append(("trailing-layer", joined(lines + lines[-5:]),
+                  end + f"the header's net has {n_layers} layers, the file {n_layers + 1}"))
+    cases.append(("trailing-garbage", joined(lines + ["", "junk"]),
+                  f"c:{len(lines) + 2}: the header's net has {n_layers} layers, "
+                  "then the file has 'junk'"))
+    return {name: (text, want) for name, text, want in cases}
+
+
+CONTRACT_CASES = _contract_cases()
+
+
+class TestCheckpointContract:
+    """Every malformed checkpoint is a FormatError that names the file and
+    the line; blank lines between layers and after the last are allowed."""
+
+    @pytest.mark.parametrize("case", list(CONTRACT_CASES))
+    def test_malformed(self, case):
+        text, want = CONTRACT_CASES[case]
+        with pytest.raises(FormatError) as info:
+            parse_checkpoint(text, path="c")
+        assert str(info.value).startswith(want)
+
+    def test_blank_lines_between_layers(self):
+        text = _contract_text()
+        lines = text.splitlines()
+        spaced = [l for line in lines for l in ([""] if line.startswith("layer ") else []) + [line]]
+        got = parse_checkpoint("\n".join(spaced + ["", "  "]) + "\n", path="c").params
+        want = parse_checkpoint(text, path="c").params
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.velocity.tobytes() == want.velocity.tobytes()
+
+    @pytest.mark.parametrize("case", [
+        "truncated-after-12", "header-deep", "net-other-plan", "line-3-layer-fan-in-negative",
+        "line-8-layer-fan-out-word", "line-4-w-nan", "line-7-vb-one-too-few",
+        "line-10-b-bad-hex", "trailing-garbage",
+    ])
+    def test_predict_exits_2(self, case, tmp_path, capsys):
+        from viewbench.cli import entry
+
+        text, want = CONTRACT_CASES[case]
+        ckpt = tmp_path / "c"
+        ckpt.write_text(text)
+        # predict reads the checkpoint before the benchmark
+        argv = ["predict", str(ckpt), str(tmp_path / "manifest.json"),
+                "--out", str(tmp_path / "dets.txt")]
+        assert entry(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path}/{want}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "dets.txt").exists()
 
 
 class TestConfigDicts:

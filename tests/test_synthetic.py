@@ -88,6 +88,19 @@ class TestAppearance:
         with pytest.raises(InvalidParameter, match="seed"):
             ClassSpec(class_id=1, seed=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("class_id", True), ("class_id", 1.0), ("seed", 0.5), ("feature_dim", 8.0),
+        ("n_harmonics", 3.5), ("symmetry_order", 1.5), ("symmetry_order", "2"),
+    ])
+    def test_integer_fields(self, field, value):
+        fields = {"class_id": 1, "seed": 0, field: value}
+        with pytest.raises(InvalidParameter, match=rf"^{field} must be an integer, got "):
+            ClassSpec(**fields)
+
+    def test_numpy_integers_pass(self):
+        spec = ClassSpec(class_id=np.int64(1), seed=np.uint32(3), feature_dim=np.int32(4))
+        assert spec.feature_dim == 4
+
 
 class TestGenerate:
     def test_empty(self):
@@ -186,6 +199,17 @@ class TestGenerate:
             generate(0, 1, _specs(), split="val")
         with pytest.raises(InvalidParameter):
             generate(0, 1, _specs(), objects_per_scene=(3, 1))
+
+    @pytest.mark.parametrize("ids", [[1, 5], [2], [2, 3], [1, 1], [2, 1]])
+    def test_class_ids_must_be_1_to_n(self, ids):
+        specs = [ClassSpec(class_id=i, seed=0, feature_dim=6) for i in ids]
+        if sorted(ids) == list(range(1, len(ids) + 1)):
+            generate(0, 1, specs)  # any order of 1..n
+        else:
+            with pytest.raises(
+                InvalidParameter, match=rf"^class_specs ids must be 1\.\.{len(ids)}, each once"
+            ):
+                generate(0, 1, specs)
 
 
 def _scalar_random_box(rng, size_range):
