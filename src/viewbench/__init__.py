@@ -55,9 +55,11 @@ from .metrics import (
     Box,
     ClassMetrics,
     Detection,
+    Detections,
     EvalReport,
     GroundTruth,
     PRCurve,
+    detection_table,
     evaluate,
     iou,
     pr_curve,

@@ -180,7 +180,7 @@ def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
     if path is not None:
         try:
             user = yaml.safe_load(read_text(path))
-        except yaml.YAMLError as e:
+        except (yaml.YAMLError, RecursionError) as e:  # RecursionError: deep nesting
             raise ConfigError(f"{path}: invalid YAML: {e}") from None
         except FormatError as e:
             raise ConfigError(str(e)) from None

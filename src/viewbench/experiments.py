@@ -35,7 +35,7 @@ import numpy as np
 
 from .angles import TWO_PI, azimuth_to_bin
 from .losses import LossSpec
-from .metrics import Detection, evaluate
+from .metrics import Detections, box_array, evaluate
 from .net import (
     ClsPrediction,
     JointClsPrediction,
@@ -115,21 +115,26 @@ def pose_angles(pred) -> tuple[np.ndarray, np.ndarray]:
 
 def compose_detections(
     ds: Dataset, scores: np.ndarray, angles: np.ndarray, floor: float = 0.0
-) -> list[Detection]:
-    """One detection per (proposal, class) at or above the score floor."""
-    dets = []
-    row = 0
-    for scene in ds.scenes:
-        for p in scene.proposals:
-            row_angles = angles[row].tolist()
-            for c, score in enumerate(scores[row].tolist()):
-                if score >= floor:
-                    dets.append(Detection(scene.image_id, c + 1, p.box, score, row_angles[c]))
-            row += 1
-    return dets
+) -> Detections:
+    """One detection per (proposal, class) at or above the score floor,
+    proposal-major and class-minor; the classes of a proposal share its
+    box row.  Scores are compared as float64."""
+    scores = np.asarray(scores, dtype=float)
+    rows, cols = np.nonzero(scores >= floor)
+    used, box_rows = np.unique(rows, return_inverse=True)
+    images = [scene.image_id for scene in ds.scenes for _ in scene.proposals]
+    boxes = [p.box for scene in ds.scenes for p in scene.proposals]
+    return Detections(
+        [images[r] for r in rows.tolist()],
+        cols + 1,
+        box_array([boxes[r] for r in used.tolist()]),
+        box_rows,
+        scores[rows, cols],
+        np.asarray(angles, dtype=float)[rows, cols],
+    )
 
 
-def mavp24(ds: Dataset, dets: list[Detection]) -> float:
+def mavp24(ds: Dataset, dets: Detections) -> float:
     return evaluate(ds.ground_truths(), dets, bins=(N_BINS,)).mean_avp[N_BINS]
 
 

@@ -14,16 +14,27 @@ denominator, so AVP_K <= AP always holds.
 
 The records (:class:`Box`, :class:`GroundTruth`, :class:`Detection`) are
 frozen dataclasses with slots and a hand-written ``__init__`` that runs the
-checks and then sets each field, since a pipeline run builds hundreds of
-thousands of them.  A record stores its azimuth canonical: a float already
-in [0, 2*pi) as it is (``canonicalize`` would return it unchanged), any
-other value through ``canonicalize``.
+checks and then sets each field.  A record stores its azimuth canonical: a
+float already in [0, 2*pi) as it is (``canonicalize`` would return it
+unchanged), any other value through ``canonicalize``.
+
+Detections travel as one column table, :class:`Detections`, from their
+composition through the detection file to ``evaluate``; an iterable of
+``Detection`` records becomes a table through ``detection_table``.
+``evaluate`` matches over the table's columns: one stable sort orders the
+detections by class and descending score, the IoU of every detection with
+the same-class ground truths of its image is computed in array form in
+``iou``'s order of operations, and the greedy loop visits only the
+detections with a candidate at or above the threshold, since no other can
+match or take a ground truth.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -106,6 +117,76 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Scored, posed detections as columns, one row per detection.
+
+    ``boxes`` holds one (x_min, y_min, x_max, y_max) row per box and
+    ``box_rows`` the row of each detection's box, so the classes of one
+    proposal share one box row.  The table applies :class:`Detection`'s
+    checks to all rows at once: the first row with a non-finite score or
+    azimuth raises what its Detection would, and the azimuths are stored
+    canonical.  Its boxes are the caller's to check.
+    """
+
+    image_ids: list
+    class_ids: np.ndarray  # int64
+    boxes: np.ndarray  # (n_boxes, 4) float64
+    box_rows: np.ndarray  # intp
+    scores: np.ndarray  # float64
+    azimuths: np.ndarray  # float64, canonical radians
+
+    def __post_init__(self):
+        finite = np.isfinite(self.scores)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            canonicalize(self.azimuths[:i])  # a non-finite azimuth before it raises first
+            raise InvalidParameter(
+                f"detection score must be finite, got {float(self.scores[i])}"
+            )
+        _set(self, "azimuths", canonicalize(self.azimuths))
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
+
+
+def box_array(boxes: Sequence[Box]) -> np.ndarray:
+    """The (n, 4) array of the boxes' x_min, y_min, x_max and y_max, read
+    field by field (no tuple per box)."""
+    fields = ("x_min", "y_min", "x_max", "y_max")
+    return np.array([getattr(b, f) for f in fields for b in boxes], dtype=float).reshape(4, -1).T
+
+
+def detection_table(dets: Detections | Iterable[Detection]) -> Detections:
+    """``dets`` as a table: a table as it is, records one row (and one box
+    row) each, in order."""
+    if isinstance(dets, Detections):
+        return dets
+    dets = list(dets)
+    return Detections(
+        [d.image_id for d in dets],
+        np.array([d.class_id for d in dets], dtype=np.int64),
+        box_array([d.box for d in dets]),
+        np.arange(len(dets)),
+        np.array([d.score for d in dets], dtype=float),
+        np.array([d.azimuth for d in dets], dtype=float),
+    )
+
+
+def _pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``iou`` of each row of ``a`` with the same row of ``b``, two (n, 4)
+    box arrays, by ``iou``'s operations in its order."""
+    iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
+    ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
+    out = np.zeros(len(a))
+    hit = (iw > 0.0) & (ih > 0.0)
+    a, b, inter = a[hit], b[hit], iw[hit] * ih[hit]
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    out[hit] = inter / (area_a + area_b - inter)
+    return out
+
+
 @dataclass(frozen=True)
 class PRCurve:
     """Cumulative precision/recall per detection, plus the integrated AP."""
@@ -169,48 +250,70 @@ class EvalReport:
     mean_avp: dict[int, float]
 
 
-def _match_class(
-    gts: list[GroundTruth],
-    dets: list[Detection],
-    bins: Sequence[int],
-    iou_threshold: float,
-) -> tuple[list[bool], dict[int, list[bool]]]:
-    """Greedy matching for one class; returns AP flags and per-K AVP flags."""
-    by_image: dict[str, list[int]] = {}
-    for idx, g in enumerate(gts):
-        by_image.setdefault(g.image_id, []).append(idx)
-    # descending score; python sort is stable, so ties keep input order
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    gt_az = np.array([g.azimuth for g in gts])
-    det_az = np.array([d.azimuth for d in dets])
-    gt_bins = {k: azimuth_to_bin(gt_az, k).tolist() for k in bins}
-    det_bins = {k: azimuth_to_bin(det_az, k).tolist() for k in bins}
-    taken = [False] * len(gts)
-    tp = [False] * len(dets)
-    avp_tp = {k: [False] * len(dets) for k in bins}
-    for rank, i in enumerate(order):
-        det = dets[i]
-        best_j = -1
-        best_iou = 0.0
-        for j in by_image.get(det.image_id, ()):
-            if taken[j]:
-                continue
-            ov = iou(det.box, gts[j].box)
-            if ov >= iou_threshold and ov > best_iou:
-                best_iou = ov
-                best_j = j
+def _class_flags(
+    gts: list[GroundTruth], dets: Detections, bins: Sequence[int], iou_threshold: float
+) -> dict[int, tuple[int, np.ndarray, dict[int, np.ndarray]]]:
+    """Greedy matching.  Per class id of either input, sorted: its ground
+    truth count, and the AP flags and per-K AVP flags of its detections in
+    descending score order (ties in input order)."""
+    det_classes, det_class_of = np.unique(dets.class_ids, return_inverse=True)
+    class_ids = sorted({g.class_id for g in gts} | set(det_classes.tolist()))
+    position = {c: k for k, c in enumerate(class_ids)}
+    det_pos = np.array([position[c] for c in det_classes.tolist()], dtype=np.intp)[det_class_of]
+    gt_pos = np.array([position[g.class_id] for g in gts], dtype=np.intp)
+
+    # a (class, image) key per ground truth and per detection; a detection
+    # of an image without ground truth gets -1, which no ground truth has
+    images: dict = {}
+    gt_image = [images.setdefault(g.image_id, len(images)) for g in gts]
+    gt_key = gt_pos * len(gts) + np.array(gt_image, dtype=np.intp)
+    det_image = np.array([images.get(i, -1) for i in dets.image_ids], dtype=np.intp)
+    det_key = np.where(det_image >= 0, det_pos * len(gts) + det_image, -1)
+
+    # by class, then descending score; lexsort is stable, so ties keep input order
+    order = np.lexsort((-dets.scores, det_pos))
+    # each detection's pairs with the ground truths of its key, in that
+    # order, and its own pairs in ground truth order
+    gt_order = np.argsort(gt_key, kind="stable")
+    lo = np.searchsorted(gt_key[gt_order], det_key[order], "left")
+    counts = np.searchsorted(gt_key[gt_order], det_key[order], "right") - lo
+    pair_det = np.repeat(order, counts)
+    skip = np.repeat(np.cumsum(counts) - counts - lo, counts)  # pair index - its gt_order index
+    pair_gt = gt_order[np.arange(len(pair_det)) - skip]
+    ov = _pair_iou(dets.boxes[dets.box_rows[pair_det]], box_array([g.box for g in gts])[pair_gt])
+    cand = ov >= iou_threshold
+
+    match = np.full(len(dets), -1)
+    taken = set()
+    pairs = zip(pair_det[cand].tolist(), pair_gt[cand].tolist(), ov[cand].tolist())
+    for i, det_pairs in itertools.groupby(pairs, key=operator.itemgetter(0)):
+        best_j, best_iou = -1, 0.0
+        for _, j, ov_j in det_pairs:
+            if ov_j > best_iou and j not in taken:
+                best_j, best_iou = j, ov_j
         if best_j >= 0:
-            taken[best_j] = True
-            tp[rank] = True
-            for k in bins:
-                if det_bins[k][i] == gt_bins[k][best_j]:
-                    avp_tp[k][rank] = True
-    return tp, avp_tp
+            taken.add(best_j)
+            match[i] = best_j
+
+    matched = match[order]
+    tp = matched >= 0
+    det_az = dets.azimuths[order[tp]]
+    gt_az = np.array([g.azimuth for g in gts], dtype=float)[matched[tp]]
+    avp_tp = {k: np.zeros(len(tp), dtype=bool) for k in bins}
+    for k, flags in avp_tp.items():
+        flags[tp] = azimuth_to_bin(det_az, k) == azimuth_to_bin(gt_az, k)
+    ends = np.searchsorted(det_pos[order], np.arange(len(class_ids) + 1))
+    n_gt = np.bincount(gt_pos, minlength=len(class_ids)).tolist()
+    spans = [slice(ends[p], ends[p + 1]) for p in range(len(class_ids))]
+    return {
+        c: (n_gt[p], tp[spans[p]], {k: flags[spans[p]] for k, flags in avp_tp.items()})
+        for p, c in enumerate(class_ids)
+    }
 
 
 def evaluate(
     gts: Iterable[GroundTruth],
-    dets: Iterable[Detection],
+    dets: Detections | Iterable[Detection],
     bins: Sequence[int] = (4, 8, 16, 24),
     iou_threshold: float = 0.5,
     rule: str = "allpoints",
@@ -230,23 +333,17 @@ def evaluate(
     if rule not in AP_RULES:
         raise InvalidParameter(f"rule must be one of {AP_RULES}, got {rule!r}")
 
-    gts = list(gts)
-    dets = list(dets)
-    class_ids = sorted({g.class_id for g in gts} | {d.class_id for d in dets})
     per_class: dict[int, ClassMetrics] = {}
-    for c in class_ids:
-        class_gts = [g for g in gts if g.class_id == c]
-        class_dets = [d for d in dets if d.class_id == c]
-        n_gt = len(class_gts)
+    flags = _class_flags(list(gts), detection_table(dets), bins, iou_threshold)
+    for c, (n_gt, tp, avp_tp) in flags.items():
         if n_gt == 0:
             per_class[c] = ClassMetrics(ap=None, avp={k: None for k in bins}, n_gt=0)
             continue
-        tp, avp_tp = _match_class(class_gts, class_dets, bins, iou_threshold)
         ap = pr_curve(tp, n_gt, rule).ap
         avp = {k: pr_curve(avp_tp[k], n_gt, rule).ap for k in bins}
         per_class[c] = ClassMetrics(ap=ap, avp=avp, n_gt=n_gt)
 
-    scored = [c for c in class_ids if per_class[c].n_gt > 0]
+    scored = [c for c in per_class if per_class[c].n_gt > 0]
     if scored:
         mean_ap = float(np.mean([per_class[c].ap for c in scored]))
         mean_avp = {k: float(np.mean([per_class[c].avp[k] for c in scored])) for k in bins}

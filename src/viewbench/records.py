@@ -14,15 +14,21 @@ line with inline features takes the template of its feature count, made
 once per count.  Readers read each line once, with ``float`` and
 ``int`` and one finiteness check of the sum of its floats (each float is
 looked at only when the sum is not finite, so finite values whose sum
-overflows still read).  Ground-truth, detection and dataset gt lines
-share one read (a label, a class id, four box floats, then floats), and
-each caller applies its class rule; prop lines have their own.  A refused
+overflows still read).  Ground-truth and dataset gt lines share one read
+(a label, a class id, four box floats, then floats), and each caller
+applies its class rule; prop and detection lines have their own.  A refused
 line goes to ``_diagnose``, which only raises: it walks the kind's column
 table, ``(token position, check)`` pairs in reporting order, and raises
 the first error, naming ``path:line`` and the bad field (or the
-degenerate box).  Class ids in record files must be at least 1.  A
-detection line whose box tokens equal those of the line before it (the
-next class of a proposal) shares that line's Box.
+degenerate box).  Class ids in record files must be at least 1.
+
+Detections are read and written as a :class:`~viewbench.metrics.Detections`
+table.  The writer formats each box row's text once and each line from the
+table's columns.  The reader reads each line once, as the other readers do,
+and appends its values to column lists: a run of equal image ids shares
+one string, and a line whose box tokens equal those of the line before it
+(the next class of a proposal) shares its box row.  A detection class id
+must also fit in 64 bits.
 
 Every write goes through a temp-file-then-rename, so a failed run never
 leaves a partially written artifact; multi-file outputs are staged
@@ -65,7 +71,7 @@ from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 import numpy as np
 
 from .errors import ConfigError, FormatError, InvalidParameter
-from .metrics import Box, Detection, EvalReport, GroundTruth
+from .metrics import Box, Detection, Detections, EvalReport, GroundTruth, detection_table
 from .net import LogEntry, ModelParams, NetConfig, layer_plan
 from .synthetic import ClassSpec, Dataset, Proposal, Scene
 
@@ -124,11 +130,17 @@ def _int_check(ok: Callable[[int], bool], problem: Callable[[int], str]) -> Call
 
 
 _CLASS_ID = _int_check((1).__le__, "class id must be >= 1, got {}".format)
+_INT64_MAX = 2**63 - 1
+_DET_CLASS_ID = _int_check(lambda c: 1 <= c <= _INT64_MAX, lambda c: (
+    f"class id must be >= 1, got {c}" if c < 1 else f"class id must be <= {_INT64_MAX}, got {c}"
+))
 
 # A column table holds a line kind's (token position, check) pairs, in the
 # order in which their errors are reported.
 _GT_COLUMNS = ((slice(2, 6), _checked_box), (6, _parse_float), (1, _CLASS_ID))
-_DET_COLUMNS = ((slice(2, 6), _checked_box), (6, _parse_float), (7, _parse_float), (1, _CLASS_ID))
+_DET_COLUMNS = (
+    (slice(2, 6), _checked_box), (6, _parse_float), (7, _parse_float), (1, _DET_CLASS_ID)
+)
 
 
 def _diagnose(tok: list[str], what: str, counts: tuple, columns: tuple, where: str) -> NoReturn:
@@ -235,55 +247,64 @@ def parse_ground_truths(text: str | Iterable[str], path: str = "<string>") -> li
     return out
 
 
-def _detection_lines(dets: Sequence[Detection]) -> Iterator[str]:
+def _detection_lines(dets: Detections | Iterable[Detection]) -> Iterator[str]:
+    dets = detection_table(dets)
     yield DET_HEADER
-    box = box_text = None
-    for d in dets:
-        if d.box is not box:
-            box = d.box
-            box_text = _DET_BOX % (box.x_min, box.y_min, box.x_max, box.y_max)
-        yield _DET_REST % (d.image_id, d.class_id, box_text, d.score, math.degrees(d.azimuth))
+    box_text = [_DET_BOX % tuple(b) for b in dets.boxes.tolist()]
+    for line in zip(
+        dets.image_ids, dets.class_ids.tolist(), map(box_text.__getitem__, dets.box_rows.tolist()),
+        dets.scores.tolist(), np.degrees(dets.azimuths).tolist(),
+    ):
+        yield _DET_REST % line
 
 
-def format_detections(dets: Sequence[Detection]) -> str:
-    """Detection lines; the box of a run of detections that share one
-    ``Box`` object (the classes of a proposal) is formatted once."""
+def format_detections(dets: Detections | Iterable[Detection]) -> str:
+    """Detection lines, the text of each box row formatted once."""
     return "\n".join(_detection_lines(dets)) + "\n"
 
 
-def write_detections(path: str | Path, dets: Sequence[Detection]) -> None:
+def write_detections(path: str | Path, dets: Detections | Iterable[Detection]) -> None:
     """Write the text of ``format_detections(dets)`` to ``path``, streamed
     (see :class:`LineStream`)."""
     atomic_write_bytes(path, LineStream(_detection_lines(dets)))
 
 
-def parse_detections(text: str | Iterable[str], path: str = "<string>") -> list[Detection]:
-    """Detection records.  A line whose four box tokens equal those of the
-    line before it (the classes of one proposal, as ``format_detections``
-    writes them) shares that line's Box."""
-    out = []
-    box_tok = box = None  # the box tokens of the line before, and its Box
+def parse_detections(text: str | Iterable[str], path: str = "<string>") -> Detections:
+    """The detection records of a file as a table.  A line whose four box
+    tokens equal those of the line before it (the classes of one proposal,
+    as ``format_detections`` writes them) shares that line's box row."""
+    image_ids, class_ids, box_rows, scores, degs, boxes = [], [], [], [], [], []
+    image_id = box_tok = None  # the image id and box tokens of the line before
+    row = -1  # the box row of the line before
     for lineno, tok in _data_lines(text):
-        line_box_tok = tok[2:6]
-        if line_box_tok == box_tok:  # the box was read: read the class id, score, azimuth
-            try:
-                _, class_id, _, _, _, _, score, deg = tok
-                class_id, score, deg = int(class_id), float(score), float(deg)
-                ok = class_id >= 1 and (
-                    math.isfinite(score + deg) or math.isfinite(score) and math.isfinite(deg)
-                )
-            except ValueError:
-                ok = False
-            if not ok:
-                _diagnose(tok, "expected", (8,), _DET_COLUMNS, f"{path}:{lineno}")
-        else:
-            line = _read_box_line(tok, 8)
-            if line is None or line[0] < 1:
-                _diagnose(tok, "expected", (8,), _DET_COLUMNS, f"{path}:{lineno}")
-            class_id, box, (score, deg) = line
-            box_tok = line_box_tok
-        out.append(Detection(tok[0], class_id, box, score, math.radians(deg)))
-    return out
+        try:
+            _, class_id, x_min, y_min, x_max, y_max, score, deg = tok
+            class_id, score, deg = int(class_id), float(score), float(deg)
+            ok = 1 <= class_id <= _INT64_MAX and (
+                math.isfinite(score + deg) or math.isfinite(score) and math.isfinite(deg)
+            )
+            if ok and tok[2:6] != box_tok:  # a new box: read and check it
+                box = float(x_min), float(y_min), float(x_max), float(y_max)
+                ok = _finite(box) and box[0] < box[2] and box[1] < box[3]
+                boxes.extend(box)
+                box_tok = tok[2:6]
+                row += 1
+        except ValueError:
+            ok = False
+        if not ok:
+            _diagnose(tok, "expected", (8,), _DET_COLUMNS, f"{path}:{lineno}")
+        if tok[0] != image_id:
+            image_id = tok[0]
+        image_ids.append(image_id)
+        class_ids.append(class_id)
+        scores.append(score)
+        degs.append(deg)
+        box_rows.append(row)
+    return Detections(
+        image_ids, np.array(class_ids, dtype=np.int64), np.array(boxes, dtype=float).reshape(-1, 4),
+        np.array(box_rows, dtype=np.intp), np.array(scores, dtype=float),
+        np.radians(np.array(degs, dtype=float)),
+    )
 
 
 # ---------------------------------------------------------------- datasets
@@ -634,7 +655,7 @@ def read_benchmark(
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(read_text(manifest_path))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: deep nesting
         raise FormatError(f"{manifest_path}: invalid JSON: {e}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != "viewbench-benchmark":
         raise FormatError(f"{manifest_path}: not a benchmark manifest")

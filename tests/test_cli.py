@@ -331,7 +331,7 @@ class TestPredict:
         )
         text = out.read_text()
         assert text.startswith("#")
-        assert parse_detections(text) == []
+        assert len(parse_detections(text)) == 0
 
     def test_reruns_byte_identical(self, small_bench, small_ckpt, tmp_path):
         outs = []
@@ -492,6 +492,8 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
     bench("sidecar_pickled", pickled, binary=True)
     bench("sidecar_complex", edit_sidecar(lambda f: f * (1 + 1j)), binary=True)
     bench("sidecar_nan", edit_sidecar(first_nan), binary=True)
+    # JSON nested deeper than the decoder's recursion limit
+    bench("manifest_deep", lambda d: (d / "manifest.json").write_text("[" * 10**5 + "]" * 10**5))
 
     text = small_ckpt["ckpt"].read_text()
     for name, old, new in (
@@ -547,6 +549,10 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
         assert after in lines[lineno - 1]
         lines[lineno - 1] = lines[lineno - 1].replace(after, after + b"\xff", 1)
         path.write_bytes(b"".join(lines))
+
+    # a run config nested deeper than the YAML loader's recursion limit
+    out["deep_config"] = root / "deep_config.yaml"
+    out["deep_config"].write_text("a: " + "[" * 5000 + "]" * 5000 + "\n")
 
     out["utf8_config"] = root / "utf8_config.yaml"
     out["utf8_config"].write_bytes(b"seed: 0\n# caf\xff\n")
@@ -787,6 +793,14 @@ def _exit_code(argv):
             "top_dim/manifest.json: feature_dim 7 disagrees with the class specs' 8",
         ),
         (
+            ["train", "--config", "{deep_manifest_train}", "--out", "{out}"],
+            "manifest_deep/manifest.json: invalid JSON: maximum recursion depth exceeded",
+        ),
+        (
+            ["generate", "--config", "{deep_config}", "--out", "{out}"],
+            "deep_config.yaml: invalid YAML: maximum recursion depth exceeded",
+        ),
+        (
             ["generate", "--config", "{small_gen}", "--out", "{blocked}"],
             "Is a directory",
         ),
@@ -816,7 +830,8 @@ def _exit_code(argv):
         "config-not-utf8", "manifest-not-utf8", "data-not-utf8", "gt-not-utf8",
         "det-not-utf8", "checkpoint-not-utf8", "gt-degenerate-box", "det-degenerate-box",
         "data-degenerate-box", "manifest-n-gt-off-by-one", "manifest-spec-feature-dims",
-        "manifest-feature-dim", "generate-rename-fails", "generate-test-split-fails",
+        "manifest-feature-dim", "manifest-nested-deep", "config-nested-deep",
+        "generate-rename-fails", "generate-test-split-fails",
     ],
 )
 def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_path, capsys):
@@ -868,6 +883,10 @@ def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_p
         "spec_harmonics_train": _write_yaml(
             tmp_path / "spec_harmonics_train.yaml",
             {"data": str(broken["spec_harmonics_fraction"]), **SMALL_TRAIN},
+        ),
+        "deep_manifest_train": _write_yaml(
+            tmp_path / "deep_manifest_train.yaml",
+            {"data": str(broken["manifest_deep"]), **SMALL_TRAIN},
         ),
         "small_gen": small_bench["gen_cfg"],
         "blocked": blocked,
@@ -1021,7 +1040,7 @@ class TestPipeline:
         scores = e.sum(axis=2) / denom[:, None]
 
         dets = parse_detections(pipeline["dets"].read_text())
-        file_scores = np.array([d.score for d in dets]).reshape(n, test_ds.n_classes)
+        file_scores = dets.scores.reshape(n, test_ds.n_classes)
         np.testing.assert_allclose(file_scores, scores, rtol=0, atol=1e-12)
         total = scores.sum(axis=1) + back_mass / denom
         np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-9)
@@ -1029,6 +1048,6 @@ class TestPipeline:
     def test_predicted_angles_are_bin_centers(self, pipeline):
         dets = parse_detections(pipeline["dets"].read_text())
         step = 2 * math.pi / N_BINS
-        for d in dets[:50]:
-            ratio = d.azimuth / step
+        for azimuth in dets.azimuths[:50].tolist():
+            ratio = azimuth / step
             assert abs(ratio - round(ratio)) < 1e-9

@@ -13,13 +13,14 @@ readers raised the box's own error, which named neither).
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from viewbench.angles import TWO_PI, canonicalize
 from viewbench.errors import FormatError, InvalidParameter
-from viewbench.metrics import Box, Detection, GroundTruth
+from viewbench.metrics import Box, Detection, Detections, GroundTruth
 from viewbench.net import LogEntry
 from viewbench.records import (
     DET_HEADER,
@@ -249,9 +250,23 @@ def _box_key(b):
     return tuple(_hex(v) for v in (b.x_min, b.y_min, b.x_max, b.y_max))
 
 
+# a row of a detection table, with the fields of a Detection
+DetectionRow = namedtuple("DetectionRow", "image_id class_id box score azimuth")
+
+
+def detection_rows(table):
+    """The rows of a detection table, as read from its columns (no check,
+    no canonicalization); the rows of one box row share one Box."""
+    boxes = [Box(*b) for b in table.boxes.tolist()]
+    return [DetectionRow(*row) for row in zip(
+        table.image_ids, table.class_ids.tolist(), map(boxes.__getitem__, table.box_rows.tolist()),
+        table.scores.tolist(), table.azimuths.tolist(),
+    )]
+
+
 def _record_key(r):
     key = (r.image_id, type(r.class_id), r.class_id, _box_key(r.box), _hex(r.azimuth))
-    if isinstance(r, Detection):
+    if isinstance(r, (Detection, DetectionRow)):
         key += (_hex(r.score),)
     return key
 
@@ -287,6 +302,8 @@ def _same_outcome(new, old, key, *args, **kwargs):
 
 
 def _records_key(records):
+    if isinstance(records, Detections):
+        records = detection_rows(records)
     return [_record_key(r) for r in records]
 
 

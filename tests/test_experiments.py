@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from test_codec_equivalence import detection_rows
+
 from viewbench.angles import bin_center
 from viewbench.experiments import compose_detections, pose_angles
 from viewbench.metrics import Detection
@@ -81,7 +83,7 @@ def test_compose_detections_equals_indexed_form():
     for dtype in (np.float64, np.float32):
         for floor in (0.0, 0.5, 0.9, -math.inf):
             s, a = scores.astype(dtype), angles.astype(dtype)
-            got = compose_detections(ds, s, a, floor=floor)
+            got = detection_rows(compose_detections(ds, s, a, floor=floor))
             want = _indexed_compose(ds, s, a, floor)
             assert [(d.image_id, d.class_id, d.box, d.score.hex(), d.azimuth.hex()) for d in got] \
                 == [(d.image_id, d.class_id, d.box, d.score.hex(), d.azimuth.hex()) for d in want]

@@ -19,7 +19,8 @@ from viewbench.metrics import (
     Box,
     Detection,
     GroundTruth,
-    _match_class,
+    _class_flags,
+    detection_table,
     evaluate,
     iou,
     pr_curve,
@@ -149,14 +150,17 @@ class TestArrayFormsMatchLoops:
         special = edges + [math.nextafter(e, 0.0) for e in edges] + [
             math.nextafter(e, 7.0) for e in edges] + [0.0, math.nextafter(TWO_PI, 0.0)]
         for trial in range(20):
-            n_gt = int(rng.integers(1, 30))
+            n_gt_want = int(rng.integers(1, 30))
             gts = [_gt(f"img{int(rng.integers(3))}", box=UNIT if j % 2 else SHIFTED_06,
                        azimuth=float(rng.choice(special)))
-                   for j in range(n_gt)]
+                   for j in range(n_gt_want)]
             dets = [_det(f"img{int(rng.integers(3))}", box=UNIT if j % 3 else SHIFTED_06,
                          score=float(rng.integers(5)), azimuth=float(rng.choice(special)))
                     for j in range(int(rng.integers(0, 60)))]
-            assert _match_class(gts, dets, bins, 0.5) == _scalar_match_class(gts, dets, bins, 0.5)
+            n_gt, tp, avp_tp = _class_flags(gts, detection_table(dets), bins, 0.5)[1]
+            assert n_gt == n_gt_want
+            got = tp.tolist(), {k: flags.tolist() for k, flags in avp_tp.items()}
+            assert got == _scalar_match_class(gts, dets, bins, 0.5)
 
 
 class TestEvaluateHandExamples:

@@ -27,15 +27,24 @@ def _modules():
     return {m: importlib.import_module(f"viewbench.{m}") for m in worker.MODULES}
 
 
-def _short_runs(modules):
-    """A tiny dataset and a 5-iteration run of two loss kinds."""
+def _short_runs(modules, tmp):
+    """A tiny dataset, a 5-iteration run of two loss kinds, and one round
+    of the joint head's detections through compose, the detection file in
+    directory ``tmp``, parse and evaluate.  Returns the detection count."""
     synthetic, net, losses = modules["synthetic"], modules["net"], modules["losses"]
+    experiments, records, metrics = modules["experiments"], modules["records"], modules["metrics"]
     ds = synthetic.generate(3, 4, synthetic.default_class_specs(feature_dim=8))
     runs = (("joint_cls", "joint_classification", 0.25), ("reg", "regression", 1.0))
     for head, kind, frac in runs:
         cfg = net.NetConfig(input_dim=8, trunk_widths=(6,), head=head, n_classes=4)
         tcfg = net.TrainConfig(batch_size=16, positive_fraction=frac, total_iters=5, log_every=2)
-        net.train(ds, cfg, tcfg, losses.LossSpec(kind))
+        params = net.train(ds, cfg, tcfg, losses.LossSpec(kind)).params
+        if head == "joint_cls":
+            scores, angles = experiments.pose_angles(net.predict(params, cfg, ds.features()))
+    records.write_detections(tmp / "dets.txt", experiments.compose_detections(ds, scores, angles))
+    dets = records.parse_detections(records.read_lines(tmp / "dets.txt"))
+    metrics.evaluate(ds.ground_truths(), dets)
+    return len(dets)
 
 
 def _bound_functions(modules):
@@ -48,7 +57,7 @@ def _bound_functions(modules):
 
 
 @pytest.mark.parametrize("mode", ["spans", "counts"])
-def test_hooks_install_run_and_restore(mode):
+def test_hooks_install_run_and_restore(mode, tmp_path):
     modules = _modules()
     before = _bound_functions(modules)
     post_init = vars(modules["losses"].Target)["__post_init__"]
@@ -59,7 +68,7 @@ def test_hooks_install_run_and_restore(mode):
         hooks = tracing.Counter()
     hooks.install(installer, modules)
     try:
-        _short_runs(modules)
+        n_dets = _short_runs(modules, tmp_path)
         modules["losses"].Target(1, 0.5)
     finally:
         installer.restore()
@@ -72,6 +81,7 @@ def test_hooks_install_run_and_restore(mode):
             "synthetic.generate", "net.train", "net.build_pool", "net.make_batch",
             "net.forward", "net.backward", "net.sgd_step",
             "losses.joint_classification_loss", "losses.regression_loss",
+            "experiments.compose_detections", "records.parse_detections", "metrics.evaluate",
         } <= names
         assert names <= tracing.SPAN_NAMES
     else:
@@ -83,9 +93,12 @@ def test_hooks_install_run_and_restore(mode):
             "angles.canonicalize.calls", tracing.TARGET_COUNTER,
         ):
             assert totals.get(key, 0) > 0, key
+        # the count pass weighs evaluate by the len() of its detections
+        assert n_dets > 0
+        assert totals["metrics.evaluate.detections"] == n_dets
 
 
-def test_plain_pass_times_training():
+def test_plain_pass_times_training(tmp_path):
     modules = _modules()
     before = _bound_functions(modules)
     installer = tracing.Installer()
@@ -94,7 +107,7 @@ def test_plain_pass_times_training():
     worker._time_training(installer, modules["net"], speed, totals, [])
     try:
         with speed:
-            _short_runs(modules)
+            _short_runs(modules, tmp_path)
     finally:
         installer.restore()
     assert _bound_functions(modules) == before

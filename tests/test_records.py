@@ -15,11 +15,20 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from test_codec_equivalence import _records_key, detection_rows
+
 from viewbench.angles import circular_difference
 from viewbench.errors import FormatError, GenerationError, InvalidParameter
-from viewbench.metrics import Box, Detection, GroundTruth
+from viewbench.metrics import Box, Detection, Detections, GroundTruth
 from viewbench.net import NetConfig, TrainConfig, init_params
 from viewbench.records import (
+    _CLASS_ID,
+    _GT_COLUMNS,
+    _checked_box,
+    _data_lines,
+    _diagnose,
+    _parse_float,
+    _read_box_line,
     atomic_write_text,
     commit_files,
     format_dataset,
@@ -34,6 +43,7 @@ from viewbench.records import (
     parse_detections,
     parse_ground_truths,
     read_benchmark,
+    read_lines,
     save_checkpoint,
     write_benchmark,
 )
@@ -82,7 +92,8 @@ class TestRecordFiles:
 
     def test_detection_round_trip(self):
         back = parse_detections(format_detections(self.DETS))
-        for orig, got in zip(self.DETS, back):
+        assert len(back) == 2
+        for orig, got in zip(self.DETS, detection_rows(back)):
             assert got.box == orig.box
             assert got.score == orig.score
             assert circular_difference(got.azimuth, orig.azimuth) < 1e-9
@@ -749,3 +760,221 @@ class TestAtomicWrites:
             os.umask(old)
         for path in (tmp_path / "one.txt", tmp_path / "sub" / "two.txt"):
             assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
+
+
+# ---------------------------------------------------------------- gt and det record files
+#
+# The readers that built one record object per line, kept as the oracle of
+# the table reader: each line is read once and a refused line goes to
+# ``_diagnose``; a detection line whose box tokens equal those of the line
+# before it shares that line's Box.
+
+
+def oracle_parse_ground_truths(text, path="<string>"):
+    out = []
+    for lineno, tok in _data_lines(text):
+        line = _read_box_line(tok, 7)
+        if line is None or line[0] < 1:
+            _diagnose(tok, "expected", (7,), _GT_COLUMNS, f"{path}:{lineno}")
+        class_id, box, (deg,) = line
+        out.append(GroundTruth(tok[0], class_id, box, math.radians(deg)))
+    return out
+
+
+_ORACLE_DET_COLUMNS = (
+    (slice(2, 6), _checked_box), (6, _parse_float), (7, _parse_float), (1, _CLASS_ID)
+)
+
+
+def oracle_parse_detections(text, path="<string>"):
+    out = []
+    box_tok = box = None
+    for lineno, tok in _data_lines(text):
+        line_box_tok = tok[2:6]
+        if line_box_tok == box_tok:
+            try:
+                _, class_id, _, _, _, _, score, deg = tok
+                class_id, score, deg = int(class_id), float(score), float(deg)
+                ok = class_id >= 1 and (
+                    math.isfinite(score + deg) or math.isfinite(score) and math.isfinite(deg)
+                )
+            except ValueError:
+                ok = False
+            if not ok:
+                _diagnose(tok, "expected", (8,), _ORACLE_DET_COLUMNS, f"{path}:{lineno}")
+        else:
+            line = _read_box_line(tok, 8)
+            if line is None or line[0] < 1:
+                _diagnose(tok, "expected", (8,), _ORACLE_DET_COLUMNS, f"{path}:{lineno}")
+            class_id, box, (score, deg) = line
+            box_tok = line_box_tok
+        out.append(Detection(tok[0], class_id, box, score, math.radians(deg)))
+    return out
+
+
+def _box_runs(records):
+    """The box row of each record of a table, or for records, the index of
+    its run of records that share one Box object."""
+    if isinstance(records, Detections):
+        return records.box_rows.tolist()
+    rows, run, prev = [], -1, None
+    for r in records:
+        run += r.box is not prev
+        rows.append(run)
+        prev = r.box
+    return rows
+
+
+def _outcome(parse, text):
+    try:
+        got = parse(text, path="r.txt")
+    except Exception as e:  # noqa: BLE001 - the exception is the result compared
+        return "raised", type(e), str(e)
+    key = _records_key(got)
+    return ("ok", key, _box_runs(got)) if "det" in parse.__name__ else ("ok", key)
+
+
+DET_LINES = [
+    "img0 1 0.1 0.2 0.5 0.6 0.9 10",
+    "img0 2 0.1 0.2 0.5 0.6 0.25 200",
+    "img0 3 0.1 0.2 0.5 0.6 0.125 359.99",
+    "img0 1 0.3 0.1 0.7 0.4 0.5 90",
+    "img0 2 0.3 0.1 0.7 0.4 0.5 -45",
+    "img1 1 0.3 0.1 0.7 0.4 0.75 360",
+    "img1 2 0 0 1 1 1e-3 0",
+]
+GT_LINES = [
+    "img0 1 0.1 0.2 0.5 0.6 10",
+    "img0 2 0.3 0.1 0.7 0.4 359.99",
+    "img1 1 0.3 0.1 0.7 0.4 -45",
+    "img1 2 0 0 1 1 360",
+]
+
+
+def _record_cases(kind, lines):
+    """(name, text) of each case built from ``lines``: every field of every
+    line mutated, broken shared-box runs, comments and blank lines, and the
+    file truncated after every line."""
+    cases = []
+
+    def text(new_lines):
+        return "\n".join(new_lines) + "\n"
+
+    def swap(i, tok):
+        return text(lines[:i] + [" ".join(tok)] + lines[i + 1:])
+
+    for i, line in enumerate(lines):
+        tok = line.split()
+        for f in range(len(tok)):
+            name = f"{kind}-line{i + 1}-field{f}"
+            for what, new in (
+                ("word", "x"), ("fraction", "1.5"), ("nan", "nan"), ("inf", "inf"),
+                ("minus-inf", "-inf"), ("overflow", "1e400"), ("empty", ""),
+            ):
+                cases.append((f"{name}-{what}", swap(i, tok[:f] + [new] + tok[f + 1:])))
+            cases.append((f"{name}-extra", swap(i, tok[:f + 1] + ["7"] + tok[f + 1:])))
+            cases.append((f"{name}-missing", swap(i, tok[:f] + tok[f + 1:])))
+        for what, new in (("class-0", "0"), ("class-negative", "-2"), ("class-plus", "+2")):
+            cases.append((f"{kind}-line{i + 1}-{what}", swap(i, tok[:1] + [new] + tok[2:])))
+        for what, at in (("x", 4), ("y", 5)):
+            degenerate = list(tok)
+            degenerate[at] = degenerate[at - 2]
+            cases.append((f"{kind}-line{i + 1}-degenerate-{what}", swap(i, degenerate)))
+            inverted = list(tok)
+            inverted[at], inverted[at - 2] = inverted[at - 2], inverted[at]
+            cases.append((f"{kind}-line{i + 1}-inverted-{what}", swap(i, inverted)))
+        # a comment, a blank and a white line before the line, then the
+        # line itself mutated, so the line numbers it reports shift
+        cases.append((f"{kind}-comments-before-line{i + 1}",
+                      text(lines[:i] + ["# note", "", " \t", "  # indented"] + lines[i:])))
+        bad = tok[:-1] + ["nan"]
+        cases.append((f"{kind}-comments-then-bad-line{i + 1}",
+                      text(lines[:i] + ["# note", ""] + [" ".join(bad)] + lines[i + 1:])))
+    for k in range(len(lines) + 1):
+        cases.append((f"{kind}-truncated-after-{k}", text(lines[:k]) if k else ""))
+        if k < len(lines):
+            cut = lines[k][: len(lines[k]) // 2]
+            cases.append((f"{kind}-truncated-inside-{k + 1}", text(lines[:k] + [cut])))
+    return cases
+
+
+def _det_run_cases():
+    """Shared-box runs broken in their middle: the second line of the
+    three-line run of img0 with other box text (the same value, or another),
+    and a run whose image changes inside it."""
+    cases = []
+    for what, new in (("same-value", "0.10"), ("other-value", "0.15"), ("word", "q")):
+        tok = DET_LINES[1].split()
+        tok[2] = new
+        lines = DET_LINES[:1] + [" ".join(tok)] + DET_LINES[2:]
+        cases.append((f"det-run-broken-{what}", "\n".join(lines) + "\n"))
+    tok = DET_LINES[4].split()
+    lines = DET_LINES[:4] + [" ".join(["img9"] + tok[1:])] + DET_LINES[5:]
+    cases.append(("det-run-image-changes", "\n".join(lines) + "\n"))
+    lines = DET_LINES[:1] + ["# inside a run", ""] + DET_LINES[1:]
+    cases.append(("det-run-comment-inside", "\n".join(lines) + "\n"))
+    return cases
+
+
+RECORD_CONTRACT = dict(
+    [(n, (oracle_parse_detections, parse_detections, t)) for n, t in
+     _record_cases("det", DET_LINES) + _det_run_cases()]
+    + [(n, (oracle_parse_ground_truths, parse_ground_truths, t)) for n, t in
+       _record_cases("gt", GT_LINES)]
+)
+
+
+class TestRecordContract:
+    """The gt and det readers give the oracle readers' result on every
+    case: the same values (floats as ``float.hex``) and box rows, or
+    the same exception type and text, naming the same ``path:line``."""
+
+    @pytest.mark.parametrize("case", list(RECORD_CONTRACT))
+    def test_matches_oracle(self, case):
+        oracle, parse, text = RECORD_CONTRACT[case]
+        assert _outcome(parse, text) == _outcome(oracle, text)
+
+    def test_cases_cover_both_outcomes(self):
+        outcomes = [_outcome(oracle, text)[0] for oracle, _, text in RECORD_CONTRACT.values()]
+        assert outcomes.count("ok") > 40 and outcomes.count("raised") > 400
+
+    @pytest.mark.parametrize("bad, undecodable", [(2, 2000), (2000, 2), (1999, 2000)])
+    def test_undecodable_bytes_after_or_before_a_refused_line(self, bad, undecodable, tmp_path):
+        """The error of whichever the file read line by line reaches first:
+        a refused line, or bytes that are not UTF-8 (which the reader meets
+        a buffer of text at a time)."""
+        lines = [line.encode() for line in DET_LINES * 300]
+        tok = lines[bad].split()
+        lines[bad] = b" ".join(tok[:6] + [b"nan"] + tok[7:])
+        lines[undecodable] += b" caf\xff"
+        path = tmp_path / "r.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+
+        def error(parse):
+            with pytest.raises(FormatError) as info:
+                parse(read_lines(path), path=str(path))
+            return str(info.value)
+
+        assert error(parse_detections) == error(oracle_parse_detections)
+        if abs(bad - undecodable) > 1000:  # in buffers far apart
+            assert error(parse_detections).startswith(f"{path}:{min(bad, undecodable) + 1}: ")
+
+    @pytest.mark.parametrize("case", [
+        "det-line2-field6-nan", "det-line3-field1-fraction", "det-line4-degenerate-x",
+        "det-line5-field7-missing", "det-comments-then-bad-line6", "det-run-broken-word",
+        "det-line7-class-0", "det-truncated-inside-4",
+    ])
+    def test_eval_exits_2(self, case, tmp_path, capsys):
+        from viewbench.cli import entry
+
+        oracle, _, text = RECORD_CONTRACT[case]
+        _, _, message = _outcome(oracle, text)
+        assert message.startswith("r.txt:")
+        gt, det = tmp_path / "gt.txt", tmp_path / "r.txt"
+        gt.write_text("\n".join(GT_LINES) + "\n")
+        det.write_text(text)
+        assert entry(["eval", str(gt), str(det), "--out", str(tmp_path / "report.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path}/{message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
