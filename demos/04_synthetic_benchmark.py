@@ -45,24 +45,26 @@ print("default roster:", [(s.class_id, s.symmetry_order) for s in specs])
 ds = generate(seed=0, n_scenes=5, class_specs=specs)
 print(f"{len(ds.scenes)} scenes, {len(ds.ground_truths())} ground truths, "
       f"{ds.n_samples} proposals, feature_dim {ds.feature_dim}")
+# the proposals are one table of columns, a row per proposal, scene by scene
+t = ds.proposals
 scene = ds.scenes[0]
-print(f"scene 0 ({scene.image_id}): {len(scene.gts)} objects, {len(scene.proposals)} proposals")
-for p in scene.proposals[:4]:
-    kind = "background" if p.is_background else f"gt {p.matched_gt} at IoU {p.iou:.3f}"
+rows = np.flatnonzero(t.scene == 0)
+print(f"scene 0 ({scene.image_id}): {len(scene.gts)} objects, {rows.size} proposals")
+for r in rows[:4]:
+    j = t.matched_gt[r]
+    kind = "background" if j < 0 else f"gt {j} at IoU {t.iou[r]:.3f}"
     print(f"  proposal: {kind}")
 
-fg = [p.iou for s in ds.scenes for p in s.proposals if not p.is_background]
-bg = [p.iou for s in ds.scenes for p in s.proposals if p.is_background]
+fg, bg = t.iou[t.matched_gt >= 0], t.iou[t.matched_gt < 0]
 # foreground proposals are jittered copies of a truth box, backgrounds
 # are rejection-sampled to stay clear of every object
-print(f"foreground IoU range [{min(fg):.3f}, {max(fg):.3f}] (always >= 0.5)")
-print(f"background IoU range [{min(bg):.3f}, {max(bg):.3f}] (always < 0.3)")
+print(f"foreground IoU range [{fg.min():.3f}, {fg.max():.3f}] (always >= 0.5)")
+print(f"background IoU range [{bg.min():.3f}, {bg.max():.3f}] (always < 0.3)")
 
 print()
 print("== features regenerate bitwise from recorded noise seeds ==")
-p = scene.proposals[0]
-again = regenerate_feature(ds, scene, p)
-print("regenerated == stored:", bool(np.array_equal(p.feature, again)))
+again = regenerate_feature(ds, 0)
+print("regenerated == stored:", bool(np.array_equal(ds.features()[0], again)))
 
 print()
 print("== the replay oracle: scoring the truth itself is perfect ==")
@@ -73,9 +75,8 @@ print()
 print("== determinism ==")
 ds2 = generate(seed=0, n_scenes=5, class_specs=specs)
 same = all(
-    np.array_equal(p1.feature, p2.feature) and p1.box == p2.box
-    for s1, s2 in zip(ds.scenes, ds2.scenes)
-    for p1, p2 in zip(s1.proposals, s2.proposals)
+    np.array_equal(getattr(ds.proposals, c), getattr(ds2.proposals, c))
+    for c in ("scene", "boxes", "features", "matched_gt", "iou", "noise_seed")
 )
 print("same seed, same dataset:", same)
 noisy = appearance(sym, 0.3, np.random.default_rng(1))

@@ -80,7 +80,7 @@ from .net import (
 from .synthetic import (
     ClassSpec,
     Dataset,
-    Proposal,
+    Proposals,
     Scene,
     appearance,
     appearance_clean,

@@ -35,7 +35,7 @@ import numpy as np
 
 from .angles import TWO_PI, azimuth_to_bin
 from .losses import LossSpec
-from .metrics import Detections, box_array, evaluate
+from .metrics import Detections, evaluate
 from .net import (
     ClsPrediction,
     JointClsPrediction,
@@ -122,12 +122,12 @@ def compose_detections(
     scores = np.asarray(scores, dtype=float)
     rows, cols = np.nonzero(scores >= floor)
     used, box_rows = np.unique(rows, return_inverse=True)
-    images = [scene.image_id for scene in ds.scenes for _ in scene.proposals]
-    boxes = [p.box for scene in ds.scenes for p in scene.proposals]
+    t = ds.proposals
+    images = [scene.image_id for scene in ds.scenes]
     return Detections(
-        [images[r] for r in rows.tolist()],
+        [images[s] for s in t.scene[rows].tolist()],
         cols + 1,
-        box_array([boxes[r] for r in used.tolist()]),
+        t.boxes[used],
         box_rows,
         scores[rows, cols],
         np.asarray(angles, dtype=float)[rows, cols],

@@ -558,22 +558,16 @@ class Pool:
 
 
 def build_pool(dataset: Dataset) -> Pool:
-    fg_feat, fg_cls, fg_az, bg_feat = [], [], [], []
-    for scene in dataset.scenes:
-        for prop in scene.proposals:
-            if prop.is_background:
-                bg_feat.append(prop.feature)
-            else:
-                g = scene.gts[prop.matched_gt]
-                fg_feat.append(prop.feature)
-                fg_cls.append(g.class_id)
-                fg_az.append(g.azimuth)
-    d = dataset.feature_dim
+    t = dataset.proposals
+    gts = dataset.ground_truths()
+    first_gt = np.cumsum([0] + [len(s.gts) for s in dataset.scenes])  # by scene
+    fg = t.matched_gt >= 0
+    rows = first_gt[t.scene[fg]] + t.matched_gt[fg]  # each foreground row's gt
     return Pool(
-        fg_features=np.array(fg_feat).reshape(-1, d),
-        fg_class=np.array(fg_cls, dtype=int),
-        fg_azimuth=np.array(fg_az, dtype=float),
-        bg_features=np.array(bg_feat).reshape(-1, d),
+        fg_features=t.features[fg],
+        fg_class=np.array([g.class_id for g in gts], dtype=int)[rows],
+        fg_azimuth=np.array([g.azimuth for g in gts], dtype=float)[rows],
+        bg_features=t.features[~fg],
         specs={s.class_id: s for s in dataset.class_specs},
     )
 

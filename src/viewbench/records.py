@@ -9,48 +9,41 @@ bit-identical to the generated one.  Checkpoints store every parameter
 as a C99 hex float (``float.hex()``), a lossless text encoding.
 
 Writers build each line with one ``%`` template over Python floats
-(``"%.17g" % x`` is the text of ``format(x, ".17g")``); a dataset prop
-line with inline features takes the template of its feature count, made
-once per count.  Readers read each line once, with ``float`` and
-``int`` and one finiteness check of the sum of its floats (each float is
-looked at only when the sum is not finite, so finite values whose sum
-overflows still read).  Ground-truth and dataset gt lines share one read
-(a label, a class id, four box floats, then floats), and each caller
-applies its class rule; prop and detection lines have their own.  A refused
-line goes to ``_diagnose``, which only raises: it walks the kind's column
-table, ``(token position, check)`` pairs in reporting order, and raises
-the first error, naming ``path:line`` and the bad field (or the
-degenerate box).  Class ids in record files must be at least 1.
+(``"%.17g" % x`` is the text of ``format(x, ".17g")``), a dataset's
+proposals read from the table's columns by ``.tolist()``.  Readers read
+each line once, with ``float`` and ``int`` and one finiteness check of the
+sum of its floats (each float is looked at only when the sum is not
+finite, so finite values whose sum overflows still read).  Ground-truth
+and dataset gt lines share one read (a label, a class id, four box floats,
+then floats), and each caller applies its class rule; prop and detection
+lines have their own.  A refused line goes to ``_diagnose``, which only
+raises: it walks the kind's column table, ``(token position, check)``
+pairs in reporting order, and raises the first error, naming ``path:line``
+and the bad field (or the degenerate box).  Class ids in record files must
+be at least 1.
 
 Detections are read and written as a :class:`~viewbench.metrics.Detections`
-table.  The writer formats each box row's text once and each line from the
-table's columns.  The reader reads each line once, as the other readers do,
-and appends its values to column lists: a run of equal image ids shares
-one string, and a line whose box tokens equal those of the line before it
-(the next class of a proposal) shares its box row.  A detection class id
-must also fit in 64 bits.
+table, each box row's text formatted once; the reader appends each line's
+values to column lists.  A detection class id must also fit in 64 bits.
 
-Every write goes through a temp-file-then-rename, so a failed run never
-leaves a partially written artifact; multi-file outputs are staged
-completely before any file is moved into place, and a failed move puts
-back every file the set had replaced, so the set lands whole or not at
-all.
+Every write goes through a temp file and a rename, so a failed run never
+leaves a partially written artifact, and a multi-file set lands whole or
+not at all (``commit_files``).
 
 A benchmark's data files are the largest artifacts, and no whole-text
 copy of one is held.  ``write_benchmark`` streams each data file into its
 staged temp file, encoding its lines a chunk of ``_CHUNK_CHARS``
 characters at a time (``format_dataset`` joins the same lines into one
 string); ``write_detections`` streams a detection file the same way.
-Nor are two splits held at once: ``write_benchmark`` makes and stages the
-splits one at a time, each when its first file is staged, lets each go
-after its last file, and stages the manifest last, from the seed and
-counts it recorded of each split.
+Nor are two splits held at once (``write_benchmark``).
 ``read_benchmark`` and ``read_lines`` read a file one physical
 line at a time, in the encoding ``Path.read_text`` uses, and split each
 with ``str.splitlines``, so the parsers see exactly the lines, and name
 exactly the line numbers, of ``read_text().splitlines()``.  The parsers
 take either that text or such an iterable of lines.  Bytes that the
 encoding cannot decode are a FormatError naming the file and the line.
+The dataset reader fills a proposal table made once from the manifest's
+``n_proposals``.
 """
 
 from __future__ import annotations
@@ -59,6 +52,7 @@ import codecs
 import contextlib
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -73,7 +67,7 @@ import numpy as np
 from .errors import ConfigError, FormatError, InvalidParameter
 from .metrics import Box, Detection, Detections, EvalReport, GroundTruth, detection_table
 from .net import LogEntry, ModelParams, NetConfig, layer_plan
-from .synthetic import ClassSpec, Dataset, Proposal, Scene
+from .synthetic import ClassSpec, Dataset, Proposals, Scene
 
 GT_HEADER = "# viewbench ground truth: image_id class_id x_min y_min x_max y_max azimuth_deg"
 DET_HEADER = "# viewbench detections: image_id class_id x_min y_min x_max y_max score azimuth_pred_deg"
@@ -131,6 +125,8 @@ def _int_check(ok: Callable[[int], bool], problem: Callable[[int], str]) -> Call
 
 _CLASS_ID = _int_check((1).__le__, "class id must be >= 1, got {}".format)
 _INT64_MAX = 2**63 - 1
+_SEEDS = range(2**64)
+_NOISE_SEED = _int_check(_SEEDS.__contains__, "noise seed must be in [0, 2**64), got {}".format)
 _DET_CLASS_ID = _int_check(lambda c: 1 <= c <= _INT64_MAX, lambda c: (
     f"class id must be >= 1, got {c}" if c < 1 else f"class id must be <= {_INT64_MAX}, got {c}"
 ))
@@ -323,23 +319,21 @@ def _dataset_lines(ds: Dataset, inline_features: bool) -> Iterator[str]:
         f"# viewbench dataset: split={ds.split} feature_dim={ds.feature_dim} "
         f"inline_features={int(inline_features)}"
     )
-    for scene in ds.scenes:
-        yield f"scene {scene.image_id} {len(scene.gts)} {len(scene.proposals)}"
+    t = ds.proposals
+    template = _inline_prop_line(t.features.shape[1]) if inline_features else _DATA_PROP_LINE
+    counts = np.bincount(t.scene, minlength=len(ds.scenes)).tolist()
+    for scene, n, end in zip(ds.scenes, counts, itertools.accumulate(counts)):
+        yield f"scene {scene.image_id} {len(scene.gts)} {n}"
         for g in scene.gts:
             b = g.box
             yield _DATA_GT_LINE % (g.class_id, b.x_min, b.y_min, b.x_max, b.y_max, g.azimuth)
-        for p in scene.proposals:
-            b = p.box
-            if inline_features:
-                feature = p.feature.tolist()
-                yield _inline_prop_line(len(feature)) % (
-                    p.matched_gt, p.iou, p.noise_seed, b.x_min, b.y_min, b.x_max, b.y_max,
-                    *feature,
-                )
-            else:
-                yield _DATA_PROP_LINE % (
-                    p.matched_gt, p.iou, p.noise_seed, b.x_min, b.y_min, b.x_max, b.y_max
-                )
+        rows = slice(end - n, end)
+        features = t.features[rows].tolist() if inline_features else itertools.repeat(())
+        for m, ov, seed, box, feature in zip(
+            t.matched_gt[rows].tolist(), t.iou[rows].tolist(), t.noise_seed[rows].tolist(),
+            t.boxes[rows].tolist(), features,
+        ):
+            yield template % (m, ov, seed, *box, *feature)
 
 
 def format_dataset(ds: Dataset, inline_features: bool = True) -> str:
@@ -350,19 +344,20 @@ def format_dataset(ds: Dataset, inline_features: bool = True) -> str:
 
 
 def _read_prop_line(tok: list[str], counts: tuple, n_gt: int) -> tuple | None:
-    """The matched gt, IoU, noise seed, Box and inline features (none if it
-    reads a sidecar row) of a well-formed prop line of ``counts`` fields in a
-    scene of ``n_gt`` ground truths, or None for ``_diagnose`` to explain."""
+    """The matched gt, IoU, noise seed and floats (box, then inline
+    features) of a well-formed prop line of ``counts`` fields in a scene
+    of ``n_gt`` ground truths, or None for ``_diagnose`` to explain."""
     if len(tok) not in counts:
         return None
     try:
         matched, ov, noise_seed = int(tok[1]), float(tok[2]), int(tok[3])
         values = list(map(float, tok[4:]))
-        if not -1 <= matched < n_gt or not math.isfinite(ov) or not _finite(values):
-            return None
-        return matched, ov, noise_seed, Box(*values[:4]), values[4:]
-    except (ValueError, InvalidParameter):  # InvalidParameter: a degenerate box
+    except ValueError:
         return None
+    if (-1 <= matched < n_gt and noise_seed in _SEEDS and math.isfinite(ov) and _finite(values)
+            and values[0] < values[2] and values[1] < values[3]):
+        return matched, ov, noise_seed, values
+    return None
 
 
 def parse_dataset(
@@ -372,6 +367,7 @@ def parse_dataset(
     seed: int,
     path: str = "<string>",
     features: np.ndarray | None = None,
+    n_proposals: int | None = None,
 ) -> Dataset:
     """Rebuild a Dataset from its text form, or from the lines of it
     (plus sidecar features if the file was written without inline features).
@@ -379,9 +375,10 @@ def parse_dataset(
     Each scene line must open a scene id no line before it opened, each
     scene must hold as many gt and prop lines as its scene line
     declares, a gt's class id must be one of the class specs', a prop's
-    ``matched_gt`` must be -1 or index one of the scene's gts, and a
-    sidecar must be (rows, feature_dim) with one row per prop line that
-    reads it, no more."""
+    ``matched_gt`` must be -1 or index one of the scene's gts and its
+    noise seed be in [0, 2**64), and a sidecar must be (rows, feature_dim)
+    with one row per prop line that reads it, no more.  The table is made
+    for ``n_proposals`` rows (else the sidecar's), grown if short."""
     class_specs = tuple(class_specs)
     feature_dim = class_specs[0].feature_dim
     class_ids = {spec.class_id for spec in class_specs}
@@ -391,18 +388,18 @@ def parse_dataset(
     scene_where = ""
     n_gt = n_prop = 0
     gts: list[GroundTruth] = []
-    props: list[Proposal] = []
+    n = first = 0  # the rows read, and the first row of the current scene
     next_feature = 0
 
     def flush():
         if cur_id is None:
             return
-        if len(gts) != n_gt or len(props) != n_prop:
+        if len(gts) != n_gt or n - first != n_prop:
             raise FormatError(
                 f"{scene_where}: scene {cur_id} declares {n_gt} gt and {n_prop} prop lines, "
-                f"got {len(gts)} and {len(props)}"
+                f"got {len(gts)} and {n - first}"
             )
-        scenes.append(Scene(cur_id, tuple(gts), tuple(props)))
+        scenes.append(Scene(cur_id, tuple(gts)))
 
     # the rows a prop line without inline features may read from the
     # sidecar, and the error of such a line once there are none
@@ -413,6 +410,10 @@ def parse_dataset(
         )
     elif features is not None:
         sidecar_rows, no_row = features.shape[0], "sidecar has too few feature rows"
+    rows = sidecar_rows if n_proposals is None else n_proposals
+    scene_of, matched, ious, seeds = (np.empty(rows, t) for t in (int, int, float, np.uint64))
+    boxes, feats = np.empty((rows, 4)), np.empty((rows, feature_dim))
+    columns = (scene_of, boxes, feats, matched, ious, seeds)
 
     def feature_values(tokens: list[str], where: str) -> None:
         for t in tokens:
@@ -433,7 +434,7 @@ def parse_dataset(
             f"matched_gt {m} is neither -1 nor one of the scene's {n_gt} ground truths"
         ))),
         (2, _parse_float),
-        (3, _parse_int),
+        (3, _NOISE_SEED),
         (slice(4, 8), _checked_box),
         (slice(8, None), feature_values),
     )
@@ -445,13 +446,17 @@ def parse_dataset(
             raise FormatError(f"{path}:{lineno}: {kind} line before any scene line")
         if kind == "prop":
             line = _read_prop_line(tok, prop_fields, n_gt)
-            if line is None or not line[4] and next_feature >= sidecar_rows:
+            if line is None or len(line[3]) == 4 and next_feature >= sidecar_rows:
                 _diagnose(tok, "prop line needs", prop_fields, prop_columns, f"{path}:{lineno}")
-            matched, ov, noise_seed, box, feat = line
-            if not feat:
-                feat = features[next_feature]
-                next_feature += 1
-            props.append(Proposal(box, np.array(feat, dtype=np.float64), matched, ov, noise_seed))
+            values = line[3]
+            if n == len(ious):
+                for column in columns:
+                    column.resize((max(2 * n, 64),) + column.shape[1:], refcheck=False)
+            scene_of[n], matched[n], ious[n], seeds[n] = len(scenes), *line[:3]
+            inline = len(values) > 4  # else: the next sidecar row
+            boxes[n], feats[n] = values[:4], values[4:] if inline else features[next_feature]
+            next_feature += not inline
+            n += 1
         elif kind == "gt":
             line = _read_box_line(tok, 7)
             if line is None or line[0] not in class_ids:
@@ -471,7 +476,7 @@ def parse_dataset(
             scene_lines[cur_id] = lineno
             scene_where = where
             n_gt, n_prop = _parse_int(tok[2], where), _parse_int(tok[3], where)
-            gts, props = [], []
+            gts, first = [], n
         else:
             raise FormatError(f"{path}:{lineno}: unknown line type {kind!r}")
     flush()
@@ -480,7 +485,8 @@ def parse_dataset(
             f"{path}:{lineno}: the prop lines read {next_feature} sidecar rows, "
             f"the sidecar has shape {features.shape}"
         )
-    return Dataset(tuple(scenes), class_specs, feature_dim, split, seed)
+    table = Proposals(*(column[:n] for column in columns))
+    return Dataset(tuple(scenes), table, class_specs, feature_dim, split, seed)
 
 
 # ---------------------------------------------------------------- manifest
@@ -698,8 +704,10 @@ def read_benchmark(
         if entry.get("features"):
             features = _read_sidecar(root / _field(entry, "features", str, where))
         data_path = root / data
+        # no more rows than fit the file: a prop line takes 18+ bytes
         ds = parse_dataset(
             read_lines(data_path), specs, name, seed, path=str(data_path), features=features,
+            n_proposals=max(0, min(counts["n_proposals"], data_path.stat().st_size // 18)),
         )
         summary = _SplitSummary.of(ds)
         for key, want in counts.items():

@@ -15,12 +15,12 @@ features are pure standard normal noise.  All randomness is derived from
 every proposal records the seed of its own noise draw so features can be
 regenerated and audited exactly.
 
-Seeding a generator is mostly the hashing of numpy's ``SeedSequence``, so
-``generate`` hashes each split's seeds in one array pass instead
-(``seeding``): the scene entropies ``[seed, i]`` before its scene loop,
-the proposals' noise seeds after it.  The generators built from those state words are in the
-state ``default_rng`` would give them, so a feature is still the
-``default_rng(noise_seed)`` draw that ``regenerate_feature`` repeats.
+A split's proposals are one column table, :class:`Proposals`, scene-major;
+``Dataset.features()`` is its feature matrix, read-only.  ``generate``
+hashes a split's seeds in one array pass (``seeding``), scene entropies
+``[seed, i]`` first, noise seeds after, into the states ``default_rng``
+would give, so a feature is the ``default_rng(noise_seed)`` draw that
+``regenerate_feature`` repeats.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .angles import TWO_PI, canonicalize
 from .errors import GenerationError, InvalidParameter, check_integers
-from .metrics import Box, Detection, EvalReport, GroundTruth, evaluate, iou
+from .metrics import Box, Detection, EvalReport, GroundTruth, box_array, evaluate, iou
 
 _MAX_TRIES = 200
 
@@ -103,49 +103,33 @@ def appearance(spec: ClassSpec, theta: float, rng: np.random.Generator) -> np.nd
     return feat
 
 
-_set = object.__setattr__
-
-
-@dataclass(frozen=True, slots=True)
-class Proposal:
-    """One candidate box with its observed feature vector.
-
-    ``matched_gt`` is the index into the scene's ground-truth list for
-    foreground proposals and -1 for background.  ``noise_seed`` is the
-    seed of the generator that drew this proposal's noise (foreground) or
-    its whole feature (background), kept so the feature can be
-    regenerated bit for bit.
-    """
-
-    box: Box
-    feature: np.ndarray
-    matched_gt: int
-    iou: float
-    noise_seed: int
-
-    def __init__(self, box: Box, feature: np.ndarray, matched_gt: int, iou: float,
-                 noise_seed: int):
-        _set(self, "box", box)
-        _set(self, "feature", feature)
-        _set(self, "matched_gt", matched_gt)
-        _set(self, "iou", iou)
-        _set(self, "noise_seed", noise_seed)
-
-    @property
-    def is_background(self) -> bool:
-        return self.matched_gt < 0
-
-
 @dataclass(frozen=True)
 class Scene:
     image_id: str
     gts: tuple[GroundTruth, ...]
-    proposals: tuple[Proposal, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
+class Proposals:
+    """A split's proposals, a row each.  ``scene`` indexes the row's scene,
+    ``matched_gt`` its ground truths (-1: background); ``noise_seed`` drew
+    the row's noise (foreground) or feature (background)."""
+
+    scene: np.ndarray  # intp
+    boxes: np.ndarray  # (n, 4): x_min, y_min, x_max, y_max
+    features: np.ndarray  # (n, feature_dim) float64
+    matched_gt: np.ndarray  # intp
+    iou: np.ndarray  # float64
+    noise_seed: np.ndarray  # uint64
+
+    def __post_init__(self):
+        self.features.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
     scenes: tuple[Scene, ...]
+    proposals: Proposals
     class_specs: tuple[ClassSpec, ...]
     feature_dim: int
     split: str
@@ -153,7 +137,7 @@ class Dataset:
 
     @property
     def n_samples(self) -> int:
-        return sum(len(s.proposals) for s in self.scenes)
+        return len(self.proposals.iou)
 
     @property
     def n_classes(self) -> int:
@@ -169,9 +153,8 @@ class Dataset:
         return [g for scene in self.scenes for g in scene.gts]
 
     def features(self) -> np.ndarray:
-        """All proposal features stacked in scene order, (n_samples, feature_dim)."""
-        rows = [p.feature for s in self.scenes for p in s.proposals]
-        return np.array(rows, dtype=np.float64).reshape(-1, self.feature_dim)
+        """The proposal table's feature matrix, read-only."""
+        return self.proposals.features
 
 
 def _random_box(rng: np.random.Generator, size_range: tuple[float, float]) -> Box:
@@ -253,9 +236,14 @@ def generate(
 
     spec_by_id = {s.class_id: s for s in class_specs}
     scene_words = scene_states(seed, n_scenes)
-    # per scene: image id, ground truths, and each proposal's box, matched
-    # gt, IoU and noise seed; features are drawn once every seed is known
-    drawn = []
+    # a list per column, no tuple kept per proposal (freed, they pin
+    # memory); features are drawn once all seeds are known
+    scenes, columns = [], ([], [], [], [], [])
+
+    def add(*row):  # scene, box, matched gt, IoU, seed
+        for column, value in zip(columns, row):
+            column.append(value)
+
     for i in range(n_scenes):
         rng = generator(scene_words[i])
         image_id = f"{split}_{i:05d}"
@@ -266,7 +254,6 @@ def generate(
             theta = float(rng.uniform(0.0, TWO_PI))  # GroundTruth canonicalizes
             gts.append(GroundTruth(image_id, cid, _random_box(rng, gt_size_range), theta))
 
-        props = []
         for j, g in enumerate(gts):
             for _ in range(proposals_per_gt):
                 for attempt in range(_MAX_TRIES):
@@ -278,8 +265,7 @@ def generate(
                     raise GenerationError(
                         f"scene {i}: no jittered box reached IoU 0.5 in {_MAX_TRIES} tries"
                     )
-                noise_seed = int(rng.integers(0, 2**63))
-                props.append((box, j, ov, noise_seed))
+                add(i, box, j, ov, int(rng.integers(0, 2**63)))
         for _ in range(backgrounds_per_scene):
             for attempt in range(_MAX_TRIES):
                 box = _random_box(rng, gt_size_range)
@@ -290,34 +276,34 @@ def generate(
                 raise GenerationError(
                     f"scene {i}: no background box got IoU < 0.3 in {_MAX_TRIES} tries"
                 )
-            noise_seed = int(rng.integers(0, 2**63))
-            props.append((box, -1, worst, noise_seed))
-        drawn.append((image_id, tuple(gts), props))
+            add(i, box, -1, worst, int(rng.integers(0, 2**63)))
+        scenes.append(Scene(image_id, tuple(gts)))
 
-    noise_words = noise_states([p[3] for _, _, props in drawn for p in props])
-    scenes = []
-    k = 0
-    for image_id, gts, props in drawn:
-        proposals = []
-        for box, j, ov, noise_seed in props:
-            rng = generator(noise_words[k])
-            k += 1
-            if j < 0:
-                feat = rng.standard_normal(feature_dim)
-            else:
-                g = gts[j]
-                feat = appearance(spec_by_id[g.class_id], g.azimuth, rng)
-            proposals.append(Proposal(box, feat, j, ov, noise_seed))
-        scenes.append(Scene(image_id, gts, tuple(proposals)))
-    return Dataset(tuple(scenes), class_specs, feature_dim, split, seed)
+    scene_of, boxes, matched, ious, seeds = columns
+    noise_words = noise_states(seeds)
+    features = np.empty((len(seeds), feature_dim))
+    for k, (i, j) in enumerate(zip(scene_of, matched)):
+        rng = generator(noise_words[k])
+        if j < 0:
+            features[k] = rng.standard_normal(feature_dim)
+        else:
+            g = scenes[i].gts[j]
+            features[k] = appearance(spec_by_id[g.class_id], g.azimuth, rng)
+    table = Proposals(
+        np.array(scene_of, dtype=np.intp), box_array(boxes), features,
+        np.array(matched, dtype=np.intp), np.array(ious, dtype=float),
+        np.array(seeds, dtype=np.uint64),
+    )
+    return Dataset(tuple(scenes), table, class_specs, feature_dim, split, seed)
 
 
-def regenerate_feature(dataset: Dataset, scene: Scene, prop: Proposal) -> np.ndarray:
-    """Rebuild a proposal's feature from its recorded noise seed."""
-    rng = np.random.default_rng(prop.noise_seed)
-    if prop.is_background:
+def regenerate_feature(dataset: Dataset, row: int) -> np.ndarray:
+    """Rebuild the feature of proposal row ``row`` from its recorded noise seed."""
+    t = dataset.proposals
+    rng = np.random.default_rng(int(t.noise_seed[row]))
+    if t.matched_gt[row] < 0:
         return rng.standard_normal(dataset.feature_dim)
-    g = scene.gts[prop.matched_gt]
+    g = dataset.scenes[t.scene[row]].gts[t.matched_gt[row]]
     return appearance(dataset.spec_of(g.class_id), g.azimuth, rng)
 
 

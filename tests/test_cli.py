@@ -426,6 +426,13 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
         tok = lines[i].split()
         lines[i] = " ".join(["prop", "9"] + tok[2:])
 
+    def noise_seed(value):
+        def fn(lines):
+            i = next(i for i, l in enumerate(lines) if l.startswith("prop "))
+            tok = lines[i].split()
+            lines[i] = " ".join(tok[:3] + [value] + tok[4:])
+        return fn
+
     def repeat_scene_id(lines):
         first, second = [i for i, l in enumerate(lines) if l.startswith("scene ")][:2]
         tok = lines[second].split()
@@ -481,6 +488,8 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
     bench("top_dim", edit_manifest(lambda doc: doc.update(feature_dim=7)))
     bench("scene_counts", edit_lines(more_gts))
     bench("matched_past", edit_lines(matched_past))
+    bench("seed_negative", edit_lines(noise_seed("-1")))
+    bench("seed_2_64", edit_lines(noise_seed(str(2**64))))
     bench("gt_class_7", edit_lines(gt_class_7))
     bench("scene_repeated", edit_lines(repeat_scene_id))
     bench("data_degenerate", edit_lines(gt_degenerate))
@@ -703,6 +712,14 @@ def _exit_code(argv):
             "matched_gt 9 is neither -1 nor one of the scene's",
         ),
         (
+            ["predict", "{ckpt}", "{seed_negative}", "--out", "{out}"],
+            "seed_negative/test_data.txt:6: noise seed must be in [0, 2**64), got -1",
+        ),
+        (
+            ["predict", "{ckpt}", "{seed_2_64}", "--out", "{out}"],
+            f"seed_2_64/test_data.txt:6: noise seed must be in [0, 2**64), got {2**64}",
+        ),
+        (
             ["predict", "{ckpt}", "{sidecar_width}", "--out", "{out}"],
             "sidecar rows must have 8 values, the sidecar has shape",
         ),
@@ -823,7 +840,7 @@ def _exit_code(argv):
         "manifest-no-splits", "manifest-no-data",
         "manifest-no-seed", "manifest-no-n-proposals", "manifest-no-n-scenes", "manifest-no-n-gt",
         "scene-counts", "dataset-gt-class-7", "dataset-scene-id-repeated",
-        "matched-gt-past", "sidecar-width",
+        "matched-gt-past", "noise-seed-negative", "noise-seed-2**64", "sidecar-width",
         "sidecar-extra-rows", "sidecar-empty", "sidecar-garbage", "sidecar-truncated",
         "sidecar-pickled", "sidecar-complex", "sidecar-nan", "checkpoint-nan", "checkpoint-inf",
         "checkpoint-renamed-layer", "checkpoint-widths", "checkpoint-negative-shape",

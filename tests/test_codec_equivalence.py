@@ -13,7 +13,7 @@ readers raised the box's own error, which named neither).
 """
 
 import math
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 
 import numpy as np
 import pytest
@@ -34,9 +34,48 @@ from viewbench.records import (
     parse_detections,
     parse_ground_truths,
 )
-from viewbench.synthetic import ClassSpec, Dataset, Proposal, Scene, generate
+from viewbench.synthetic import ClassSpec, Dataset, Proposals, Scene, generate
 
 # ---------------------------------------------------------------- the oracle
+
+# A dataset as it was held before its proposal table: scenes holding
+# their proposal records.
+OracleProposal = namedtuple("OracleProposal", "box feature matched_gt iou noise_seed")
+OracleScene = namedtuple("OracleScene", "image_id gts proposals")
+OracleDataset = namedtuple("OracleDataset", "scenes class_specs feature_dim split seed")
+
+
+def dataset_records(ds):
+    """A dataset as scene and proposal records: an oracle dataset as it
+    is, a table's rows read from its columns (each feature a row of the
+    feature matrix), grouped by their scene column."""
+    if isinstance(ds, OracleDataset):
+        return ds
+    t = ds.proposals
+    by_scene = defaultdict(list)
+    for scene, *row in zip(t.scene.tolist(), t.boxes.tolist(), t.features,
+                           t.matched_gt.tolist(), t.iou.tolist(), t.noise_seed.tolist()):
+        by_scene[scene].append(OracleProposal(Box(*row[0]), *row[1:]))
+    scenes = tuple(OracleScene(s.image_id, s.gts, tuple(by_scene.pop(i, ())))
+                   for i, s in enumerate(ds.scenes))
+    assert not by_scene, "rows of no scene"
+    return OracleDataset(scenes, ds.class_specs, ds.feature_dim, ds.split, ds.seed)
+
+
+def table_dataset(records):
+    """The Dataset, with its proposal table, of an oracle dataset."""
+    rows = [(i, p) for i, s in enumerate(records.scenes) for p in s.proposals]
+    b = [(p.box.x_min, p.box.y_min, p.box.x_max, p.box.y_max) for _, p in rows]
+    table = Proposals(
+        np.array([i for i, _ in rows], dtype=np.intp),
+        np.array(b, dtype=float).reshape(-1, 4),
+        np.array([p.feature for _, p in rows], dtype=float).reshape(len(rows), -1),
+        np.array([p.matched_gt for _, p in rows], dtype=np.intp),
+        np.array([p.iou for _, p in rows], dtype=float),
+        np.array([p.noise_seed for _, p in rows], dtype=np.uint64),
+    )
+    scenes = tuple(Scene(s.image_id, s.gts) for s in records.scenes)
+    return Dataset(scenes, table, *records[1:])
 
 
 def _f(x):
@@ -126,6 +165,7 @@ def oracle_parse_detections(text, path="<string>"):
 
 
 def oracle_format_dataset(ds, inline_features=True):
+    ds = dataset_records(ds)
     lines = [
         f"# viewbench dataset: split={ds.split} feature_dim={ds.feature_dim} "
         f"inline_features={int(inline_features)}"
@@ -166,7 +206,7 @@ def oracle_parse_dataset(text, class_specs, split, seed, path="<string>", featur
                 f"{scene_where}: scene {cur_id} declares {n_gt} gt and {n_prop} prop lines, "
                 f"got {len(gts)} and {len(props)}"
             )
-        scenes.append(Scene(cur_id, tuple(gts), tuple(props)))
+        scenes.append(OracleScene(cur_id, tuple(gts), tuple(props)))
 
     lineno = 0
     for lineno, tok in _data_lines(text):
@@ -219,7 +259,7 @@ def oracle_parse_dataset(text, class_specs, split, seed, path="<string>", featur
                     raise FormatError(f"{where}: sidecar has too few feature rows")
                 feat = np.array(features[next_feature], dtype=np.float64)
                 next_feature += 1
-            props.append(Proposal(box, feat, matched, ov, noise_seed))
+            props.append(OracleProposal(box, feat, matched, ov, noise_seed))
         else:
             raise FormatError(f"{where}: unknown line type {kind!r}")
     flush()
@@ -228,7 +268,7 @@ def oracle_parse_dataset(text, class_specs, split, seed, path="<string>", featur
             f"{path}:{lineno}: the prop lines read {next_feature} sidecar rows, "
             f"the sidecar has shape {features.shape}"
         )
-    return Dataset(tuple(scenes), class_specs, feature_dim, split, seed)
+    return OracleDataset(tuple(scenes), class_specs, feature_dim, split, seed)
 
 
 def oracle_format_train_log(entries):
@@ -272,6 +312,7 @@ def _record_key(r):
 
 
 def _dataset_key(ds):
+    ds = dataset_records(ds)
     scenes = []
     for s in ds.scenes:
         props = [
@@ -357,13 +398,13 @@ def _special_dataset(feature_dim=5):
         ]
         feats[2] = rng.standard_normal(feature_dim)
         props = (
-            Proposal(boxes[i + 2], feats[0], 0, SPECIAL[i % len(SPECIAL)], 2**63 - 1 - i),
-            Proposal(boxes[i + 3], feats[1], 1, 0.5, i),
-            Proposal(boxes[i], feats[2], -1, -0.0, 0),
+            OracleProposal(boxes[i + 2], feats[0], 0, SPECIAL[i % len(SPECIAL)], 2**63 - 1 - i),
+            OracleProposal(boxes[i + 3], feats[1], 1, 0.5, i),
+            OracleProposal(boxes[i], feats[2], -1, -0.0, 0),
         )
-        scenes.append(Scene(f"s{i}", gts, props))
-    scenes.append(Scene("empty", (), ()))
-    return Dataset(tuple(scenes), specs, feature_dim, "test", 4)
+        scenes.append(OracleScene(f"s{i}", gts, props))
+    scenes.append(OracleScene("empty", (), ()))
+    return table_dataset(OracleDataset(tuple(scenes), specs, feature_dim, "test", 4))
 
 
 def _generated(binary):
@@ -405,13 +446,13 @@ class TestWriters:
         """Features of another length or dtype print as the oracle prints them."""
         ds = _special_dataset()
         scene = ds.scenes[0]
-        odd = (
-            Proposal(scene.proposals[0].box, np.array([]), 0, 0.5, 1),
-            Proposal(scene.proposals[0].box, np.array([0.1, -0.0], dtype=np.float32), 0, 0.5, 1),
-            Proposal(scene.proposals[0].box, np.arange(9.0) / 7, -1, 0.25, 2),
-        )
-        ds = Dataset((Scene("odd", scene.gts, odd),), ds.class_specs, 5, "train", 0)
-        assert format_dataset(ds) == oracle_format_dataset(ds)
+        boxes = np.repeat(ds.proposals.boxes[:1], 3, axis=0)
+        for features in (np.empty((3, 0)), np.array([[0.1, -0.0]] * 3, dtype=np.float32),
+                         np.arange(27.0).reshape(3, 9) / 7):
+            table = Proposals(np.zeros(3, dtype=np.intp), boxes, features, np.array([0, 0, -1]),
+                              np.array([0.5, 0.5, 0.25]), np.array([1, 1, 2], dtype=np.uint64))
+            odd = Dataset((Scene("odd", scene.gts),), table, ds.class_specs, 5, "train", 0)
+            assert format_dataset(odd) == oracle_format_dataset(odd)
 
     def test_train_log(self):
         entries = [LogEntry(i, SPECIAL[i], SPECIAL[-1 - i], SPECIAL[(3 * i) % len(SPECIAL)])
@@ -542,14 +583,15 @@ def test_malformed_record_line(kind, name, tok):
 
 def _dataset_text(feature_dim=3):
     specs = (ClassSpec(class_id=1, seed=0, feature_dim=feature_dim),)
-    ds = Dataset(
-        (Scene("s0",
-               (GroundTruth("s0", 1, Box(0.1, 0.2, 0.5, 0.6), 1.0),),
-               (Proposal(Box(0.12, 0.2, 0.5, 0.62), np.array([0.5, -1.25, 3.0]), 0, 0.8, 7),
-                Proposal(Box(0.6, 0.6, 0.9, 0.9), np.array([0.25, 0.0, -2.0]), -1, 0.0, 8))),
+    ds = table_dataset(OracleDataset(
+        (OracleScene(
+            "s0",
+            (GroundTruth("s0", 1, Box(0.1, 0.2, 0.5, 0.6), 1.0),),
+            (OracleProposal(Box(0.12, 0.2, 0.5, 0.62), np.array([0.5, -1.25, 3.0]), 0, 0.8, 7),
+             OracleProposal(Box(0.6, 0.6, 0.9, 0.9), np.array([0.25, 0.0, -2.0]), -1, 0.0, 8))),
          ),
         specs, feature_dim, "train", 0,
-    )
+    ))
     return ds, specs
 
 

@@ -20,7 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from test_codec_equivalence import _records_key
+from test_codec_equivalence import _records_key, dataset_records
 from test_records import _box_runs, oracle_parse_detections
 
 from viewbench import records
@@ -50,7 +50,7 @@ BINS = (4, 8, 16, 24)
 def oracle_compose(ds, scores, angles, floor=0.0):
     dets = []
     row = 0
-    for scene in ds.scenes:
+    for scene in dataset_records(ds).scenes:
         for p in scene.proposals:
             row_angles = angles[row].tolist()
             for c, score in enumerate(scores[row].tolist()):

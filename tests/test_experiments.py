@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from test_codec_equivalence import detection_rows
+from test_codec_equivalence import dataset_records, detection_rows
 
 from viewbench.angles import bin_center
 from viewbench.experiments import compose_detections, pose_angles
@@ -63,7 +63,7 @@ def _indexed_compose(ds, scores, angles, floor):
     """compose_detections reading one NumPy scalar per (proposal, class)."""
     dets = []
     row = 0
-    for scene in ds.scenes:
+    for scene in dataset_records(ds).scenes:
         for p in scene.proposals:
             for c in range(scores.shape[1]):
                 if scores[row, c] >= floor:

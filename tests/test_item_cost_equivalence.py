@@ -7,9 +7,12 @@ replaced kept here as the oracle:
   (``seeding``) and builds generators from the state words; the oracle is
   numpy's own ``SeedSequence`` and ``default_rng``, and the per-scene loop
   as it stood before.
-* the records (``Box``, ``GroundTruth``, ``Detection``, ``Proposal``) are
-  slotted dataclasses with a hand-written ``__init__``; the oracle is the
-  plain frozen dataclasses with ``__post_init__`` checks.
+* ``generate`` fills one proposal table per split, which the dataset
+  writer formats by column; the oracle is the per-scene loop building one
+  record per proposal, and the writer as it stood over those records.
+* the records (``Box``, ``GroundTruth``, ``Detection``) are slotted
+  dataclasses with a hand-written ``__init__``; the oracle is the plain
+  frozen dataclasses with ``__post_init__`` checks.
 * a loss computes its gradient on first read; the oracle computes it
   eagerly, as every loss did before.
 
@@ -19,12 +22,22 @@ tolerance.
 
 import copy
 import dataclasses
+import io
+import json
 import math
 import pickle
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+
+from test_codec_equivalence import (
+    OracleDataset,
+    OracleProposal,
+    OracleScene,
+    _dataset_key,
+    dataset_records,
+)
 
 from viewbench import losses, synthetic
 from viewbench.angles import TWO_PI, canonicalize
@@ -45,9 +58,9 @@ from viewbench.losses import (
     regression_loss,
 )
 from viewbench.metrics import Box, Detection, GroundTruth, iou
-from viewbench.records import format_dataset
+from viewbench.records import format_dataset, format_ground_truths, write_benchmark
 from viewbench.seeding import generator, int_words, noise_states, scene_states, seed_states
-from viewbench.synthetic import ClassSpec, Dataset, Proposal, Scene, generate
+from viewbench.synthetic import ClassSpec, Proposals, generate
 
 # ---------------------------------------------------------------- seeds
 
@@ -174,7 +187,7 @@ def _generate_oracle(seed, n_scenes, class_specs, objects_per_scene=(1, 3), prop
                         break
                 noise_seed = int(rng.integers(0, 2**63))
                 feat = synthetic.appearance(spec, g.azimuth, np.random.default_rng(noise_seed))
-                proposals.append(Proposal(box, feat, j, ov, noise_seed))
+                proposals.append(OracleProposal(box, feat, j, ov, noise_seed))
         for _ in range(backgrounds_per_scene):
             for _attempt in range(synthetic._MAX_TRIES):
                 box = synthetic._random_box(rng, gt_size_range)
@@ -183,9 +196,9 @@ def _generate_oracle(seed, n_scenes, class_specs, objects_per_scene=(1, 3), prop
                     break
             noise_seed = int(rng.integers(0, 2**63))
             feat = np.random.default_rng(noise_seed).standard_normal(feature_dim)
-            proposals.append(Proposal(box, feat, -1, worst, noise_seed))
-        scenes.append(Scene(image_id, tuple(gts), tuple(proposals)))
-    return Dataset(tuple(scenes), class_specs, feature_dim, split, seed)
+            proposals.append(OracleProposal(box, feat, -1, worst, noise_seed))
+        scenes.append(OracleScene(image_id, tuple(gts), tuple(proposals)))
+    return OracleDataset(tuple(scenes), class_specs, feature_dim, split, seed)
 
 
 def _specs(noiseless_last=False, feature_dim=6):
@@ -208,6 +221,7 @@ GENERATE_CASES = {
     "seed-past-2**64": (2**64 + 1, 6, _specs(), {"split": "test"}),
     "seed-of-4-words": (2**100, 6, _specs(), {"objects_per_scene": (2, 4)}),
     "numpy-seed": (np.int64(11), 6, _specs(), {}),
+    "one-feature": (8, 8, _specs(feature_dim=1), {"proposals_per_gt": 2}),
 }
 
 
@@ -232,7 +246,71 @@ def _recording(monkeypatch):
 
 
 def _feature_hex(ds):
-    return [[float(v).hex() for v in p.feature] for s in ds.scenes for p in s.proposals]
+    return [[float(v).hex() for v in p.feature] for s in dataset_records(ds).scenes
+            for p in s.proposals]
+
+
+def _parent_dataset_lines(ds, inline_features):
+    """The dataset writer as it stood over proposal records: one ``%``
+    template per line, a prop line's made for its feature count."""
+    yield (
+        f"# viewbench dataset: split={ds.split} feature_dim={ds.feature_dim} "
+        f"inline_features={int(inline_features)}"
+    )
+    for scene in ds.scenes:
+        yield f"scene {scene.image_id} {len(scene.gts)} {len(scene.proposals)}"
+        for g in scene.gts:
+            b = g.box
+            yield "gt %s %.17g %.17g %.17g %.17g %.17g" % (
+                g.class_id, b.x_min, b.y_min, b.x_max, b.y_max, g.azimuth
+            )
+        for p in scene.proposals:
+            b = p.box
+            template = "prop %s %.17g %s %.17g %.17g %.17g %.17g"
+            values = (p.matched_gt, p.iou, p.noise_seed, b.x_min, b.y_min, b.x_max, b.y_max)
+            if inline_features:
+                feature = p.feature.tolist()
+                template += " " + " ".join(["%.17g"] * len(feature))
+                values += tuple(feature)
+            yield template % values
+
+
+def parent_format_dataset(ds, inline_features=True):
+    return "\n".join(_parent_dataset_lines(ds, inline_features)) + "\n"
+
+
+def parent_benchmark_files(train, test, binary):
+    """The bytes of each file ``write_benchmark`` wrote for two oracle
+    splits, as the writer over proposal records wrote them."""
+    files = {}
+    for name, ds in (("train", train), ("test", test)):
+        files[f"{name}_data.txt"] = parent_format_dataset(ds, not binary).encode()
+        gts = [g for s in ds.scenes for g in s.gts]
+        files[f"{name}_gt.txt"] = format_ground_truths(gts).encode()
+        if binary:
+            rows = [p.feature for s in ds.scenes for p in s.proposals]
+            buf = io.BytesIO()
+            np.save(buf, np.array(rows, dtype=np.float64).reshape(-1, ds.feature_dim),
+                    allow_pickle=False)
+            files[f"{name}_features.npy"] = buf.getvalue()
+
+    def entry(ds, name):
+        return {
+            "data": f"{name}_data.txt", "gt": f"{name}_gt.txt",
+            "features": f"{name}_features.npy" if binary else None, "seed": ds.seed,
+            "n_scenes": len(ds.scenes), "n_gt": sum(len(s.gts) for s in ds.scenes),
+            "n_proposals": sum(len(s.proposals) for s in ds.scenes),
+        }
+
+    doc = {
+        "format": "viewbench-benchmark", "version": 1, "feature_dim": train.feature_dim,
+        "features_binary": binary,
+        "class_specs": [dataclasses.asdict(s) for s in train.class_specs],
+        "splits": {"train": entry(train, "train"), "test": entry(test, "test")},
+        "config": None,
+    }
+    files["manifest.json"] = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    return files
 
 
 @pytest.mark.parametrize("case", list(GENERATE_CASES))
@@ -245,12 +323,50 @@ def test_generate_matches_per_scene_loop(case, monkeypatch):
         v.clear()
     got = generate(seed, n, specs, **kw)
     assert got.seed == want.seed and got.split == want.split
-    assert format_dataset(got) == format_dataset(want)
-    assert format_dataset(got, inline_features=False) == format_dataset(
+    assert format_dataset(got) == parent_format_dataset(want)
+    assert format_dataset(got, inline_features=False) == parent_format_dataset(
         want, inline_features=False
     )
     assert _feature_hex(got) == _feature_hex(want)
     assert states == want_states
+
+
+@pytest.mark.parametrize("case", list(GENERATE_CASES))
+def test_generated_table_is_the_records(case):
+    """Every column of the table, bit for bit (floats as ``float.hex``),
+    holds the fields of the oracle's records in scene order; its dtypes
+    are fixed and its feature matrix is read-only."""
+    seed, n, specs, kw = GENERATE_CASES[case]
+    got, want = generate(seed, n, specs, **kw), _generate_oracle(seed, n, specs, **kw)
+    assert _dataset_key(got) == _dataset_key(want)
+    t = got.proposals
+    rows = [(i, p) for i, s in enumerate(want.scenes) for p in s.proposals]
+    assert t.scene.tolist() == [i for i, _ in rows]
+    assert [[v.hex() for v in b] for b in t.boxes.tolist()] == [
+        [v.hex() for v in (p.box.x_min, p.box.y_min, p.box.x_max, p.box.y_max)] for _, p in rows
+    ]
+    assert t.noise_seed.tolist() == [p.noise_seed for _, p in rows]
+    assert [(c.dtype, c.shape) for c in (t.scene, t.boxes, t.features, t.matched_gt, t.iou,
+                                         t.noise_seed)] == [
+        (np.dtype(np.intp), (len(rows),)), (np.dtype(float), (len(rows), 4)),
+        (np.dtype(float), (len(rows), specs[0].feature_dim)), (np.dtype(np.intp), (len(rows),)),
+        (np.dtype(float), (len(rows),)), (np.dtype(np.uint64), (len(rows),)),
+    ]
+    assert got.features() is t.features and not t.features.flags.writeable
+    assert got.n_samples == len(rows)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+@pytest.mark.parametrize("case", ["default", "two-per-gt", "no-proposals-per-gt", "zero-jitter",
+                                  "no-backgrounds", "no-scenes", "one-feature"])
+def test_write_benchmark_bytes_equal_the_record_writer(case, binary, tmp_path):
+    seed, n, specs, kw = GENERATE_CASES[case]
+    test_kw = {**kw, "split": "test"}
+    write_benchmark(tmp_path, generate(seed, n, specs, **kw),
+                    generate(seed + 1, n // 2, specs, **test_kw), features_binary=binary)
+    want = parent_benchmark_files(_generate_oracle(seed, n, specs, **kw),
+                                  _generate_oracle(seed + 1, n // 2, specs, **test_kw), binary)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == want
 
 
 # ---------------------------------------------------------------- records
@@ -387,16 +503,21 @@ class TestRecords:
         assert det.azimuth == 0.0
 
     def test_proposal(self):
+        """A proposal is a row of the table: a frozen, slotted dataclass of
+        columns that pickles and replaces whole."""
         box = Box(0.0, 0.0, 1.0, 1.0)
-        p = Proposal(box, np.arange(3.0), -1, 0.1, 12)
-        assert p.is_background and not hasattr(p, "__dict__")
-        q = pickle.loads(pickle.dumps(p))
-        assert (q.box, q.matched_gt, q.iou, q.noise_seed) == (box, -1, 0.1, 12)
-        np.testing.assert_array_equal(q.feature, p.feature)
-        assert dataclasses.replace(p, matched_gt=0).matched_gt == 0
+        t = Proposals(np.zeros(1, dtype=np.intp), np.array([[0.0, 0.0, 1.0, 1.0]]),
+                      np.arange(3.0)[None], np.array([-1]), np.array([0.1]),
+                      np.array([12], dtype=np.uint64))
+        assert t.matched_gt[0] < 0 and not hasattr(t, "__dict__")
+        q = pickle.loads(pickle.dumps(t))
+        assert (Box(*q.boxes[0].tolist()), q.matched_gt.tolist(), q.iou.tolist(),
+                q.noise_seed.tolist()) == (box, [-1], [0.1], [12])
+        np.testing.assert_array_equal(q.features, t.features)
+        assert dataclasses.replace(t, matched_gt=np.array([0])).matched_gt.tolist() == [0]
         with pytest.raises(dataclasses.FrozenInstanceError):
-            p.iou = 0.5
-        assert repr(p).startswith("Proposal(box=Box(x_min=0.0")
+            t.iou = np.array([0.5])
+        assert repr(t).startswith("Proposals(scene=array([0]), boxes=array([[0., 0., 1., 1.]])")
 
 
 # ---------------------------------------------------------------- losses

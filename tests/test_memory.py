@@ -5,9 +5,14 @@ after ``net.predict``'s forward pass runs in row blocks, so the peak of each
 step is set by what it keeps, not by a whole-text or whole-batch copy.  The
 bounds below were set from measurements (CPython 3.11, NumPy 2.4): for a
 3.2 MB data file the streamed writer peaked at 0.29 of the file's size above
-its start and the line reader at 0.007 above the dataset it returned; the
-whole-text writer and reader they replaced peaked at 3.1 and 2.1.  A
-joint_cls prediction over six blocks peaked at 0.46 of one block's
+its start and the line reader at 0.007 above the dataset it returned (0.35
+and 0.017 with the proposal table); the whole-text writer and reader they
+replaced peaked at 3.1 and 2.1.  The reader writes each prop line into
+the split's proposal table, allocated once from the manifest's count: the
+split it returned kept 12.5 KB (0.8 %) above its columns' ``nbytes`` and
+its ground-truth records (the manifest, class specs and table objects),
+1.56 MB in all, where the one record and one feature array per proposal
+that the table replaced kept 2.96 MB.  A joint_cls prediction over six blocks peaked at 0.46 of one block's
 (rows, classes, bins) array below its forward arrays plus its (rows,
 classes) outputs: its block work, which takes no softmax over the bins,
 stays under the forward pass's peak.  With a per-class softmax kept as
@@ -26,6 +31,8 @@ blocks of ``gradcheck.BLOCK_DOUBLES`` (2^17) doubles; it peaked at 4.8 such
 blocks, against 21.8 with all 256 checked slots in one block.
 """
 
+import gc
+import sys
 import tracemalloc
 import weakref
 
@@ -105,6 +112,39 @@ def test_read_benchmark_reads_by_line(split, tmp_path):
     (ds, _, _), peak, kept = _traced(lambda: read_benchmark(manifest, split="train"))
     assert ds.n_samples == split.n_samples
     assert peak - kept < 0.05 * size, (peak - kept, size)
+
+
+def _deep_size(root) -> int:
+    """Bytes of ``root`` and of every object it reaches, classes aside."""
+    seen, todo, size = set(), [root], 0
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        size += sys.getsizeof(obj)
+        todo.extend(gc.get_referents(obj))
+    return size
+
+
+def test_read_split_keeps_its_table_and_ground_truths(split, tmp_path):
+    empty = generate(2, 0, split.class_specs, split="test")
+    manifest = write_benchmark(tmp_path, split, empty)
+    (ds, _, _), _, kept = _traced(lambda: read_benchmark(manifest, split="train"))
+    t = ds.proposals
+    columns = sum(c.nbytes for c in (t.scene, t.boxes, t.features, t.matched_gt, t.iou,
+                                     t.noise_seed))
+    assert columns == ds.n_samples * (8 * 4 + 8 * 32 + 8 * 4)
+    records = _deep_size(ds.scenes)  # scenes, ground truths, boxes, their values
+    assert kept - columns - records < 0.02 * kept, (kept, columns, records)
+
+
+def test_features_are_the_table(split, tmp_path):
+    empty = generate(2, 0, split.class_specs, split="test")
+    ds, _, _ = read_benchmark(write_benchmark(tmp_path, split, empty), split="train")
+    feats = ds.features()
+    assert np.shares_memory(feats, ds.proposals.features) and not feats.flags.writeable
+    assert feats.shape == (split.n_samples, 32) and feats.flags.c_contiguous
 
 
 def test_predict_post_processes_in_blocks():

@@ -1178,6 +1178,35 @@ def test_build_pool_counts():
     pool = build_pool(train_ds)
     n_fg = pool.fg_features.shape[0]
     n_bg = pool.bg_features.shape[0]
-    total = sum(len(s.proposals) for s in train_ds.scenes)
+    total = len(train_ds.proposals.iou)
     assert n_fg + n_bg == total
     assert n_fg > 0 and n_bg > 0
+
+
+@pytest.mark.parametrize("n_scenes", [0, 1, 9])
+def test_build_pool_equals_the_per_proposal_loop(n_scenes):
+    """The pool read from the proposal table by column holds the arrays
+    that the loop over proposal records built, bit for bit."""
+    from test_codec_equivalence import dataset_records
+    from viewbench.synthetic import default_class_specs, generate
+
+    ds = generate(5, n_scenes, default_class_specs(feature_dim=3))
+    fg_feat, fg_cls, fg_az, bg_feat = [], [], [], []
+    for scene in dataset_records(ds).scenes:
+        for prop in scene.proposals:
+            if prop.matched_gt < 0:
+                bg_feat.append(prop.feature)
+            else:
+                g = scene.gts[prop.matched_gt]
+                fg_feat.append(prop.feature)
+                fg_cls.append(g.class_id)
+                fg_az.append(g.azimuth)
+    pool = build_pool(ds)
+    for got, want in (
+        (pool.fg_features, np.array(fg_feat).reshape(-1, 3)),
+        (pool.fg_class, np.array(fg_cls, dtype=int)),
+        (pool.fg_azimuth, np.array(fg_az, dtype=float)),
+        (pool.bg_features, np.array(bg_feat).reshape(-1, 3)),
+    ):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert pool.fg_features.shape[0] + pool.bg_features.shape[0] == ds.n_samples

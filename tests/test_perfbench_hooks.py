@@ -28,12 +28,16 @@ def _modules():
 
 
 def _short_runs(modules, tmp):
-    """A tiny dataset, a 5-iteration run of two loss kinds, and one round
-    of the joint head's detections through compose, the detection file in
-    directory ``tmp``, parse and evaluate.  Returns the detection count."""
+    """A tiny dataset, a round of it through ``write_benchmark`` and
+    ``read_benchmark`` in directory ``tmp``, a 5-iteration run of two loss
+    kinds, and one round of the joint head's detections through compose,
+    the detection file in ``tmp``, parse and evaluate.  Returns the
+    detection count and the dataset's proposal count."""
     synthetic, net, losses = modules["synthetic"], modules["net"], modules["losses"]
     experiments, records, metrics = modules["experiments"], modules["records"], modules["metrics"]
     ds = synthetic.generate(3, 4, synthetic.default_class_specs(feature_dim=8))
+    train, test, _ = records.read_benchmark(records.write_benchmark(tmp / "bench", ds, ds))
+    assert train.n_samples == test.n_samples == ds.n_samples
     runs = (("joint_cls", "joint_classification", 0.25), ("reg", "regression", 1.0))
     for head, kind, frac in runs:
         cfg = net.NetConfig(input_dim=8, trunk_widths=(6,), head=head, n_classes=4)
@@ -44,7 +48,7 @@ def _short_runs(modules, tmp):
     records.write_detections(tmp / "dets.txt", experiments.compose_detections(ds, scores, angles))
     dets = records.parse_detections(records.read_lines(tmp / "dets.txt"))
     metrics.evaluate(ds.ground_truths(), dets)
-    return len(dets)
+    return len(dets), ds.n_samples
 
 
 def _bound_functions(modules):
@@ -68,7 +72,7 @@ def test_hooks_install_run_and_restore(mode, tmp_path):
         hooks = tracing.Counter()
     hooks.install(installer, modules)
     try:
-        n_dets = _short_runs(modules, tmp_path)
+        n_dets, n_proposals = _short_runs(modules, tmp_path)
         modules["losses"].Target(1, 0.5)
     finally:
         installer.restore()
@@ -82,6 +86,7 @@ def test_hooks_install_run_and_restore(mode, tmp_path):
             "net.forward", "net.backward", "net.sgd_step",
             "losses.joint_classification_loss", "losses.regression_loss",
             "experiments.compose_detections", "records.parse_detections", "metrics.evaluate",
+            "records.write_benchmark", "records.read_benchmark",
         } <= names
         assert names <= tracing.SPAN_NAMES
     else:
@@ -96,6 +101,8 @@ def test_hooks_install_run_and_restore(mode, tmp_path):
         # the count pass weighs evaluate by the len() of its detections
         assert n_dets > 0
         assert totals["metrics.evaluate.detections"] == n_dets
+        # one generate call, whose proposals the count pass reads off its table
+        assert totals["synthetic.generate.proposals"] == n_proposals > 0
 
 
 def test_plain_pass_times_training(tmp_path):

@@ -15,7 +15,16 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from test_codec_equivalence import _records_key, detection_rows
+from test_codec_equivalence import (
+    OracleDataset,
+    OracleProposal,
+    OracleScene,
+    _dataset_key,
+    _records_key,
+    _same_outcome,
+    dataset_records,
+    detection_rows,
+)
 
 from viewbench.angles import circular_difference
 from viewbench.errors import FormatError, GenerationError, InvalidParameter
@@ -27,7 +36,10 @@ from viewbench.records import (
     _checked_box,
     _data_lines,
     _diagnose,
+    _finite,
+    _int_check,
     _parse_float,
+    _parse_int,
     _read_box_line,
     atomic_write_text,
     commit_files,
@@ -58,6 +70,7 @@ def _specs():
 
 
 def _assert_datasets_equal(a, b):
+    a, b = dataset_records(a), dataset_records(b)
     assert len(a.scenes) == len(b.scenes)
     for sa, sb in zip(a.scenes, b.scenes):
         assert sa.image_id == sb.image_id
@@ -978,3 +991,276 @@ class TestRecordContract:
         assert f"error: {tmp_path}/{message}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
+
+
+# ---------------------------------------------------------------- dataset contract
+# The dataset reader as it stood before the proposal table, one record per
+# proposal, is the oracle: it reads each line once, as the reader does, and
+# sends a refused line to the same diagnosis.
+
+
+def _oracle_read_prop_line(tok, counts, n_gt):
+    if len(tok) not in counts:
+        return None
+    try:
+        matched, ov, noise_seed = int(tok[1]), float(tok[2]), int(tok[3])
+        values = list(map(float, tok[4:]))
+        if not -1 <= matched < n_gt or not math.isfinite(ov) or not _finite(values):
+            return None
+        return matched, ov, noise_seed, Box(*values[:4]), values[4:]
+    except (ValueError, InvalidParameter):  # InvalidParameter: a degenerate box
+        return None
+
+
+def oracle_parse_dataset(text, class_specs, split, seed, path="<string>", features=None):
+    class_specs = tuple(class_specs)
+    feature_dim = class_specs[0].feature_dim
+    class_ids = {spec.class_id for spec in class_specs}
+    scenes = []
+    scene_lines = {}
+    cur_id = None
+    scene_where = ""
+    n_gt = n_prop = 0
+    gts, props = [], []
+    next_feature = 0
+
+    def flush():
+        if cur_id is None:
+            return
+        if len(gts) != n_gt or len(props) != n_prop:
+            raise FormatError(
+                f"{scene_where}: scene {cur_id} declares {n_gt} gt and {n_prop} prop lines, "
+                f"got {len(gts)} and {len(props)}"
+            )
+        scenes.append(OracleScene(cur_id, tuple(gts), tuple(props)))
+
+    sidecar_rows, no_row = 0, "no inline features and no sidecar given"
+    if features is not None and (features.ndim != 2 or features.shape[1] != feature_dim):
+        no_row = (
+            f"sidecar rows must have {feature_dim} values, the sidecar has shape {features.shape}"
+        )
+    elif features is not None:
+        sidecar_rows, no_row = features.shape[0], "sidecar has too few feature rows"
+
+    def feature_values(tokens, where):
+        for t in tokens:
+            _parse_float(t, where)
+        if not tokens:
+            raise FormatError(f"{where}: {no_row}")
+
+    gt_columns = (
+        (slice(2, 6), _checked_box),
+        (1, _int_check(class_ids.__contains__, lambda c: (
+            f"class id {c} has no class spec, the specs have ids {sorted(class_ids)}"
+        ))),
+        (6, _parse_float),
+    )
+    prop_fields = (8, 8 + feature_dim)
+    prop_columns = (
+        (1, _int_check(lambda m: -1 <= m < n_gt, lambda m: (
+            f"matched_gt {m} is neither -1 nor one of the scene's {n_gt} ground truths"
+        ))),
+        (2, _parse_float),
+        (3, _parse_int),
+        (slice(4, 8), _checked_box),
+        (slice(8, None), feature_values),
+    )
+
+    lineno = 0
+    for lineno, tok in _data_lines(text):
+        kind = tok[0]
+        if cur_id is None and kind in ("gt", "prop"):
+            raise FormatError(f"{path}:{lineno}: {kind} line before any scene line")
+        if kind == "prop":
+            line = _oracle_read_prop_line(tok, prop_fields, n_gt)
+            if line is None or not line[4] and next_feature >= sidecar_rows:
+                _diagnose(tok, "prop line needs", prop_fields, prop_columns, f"{path}:{lineno}")
+            matched, ov, noise_seed, box, feat = line
+            if not feat:
+                feat = features[next_feature]
+                next_feature += 1
+            props.append(
+                OracleProposal(box, np.array(feat, dtype=np.float64), matched, ov, noise_seed)
+            )
+        elif kind == "gt":
+            line = _read_box_line(tok, 7)
+            if line is None or line[0] not in class_ids:
+                _diagnose(tok, "gt line needs", (7,), gt_columns, f"{path}:{lineno}")
+            class_id, box, (az,) = line
+            gts.append(GroundTruth(cur_id, class_id, box, az))
+        elif kind == "scene":
+            where = f"{path}:{lineno}"
+            if len(tok) != 4:
+                raise FormatError(f"{where}: scene line needs 4 fields, got {len(tok)}")
+            flush()
+            cur_id = tok[1]
+            if cur_id in scene_lines:
+                raise FormatError(
+                    f"{where}: scene {cur_id} repeats the scene id of line {scene_lines[cur_id]}"
+                )
+            scene_lines[cur_id] = lineno
+            scene_where = where
+            n_gt, n_prop = _parse_int(tok[2], where), _parse_int(tok[3], where)
+            gts, props = [], []
+        else:
+            raise FormatError(f"{path}:{lineno}: unknown line type {kind!r}")
+    flush()
+    if features is not None and features.shape[:1] != (next_feature,):
+        raise FormatError(
+            f"{path}:{lineno}: the prop lines read {next_feature} sidecar rows, "
+            f"the sidecar has shape {features.shape}"
+        )
+    return OracleDataset(tuple(scenes), class_specs, feature_dim, split, seed)
+
+
+def _contract_dataset():
+    """Two scenes of a two-class roster with two-value features, each with
+    its ground truths, foreground and background proposals."""
+    specs = (ClassSpec(class_id=1, seed=0, feature_dim=2),
+             ClassSpec(class_id=2, seed=0, feature_dim=2, symmetry_order=2))
+    return generate(5, 2, specs, backgrounds_per_scene=2), specs
+
+
+def _dataset_cases(lines):
+    """(name, text) of each case built from a dataset file's ``lines``:
+    every field of every line mutated, a token added or dropped, comments
+    and blank lines, repeated scene ids, and the file truncated after and
+    inside every line."""
+    cases = []
+
+    def text(new_lines):
+        return "\n".join(new_lines) + "\n"
+
+    def swap(i, tok):
+        return text(lines[:i] + [" ".join(tok)] + lines[i + 1:])
+
+    for i, line in enumerate(lines):
+        tok = line.split()
+        if tok[0] == "#":
+            continue
+        for f in range(len(tok)):
+            name = f"line{i + 1}-{tok[0]}-field{f}"
+            for what, new in (
+                ("word", "x"), ("fraction", "1.5"), ("nan", "nan"), ("inf", "inf"),
+                ("minus-inf", "-inf"), ("overflow", "1e400"), ("empty", ""),
+            ):
+                cases.append((f"{name}-{what}", swap(i, tok[:f] + [new] + tok[f + 1:])))
+            cases.append((f"{name}-extra", swap(i, tok[:f + 1] + ["7"] + tok[f + 1:])))
+            cases.append((f"{name}-missing", swap(i, tok[:f] + tok[f + 1:])))
+        cases.append((f"comments-before-line{i + 1}",
+                      text(lines[:i] + ["# note", "", " \t", "  # indented"] + lines[i:])))
+    scene_at = [i for i, line in enumerate(lines) if line.startswith("scene ")]
+    for i in scene_at[1:]:
+        tok = lines[i].split()
+        first = lines[scene_at[0]].split()[1]
+        cases.append((f"line{i + 1}-scene-id-repeated", swap(i, tok[:1] + [first] + tok[2:])))
+    cases.append(("scene-id-repeated-at-the-end", text(lines + lines[scene_at[0]:scene_at[1]])))
+    for k in range(len(lines) + 1):
+        cases.append((f"truncated-after-{k}", text(lines[:k]) if k else ""))
+        if k < len(lines):
+            cut = lines[k][: len(lines[k]) // 2]
+            cases.append((f"truncated-inside-{k + 1}", text(lines[:k] + [cut])))
+    return cases
+
+
+def _sidecar_cases(ds):
+    """(name, sidecar) of feature sidecars of another shape, dtype or row
+    count than the prop lines that read them."""
+    f = ds.features()
+    return [
+        ("sidecar-none", None), ("sidecar-1d", f.ravel()), ("sidecar-3d", f[None]),
+        ("sidecar-narrow", f[:, :1]), ("sidecar-wide", np.concatenate([f, f], axis=1)),
+        ("sidecar-short", f[:-1]), ("sidecar-long", np.concatenate([f, f[:1]])),
+        ("sidecar-empty", f[:0]), ("sidecar-float32", f.astype(np.float32)),
+        ("sidecar-int", (f * 100).astype(np.int64)),
+        ("sidecar-uint", np.arange(f.size, dtype=np.uint64).reshape(f.shape) * (2**61 + 1)),
+        ("sidecar-bool", f > 0), ("sidecar-fortran", np.asfortranarray(f)),
+        ("sidecar-strided", np.concatenate([f, f], axis=1)[:, ::2]),
+    ]
+
+
+def _dataset_contract():
+    ds, specs = _contract_dataset()
+    inline = format_dataset(ds).splitlines()
+    binary = format_dataset(ds, inline_features=False).splitlines()
+    cases = {f"inline-{n}": (t, None) for n, t in _dataset_cases(inline)}
+    cases.update({f"sidecar-{n}": (t, ds.features()) for n, t in _dataset_cases(binary)})
+    cases.update({n: ("\n".join(binary) + "\n", f) for n, f in _sidecar_cases(ds)})
+    return specs, ds.n_samples, cases
+
+
+CONTRACT_SPECS, CONTRACT_ROWS, DATASET_CONTRACT = _dataset_contract()
+
+
+class TestDatasetContract:
+    """The dataset reader gives the oracle reader's result on every case,
+    with its table made at any size: the same values (floats as
+    ``float.hex``), or the same exception type and text, naming the same
+    ``path:line``."""
+
+    @pytest.mark.parametrize("case", list(DATASET_CONTRACT))
+    def test_matches_oracle(self, case):
+        text, features = DATASET_CONTRACT[case]
+        for rows in (None, 0, CONTRACT_ROWS, 3 * CONTRACT_ROWS):
+            _same_outcome(
+                lambda *a, **k: parse_dataset(*a, **k, n_proposals=rows), oracle_parse_dataset,
+                _dataset_key, text, CONTRACT_SPECS, "train", 0, path="d.txt", features=features,
+            )
+
+    def test_cases_cover_both_outcomes(self):
+        outcomes = [
+            _same_outcome(parse_dataset, oracle_parse_dataset, _dataset_key, text,
+                          CONTRACT_SPECS, "train", 0, path="d.txt", features=features)[0]
+            for text, features in DATASET_CONTRACT.values()
+        ]
+        assert outcomes.count("ok") > 100 and outcomes.count("raised") > 1000
+
+    @pytest.mark.parametrize("seed, ok", [
+        ("0", True), (str(2**63), True), (str(2**64 - 1), True), ("-1", False),
+        (str(2**64), False), (str(-(2**70)), False),
+    ])
+    def test_noise_seed_range(self, seed, ok):
+        """Noise seeds outside [0, 2**64), which the oracle read, are
+        refused where they enter, naming the line."""
+        ds, specs = _contract_dataset()
+        lines = format_dataset(ds).splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("prop "))
+        tok = lines[i].split()
+        lines[i] = " ".join(tok[:3] + [seed] + tok[4:])
+        text = "\n".join(lines) + "\n"
+        want = oracle_parse_dataset(text, specs, "train", 0, path="d.txt")
+        if ok:
+            got = parse_dataset(text, specs, "train", 0, path="d.txt")
+            assert _dataset_key(got) == _dataset_key(want)
+            assert got.proposals.noise_seed[0] == int(seed)
+        else:
+            with pytest.raises(FormatError) as info:
+                parse_dataset(text, specs, "train", 0, path="d.txt")
+            assert str(info.value) == (
+                f"d.txt:{i + 1}: noise seed must be in [0, 2**64), got {seed}"
+            )
+
+    @pytest.mark.parametrize("case", [
+        "inline-line2-scene-field2-word", "inline-line4-gt-field6-nan",
+        "inline-line6-prop-field3-fraction", "inline-line6-prop-field5-overflow",
+        "inline-line7-prop-field9-missing", "inline-truncated-inside-8",
+        "inline-line11-scene-id-repeated", "sidecar-line13-prop-field7-extra",
+    ])
+    def test_train_exits_2(self, case, tmp_path, capsys):
+        from viewbench.cli import entry
+
+        text, features = DATASET_CONTRACT[case]
+        got = _same_outcome(parse_dataset, oracle_parse_dataset, _dataset_key, text,
+                            CONTRACT_SPECS, "train", 0, path="d.txt", features=features)
+        assert got[0] == "raised" and got[1][1].startswith("d.txt:")
+        ds, specs = _contract_dataset()
+        manifest = write_benchmark(tmp_path / "bench", ds, generate(6, 1, specs, split="test"),
+                                   features_binary=features is not None)
+        (tmp_path / "bench" / "train_data.txt").write_text(text)
+        cfg = tmp_path / "train.yaml"
+        cfg.write_text(json.dumps({"data": str(manifest), "train": {"total_iters": 2}}))
+        assert entry(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'bench' / 'train_data.txt'}{got[1][1][5:]}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "checkpoint.txt").exists()

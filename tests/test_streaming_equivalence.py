@@ -11,6 +11,7 @@ those of the per-line template; and a prediction must equal the
 whole-batch computation bit for bit, dtype and shape included.
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -60,7 +61,7 @@ from viewbench.records import (
     read_lines,
     write_benchmark,
 )
-from viewbench.synthetic import Dataset, Scene, default_class_specs, generate
+from viewbench.synthetic import Scene, default_class_specs, generate
 
 # ---------------------------------------------------------------- the oracle
 
@@ -214,6 +215,7 @@ class TestDatasetReader:
         path = _write(tmp_path / "e.txt", "")
         got = _same_reading(parse_dataset, path, _dataset_key, ds.class_specs, "test", 4)
         assert got[0] == "ok" and got[1].scenes == ()
+        assert got[1].n_samples == 0
 
     @pytest.mark.parametrize("sep", ["\n", "\x1e"])
     @pytest.mark.parametrize("kind, name, tok", DATASET_CASES,
@@ -272,9 +274,8 @@ class TestUndecodable:
 def _unicode_dataset():
     """Scene ids with multi-byte UTF-8 characters, encoded chunk by chunk."""
     ds = _special_dataset()
-    scenes = tuple(Scene(f"café-{i}-☃", s.gts, s.proposals)
-                   for i, s in enumerate(ds.scenes))
-    return Dataset(scenes, ds.class_specs, ds.feature_dim, ds.split, ds.seed)
+    scenes = tuple(Scene(f"café-{i}-☃", s.gts) for i, s in enumerate(ds.scenes))
+    return dataclasses.replace(ds, scenes=scenes)
 
 
 class TestStreamedWriter:

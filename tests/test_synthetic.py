@@ -13,6 +13,8 @@ import math
 import numpy as np
 import pytest
 
+from test_codec_equivalence import dataset_records
+
 from viewbench.angles import TWO_PI, azimuth_to_bin
 from viewbench.errors import GenerationError, InvalidParameter
 from viewbench.metrics import Box, Detection, evaluate, iou
@@ -111,16 +113,25 @@ class TestGenerate:
 
     def test_features_stack_in_scene_order(self):
         ds = generate(2, 3, _specs())
-        rows = [p.feature for s in ds.scenes for p in s.proposals]
+        rows = [p.feature for s in dataset_records(ds).scenes for p in s.proposals]
         feats = ds.features()
         assert feats.shape == (ds.n_samples, 8) and feats.dtype == np.float64
         assert all(np.array_equal(row, f) for row, f in zip(feats, rows))
+        assert ds.proposals.scene.tolist() == sorted(ds.proposals.scene.tolist())
+
+    def test_features_are_the_table_read_only(self):
+        ds = generate(2, 3, _specs())
+        feats = ds.features()
+        assert feats is ds.proposals.features and np.shares_memory(feats, ds.proposals.features)
+        assert not feats.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            feats[0, 0] = 1.0
 
     def test_zero_jitter_is_exact(self):
         ds = generate(1, 10, _specs(), jitter=0.0)
-        for scene in ds.scenes:
+        for scene in dataset_records(ds).scenes:
             for prop in scene.proposals:
-                if prop.is_background:
+                if prop.matched_gt < 0:
                     continue
                 assert prop.box == scene.gts[prop.matched_gt].box
                 assert prop.iou == 1.0
@@ -130,9 +141,9 @@ class TestGenerate:
         # recompute every overlap from the boxes; do not trust the records
         ds = generate(0, 100, default_class_specs())
         n_fg = n_bg = 0
-        for scene in ds.scenes:
+        for scene in dataset_records(ds).scenes:
             for prop in scene.proposals:
-                if prop.is_background:
+                if prop.matched_gt < 0:
                     n_bg += 1
                     worst = max(iou(prop.box, g.box) for g in scene.gts)
                     assert worst < 0.3
@@ -145,8 +156,8 @@ class TestGenerate:
         assert n_fg > 0 and n_bg > 0
 
     def test_bitwise_reproducible(self):
-        a = generate(7, 12, _specs())
-        b = generate(7, 12, _specs())
+        a = dataset_records(generate(7, 12, _specs()))
+        b = dataset_records(generate(7, 12, _specs()))
         assert len(a.scenes) == len(b.scenes)
         for sa, sb in zip(a.scenes, b.scenes):
             assert sa.image_id == sb.image_id
@@ -158,16 +169,14 @@ class TestGenerate:
 
     def test_noise_seed_regeneration_audit(self):
         ds = generate(3, 20, _specs())
-        for scene in ds.scenes:
-            for prop in scene.proposals:
-                np.testing.assert_array_equal(
-                    regenerate_feature(ds, scene, prop), prop.feature
-                )
+        assert ds.n_samples > 0
+        for row in range(ds.n_samples):
+            np.testing.assert_array_equal(regenerate_feature(ds, row), ds.features()[row])
 
     def test_scene_streams_are_independent(self):
         # a scene's content depends only on (seed, scene index)
-        short = generate(11, 3, _specs())
-        long = generate(11, 6, _specs())
+        short = dataset_records(generate(11, 3, _specs()))
+        long = dataset_records(generate(11, 6, _specs()))
         for sa, sb in zip(short.scenes, long.scenes):
             assert sa.gts == sb.gts
             for pa, pb in zip(sa.proposals, sb.proposals):
