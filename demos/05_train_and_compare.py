@@ -42,10 +42,11 @@ print("iteration    lr        probe loss/sample")
 for e in result.log:
     print(f"{e.iteration:9d}  {e.lr:8.4g}  {e.loss_per_sample:.4f}")
 
-# the mapping from head outputs to scored, posed detections that
-# `viewbench predict` and the formulation comparison share: a pose-only
-# head scores every class hypothesis 1 (the comparison takes its scores
-# from a detector), and each predicted bin becomes its centre azimuth
+# `predict` reads every head as one score and one azimuth per class
+# hypothesis, which `viewbench predict` and the formulation comparison
+# share through `pose_angles`: a pose-only head scores every hypothesis 1
+# (the comparison takes its scores from a detector), and a classification
+# head answers the centre azimuth of its argmax bin
 fg = build_pool(test_ds)
 scores, angles = pose_angles(predict(result.params, cfg, fg.fg_features))
 own = angles[np.arange(len(fg.fg_class)), fg.fg_class - 1]

@@ -97,11 +97,16 @@ def azimuth_to_bin(theta, n_bins: int):
     return v + 1
 
 
-def bin_center(index: int, n_bins: int) -> float:
-    """Azimuth at the center of bin ``index``."""
+def bin_center(index, n_bins: int):
+    """Azimuth at the center of bin ``index``.  An int ndarray of bins
+    gives an array of centers, each the scalar form's bit for bit."""
     if n_bins < 2:
         raise InvalidBinning(f"need at least 2 bins, got {n_bins}")
-    if not 1 <= index <= n_bins:
+    if isinstance(index, np.ndarray):
+        bad = (index < 1) | (index > n_bins)
+        if bad.any():
+            raise InvalidBinning(f"bin index {index[bad][0]} outside 1..{n_bins}")
+    elif not 1 <= index <= n_bins:
         raise InvalidBinning(f"bin index {index} outside 1..{n_bins}")
     return canonicalize(TWO_PI * (index - 1) / n_bins)
 

@@ -16,14 +16,16 @@ Three reproducible effects are exercised on the synthetic benchmark:
    splits its probability mass across both candidate bins instead of
    committing to one.
 
-Every arm is one row of ``_ARMS`` (seed offset, head, loss, net
-fields) and trains through ``train_arm``; both protocols use the same
-arms and differ only in the training config function each passes
-(``_compare_tcfg``, ``_probe_tcfg``).  Every arm is seeded; the same seed
-reproduces every number bitwise.  The detector is a two-branch net
-trained with the joint regression loss at lambda = 0, which reduces it to
-a pure proposal classifier; the same detector (per seed) serves every
-pose arm so ordering differences come from the pose heads alone.
+Every arm is one row of ``_ARMS`` (seed offset, loss, net fields; the
+head is the one ``net.LOSS_HEADS`` gives the loss) and trains through
+``train_arm``; both protocols use the same arms and differ only in the
+training config function each passes (``_compare_tcfg``,
+``_probe_tcfg``).  Every arm is read through ``net.predict``'s one score
+and azimuth per (proposal, class) hypothesis.  Every arm is seeded; the
+same seed reproduces every number bitwise.  The detector is a two-branch
+net trained with the joint regression loss at lambda = 0, which reduces
+it to a pure proposal classifier; the same detector (per seed) serves
+every pose arm so ordering differences come from the pose heads alone.
 """
 
 from __future__ import annotations
@@ -33,18 +35,19 @@ from typing import Callable
 
 import numpy as np
 
-from .angles import TWO_PI, azimuth_to_bin
-from .losses import LossSpec
+from .angles import azimuth_to_bin
+from .losses import LossSpec, softmax
 from .metrics import Detections, evaluate
 from .net import (
-    ClsPrediction,
-    JointClsPrediction,
-    JointRegPrediction,
+    LOSS_HEADS,
+    POSE_ONLY_LOSSES,
     ModelParams,
     NetConfig,
     Pool,
+    Prediction,
     TrainConfig,
     build_pool,
+    forward,
     predict,
     train,
 )
@@ -52,15 +55,14 @@ from .synthetic import ClassSpec, Dataset, default_benchmark, generate
 
 N_BINS = 24
 
-# arm -> (seed offset, head, loss, extra NetConfig fields); the stable
-# per-arm seed offsets keep arms decoupled under one run seed
+# arm -> (seed offset, loss, extra NetConfig fields); the stable per-arm
+# seed offsets keep arms decoupled under one run seed
 _ARMS = {
-    "detector": (11, "joint_reg", LossSpec("joint_regression", lam=0.0),
-                 {"n_dims": 3, "split_depth": 1}),
-    "reg2d": (12, "reg", LossSpec("regression"), {"n_dims": 2}),
-    "reg3d": (13, "reg", LossSpec("regression"), {"n_dims": 3}),
-    "cls": (14, "cls", LossSpec("classification"), {}),
-    "joint_cls": (15, "joint_cls", LossSpec("joint_classification"), {}),
+    "detector": (11, LossSpec("joint_regression", lam=0.0), {"n_dims": 3, "split_depth": 1}),
+    "reg2d": (12, LossSpec("regression"), {"n_dims": 2}),
+    "reg3d": (13, LossSpec("regression"), {"n_dims": 3}),
+    "cls": (14, LossSpec("classification"), {}),
+    "joint_cls": (15, LossSpec("joint_classification"), {}),
 }
 
 
@@ -76,41 +78,30 @@ def train_arm(
     """Train one arm of ``_ARMS`` on ``pool``, which is
     ``build_pool(train_ds)``: a net with one trunk layer of ``width``,
     seeded from ``seed`` and the arm's offset, trained under
-    ``tcfg(head, arm_seed, iters)``.  Returns the net and its parameters."""
-    offset, head, loss, extra = _ARMS[arm]
+    ``tcfg(loss kind, arm_seed, iters)``.  Returns the net and its
+    parameters."""
+    offset, loss, extra = _ARMS[arm]
     s = _derived_seed(seed, offset)
     cfg = NetConfig(
-        input_dim=train_ds.feature_dim, trunk_widths=(width,), head=head,
+        input_dim=train_ds.feature_dim, trunk_widths=(width,), head=LOSS_HEADS[loss.kind],
         n_classes=train_ds.n_classes, n_bins=N_BINS, seed=s, **extra,
     )
-    return cfg, train(pool, cfg, tcfg(head, s, iters), loss).params
+    return cfg, train(pool, cfg, tcfg(loss.kind, s, iters), loss).params
 
 
-def _compare_tcfg(head: str, seed: int, iters: int) -> TrainConfig:
-    if head in ("joint_reg", "joint_cls"):
+def _compare_tcfg(kind: str, seed: int, iters: int) -> TrainConfig:
+    if kind not in POSE_ONLY_LOSSES:
         return TrainConfig(total_iters=iters, seed=seed)
-    # pose-only heads see the same number of foreground samples per
-    # iteration as the joint arms at batch 128 with a quarter positives
+    # pose-only losses take no background rows; they see the same number
+    # of foreground samples per iteration as the joint arms at batch 128
+    # with a quarter positives
     return TrainConfig(batch_size=32, positive_fraction=1.0, total_iters=iters, seed=seed)
 
 
-def pose_angles(pred) -> tuple[np.ndarray, np.ndarray]:
-    """Detection scores and azimuths, both (B, n_classes), of any head's
-    ``predict()`` output: one (score, azimuth) per class hypothesis.
-
-    Pose-only heads score every hypothesis 1; a joint regression head
-    scores by its detection softmax with the background column dropped.
-    Classified bins map to their centres.
-    """
-    if isinstance(pred, (ClsPrediction, JointClsPrediction)):
-        angles = TWO_PI * (pred.bins - 1) / pred.n_bins
-    else:
-        angles = pred.angles
-    if isinstance(pred, JointClsPrediction):
-        return pred.scores, angles
-    if isinstance(pred, JointRegPrediction):
-        return pred.det_probs[:, 1:], angles
-    return np.ones(angles.shape), angles
+def pose_angles(pred: Prediction) -> tuple[np.ndarray, np.ndarray]:
+    """Detection scores and azimuths, both (B, n_classes), of ``predict()``:
+    one (score, azimuth) per class hypothesis."""
+    return pred.scores, pred.azimuths
 
 
 def compose_detections(
@@ -191,7 +182,7 @@ def _ambiguous_dataset(seed: int, noise_sigma: float, n_scenes: int) -> Dataset:
     return generate(_derived_seed(seed, 21), n_scenes, (spec,), split="train")
 
 
-def _probe_tcfg(head: str, seed: int, iters: int) -> TrainConfig:
+def _probe_tcfg(kind: str, seed: int, iters: int) -> TrainConfig:
     # near-full batches, no decay or flips: the probe wants the cleanest
     # possible fit of each ambiguous feature, free of protocol noise
     return TrainConfig(
@@ -235,14 +226,14 @@ def symmetry_probe(
     accuracy = {}
     for arm in ("reg3d", "reg2d"):
         cfg, params = train_arm(train_ds, pool, arm, seed, iters, width, _probe_tcfg)
-        pred_bins = azimuth_to_bin(predict(params, cfg, feats).angles[:, 0], N_BINS)
+        pred_bins = azimuth_to_bin(predict(params, cfg, feats).azimuths[:, 0], N_BINS)
         # paired query: the feature is asked for both azimuths, one answer
         # serves both, so each pair hit counts once out of two questions
         hits = (pred_bins == true_bins) | (pred_bins == pair_bins)
         accuracy[arm] = float(np.mean(hits)) / 2.0
 
     cfg, params = train_arm(train_ds, pool, "cls", seed, iters, width, _probe_tcfg)
-    probs = predict(params, cfg, feats).probs[:, 0, :]
+    probs = softmax(forward(params, cfg, feats)[:, 0, :])
     rows = np.arange(len(true_bins))
     pair_mass = float(np.mean(probs[rows, true_bins - 1] + probs[rows, pair_bins - 1]))
     return SymmetryProbeResult(accuracy["reg3d"], accuracy["reg2d"], pair_mass)

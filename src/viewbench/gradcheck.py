@@ -370,17 +370,18 @@ def net_gradient_suite(seed: int = 0, corrupt: bool = False) -> list[GradCheckRe
     """End-to-end checks, one small network per head kind (< 200 params)."""
     rng = np.random.default_rng(seed)
     cases = [
-        ("reg", LossSpec("regression"), dict(n_dims=2)),
-        ("reg", LossSpec("regression"), dict(n_dims=3)),
-        ("cls", LossSpec("classification"), dict(n_bins=5)),
-        ("cls", LossSpec("geometric"), dict(n_bins=5)),
-        ("joint_reg", LossSpec("joint_regression"), dict(n_dims=3, split_depth=0)),
-        ("joint_reg", LossSpec("joint_regression"), dict(n_dims=3, split_depth=1)),
-        ("joint_reg", LossSpec("joint_regression", lam=0.0), dict(n_dims=2, split_depth=1)),
-        ("joint_cls", LossSpec("joint_classification"), dict(n_bins=5)),
+        (LossSpec("regression"), dict(n_dims=2)),
+        (LossSpec("regression"), dict(n_dims=3)),
+        (LossSpec("classification"), dict(n_bins=5)),
+        (LossSpec("geometric"), dict(n_bins=5)),
+        (LossSpec("joint_regression"), dict(n_dims=3, split_depth=0)),
+        (LossSpec("joint_regression"), dict(n_dims=3, split_depth=1)),
+        (LossSpec("joint_regression", lam=0.0), dict(n_dims=2, split_depth=1)),
+        (LossSpec("joint_classification"), dict(n_bins=5)),
     ]
     results = []
-    for i, (head, loss, overrides) in enumerate(cases):
+    for loss, overrides in cases:
+        head = nets.LOSS_HEADS[loss.kind]
         cfg = nets.NetConfig(
             input_dim=4,
             trunk_widths=(6,),

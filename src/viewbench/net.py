@@ -36,6 +36,9 @@ noise), and the labels one ``losses.Labels`` batch of the same rows.
 All randomness comes from seeded generators, so runs are bitwise
 reproducible.  The training log measures loss on a fixed probe batch, so
 it reflects parameter movement rather than batch sampling noise.
+
+``predict`` reads every head the same way, as one ``Prediction``: a
+detection score and an azimuth per (row, class) hypothesis.
 """
 
 from __future__ import annotations
@@ -44,11 +47,11 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .angles import decode, flip_azimuth
+from .angles import bin_center, decode, flip_azimuth
 from .errors import (
     AmbiguousDecode,
     ClassOutOfRange,
@@ -740,37 +743,12 @@ def _first_non_finite(params: ModelParams, cache: dict) -> str:
     return "every cached activation and parameter is finite, so the outputs or the loss overflowed"
 
 
-@dataclass(frozen=True)
-class RegPrediction:
-    """Decoded azimuth per (sample, class); degenerate embeddings whose
-    circle projection vanishes decode to azimuth 0."""
+class Prediction(NamedTuple):
+    """One detection score and one azimuth per (row, class) hypothesis,
+    both (B, n_classes).  Pose-only heads score every hypothesis 1."""
 
-    angles: np.ndarray  # (B, n_classes)
-    embeddings: np.ndarray  # (B, n_classes, n_dims)
-
-
-@dataclass(frozen=True)
-class ClsPrediction:
-    bins: np.ndarray  # (B, n_classes), 1-based argmax bin
-    probs: np.ndarray  # (B, n_classes, n_bins) per-class softmax
-
-    @property
-    def n_bins(self) -> int:
-        return self.probs.shape[2]
-
-
-@dataclass(frozen=True)
-class JointRegPrediction:
-    det_probs: np.ndarray  # (B, n_classes + 1), background column first
-    angles: np.ndarray  # (B, n_classes)
-    embeddings: np.ndarray
-
-
-@dataclass(frozen=True)
-class JointClsPrediction:
-    scores: np.ndarray  # (B, n_classes) marginal detection scores
-    bins: np.ndarray  # (B, n_classes)
-    n_bins: int
+    scores: np.ndarray
+    azimuths: np.ndarray
 
 
 def _decode_grid(emb: np.ndarray) -> np.ndarray:
@@ -790,43 +768,46 @@ def _decode_grid(emb: np.ndarray) -> np.ndarray:
 PREDICT_BLOCK = 2048
 
 
-def predict(params: ModelParams, cfg: NetConfig, x: np.ndarray):
-    """Head-appropriate predictions for a batch of feature rows.
+def predict(params: ModelParams, cfg: NetConfig, x: np.ndarray) -> Prediction:
+    """The score and azimuth of every (row, class) hypothesis of a batch of
+    feature rows.
+
+    Pose-only heads score 1, ``joint_reg`` by its detection softmax with
+    the background column dropped, and ``joint_cls`` by its joint scores.
+    Regression heads decode their embeddings, one at a time, where a
+    degenerate embedding decodes to azimuth 0; classification heads answer
+    the center of their argmax bin, ties to the lowest.
 
     The forward pass runs on the whole batch.  A matmul over a block of
     rows need not give the bits of those rows of the whole product: at
     the pipeline benchmark's shapes (OpenBLAS 0.3.31) 64- and 100-row
     blocks did not, nor did 2048-row blocks whose last block held 5 to 130
     rows, and no BLAS promises that any block size does.  The softmaxes,
-    detection scores and argmax that follow it are row-wise, give the same
-    bits in any block of rows, and run ``PREDICT_BLOCK`` rows at a time
-    into preallocated outputs, so their temporaries are one block's, not
-    the whole batch's; a joint classification head takes no softmax over
-    its bins.  Decoding goes one embedding at a time."""
+    detection scores, argmax and bin centers that follow it are row-wise,
+    give the same bits in any block of rows, and run ``PREDICT_BLOCK`` rows
+    at a time into preallocated outputs, so their temporaries are one
+    block's, not the whole batch's."""
     out = forward(params, cfg, x)
     if cfg.head == "reg":
-        return RegPrediction(_decode_grid(out), out)
+        return Prediction(np.ones(out.shape[:2]), _decode_grid(out))
     blocks = [slice(lo, lo + PREDICT_BLOCK) for lo in range(0, len(x), PREDICT_BLOCK)]
     if cfg.head == "joint_reg":
         det_probs = np.empty(out.det.shape)
         for rows in blocks:
             softmax(out.det[rows], out=det_probs[rows])
-        return JointRegPrediction(det_probs, _decode_grid(out.pose), out.pose)
+        return Prediction(det_probs[:, 1:], _decode_grid(out.pose))
     if cfg.head == "cls":
-        probs = np.empty(out.shape)
-        for rows in blocks:
-            softmax(out[rows].reshape(-1, cfg.n_bins), out=probs[rows].reshape(-1, cfg.n_bins))
-        return ClsPrediction(_argmax_bins(out, blocks), probs)
+        return Prediction(np.ones(out.shape[:2]), _argmax_centers(out, blocks))
     scores = np.empty(out.obj.shape[:2])
     for rows in blocks:
         joint_detection_scores(JointClsOutputs(out.obj[rows], out.back[rows]), out=scores[rows])
-    return JointClsPrediction(scores, _argmax_bins(out.obj, blocks), cfg.n_bins)
+    return Prediction(scores, _argmax_centers(out.obj, blocks))
 
 
-def _argmax_bins(logits: np.ndarray, blocks: list[slice]) -> np.ndarray:
-    """The 1-based argmax bin of each (row, class) of (B, n_classes,
+def _argmax_centers(logits: np.ndarray, blocks: list[slice]) -> np.ndarray:
+    """The center of the argmax bin of each (row, class) of (B, n_classes,
     n_bins) logits, a block of rows at a time."""
-    bins = np.empty(logits.shape[:2], dtype=np.intp)
+    azimuths = np.empty(logits.shape[:2])
     for rows in blocks:
-        bins[rows] = np.argmax(logits[rows], axis=2) + 1
-    return bins
+        azimuths[rows] = bin_center(np.argmax(logits[rows], axis=2) + 1, logits.shape[2])
+    return azimuths

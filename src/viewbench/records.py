@@ -67,7 +67,7 @@ import numpy as np
 from .errors import ConfigError, FormatError, InvalidParameter
 from .metrics import Box, Detection, Detections, EvalReport, GroundTruth, detection_table
 from .net import LogEntry, ModelParams, NetConfig, layer_plan
-from .synthetic import ClassSpec, Dataset, Proposals, Scene
+from .synthetic import ClassSpec, Dataset, Proposals, Scene, roster_feature_dim
 
 GT_HEADER = "# viewbench ground truth: image_id class_id x_min y_min x_max y_max azimuth_deg"
 DET_HEADER = "# viewbench detections: image_id class_id x_min y_min x_max y_max score azimuth_pred_deg"
@@ -535,18 +535,6 @@ def _manifest(
     }
 
 
-def benchmark_manifest(
-    train: Dataset,
-    test: Dataset,
-    features_binary: bool,
-    config_echo: dict | None,
-) -> dict:
-    """The manifest ``write_benchmark`` writes for these two splits."""
-    return _manifest(
-        _SplitSummary.of(train), _SplitSummary.of(test), features_binary, config_echo
-    )
-
-
 def _npy_bytes(arr: np.ndarray) -> bytes:
     buf = io.BytesIO()
     np.save(buf, arr, allow_pickle=False)
@@ -673,20 +661,14 @@ def read_benchmark(
             raise FormatError(f"{manifest_path}: bad class spec {d!r}") from None
         except InvalidParameter as e:
             raise FormatError(f"{manifest_path}: class spec {i}: {e}") from None
-    if not specs:
-        raise FormatError(f"{manifest_path}: manifest has no class specs")
-    ids = [spec.class_id for spec in specs]
-    if set(ids) != set(range(1, len(ids) + 1)):
-        raise FormatError(
-            f"{manifest_path}: class_specs ids must be 1..{len(ids)}, each once, got {ids}"
-        )
-    dims = [spec.feature_dim for spec in specs]
-    if len(set(dims)) != 1:
-        raise FormatError(f"{manifest_path}: class specs disagree on feature_dim, got {dims}")
+    try:
+        dim = roster_feature_dim(specs)
+    except InvalidParameter as e:
+        raise FormatError(f"{manifest_path}: {e}") from None
     feature_dim = _field(manifest, "feature_dim", int, str(manifest_path))
-    if feature_dim != dims[0]:
+    if feature_dim != dim:
         raise FormatError(
-            f"{manifest_path}: feature_dim {feature_dim} disagrees with the class specs' {dims[0]}"
+            f"{manifest_path}: feature_dim {feature_dim} disagrees with the class specs' {dim}"
         )
     splits = _field(manifest, "splits", dict, str(manifest_path))
     root = manifest_path.parent
@@ -700,6 +682,9 @@ def read_benchmark(
         data = _field(entry, "data", str, where)
         seed = _field(entry, "seed", int, where)
         counts = {key: _field(entry, key, int, where) for key in _COUNT_KEYS}
+        for key, value in (("seed", seed), *counts.items()):
+            if value < 0:
+                raise FormatError(f"{where}: manifest needs {key!r} >= 0, got {value}")
         features = None
         if entry.get("features"):
             features = _read_sidecar(root / _field(entry, "features", str, where))
@@ -707,7 +692,7 @@ def read_benchmark(
         # no more rows than fit the file: a prop line takes 18+ bytes
         ds = parse_dataset(
             read_lines(data_path), specs, name, seed, path=str(data_path), features=features,
-            n_proposals=max(0, min(counts["n_proposals"], data_path.stat().st_size // 18)),
+            n_proposals=min(counts["n_proposals"], data_path.stat().st_size // 18),
         )
         summary = _SplitSummary.of(ds)
         for key, want in counts.items():

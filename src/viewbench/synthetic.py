@@ -72,8 +72,29 @@ class ClassSpec:
             raise InvalidParameter(
                 f"symmetry_order must be >= 1, got {self.symmetry_order}"
             )
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
-            raise InvalidParameter(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        # the harmonic frequencies h * symmetry_order are int64
+        if self.n_harmonics * self.symmetry_order > 2**63 - 1:
+            raise InvalidParameter(
+                f"n_harmonics * symmetry_order must be <= 2**63 - 1, got "
+                f"{self.n_harmonics} * {self.symmetry_order}"
+            )
+        sigma = self.noise_sigma
+        if isinstance(sigma, bool) or not (np.isfinite(sigma) and sigma >= 0.0):
+            raise InvalidParameter(f"noise_sigma must be a number >= 0, got {sigma}")
+
+
+def roster_feature_dim(class_specs: Sequence[ClassSpec]) -> int:
+    """The ``feature_dim`` of a class roster, which must hold at least one
+    spec, the ids 1..n each once, and one ``feature_dim``."""
+    if not class_specs:
+        raise InvalidParameter("need at least one class spec")
+    ids = [s.class_id for s in class_specs]
+    if sorted(ids) != list(range(1, len(ids) + 1)):
+        raise InvalidParameter(f"class_specs ids must be 1..{len(ids)}, each once, got {ids}")
+    dims = [s.feature_dim for s in class_specs]
+    if len(set(dims)) != 1:
+        raise InvalidParameter(f"class specs disagree on feature_dim, got {dims}")
+    return dims[0]
 
 
 @lru_cache(maxsize=256)
@@ -208,15 +229,8 @@ def generate(
     (extra same-object detections count as false positives).
     """
     class_specs = tuple(class_specs)
-    if not class_specs:
-        raise InvalidParameter("need at least one class spec")
+    feature_dim = roster_feature_dim(class_specs)
     ids = [s.class_id for s in class_specs]
-    if sorted(ids) != list(range(1, len(ids) + 1)):
-        raise InvalidParameter(f"class_specs ids must be 1..{len(ids)}, each once, got {ids}")
-    dims = {s.feature_dim for s in class_specs}
-    if len(dims) != 1:
-        raise InvalidParameter(f"class specs disagree on feature_dim: {sorted(dims)}")
-    feature_dim = dims.pop()
     if n_scenes < 0:
         raise InvalidParameter(f"n_scenes must be >= 0, got {n_scenes}")
     lo, hi = objects_per_scene

@@ -92,6 +92,21 @@ class TestBinning:
             for v in range(1, n_bins + 1):
                 assert azimuth_to_bin(bin_center(v, n_bins), n_bins) == v
 
+    def test_bin_center_array_form_is_the_scalar_form(self):
+        for n_bins in range(2, 401):
+            bins = np.arange(1, n_bins + 1).reshape(-1, 1)
+            centers = bin_center(bins, n_bins)
+            assert centers.shape == bins.shape and centers.dtype == np.float64
+            expected = [bin_center(v, n_bins) for v in range(1, n_bins + 1)]
+            assert [c.hex() for c in centers[:, 0].tolist()] == [c.hex() for c in expected]
+
+    @pytest.mark.parametrize("bad", [0, 9, -1])
+    def test_bin_center_out_of_range(self, bad):
+        with pytest.raises(InvalidBinning, match=f"bin index {bad} outside 1..8"):
+            bin_center(bad, 8)
+        with pytest.raises(InvalidBinning, match=f"bin index {bad} outside 1..8"):
+            bin_center(np.array([1, bad, 2]), 8)
+
     def test_nesting_24_determines_8(self):
         # every 8-bin edge is also a 24-bin edge, so the 24-bin index fixes
         # the 8-bin index; check the map is a function over a dense sweep.

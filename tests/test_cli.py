@@ -479,6 +479,8 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
     bench("spec_dim_float", set_spec_field("feature_dim", 8.0))
     bench("spec_symmetry_fraction", set_spec_field("symmetry_order", 1.5))
     bench("spec_class_bool", set_spec_field("class_id", True))
+    bench("spec_symmetry_overflow", set_spec_field("symmetry_order", 10**30))
+    bench("specs_empty", edit_manifest(lambda doc: doc.update(class_specs=[])))
     bench("class_ids", edit_manifest(renumber_class))
     bench("no_splits", edit_manifest(lambda doc: doc.pop("splits")))
     for key in ("data", "seed", "n_proposals", "n_scenes", "n_gt"):
@@ -665,6 +667,24 @@ def _exit_code(argv):
             "class_specs ids must be 1..2, each once, got [1, 3]",
         ),
         (
+            ["generate", "--config", "{class_symmetry_overflow}", "--out", "{out}"],
+            "n_harmonics * symmetry_order must be <= 2**63 - 1, got "
+            "3 * 1000000000000000000000000000000",
+        ),
+        (
+            ["train", "--config", "{spec_symmetry_train}", "--out", "{out}"],
+            "spec_symmetry_overflow/manifest.json: class spec 0: n_harmonics * symmetry_order "
+            "must be <= 2**63 - 1, got 3 * 1000000000000000000000000000000",
+        ),
+        (
+            ["generate", "--config", "{classes_empty}", "--out", "{out}"],
+            "need at least one class spec",
+        ),
+        (
+            ["predict", "{ckpt}", "{specs_empty}", "--out", "{out}"],
+            "specs_empty/manifest.json: need at least one class spec",
+        ),
+        (
             ["generate", "--config", "{class_3}", "--out", "{out}"],
             "dataset.classes ids must be 1..1, each once, got [3]",
         ),
@@ -835,7 +855,8 @@ def _exit_code(argv):
         "manifest-no-class-specs", "manifest-spec-class-0", "manifest-spec-seed-negative",
         "manifest-spec-harmonics-fraction", "manifest-spec-feature-dim-float",
         "manifest-spec-symmetry-fraction", "manifest-spec-class-id-bool", "manifest-class-ids",
-        "config-class-id-3",
+        "config-class-symmetry-overflow", "manifest-spec-symmetry-overflow",
+        "config-classes-empty", "manifest-class-specs-empty", "config-class-id-3",
         "config-class-id-twice", "config-class-id-missing", "gt-class-0", "det-class-negative",
         "manifest-no-splits", "manifest-no-data",
         "manifest-no-seed", "manifest-no-n-proposals", "manifest-no-n-scenes", "manifest-no-n-gt",
@@ -877,6 +898,12 @@ def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_p
                 ("class_unnumbered", [{"seed": 1}]),
             )
         },
+        "class_symmetry_overflow": _write_yaml(tmp_path / "so.yaml", {"dataset": {
+            **SMALL_DATASET, "classes": [{"class_id": 1, "symmetry_order": 10**30}],
+        }}),
+        "classes_empty": _write_yaml(
+            tmp_path / "e.yaml", {"dataset": {**SMALL_DATASET, "classes": []}}
+        ),
         **{
             name: _write_yaml(
                 tmp_path / f"{name}.yaml",
@@ -900,6 +927,10 @@ def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_p
         "spec_harmonics_train": _write_yaml(
             tmp_path / "spec_harmonics_train.yaml",
             {"data": str(broken["spec_harmonics_fraction"]), **SMALL_TRAIN},
+        ),
+        "spec_symmetry_train": _write_yaml(
+            tmp_path / "spec_symmetry_train.yaml",
+            {"data": str(broken["spec_symmetry_overflow"]), **SMALL_TRAIN},
         ),
         "deep_manifest_train": _write_yaml(
             tmp_path / "deep_manifest_train.yaml",

@@ -1,8 +1,10 @@
 """The one mapping from a head's prediction to scored, posed detections.
 
-``pose_angles`` serves the CLI and the experiment protocols alike, so its
-bin centres must equal ``bin_center`` bit for bit and its scores must be
-the head's own detection scores (1 for pose-only heads).
+``net.predict`` gives every head's score and azimuth per hypothesis, and
+``pose_angles`` hands them to the CLI and the experiment protocols alike,
+so a classified azimuth must equal ``bin_center`` of its bin bit for bit
+and the scores must be the head's own detection scores (1 for pose-only
+heads).
 ``compose_detections`` must give the detections of reading one NumPy
 scalar per (proposal, class).
 """
@@ -15,8 +17,9 @@ from test_codec_equivalence import dataset_records, detection_rows
 
 from viewbench.angles import bin_center
 from viewbench.experiments import compose_detections, pose_angles
+from viewbench.losses import joint_detection_scores, softmax
 from viewbench.metrics import Detection
-from viewbench.net import ClsPrediction, NetConfig, init_params, predict
+from viewbench.net import NetConfig, _decode_grid, forward, init_params, predict
 from viewbench.synthetic import default_class_specs, generate
 
 HEADS = ("reg", "cls", "joint_reg", "joint_cls")
@@ -27,10 +30,13 @@ def _cfg(head):
 
 
 def test_bin_centres_equal_bin_center_bitwise():
+    """Row v of an identity head has its argmax at bin v."""
     for n_bins in range(2, 401):
-        bins = np.arange(1, n_bins + 1)[:, None]
-        pred = ClsPrediction(bins, np.zeros((n_bins, 1, n_bins)))
-        _, angles = pose_angles(pred)
+        cfg = NetConfig(input_dim=n_bins, trunk_widths=(), head="cls", n_classes=1,
+                        n_bins=n_bins)
+        params = init_params(cfg)
+        params.layers["head"].w[:] = np.eye(n_bins)
+        _, angles = pose_angles(predict(params, cfg, np.eye(n_bins)))
         expected = [bin_center(v, n_bins) for v in range(1, n_bins + 1)]
         assert angles[:, 0].tolist() == expected, n_bins
 
@@ -39,17 +45,19 @@ def test_scores_per_head():
     x = np.random.default_rng(0).normal(size=(6, 3))
     for head in HEADS:
         cfg = _cfg(head)
-        pred = predict(init_params(cfg), cfg, x)
-        scores, angles = pose_angles(pred)
+        params = init_params(cfg)
+        out = forward(params, cfg, x)
+        scores, angles = pose_angles(predict(params, cfg, x))
         assert scores.shape == angles.shape == (6, 2), head
         if head == "joint_reg":
-            np.testing.assert_array_equal(scores, pred.det_probs[:, 1:])
+            np.testing.assert_array_equal(scores, softmax(out.det)[:, 1:])
         elif head == "joint_cls":
-            np.testing.assert_array_equal(scores, pred.scores)
+            np.testing.assert_array_equal(scores, joint_detection_scores(out))
         else:
             assert np.all(scores == 1.0), head
         if head in ("reg", "joint_reg"):
-            np.testing.assert_array_equal(angles, pred.angles)
+            emb = out.pose if head == "joint_reg" else out
+            np.testing.assert_array_equal(angles, _decode_grid(emb))
 
 
 def test_empty_batch_for_every_head():

@@ -155,7 +155,7 @@ def test_predict_post_processes_in_blocks():
     pred, peak, _ = _traced(lambda: net.predict(params, cfg, x))
     slots = cfg.n_classes * cfg.n_bins
     forward_arrays = b * (64 + slots + 1) * 8  # the hidden layer and the head
-    outputs = pred.scores.nbytes + pred.bins.nbytes
+    outputs = pred.scores.nbytes + pred.azimuths.nbytes
     assert peak < forward_arrays + outputs, (peak, forward_arrays, outputs)
 
 
@@ -166,7 +166,7 @@ def test_one_block_predict_peak(head):
     x = np.random.default_rng(0).standard_normal((1013, 32))
     _, whole, _ = _traced(lambda: oracle_predict(params, cfg, x))
     pred, peak, _ = _traced(lambda: net.predict(params, cfg, x))
-    assert peak <= whole + 2 * pred.bins.nbytes, (peak, whole)
+    assert peak <= whole + 2 * pred.azimuths.nbytes, (peak, whole)
 
 
 def test_gradient_check_stacks_rows_in_blocks():

@@ -38,6 +38,7 @@ from viewbench.losses import (
     LossSpec,
     Target,
     default_geometric_sigma,
+    softmax,
 )
 from viewbench.net import (
     LOSS_HEADS,
@@ -1102,9 +1103,9 @@ class TestPredict:
         b[4] = 10.0  # class 1, bin 5
         b[8 + 2] = 10.0  # class 2, bin 3
         params.layers["head"].b = b
-        pred = predict(params, cfg, np.zeros((3, 2)))
-        assert np.all(pred.bins[:, 0] == 5)
-        assert np.all(pred.bins[:, 1] == 3)
+        bins = azimuth_to_bin(predict(params, cfg, np.zeros((3, 2))).azimuths, 8)
+        assert np.all(bins[:, 0] == 5)
+        assert np.all(bins[:, 1] == 3)
 
     def test_reg_exact_embedding(self):
         theta = 2.3
@@ -1112,7 +1113,7 @@ class TestPredict:
         params = _bare_params(cfg)
         params.layers["head"].b = encode(theta, 3)
         pred = predict(params, cfg, np.zeros((2, 2)))
-        for angle in pred.angles.ravel():
+        for angle in pred.azimuths.ravel():
             assert circular_difference(angle, theta) < 1e-9
 
     def test_joint_cls_background_dominant(self):
@@ -1129,9 +1130,12 @@ class TestPredict:
             input_dim=2, trunk_widths=(3,), head="joint_reg", n_classes=2,
             n_dims=2, split_depth=0,
         )
-        pred = predict(init_params(cfg), cfg, np.random.default_rng(4).normal(size=(5, 2)))
-        np.testing.assert_allclose(pred.det_probs.sum(axis=1), 1.0, atol=1e-12)
-        assert pred.angles.shape == (5, 2)
+        params = init_params(cfg)
+        x = np.random.default_rng(4).normal(size=(5, 2))
+        pred = predict(params, cfg, x)
+        background = softmax(forward(params, cfg, x).det)[:, 0]
+        np.testing.assert_allclose(pred.scores.sum(axis=1) + background, 1.0, atol=1e-12)
+        assert pred.azimuths.shape == (5, 2)
 
 
 class TestClsPredictionBins:
@@ -1145,7 +1149,7 @@ class TestClsPredictionBins:
                         n_bins=n_bins)
         params = _bare_params(cfg)
         params.layers["head"].b[: logits.size] = logits.ravel()
-        return predict(params, cfg, np.zeros((1, 1))).bins[0].tolist()
+        return azimuth_to_bin(predict(params, cfg, np.zeros((1, 1))).azimuths[0], n_bins).tolist()
 
     def test_plain(self):
         assert self._bins([[0.0, 5.0, 1.0]]) == [2]

@@ -59,7 +59,7 @@ from viewbench.records import (
     save_checkpoint,
     write_benchmark,
 )
-from viewbench.synthetic import ClassSpec, generate, oracle_eval
+from viewbench.synthetic import ClassSpec, default_class_specs, generate, oracle_eval
 
 
 def _specs():
@@ -1264,3 +1264,182 @@ class TestDatasetContract:
         assert f"error: {tmp_path / 'bench' / 'train_data.txt'}{got[1][1][5:]}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "run" / "checkpoint.txt").exists()
+
+
+# ---------------------------------------------------------------- manifests
+
+MANIFEST_TOP_KEYS = ("format", "version", "feature_dim", "features_binary", "class_specs",
+                     "splits", "config")
+MANIFEST_SPLIT_KEYS = ("data", "gt", "features", "seed", "n_scenes", "n_gt", "n_proposals")
+MANIFEST_SPEC_KEYS = ("class_id", "seed", "feature_dim", "n_harmonics", "symmetry_order",
+                      "noise_sigma")
+# keys whose value is a string (or a null standing for none)
+_STRING_KEYS = ("format", "data", "gt", "features")
+# keys read_benchmark does not read: any well-formed JSON value reads cleanly
+_UNREAD = {("version",), ("features_binary",), ("config",), ("splits", "train", "gt"),
+           ("splits", "test", "gt")}
+_REMOVED = object()
+_DEEP = "@@deep@@"
+
+
+def _mutation(key, name):
+    return {
+        "wrong-type": 7 if key in _STRING_KEYS else "7", "bool": True, "fraction": 1.5,
+        "negative": -1, "nan": math.nan, "inf": math.inf, "null": None, "deep": _DEEP,
+        "removed": _REMOVED,
+    }[name]
+
+
+def _manifest_key_paths():
+    for key in MANIFEST_TOP_KEYS:
+        yield (key,)
+    for split in ("train", "test"):
+        for key in MANIFEST_SPLIT_KEYS:
+            yield ("splits", split, key)
+    for i in (0, 3):
+        for key in MANIFEST_SPEC_KEYS:
+            yield ("class_specs", i, key)
+
+
+def _reads_cleanly(path, name):
+    """Whether the mutation leaves a manifest that reads: one of a key the
+    reader does not read, a null or absent sidecar, or a class spec field
+    given a value it may hold (a fraction of noise, a default)."""
+    if name == "deep":
+        return False
+    key = path[-1]
+    return (
+        path in _UNREAD
+        or (key == "features" and name in ("null", "removed"))
+        or (path[0] == "class_specs" and key == "noise_sigma" and name == "fraction")
+        or (path[0] == "class_specs" and name == "removed"
+            and key in ("n_harmonics", "symmetry_order", "noise_sigma"))
+    )
+
+
+MANIFEST_MUTATIONS = ("wrong-type", "bool", "fraction", "negative", "nan", "inf", "null",
+                      "deep", "removed")
+MANIFEST_CONTRACT = {
+    ".".join(map(str, path)) + "-" + name: (path, name)
+    for path in _manifest_key_paths() for name in MANIFEST_MUTATIONS
+}
+
+
+def _mutated_manifest(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    owner = doc
+    for p in parents:
+        owner = owner[p]
+    if value is _REMOVED:
+        del owner[key]
+    else:
+        owner[key] = value
+    return json.dumps(doc, indent=2).replace(json.dumps(_DEEP), "[" * 10_000 + "]" * 10_000)
+
+
+@pytest.fixture(scope="module")
+def contract_bench(tmp_path_factory):
+    """A generated benchmark of the default four-class roster, inline
+    features; the mutated manifests go beside its files."""
+    root = tmp_path_factory.mktemp("manifest_contract")
+    specs = default_class_specs(0, feature_dim=4)
+    manifest = write_benchmark(root, generate(1, 6, specs, split="train"),
+                               generate(2, 3, specs, split="test"))
+    return manifest, json.loads(manifest.read_text())
+
+
+def _train_with(manifest, tmp_path, capsys):
+    from viewbench.cli import entry
+
+    cfg = tmp_path / "train.yaml"
+    cfg.write_text(json.dumps({
+        "data": str(manifest), "net": {"head": "joint_cls", "trunk_widths": [4]},
+        "loss": {"kind": "joint_classification"}, "train": {"total_iters": 2, "batch_size": 8},
+    }))
+    code = entry(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    return code, capsys.readouterr().err
+
+
+class TestManifestContract:
+    """Every key of a generated manifest, top level, split entry and class
+    spec, mutated: ``read_benchmark`` raises a FormatError whose message
+    starts with the manifest's path, or, where the key is not read or the
+    value is one the key may hold, reads the splits as they are."""
+
+    def test_table_covers_every_key(self, contract_bench):
+        _, doc = contract_bench
+        assert set(doc) == set(MANIFEST_TOP_KEYS)
+        assert all(set(doc["splits"][s]) == set(MANIFEST_SPLIT_KEYS) for s in ("train", "test"))
+        assert all(set(spec) == set(MANIFEST_SPEC_KEYS) for spec in doc["class_specs"])
+        assert len(doc["class_specs"]) == 4
+
+    @pytest.mark.parametrize("case", list(MANIFEST_CONTRACT))
+    def test_mutated(self, case, contract_bench):
+        manifest, doc = contract_bench
+        path, name = MANIFEST_CONTRACT[case]
+        mutated = manifest.parent / f"{case}.json"
+        mutated.write_text(_mutated_manifest(doc, path, _mutation(path[-1], name)))
+        if _reads_cleanly(path, name):
+            got = read_benchmark(mutated)
+            want = read_benchmark(manifest)
+            for g, w in zip(got[:2], want[:2]):
+                assert g.ground_truths() == w.ground_truths()
+                assert g.features().tobytes() == w.features().tobytes()
+        else:
+            with pytest.raises(FormatError) as info:
+                read_benchmark(mutated)
+            assert str(info.value).startswith(f"{mutated}:") \
+                or str(info.value).startswith(f"{mutated} split "), str(info.value)
+
+    def test_cases_cover_both_outcomes(self):
+        clean = [c for c, (path, name) in MANIFEST_CONTRACT.items() if _reads_cleanly(path, name)]
+        assert len(MANIFEST_CONTRACT) == 9 * (7 + 2 * 7 + 2 * 6)
+        assert 40 < len(clean) < 60
+
+    @pytest.mark.parametrize("case", [
+        "format-null", "feature_dim-bool", "splits.train.n_gt-negative",
+        "splits.train.features-wrong-type", "class_specs.0.seed-nan",
+        "class_specs.3.n_harmonics-fraction", "class_specs.3.noise_sigma-bool",
+        "class_specs.0.class_id-deep",
+    ])
+    def test_train_exits_2(self, case, contract_bench, tmp_path, capsys):
+        manifest, doc = contract_bench
+        path, name = MANIFEST_CONTRACT[case]
+        mutated = manifest.parent / f"train-{case}.json"
+        mutated.write_text(_mutated_manifest(doc, path, _mutation(path[-1], name)))
+        code, err = _train_with(mutated, tmp_path, capsys)
+        assert code == 2
+        assert f"error: {mutated}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "checkpoint.txt").exists()
+
+    def test_train_ignores_unread_keys(self, contract_bench, tmp_path, capsys):
+        manifest, doc = contract_bench
+        mutated = manifest.parent / "train-version-nan.json"
+        mutated.write_text(_mutated_manifest(doc, ("version",), math.nan))
+        code, err = _train_with(mutated, tmp_path, capsys)
+        assert code == 0, err
+        assert (tmp_path / "run" / "checkpoint.txt").exists()
+
+    # Sizes the reader takes on trust: the first allocation they size is
+    # larger than memory.  Not run; each ends in MemoryError and exit 1.
+    @pytest.mark.parametrize("case, owners", [
+        pytest.param("n_harmonics-10**9",
+                     lambda doc: [(doc["class_specs"][0], "n_harmonics", 10**9)],
+                     id="n_harmonics-10**9"),
+        pytest.param("feature_dim-10**12",
+                     lambda doc: [(d, "feature_dim", 10**12) for d in (doc, *doc["class_specs"])],
+                     id="feature_dim-10**12"),
+    ])
+    @pytest.mark.xfail(strict=True, run=False, reason="allocates before checking its size")
+    def test_huge_sizes_exit_2(self, case, owners, contract_bench, tmp_path, capsys):
+        manifest, doc = contract_bench
+        doc = json.loads(json.dumps(doc))
+        for owner, key, value in owners(doc):
+            owner[key] = value
+        mutated = manifest.parent / f"huge-{case}.json"
+        mutated.write_text(json.dumps(doc))
+        code, err = _train_with(mutated, tmp_path, capsys)
+        assert code == 2
+        assert "Traceback" not in err

@@ -103,6 +103,25 @@ class TestAppearance:
         spec = ClassSpec(class_id=np.int64(1), seed=np.uint32(3), feature_dim=np.int32(4))
         assert spec.feature_dim == 4
 
+    @pytest.mark.parametrize("n_harmonics, symmetry_order", [
+        (3, 2**62), (2, 2**62), (1, 2**63), (1, 10**30),
+    ])
+    def test_harmonic_frequencies_past_int64_refused(self, n_harmonics, symmetry_order):
+        """The frequencies h * symmetry_order are int64: 3 * 2**62 would wrap
+        to a negative frequency, and 10**30 would not convert."""
+        with pytest.raises(
+            InvalidParameter,
+            match=rf"^n_harmonics \* symmetry_order must be <= 2\*\*63 - 1, got "
+                  rf"{n_harmonics} \* {symmetry_order}$",
+        ):
+            ClassSpec(class_id=1, seed=0, feature_dim=2, n_harmonics=n_harmonics,
+                      symmetry_order=symmetry_order, noise_sigma=0.0)
+
+    def test_largest_frequency_in_int64_passes(self):
+        spec = ClassSpec(class_id=1, seed=0, feature_dim=2, n_harmonics=1,
+                         symmetry_order=2**63 - 1, noise_sigma=0.0)
+        assert appearance_clean(spec, 0.0).shape == (2,)
+
 
 class TestGenerate:
     def test_empty(self):
@@ -188,7 +207,7 @@ class TestGenerate:
             generate(0, 1, _specs(), gt_size_range=(0.9, 0.95), backgrounds_per_scene=2)
 
     def test_validation(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="^need at least one class spec$"):
             generate(0, 1, ())
         with pytest.raises(InvalidParameter, match="jitter"):
             generate(0, 1, _specs(), jitter=math.nan)
@@ -200,7 +219,9 @@ class TestGenerate:
             ClassSpec(class_id=1, seed=0, feature_dim=8),
             ClassSpec(class_id=2, seed=0, feature_dim=16),
         )
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(
+            InvalidParameter, match=r"^class specs disagree on feature_dim, got \[8, 16\]$"
+        ):
             generate(0, 1, mixed)
         with pytest.raises(InvalidParameter):
             generate(0, 1, _specs(), jitter=-0.1)
