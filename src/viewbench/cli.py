@@ -6,12 +6,19 @@ every artifact for provenance), write through atomic renames, and exit 0
 on success, 2 on input or config errors, 3 on numerical failures
 (training divergence, gradient check over tolerance).  Equal inputs and
 seeds give byte-identical outputs.
+
+A config section takes its defaults from the parameters that have one in
+what it configures: ``net`` from NetConfig, ``train`` from TrainConfig,
+``loss`` from LossSpec, ``dataset`` from ``synthetic.default_benchmark``
+and ``synthetic.generate``.  The config adds only its own keys (see
+``_DEFAULTS``).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -24,7 +31,7 @@ from .errors import ConfigError, DivergenceError, FormatError, ViewbenchError
 from .experiments import compose_detections, pose_angles
 from .gradcheck import loss_gradient_suite, net_gradient_suite
 from .losses import LossSpec
-from .metrics import evaluate
+from .metrics import AP_RULES, evaluate
 from .net import NetConfig, TrainConfig, predict as net_predict, train
 from .records import (
     atomic_write_text,
@@ -40,55 +47,52 @@ from .records import (
     write_benchmark,
     write_detections,
 )
-from .synthetic import ClassSpec, benchmark_splits, default_class_specs
+from .synthetic import (
+    ClassSpec,
+    benchmark_splits,
+    check_class_ids,
+    default_benchmark,
+    default_class_specs,
+    generate,
+)
 
 # A class entry's keys, each with a value of the type its field takes.
 _CLASS_KEYS = {f.name: {"int": 0, "float": 0.0}[f.type] for f in dataclasses.fields(ClassSpec)}
 
+
+def _defaults(*targets, skip: tuple[str, ...] = ()) -> dict:
+    """The parameters of the ``targets`` a section configures that have a
+    default, each with its default; a ``tuple[T, ...]`` default becomes a
+    list of any length."""
+    return {
+        p.name: list(p.default) if p.annotation.endswith(", ...]") else p.default
+        for target in targets
+        for p in inspect.signature(target).parameters.values()
+        if p.default is not p.empty and p.name not in skip
+    }
+
+
+# The keyword arguments of a split's scenes, which the dataset section sets.
+_SCENE_ARGS = _defaults(generate, skip=("split",))
+
 # Every config key with its default; user configs are checked against
 # this nesting too, so a key is known exactly when it has a default, and
 # a value must have the type of its default (a tuple is a list of that
-# length, a float any finite number).
+# length, a float any finite number).  A section takes its defaults from
+# what it configures, and adds its own keys here.
 _DEFAULTS = {
     "seed": 0,
     "out_dir": None,
     "data": None,
     "dataset": {
-        "feature_dim": 32,
-        "noise_sigma": 0.25,
-        "n_train_scenes": 200,
-        "n_test_scenes": 100,
-        "objects_per_scene": (1, 3),
-        "proposals_per_gt": 1,
-        "backgrounds_per_scene": 8,
-        "jitter": 0.15,
-        "gt_size_range": (0.15, 0.4),
+        **_defaults(default_benchmark, skip=("seed",)),
+        **_SCENE_ARGS,
         "features_binary": False,
         "classes": None,
     },
-    "net": {
-        "trunk_widths": [64],
-        "head": "cls",
-        "n_bins": 24,
-        "n_dims": 3,
-        "split_depth": 1,
-        "seed": None,
-    },
-    "train": {
-        "lr": 0.001,
-        "momentum": 0.9,
-        "weight_decay": 0.0005,
-        "batch_size": 128,
-        "positive_fraction": 0.25,
-        "total_iters": 3000,
-        "decay_at": [2000],
-        "lr_decay_factor": 10.0,
-        "flip_augment": True,
-        "log_every": 100,
-        "seed": None,
-        "checkpoint_every": 0,
-    },
-    "loss": {"kind": "classification", "sigma": None, "lam": 1.0, "delta": 1.0},
+    "net": {**_defaults(NetConfig), "trunk_widths": [64], "head": "cls", "seed": None},
+    "train": {**_defaults(TrainConfig), "seed": None, "checkpoint_every": 0},
+    "loss": {**_defaults(LossSpec), "kind": "classification"},
     "predict": {"score_floor": 0.0, "split": "test"},
     "eval": {"bins": [4, 8, 16, 24], "iou": 0.5, "rule": "allpoints"},
 }
@@ -162,14 +166,10 @@ def _check_keys(doc: dict, known: dict, prefix: str = "") -> None:
 
 
 def _merge(defaults: dict, user: dict) -> dict:
-    out = {}
-    for key, base in defaults.items():
-        if isinstance(base, dict):
-            sub = user.get(key) or {}
-            out[key] = _merge(base, sub)
-        else:
-            out[key] = user.get(key, base)
-    return out
+    return {
+        key: _merge(base, user.get(key) or {}) if isinstance(base, dict) else user.get(key, base)
+        for key, base in defaults.items()
+    }
 
 
 def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
@@ -201,10 +201,7 @@ def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
         ids = [entry.get("class_id") for entry in classes]
         if None in ids:
             raise ConfigError("every dataset.classes entry needs a class_id")
-        if set(ids) != set(range(1, len(ids) + 1)):
-            raise ConfigError(
-                f"dataset.classes ids must be 1..{len(ids)}, each once, got {ids}"
-            )
+        check_class_ids(ids, "dataset.classes", ConfigError)
     cfg = _merge(_DEFAULTS, user)
     if seed_override is not None:
         cfg["seed"] = seed_override
@@ -227,14 +224,8 @@ def _class_specs(cfg: dict) -> tuple[ClassSpec, ...]:
     ds = cfg["dataset"]
     if ds["classes"] is None:
         return default_class_specs(cfg["seed"], ds["feature_dim"], ds["noise_sigma"])
-    specs = []
-    for entry in ds["classes"]:
-        entry = dict(entry)
-        entry.setdefault("seed", cfg["seed"])
-        entry.setdefault("feature_dim", ds["feature_dim"])
-        entry.setdefault("noise_sigma", ds["noise_sigma"])
-        specs.append(ClassSpec(**entry))
-    return tuple(specs)
+    shared = dict(seed=cfg["seed"], feature_dim=ds["feature_dim"], noise_sigma=ds["noise_sigma"])
+    return tuple(ClassSpec(**{**shared, **entry}) for entry in ds["classes"])
 
 
 def _out_dir(args, cfg: dict) -> Path:
@@ -250,11 +241,8 @@ def cmd_generate(args) -> int:
     ds = cfg["dataset"]
     splits = benchmark_splits(
         cfg["seed"], ds["n_train_scenes"], ds["n_test_scenes"], _class_specs(cfg),
-        objects_per_scene=tuple(ds["objects_per_scene"]),
-        proposals_per_gt=ds["proposals_per_gt"],
-        backgrounds_per_scene=ds["backgrounds_per_scene"],
-        jitter=ds["jitter"],
-        gt_size_range=tuple(ds["gt_size_range"]),
+        **{key: tuple(ds[key]) if isinstance(default, tuple) else ds[key]
+           for key, default in _SCENE_ARGS.items()},
     )
     # each split is made while write_benchmark stages it, so one is in memory at a time
     manifest = write_benchmark(
@@ -450,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=_bin_counts, default="4,8,16,24",
                    help="comma-separated AVP bin counts")
     p.add_argument("--iou", type=float, default=0.5, help="IoU match threshold")
-    p.add_argument("--ap-rule", choices=("allpoints", "elevenpoint"), default="allpoints")
+    p.add_argument("--ap-rule", choices=AP_RULES, default="allpoints")
     p.add_argument("--out", help="write a JSON report here")
     p.set_defaults(func=cmd_eval)
 

@@ -689,10 +689,15 @@ def read_benchmark(
         if entry.get("features"):
             features = _read_sidecar(root / _field(entry, "features", str, where))
         data_path = root / data
-        # no more rows than fit the file: a prop line takes 18+ bytes
+        # no more rows than a sidecar of the right width holds, or than fit
+        # the file: a prop line takes 18 bytes, and 2 more per inline feature
+        if features is not None and features.shape[1:] == (dim,):
+            rows = len(features)
+        else:
+            rows = data_path.stat().st_size // (18 + 2 * dim)
         ds = parse_dataset(
             read_lines(data_path), specs, name, seed, path=str(data_path), features=features,
-            n_proposals=min(counts["n_proposals"], data_path.stat().st_size // 18),
+            n_proposals=min(counts["n_proposals"], rows),
         )
         summary = _SplitSummary.of(ds)
         for key, want in counts.items():

@@ -25,6 +25,7 @@ would give, so a feature is the ``default_rng(noise_seed)`` draw that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -32,10 +33,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .angles import TWO_PI, canonicalize
-from .errors import GenerationError, InvalidParameter, check_integers
+from .errors import GenerationError, InvalidParameter, ViewbenchError, check_integers
 from .metrics import Box, Detection, EvalReport, GroundTruth, box_array, evaluate, iou
 
 _MAX_TRIES = 200
+
+# The most coefficients, n_harmonics * feature_dim, a class spec may hold.
+# A spec read from a config or a manifest sizes the coefficient matrices
+# and every feature row by it, so an unchecked one could ask for any
+# amount of memory.  The rosters of the tests, demos and README hold 96
+# at most.
+MAX_COEFFICIENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -72,6 +80,11 @@ class ClassSpec:
             raise InvalidParameter(
                 f"symmetry_order must be >= 1, got {self.symmetry_order}"
             )
+        if self.n_harmonics * self.feature_dim > MAX_COEFFICIENTS:
+            raise InvalidParameter(
+                f"n_harmonics * feature_dim must be <= {MAX_COEFFICIENTS}, got "
+                f"{self.n_harmonics} * {self.feature_dim}"
+            )
         # the harmonic frequencies h * symmetry_order are int64
         if self.n_harmonics * self.symmetry_order > 2**63 - 1:
             raise InvalidParameter(
@@ -83,14 +96,20 @@ class ClassSpec:
             raise InvalidParameter(f"noise_sigma must be a number >= 0, got {sigma}")
 
 
+def check_class_ids(
+    ids: Sequence[int], roster: str, error: type[ViewbenchError] = InvalidParameter
+) -> None:
+    """Raise ``error`` unless the class ids of ``roster`` are 1..n, each once."""
+    if sorted(ids) != list(range(1, len(ids) + 1)):
+        raise error(f"{roster} ids must be 1..{len(ids)}, each once, got {ids}")
+
+
 def roster_feature_dim(class_specs: Sequence[ClassSpec]) -> int:
     """The ``feature_dim`` of a class roster, which must hold at least one
     spec, the ids 1..n each once, and one ``feature_dim``."""
     if not class_specs:
         raise InvalidParameter("need at least one class spec")
-    ids = [s.class_id for s in class_specs]
-    if sorted(ids) != list(range(1, len(ids) + 1)):
-        raise InvalidParameter(f"class_specs ids must be 1..{len(ids)}, each once, got {ids}")
+    check_class_ids([s.class_id for s in class_specs], "class_specs")
     dims = [s.feature_dim for s in class_specs]
     if len(set(dims)) != 1:
         raise InvalidParameter(f"class specs disagree on feature_dim, got {dims}")
@@ -303,6 +322,16 @@ def generate(
         else:
             g = scenes[i].gts[j]
             features[k] = appearance(spec_by_id[g.class_id], g.azimuth, rng)
+    with np.errstate(over="ignore", invalid="ignore"):  # the sum is checked here
+        total = features.sum()
+    if not math.isfinite(total):  # finite values can overflow the sum too
+        for k, row in enumerate(features):
+            if not np.isfinite(row).all():
+                g = scenes[scene_of[k]].gts[matched[k]]  # a background row is finite
+                raise GenerationError(
+                    f"scene {scene_of[k]}: class {g.class_id} drew features that are not "
+                    f"finite (noise_sigma {spec_by_id[g.class_id].noise_sigma})"
+                )
     table = Proposals(
         np.array(scene_of, dtype=np.intp), box_array(boxes), features,
         np.array(matched, dtype=np.intp), np.array(ious, dtype=float),

@@ -6,6 +6,7 @@ seeds.  Exit code 2 flags input or config problems, 3 flags numerical
 failures (divergence, gradient checks over tolerance).
 """
 
+import dataclasses
 import importlib
 import json
 import math
@@ -20,6 +21,7 @@ from viewbench.cli import entry, load_run_config
 from viewbench.errors import ConfigError
 from viewbench.net import forward
 from viewbench.records import DET_HEADER, load_checkpoint, parse_detections, read_benchmark
+from viewbench.synthetic import ClassSpec
 
 N_BINS = 24
 
@@ -134,6 +136,24 @@ def pipeline(tmp_path_factory):
     }
 
 
+# json.dumps(load_run_config(None), sort_keys=True): the default run config
+# as manifests and checkpoint headers echo it.
+DEFAULT_CONFIG = (
+    '{"data": null, "dataset": {"backgrounds_per_scene": 8, "classes": null,'
+    ' "feature_dim": 32, "features_binary": false, "gt_size_range": [0.15, 0.4],'
+    ' "jitter": 0.15, "n_test_scenes": 100, "n_train_scenes": 200,'
+    ' "noise_sigma": 0.25, "objects_per_scene": [1, 3], "proposals_per_gt": 1},'
+    ' "eval": {"bins": [4, 8, 16, 24], "iou": 0.5, "rule": "allpoints"},'
+    ' "loss": {"delta": 1.0, "kind": "classification", "lam": 1.0, "sigma": null},'
+    ' "net": {"head": "cls", "n_bins": 24, "n_dims": 3, "seed": 0, "split_depth": 1,'
+    ' "trunk_widths": [64]}, "out_dir": null, "predict": {"score_floor": 0.0,'
+    ' "split": "test"}, "seed": 0, "train": {"batch_size": 128, "checkpoint_every": 0,'
+    ' "decay_at": [2000], "flip_augment": true, "log_every": 100, "lr": 0.001,'
+    ' "lr_decay_factor": 10.0, "momentum": 0.9, "positive_fraction": 0.25, "seed": 0,'
+    ' "total_iters": 3000, "weight_decay": 0.0005}}'
+)
+
+
 class TestConfig:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = _write_yaml(tmp_path / "c.yaml", {"sede": 3})
@@ -170,6 +190,15 @@ class TestConfig:
         cfg.write_bytes(b"seed: 0\n\n# caf\xff\n")
         with pytest.raises(ConfigError, match=r"c.yaml:3: not utf-8 text"):
             load_run_config(str(cfg))
+
+    def test_default_config_is_pinned(self):
+        """Each section takes its defaults from what it configures, so a
+        changed library default changes the echo of every run: this shows it."""
+        assert json.dumps(load_run_config(None), sort_keys=True) == DEFAULT_CONFIG
+        cfg = json.loads(DEFAULT_CONFIG)
+        cfg["seed"] = cfg["net"]["seed"] = cfg["train"]["seed"] = 7
+        assert json.dumps(load_run_config(None, seed_override=7), sort_keys=True) \
+            == json.dumps(cfg, sort_keys=True)
 
     def test_seed_flows_into_net_and_train(self, tmp_path):
         cfg = load_run_config(None, seed_override=5)
@@ -845,6 +874,10 @@ def _exit_code(argv):
             ["generate", "--config", "{test_split_fails}", "--out", "{out}"],
             "scene 0: no background box got IoU < 0.3",
         ),
+        (
+            ["generate", "--config", "{features_overflow}", "--out", "{out}"],
+            "drew features that are not finite (noise_sigma 1.7e+308)",
+        ),
     ],
     ids=[
         "bins-not-integers", "bins-empty", "bins-below-2", "predict-split",
@@ -869,7 +902,7 @@ def _exit_code(argv):
         "det-not-utf8", "checkpoint-not-utf8", "gt-degenerate-box", "det-degenerate-box",
         "data-degenerate-box", "manifest-n-gt-off-by-one", "manifest-spec-feature-dims",
         "manifest-feature-dim", "manifest-nested-deep", "config-nested-deep",
-        "generate-rename-fails", "generate-test-split-fails",
+        "generate-rename-fails", "generate-test-split-fails", "generate-features-overflow",
     ],
 )
 def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_path, capsys):
@@ -941,6 +974,9 @@ def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_p
         "test_split_fails": _write_yaml(tmp_path / "t.yaml", {"dataset": {
             "n_train_scenes": 0, "n_test_scenes": 1, "gt_size_range": [0.9, 0.95],
             "backgrounds_per_scene": 2,
+        }}),
+        "features_overflow": _write_yaml(tmp_path / "f.yaml", {"seed": 0, "dataset": {
+            "n_train_scenes": 6, "n_test_scenes": 3, "feature_dim": 4, "noise_sigma": 1.7e308,
         }}),
         **broken,
         "out": tmp_path / "out.txt",
@@ -1099,3 +1135,151 @@ class TestPipeline:
         for azimuth in dets.azimuths[:50].tolist():
             ratio = azimuth / step
             assert abs(ratio - round(ratio)) < 1e-9
+
+
+# The run config's keys, by section, and a class entry's fields.
+CONFIG_SECTIONS = {
+    "dataset": ("feature_dim", "noise_sigma", "n_train_scenes", "n_test_scenes",
+                "objects_per_scene", "proposals_per_gt", "backgrounds_per_scene", "jitter",
+                "gt_size_range", "features_binary", "classes"),
+    "net": ("trunk_widths", "head", "n_bins", "n_dims", "split_depth", "seed"),
+    "train": ("lr", "momentum", "weight_decay", "batch_size", "positive_fraction",
+              "total_iters", "decay_at", "lr_decay_factor", "flip_augment", "log_every", "seed",
+              "checkpoint_every"),
+    "loss": ("kind", "sigma", "lam", "delta"),
+    "predict": ("score_floor", "split"),
+    "eval": ("bins", "iou", "rule"),
+}
+CONFIG_TOP_KEYS = ("seed", "out_dir", "data", *CONFIG_SECTIONS)
+CLASS_ENTRY_KEYS = ("class_id", "seed", "feature_dim", "n_harmonics", "symmetry_order",
+                    "noise_sigma")
+# the command that reads each top-level key and its section (None: none does)
+CONFIG_COMMANDS = {"seed": "generate", "out_dir": "generate", "data": "train",
+                   "dataset": "generate", "net": "train", "train": "train", "loss": "train",
+                   "predict": "predict", "eval": None}
+CONFIG_MUTATIONS = ("wrong-type", "bool", "fraction", "nan", "inf", "-inf", "null", "empty",
+                    "other-length", "negative", "zero", "removed")
+_CONFIG_REMOVED = object()
+_CONFIG_DEEP = "@@deep@@"
+
+
+def _config_key_paths():
+    for key in CONFIG_TOP_KEYS:
+        yield (key,)
+    for section, keys in CONFIG_SECTIONS.items():
+        for key in keys:
+            yield (section, key)
+    for key in CLASS_ENTRY_KEYS:
+        yield ("dataset", "classes", 0, key)
+
+
+# A list nested 10,000 deep is refused by the YAML loader before any key
+# is read, so one case, at the deepest key, stands for every key: PyYAML
+# scans such a list in time quadratic in its depth, 1.6 s a case.
+CONFIG_CONTRACT = {
+    ".".join(map(str, path)) + "-" + name: (path, name)
+    for path in _config_key_paths() for name in CONFIG_MUTATIONS
+} | {"dataset.classes.0.class_id-deep": (("dataset", "classes", 0, "class_id"), "deep")}
+
+
+def _config_mutation(value, name):
+    """The value a mutation puts in place of ``value``.  Sizes stay small:
+    a huge scene count, iteration count or width would run without bound."""
+    if name == "other-length":
+        return value + value[-1:] if isinstance(value, list) and value else [1, 2]
+    return {
+        "wrong-type": 7 if isinstance(value, str) else "7", "bool": True, "fraction": 1.5,
+        "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "null": None, "empty": [],
+        "deep": _CONFIG_DEEP, "negative": -1, "zero": 0, "removed": _CONFIG_REMOVED,
+    }[name]
+
+
+def _mutated_config(base, path, name):
+    """YAML text of ``base`` with the mutation ``name`` at ``path``."""
+    doc = json.loads(json.dumps(base))
+    *parents, key = path
+    owner = doc
+    for p in parents:
+        owner = owner[p]
+    value = _config_mutation(owner[key], name)
+    if value is _CONFIG_REMOVED:
+        del owner[key]
+    else:
+        owner[key] = value
+    deep = "[" * 10_000 + "]" * 10_000
+    return yaml.safe_dump(doc).replace(f"'{_CONFIG_DEEP}'", deep)
+
+
+@pytest.fixture(scope="module")
+def contract_config(tmp_path_factory):
+    """A small run config that generates, trains and predicts, holding every
+    key; the directory the cases write to, and the config's benchmark and
+    checkpoint, which the mutated configs read."""
+    root = tmp_path_factory.mktemp("config_contract")
+    base = json.loads(json.dumps(load_run_config(None)))
+    base["dataset"].update(feature_dim=4, n_train_scenes=6, n_test_scenes=3, classes=[
+        {"class_id": 1, "seed": 0, "feature_dim": 4, "n_harmonics": 3, "symmetry_order": 1,
+         "noise_sigma": 0.25},
+        {"class_id": 2},
+    ])
+    base["net"]["trunk_widths"] = [4]
+    base["train"].update(total_iters=5, positive_fraction=1.0, batch_size=8, decay_at=[3])
+    cfg = root / "base.yaml"
+    cfg.write_text(yaml.safe_dump(base))
+    assert entry(["generate", "--config", str(cfg), "--out", str(root / "bench")]) == 0
+    base["data"] = str(root / "bench" / "manifest.json")
+    cfg.write_text(yaml.safe_dump(base))
+    assert entry(["train", "--config", str(cfg), "--out", str(root / "run")]) == 0
+    return root, base, root / "run" / "checkpoint.txt"
+
+
+class TestConfigContract:
+    """Every key of the run config, and every field of a class entry,
+    mutated: ``load_run_config`` raises a ConfigError that names the key
+    (the file, for a value nested past the YAML loader's depth), or loads,
+    and then the command that reads the key's section exits 0, 2 or 3
+    with no traceback."""
+
+    def test_table_covers_every_key(self):
+        cfg = load_run_config(None)
+        assert tuple(cfg) == CONFIG_TOP_KEYS
+        assert {s: set(v) for s, v in cfg.items() if isinstance(v, dict)} == {
+            s: set(keys) for s, keys in CONFIG_SECTIONS.items()
+        }
+        assert tuple(f.name for f in dataclasses.fields(ClassSpec)) == CLASS_ENTRY_KEYS
+        assert set(CONFIG_COMMANDS) == set(CONFIG_TOP_KEYS)
+        assert len(CONFIG_CONTRACT) == (9 + 38 + 6) * len(CONFIG_MUTATIONS) + 1
+
+    @pytest.mark.parametrize("case", list(CONFIG_CONTRACT))
+    def test_mutated(self, case, contract_config, capsys):
+        root, base, ckpt = contract_config
+        path, name = CONFIG_CONTRACT[case]
+        out = root / case
+        cfg = root / f"{case}.yaml"
+        cfg.write_text(_mutated_config({**base, "out_dir": str(out)}, path, name))
+        key = ".".join(str(p) for p in path if p != 0)  # dataset.classes.<field> for an entry
+        try:
+            load_run_config(str(cfg))
+        except ConfigError as e:
+            message = str(e)
+            if name == "deep":
+                assert message.startswith(f"{cfg}: invalid YAML"), message
+            elif key == "dataset.classes.class_id":  # or the roster's ids, as a whole
+                assert "dataset.classes" in message, message
+            else:
+                assert key in message, message
+            return
+        command = CONFIG_COMMANDS[path[0]]
+        if command is None:
+            return
+        argv = {
+            "generate": ["generate"],
+            "train": ["train"],
+            "predict": ["predict", str(ckpt), base["data"], "--out", f"{out}.txt"],
+        }[command]
+        code = entry([*argv, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: "), err

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -1422,8 +1423,8 @@ class TestManifestContract:
         assert code == 0, err
         assert (tmp_path / "run" / "checkpoint.txt").exists()
 
-    # Sizes the reader takes on trust: the first allocation they size is
-    # larger than memory.  Not run; each ends in MemoryError and exit 1.
+    # Sizes whose first allocation would be larger than memory: the class
+    # spec bound refuses them before anything is sized by them.
     @pytest.mark.parametrize("case, owners", [
         pytest.param("n_harmonics-10**9",
                      lambda doc: [(doc["class_specs"][0], "n_harmonics", 10**9)],
@@ -1432,7 +1433,6 @@ class TestManifestContract:
                      lambda doc: [(d, "feature_dim", 10**12) for d in (doc, *doc["class_specs"])],
                      id="feature_dim-10**12"),
     ])
-    @pytest.mark.xfail(strict=True, run=False, reason="allocates before checking its size")
     def test_huge_sizes_exit_2(self, case, owners, contract_bench, tmp_path, capsys):
         manifest, doc = contract_bench
         doc = json.loads(json.dumps(doc))
@@ -1443,3 +1443,26 @@ class TestManifestContract:
         code, err = _train_with(mutated, tmp_path, capsys)
         assert code == 2
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["inline", "sidecar"])
+    def test_wide_rows_are_sized_by_the_files(self, binary, tmp_path):
+        """A feature_dim under the class spec bound, with a row count that no
+        file holds: the feature table is sized by the rows of a sidecar of
+        its width or by the bytes of the data file, not by the count."""
+        specs = default_class_specs(0, feature_dim=4)
+        manifest = write_benchmark(tmp_path, generate(1, 6, specs, split="train"),
+                                   generate(2, 3, specs, split="test"), features_binary=binary)
+        doc = json.loads(manifest.read_text())
+        for owner in (doc, *doc["class_specs"]):
+            owner["feature_dim"] = 2**18
+        for entry in doc["splits"].values():
+            entry["n_proposals"] = 10**9
+        manifest.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                read_benchmark(manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21  # one row of the table would take 2**21 bytes

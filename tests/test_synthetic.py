@@ -19,6 +19,7 @@ from viewbench.angles import TWO_PI, azimuth_to_bin
 from viewbench.errors import GenerationError, InvalidParameter
 from viewbench.metrics import Box, Detection, evaluate, iou
 from viewbench.synthetic import (
+    MAX_COEFFICIENTS,
     ClassSpec,
     _jittered_box,
     _random_box,
@@ -121,6 +122,26 @@ class TestAppearance:
         spec = ClassSpec(class_id=1, seed=0, feature_dim=2, n_harmonics=1,
                          symmetry_order=2**63 - 1, noise_sigma=0.0)
         assert appearance_clean(spec, 0.0).shape == (2,)
+
+    @pytest.mark.parametrize("n_harmonics, feature_dim", [
+        (10**9, 4), (3, 10**12), (1, 2**20 + 1), (2**10 + 1, 2**10),
+    ])
+    def test_coefficient_count_past_the_bound_refused(self, n_harmonics, feature_dim):
+        """A spec sizes its coefficient matrices and feature rows by
+        n_harmonics * feature_dim: past the bound it is refused before
+        anything is allocated (10**9 harmonics would ask for 29.8 GiB)."""
+        with pytest.raises(
+            InvalidParameter,
+            match=rf"^n_harmonics \* feature_dim must be <= 1048576, got "
+                  rf"{n_harmonics} \* {feature_dim}$",
+        ):
+            ClassSpec(class_id=1, seed=0, feature_dim=feature_dim, n_harmonics=n_harmonics)
+
+    def test_largest_coefficient_count_passes(self):
+        assert MAX_COEFFICIENTS == 2**20
+        for n_harmonics, feature_dim in ((1, 2**20), (2**10, 2**10), (2**20, 1)):
+            spec = ClassSpec(class_id=1, seed=0, feature_dim=feature_dim, n_harmonics=n_harmonics)
+            assert spec.n_harmonics * spec.feature_dim == MAX_COEFFICIENTS
 
 
 class TestGenerate:
@@ -229,6 +250,19 @@ class TestGenerate:
             generate(0, 1, _specs(), split="val")
         with pytest.raises(InvalidParameter):
             generate(0, 1, _specs(), objects_per_scene=(3, 1))
+
+    def test_non_finite_features_refused(self):
+        """Noise that overflows a feature is refused where generate draws
+        it; finite features whose sum overflows are kept."""
+        with np.errstate(over="ignore"):
+            ds = generate(0, 3, _specs(noise_sigma=5e307, feature_dim=4))
+            assert np.isfinite(ds.features()).all() and not np.isfinite(ds.features().sum())
+            with pytest.raises(
+                GenerationError,
+                match=r"^scene 0: class 2 drew features that are not finite "
+                      r"\(noise_sigma 1\.7e\+308\)$",
+            ):
+                generate(0, 3, _specs(noise_sigma=1.7e308, feature_dim=4))
 
     @pytest.mark.parametrize("ids", [[1, 5], [2], [2, 3], [1, 1], [2, 1]])
     def test_class_ids_must_be_1_to_n(self, ids):
