@@ -5,7 +5,8 @@ default's type are rejected, and the effective config is echoed into
 every artifact for provenance), write through atomic renames, and exit 0
 on success, 2 on input or config errors, 3 on numerical failures
 (training divergence, gradient check over tolerance).  Equal inputs and
-seeds give byte-identical outputs.
+seeds give byte-identical outputs.  On glibc, a command run through
+``entry`` hands the heap memory it freed back to the OS as it returns.
 
 A config section takes its defaults from the parameters that have one in
 what it configures: ``net`` from NetConfig, ``train`` from TrainConfig,
@@ -17,6 +18,7 @@ and ``synthetic.generate``.  The config adds only its own keys (see
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import inspect
 import json
@@ -55,6 +57,9 @@ from .synthetic import (
     default_class_specs,
     generate,
 )
+
+# glibc's malloc_trim, which hands free heap pages back to the OS (see entry).
+_MALLOC_TRIM = None if sys.platform == "win32" else getattr(ctypes.CDLL(None), "malloc_trim", None)
 
 # A class entry's keys, each with a value of the type its field takes.
 _CLASS_KEYS = {f.name: {"int": 0, "float": 0.0}[f.type] for f in dataclasses.fields(ClassSpec)}
@@ -205,10 +210,9 @@ def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
     cfg = _merge(_DEFAULTS, user)
     if seed_override is not None:
         cfg["seed"] = seed_override
-    if cfg["net"]["seed"] is None:
-        cfg["net"]["seed"] = cfg["seed"]
-    if cfg["train"]["seed"] is None:
-        cfg["train"]["seed"] = cfg["seed"]
+    for section in ("net", "train"):
+        if cfg[section]["seed"] is None:
+            cfg[section]["seed"] = cfg["seed"]
     for key, value in (("seed", cfg["seed"]), ("net.seed", cfg["net"]["seed"]),
                        ("train.seed", cfg["train"]["seed"]),
                        ("train.checkpoint_every", cfg["train"]["checkpoint_every"])):
@@ -262,16 +266,12 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _require_data(cfg: dict) -> Path:
-    if not cfg["data"]:
-        raise ConfigError("config needs 'data': path to a benchmark manifest")
-    return Path(cfg["data"])
-
-
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     out = _out_dir(args, cfg)
-    train_ds, _, _ = read_benchmark(_require_data(cfg), split="train")
+    if not cfg["data"]:
+        raise ConfigError("config needs 'data': path to a benchmark manifest")
+    train_ds, _, _ = read_benchmark(Path(cfg["data"]), split="train")
     net_cfg = NetConfig(input_dim=train_ds.feature_dim, n_classes=train_ds.n_classes, **cfg["net"])
     tdict = dict(cfg["train"])
     every = tdict.pop("checkpoint_every")
@@ -466,6 +466,12 @@ def entry(argv=None) -> int:
     except (ViewbenchError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        # glibc holds back part of the heap a command freed, an amount that
+        # follows the address-space layout, and a later command run through
+        # entry in the same process would peak on top of it.
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(ctypes.c_size_t(0))
 
 
 if __name__ == "__main__":

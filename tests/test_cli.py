@@ -10,6 +10,7 @@ import dataclasses
 import importlib
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 
@@ -1095,6 +1096,26 @@ class TestGradcheck:
     def test_other_seed_same_verdict(self, capsys):
         assert entry(["gradcheck", "--seed", "3"]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+
+def test_every_command_releases_freed_memory(monkeypatch, tmp_path, capsys):
+    from viewbench import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "_MALLOC_TRIM", lambda pad: calls.append(pad.value))
+    assert entry(["codec", "0", "3d"]) == 0
+    assert entry(["gradcheck", "--seed", "0", "--corrupt"]) == 3
+    assert entry(["train", "--config", str(tmp_path / "missing.yaml")]) == 2
+    assert calls == [0, 0, 0]
+    capsys.readouterr()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+def test_malloc_trim_found_on_glibc():
+    from viewbench import cli
+
+    assert cli._MALLOC_TRIM is not None
+    assert cli._MALLOC_TRIM(cli.ctypes.c_size_t(0)) in (0, 1)
 
 
 class TestPipeline:
