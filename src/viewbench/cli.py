@@ -180,7 +180,9 @@ def _merge(defaults: dict, user: dict) -> dict:
 def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
     """Effective run config: YAML document over defaults, unknown keys
     rejected.  ``--seed`` overrides the top-level seed, which in turn
-    fills any net/train seeds left null."""
+    fills any net/train seeds left null.  Seeds, ``train.checkpoint_every``
+    and the loss knobs are checked against their bounds here, so every
+    command refuses them before it reads any data."""
     user: dict = {}
     if path is not None:
         try:
@@ -215,9 +217,13 @@ def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
             cfg[section]["seed"] = cfg["seed"]
     for key, value in (("seed", cfg["seed"]), ("net.seed", cfg["net"]["seed"]),
                        ("train.seed", cfg["train"]["seed"]),
-                       ("train.checkpoint_every", cfg["train"]["checkpoint_every"])):
+                       ("train.checkpoint_every", cfg["train"]["checkpoint_every"]),
+                       ("loss.lam", cfg["loss"]["lam"])):
         if value < 0:
             raise ConfigError(f"config key {key} must be >= 0, got {value}")
+    for key, value in (("loss.delta", cfg["loss"]["delta"]), ("loss.sigma", cfg["loss"]["sigma"])):
+        if value is not None and value <= 0:  # a null sigma picks the geometric loss's default
+            raise ConfigError(f"config key {key} must be > 0, got {value}")
     split = cfg["predict"]["split"]
     if split not in ("train", "test"):
         raise ConfigError(f"predict.split must be 'train' or 'test', got {split!r}")

@@ -17,21 +17,24 @@ Three reproducible effects are exercised on the synthetic benchmark:
    committing to one.
 
 Every arm is one row of ``_ARMS`` (seed offset, loss, net fields; the
-head is the one ``net.LOSS_HEADS`` gives the loss) and trains through
-``train_arm``; both protocols use the same arms and differ only in the
-training config function each passes (``_compare_tcfg``,
-``_probe_tcfg``).  Every arm is read through ``net.predict``'s one score
-and azimuth per (proposal, class) hypothesis.  Every arm is seeded; the
-same seed reproduces every number bitwise.  The detector is a two-branch
-net trained with the joint regression loss at lambda = 0, which reduces
-it to a pure proposal classifier; the same detector (per seed) serves
-every pose arm so ordering differences come from the pose heads alone.
+head is the one ``net.LOSS_HEADS`` gives the loss), and ``train_arms``
+trains the arms a protocol asks for under one ``TrainConfig`` and one
+rule: each arm takes its own seed, and a pose-only arm, whose loss has
+no background term, draws only the foreground rows of that batch.
+``arm_predictions`` gives every arm's ``net.Prediction`` (one score and
+azimuth per (proposal, class) hypothesis) on a benchmark's test split,
+and the formulation comparison is a pairing over it; the symmetry probe
+post-processes the nets it trains.  Every arm is seeded; the same seed
+reproduces every number bitwise.  The detector is a two-branch net
+trained with the joint regression loss at lambda = 0, which reduces it
+to a pure proposal classifier; the same detector (per seed) serves every
+pose arm so ordering differences come from the pose heads alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -71,36 +74,37 @@ def _derived_seed(seed: int, offset: int) -> int:
     return int(np.random.SeedSequence([seed, offset]).generate_state(1)[0])
 
 
-def train_arm(
-    train_ds: Dataset, pool: Pool, arm: str, seed: int, iters: int, width: int,
-    tcfg: Callable[[str, int, int], TrainConfig],
-) -> tuple[NetConfig, ModelParams]:
-    """Train one arm of ``_ARMS`` on ``pool``, which is
-    ``build_pool(train_ds)``: a net with one trunk layer of ``width``,
-    seeded from ``seed`` and the arm's offset, trained under
-    ``tcfg(loss kind, arm_seed, iters)``.  Returns the net and its
-    parameters."""
-    offset, loss, extra = _ARMS[arm]
-    s = _derived_seed(seed, offset)
-    cfg = NetConfig(
-        input_dim=train_ds.feature_dim, trunk_widths=(width,), head=LOSS_HEADS[loss.kind],
-        n_classes=train_ds.n_classes, n_bins=N_BINS, seed=s, **extra,
-    )
-    return cfg, train(pool, cfg, tcfg(loss.kind, s, iters), loss).params
-
-
-def _compare_tcfg(kind: str, seed: int, iters: int) -> TrainConfig:
-    if kind not in POSE_ONLY_LOSSES:
-        return TrainConfig(total_iters=iters, seed=seed)
-    # pose-only losses take no background rows; they see the same number
-    # of foreground samples per iteration as the joint arms at batch 128
-    # with a quarter positives
-    return TrainConfig(batch_size=32, positive_fraction=1.0, total_iters=iters, seed=seed)
+def train_arms(
+    train_ds: Dataset, pool: Pool, arms, seed: int, width: int, tcfg: TrainConfig
+) -> dict[str, tuple[ModelParams, NetConfig]]:
+    """Train each arm of ``_ARMS`` named in ``arms`` once, in order, on
+    ``pool``, which is ``build_pool(train_ds)``: a net with one trunk
+    layer of ``width``, seeded from ``seed`` and the arm's offset, trained
+    under ``tcfg`` with that seed.  A pose-only arm takes no background
+    rows, so it trains on the foreground rows of ``tcfg``'s batch alone.
+    Returns each arm's parameters and net, as ``predict`` takes them."""
+    nets = {}
+    for arm in arms:
+        offset, loss, extra = _ARMS[arm]
+        s = _derived_seed(seed, offset)
+        cfg = NetConfig(
+            input_dim=train_ds.feature_dim, trunk_widths=(width,), head=LOSS_HEADS[loss.kind],
+            n_classes=train_ds.n_classes, n_bins=N_BINS, seed=s, **extra,
+        )
+        arm_tcfg = replace(tcfg, seed=s)
+        if loss.kind in POSE_ONLY_LOSSES:
+            # no background term: the arm sees as many foreground rows per
+            # iteration as a joint arm sees in a batch of ``tcfg``
+            n_fg = math.ceil(tcfg.positive_fraction * tcfg.batch_size)
+            arm_tcfg = replace(arm_tcfg, batch_size=n_fg, positive_fraction=1.0)
+        nets[arm] = train(pool, cfg, arm_tcfg, loss).params, cfg
+    return nets
 
 
 def pose_angles(pred: Prediction) -> tuple[np.ndarray, np.ndarray]:
     """Detection scores and azimuths, both (B, n_classes), of ``predict()``:
-    one (score, azimuth) per class hypothesis."""
+    one (score, azimuth) per class hypothesis, as ``viewbench predict``
+    composes them."""
     return pred.scores, pred.azimuths
 
 
@@ -139,25 +143,30 @@ class ComparisonResult:
     joint_cls: float
 
 
-def compare_formulations(seed: int, iters: int = 3000, width: int = 64) -> ComparisonResult:
-    """Train all arms on one seeded benchmark and score them on its test
-    split.  The three pose arms share the detector's proposal ordering;
-    the joint arm supplies its own scores (that coupling is the point).
-    All arms train on one pool of the training split."""
+def arm_predictions(
+    seed: int, iters: int = 3000, width: int = 64
+) -> tuple[Dataset, dict[str, Prediction]]:
+    """Train every arm of ``_ARMS`` under ``TrainConfig(total_iters=iters)``
+    on one pool of the training split of ``default_benchmark(seed)``, and
+    predict its test split.  Returns the test split and each arm's
+    prediction."""
     train_ds, test_ds = default_benchmark(seed)
-    pool = build_pool(train_ds)
+    tcfg = TrainConfig(total_iters=iters)
+    nets = train_arms(train_ds, build_pool(train_ds), _ARMS, seed, width, tcfg)
     feats = test_ds.features()
+    return test_ds, {arm: predict(*net, feats) for arm, net in nets.items()}
 
-    def scored(arm: str) -> tuple[np.ndarray, np.ndarray]:
-        cfg, params = train_arm(train_ds, pool, arm, seed, iters, width, _compare_tcfg)
-        return pose_angles(predict(params, cfg, feats))
 
-    scores, _ = scored("detector")
+def compare_formulations(seed: int, iters: int = 3000, width: int = 64) -> ComparisonResult:
+    """mAVP24 of every arm of ``arm_predictions(seed, iters, width)`` on
+    the test split.  The pose-only arms take the detector's scores, so
+    they share its proposal ordering; the joint arm supplies its own
+    scores (that coupling is the point)."""
+    test_ds, preds = arm_predictions(seed, iters, width)
     values = {}
-    for arm in ("reg2d", "reg3d", "cls"):
-        _, angles = scored(arm)
-        values[arm] = mavp24(test_ds, compose_detections(test_ds, scores, angles))
-    values["joint_cls"] = mavp24(test_ds, compose_detections(test_ds, *scored("joint_cls")))
+    for arm in (f.name for f in fields(ComparisonResult)):
+        scores = preds["detector" if _ARMS[arm][1].kind in POSE_ONLY_LOSSES else arm].scores
+        values[arm] = mavp24(test_ds, compose_detections(test_ds, scores, preds[arm].azimuths))
     return ComparisonResult(**values)
 
 
@@ -180,20 +189,6 @@ class SymmetryProbeResult:
 def _ambiguous_dataset(seed: int, noise_sigma: float, n_scenes: int) -> Dataset:
     spec = ClassSpec(class_id=1, seed=seed, symmetry_order=2, noise_sigma=noise_sigma)
     return generate(_derived_seed(seed, 21), n_scenes, (spec,), split="train")
-
-
-def _probe_tcfg(kind: str, seed: int, iters: int) -> TrainConfig:
-    # near-full batches, no decay or flips: the probe wants the cleanest
-    # possible fit of each ambiguous feature, free of protocol noise
-    return TrainConfig(
-        batch_size=128,
-        positive_fraction=1.0,
-        total_iters=iters,
-        decay_at=(iters // 2,),
-        weight_decay=0.0,
-        flip_augment=False,
-        seed=seed,
-    )
 
 
 def symmetry_probe(
@@ -223,17 +218,21 @@ def symmetry_probe(
     true_bins = pool.labels.bins(N_BINS)[: len(feats)]
     pair_bins = (true_bins - 1 + N_BINS // 2) % N_BINS + 1
 
+    # near-full batches, no decay or flips: the probe wants the cleanest
+    # possible fit of each ambiguous feature, free of protocol noise
+    tcfg = TrainConfig(positive_fraction=1.0, total_iters=iters, decay_at=(iters // 2,),
+                       weight_decay=0.0, flip_augment=False)
+    nets = train_arms(train_ds, pool, ("reg3d", "reg2d", "cls"), seed, width, tcfg)
+
     accuracy = {}
     for arm in ("reg3d", "reg2d"):
-        cfg, params = train_arm(train_ds, pool, arm, seed, iters, width, _probe_tcfg)
-        pred_bins = azimuth_to_bin(predict(params, cfg, feats).azimuths[:, 0], N_BINS)
+        pred_bins = azimuth_to_bin(predict(*nets[arm], feats).azimuths[:, 0], N_BINS)
         # paired query: the feature is asked for both azimuths, one answer
         # serves both, so each pair hit counts once out of two questions
         hits = (pred_bins == true_bins) | (pred_bins == pair_bins)
         accuracy[arm] = float(np.mean(hits)) / 2.0
 
-    cfg, params = train_arm(train_ds, pool, "cls", seed, iters, width, _probe_tcfg)
-    probs = softmax(forward(params, cfg, feats)[:, 0, :])
+    probs = softmax(forward(*nets["cls"], feats)[:, 0, :])
     rows = np.arange(len(true_bins))
     pair_mass = float(np.mean(probs[rows, true_bins - 1] + probs[rows, pair_bins - 1]))
     return SymmetryProbeResult(accuracy["reg3d"], accuracy["reg2d"], pair_mass)

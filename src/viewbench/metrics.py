@@ -195,10 +195,6 @@ class PRCurve:
     precisions: np.ndarray
     ap: float
 
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.recalls.tolist(), self.precisions.tolist()))
-
 
 def pr_curve(flags: Sequence[bool], n_gt: int, rule: str = "allpoints") -> PRCurve:
     """Precision-recall curve over an ordered true/false-positive sequence.

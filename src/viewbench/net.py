@@ -92,6 +92,13 @@ LOSS_HEADS = {
 
 POSE_ONLY_LOSSES = ("regression", "classification", "geometric")
 
+# The most parameters (weights and biases) a net's layer plan may hold.
+# A net read from a config or a checkpoint header sizes its parameter,
+# momentum and gradient vectors by it, so an unchecked one could ask for
+# any amount of memory.  The nets of the tests, demos, README and
+# benchmark hold about 160,000 at most.
+MAX_PARAMETERS = 2**24
+
 
 @dataclass(frozen=True)
 class NetConfig:
@@ -126,6 +133,10 @@ class NetConfig:
             raise InvalidConfig(
                 f"split_depth must be in [0, {len(self.trunk_widths)}], got {self.split_depth}"
             )
+        n = sum((fan_in + 1) * fan_out for _, fan_in, fan_out in layer_plan(self))
+        if n > MAX_PARAMETERS:
+            raise InvalidConfig(f"trunk_widths {list(self.trunk_widths)} and n_bins {self.n_bins} "
+                                f"give {n} parameters; a net holds at most {MAX_PARAMETERS}")
 
 
 @dataclass(frozen=True)

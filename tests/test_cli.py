@@ -540,6 +540,7 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
     for name, old, new in (
         ("ckpt_renamed", "layer head ", "layer heed "),
         ("ckpt_widths", '"trunk_widths": [16]', '"trunk_widths": [17]'),
+        ("ckpt_huge", '"trunk_widths": [16]', '"trunk_widths": [1000000000]'),
     ):
         assert old in text
         out[name] = root / f"{name}.txt"
@@ -879,6 +880,20 @@ def _exit_code(argv):
             ["generate", "--config", "{features_overflow}", "--out", "{out}"],
             "drew features that are not finite (noise_sigma 1.7e+308)",
         ),
+        (
+            ["train", "--config", "{loss_delta}", "--out", "{out}"],
+            "config key loss.delta must be > 0, got -1",
+        ),
+        (
+            ["train", "--config", "{widths_huge}", "--out", "{out}"],
+            "trunk_widths [1000000000] and n_bins 24 give 57000000048 parameters; "
+            "a net holds at most 16777216",
+        ),
+        (
+            ["predict", "{ckpt_huge}", "{manifest}", "--out", "{out}"],
+            "ckpt_huge.txt:2: bad net config in the checkpoint header: trunk_widths [1000000000] "
+            "and n_bins 24 give",
+        ),
     ],
     ids=[
         "bins-not-integers", "bins-empty", "bins-below-2", "predict-split",
@@ -904,6 +919,8 @@ def _exit_code(argv):
         "data-degenerate-box", "manifest-n-gt-off-by-one", "manifest-spec-feature-dims",
         "manifest-feature-dim", "manifest-nested-deep", "config-nested-deep",
         "generate-rename-fails", "generate-test-split-fails", "generate-features-overflow",
+        "loss-delta-negative", "net-past-parameter-ceiling",
+        "checkpoint-net-past-parameter-ceiling",
     ],
 )
 def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_path, capsys):
@@ -953,6 +970,10 @@ def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_p
                 ("decay", {"train": {"weight_decay": float("nan")}}),
                 ("train_seed", {"train": {"seed": -3}}),
                 ("checkpoint_every", {"train": {"checkpoint_every": -5}}),
+                ("loss_delta", {
+                    "net": {"head": "reg"}, "loss": {"kind": "regression", "delta": -1},
+                }),
+                ("widths_huge", {"net": {"trunk_widths": [10**9], "head": "cls"}}),
             )
         },
         "top_dim_train": _write_yaml(

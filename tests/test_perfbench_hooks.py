@@ -132,12 +132,13 @@ def test_arm_tags_name_every_arm():
     installer = tracing.Installer()
     tracer = tracing.Tracer("tier1")
     tracer.install(installer, modules)
+    tcfg = modules["net"].TrainConfig(total_iters=1)
     try:
-        for arm in experiments._ARMS:
-            cfg, _ = experiments.train_arm(ds, pool, arm, 0, 1, 6, experiments._compare_tcfg)
-            assert tracing._arm((None, cfg), {}) == arm
+        nets = experiments.train_arms(ds, pool, experiments._ARMS, 0, 6, tcfg)
     finally:
         installer.restore()
+    for arm, (_, cfg) in nets.items():
+        assert tracing._arm((None, cfg), {}) == arm
     tags = [tag for name, *_, tag in tracer.spans if name == "net.train"]
     assert tags == list(experiments._ARMS)
 
