@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from viewbench import (
-    AmbiguousDecode,
+from viewbench.angles import (
     azimuth_to_bin,
     bin_center,
     canonicalize,
@@ -21,6 +20,7 @@ from viewbench import (
     encode,
     flip_azimuth,
 )
+from viewbench.errors import AmbiguousDecode
 
 print("== canonical angles ==")
 for theta in (0.0, -0.1, 7.0, 2 * math.pi):

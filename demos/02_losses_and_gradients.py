@@ -12,20 +12,20 @@ import math
 
 import numpy as np
 
-from viewbench import (
+from viewbench.angles import encode
+from viewbench.gradcheck import check_loss, loss_gradient_suite
+from viewbench.losses import (
     JointClsOutputs,
     JointRegOutputs,
     Target,
     classification_loss,
     default_geometric_sigma,
-    encode,
     geometric_classification_loss,
     joint_classification_loss,
     joint_detection_scores,
     joint_regression_loss,
     regression_loss,
 )
-from viewbench.gradcheck import check_loss, loss_gradient_suite
 
 N_CLASSES, N_BINS, DIM = 2, 8, 3
 rng = np.random.default_rng(0)

@@ -8,7 +8,7 @@ AVP <= AP always, and the gap measures how much pose quality costs.
 
 import math
 
-from viewbench import Box, Detection, GroundTruth, evaluate, iou, pr_curve
+from viewbench.metrics import AVP_BINS, Box, Detection, GroundTruth, evaluate, iou, pr_curve
 
 print("== box overlap ==")
 a = Box(0.0, 0.0, 1.0, 1.0)
@@ -45,7 +45,7 @@ print(f"eleven-point AP = {curve11.ap:.6f}")
 print()
 print("== replaying the ground truth is a fixed point ==")
 replay = [Detection(g.image_id, g.class_id, g.box, 1.0, g.azimuth) for g in gts]
-report = evaluate(gts, replay, bins=(4, 8, 16, 24))
+report = evaluate(gts, replay, bins=AVP_BINS)
 m = report.per_class[1]
 print("AP:", m.ap, " AVP:", {k: v for k, v in sorted(m.avp.items())})
 

@@ -44,6 +44,7 @@ from .records import (
     parse_ground_truths,
     read_benchmark,
     read_lines,
+    read_manifest,
     read_text,
     save_checkpoint,
     write_benchmark,
@@ -182,33 +183,43 @@ def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
     rejected.  ``--seed`` overrides the top-level seed, which in turn
     fills any net/train seeds left null.  Seeds, ``train.checkpoint_every``
     and the loss knobs are checked against their bounds here, so every
-    command refuses them before it reads any data."""
-    user: dict = {}
-    if path is not None:
-        try:
-            user = yaml.safe_load(read_text(path))
-        except (yaml.YAMLError, RecursionError) as e:  # RecursionError: deep nesting
-            raise ConfigError(f"{path}: invalid YAML: {e}") from None
-        except FormatError as e:
-            raise ConfigError(str(e)) from None
-        if user is None:
-            user = {}
-        if not isinstance(user, dict):
-            raise ConfigError(f"{path}: config must be a mapping at the top level")
-        _check_keys(user, _DEFAULTS)
-        classes = (user.get("dataset") or {}).get("classes") or []
-        for entry in classes:
-            if not isinstance(entry, dict):
-                raise ConfigError("dataset.classes entries must be mappings")
-            unknown = set(entry) - set(_CLASS_KEYS)
-            if unknown:
-                raise ConfigError(f"unknown class spec key: {sorted(unknown)[0]}")
-            for key, value in entry.items():
-                _check_value(f"dataset.classes.{key}", value, _CLASS_KEYS[key])
-        ids = [entry.get("class_id") for entry in classes]
-        if None in ids:
-            raise ConfigError("every dataset.classes entry needs a class_id")
-        check_class_ids(ids, "dataset.classes", ConfigError)
+    command refuses them before it reads any data.  An error in the
+    file's config starts with the file's path."""
+    if path is None:
+        return _effective_config({}, seed_override)
+    try:
+        user = yaml.safe_load(read_text(path))
+    except (yaml.YAMLError, RecursionError) as e:  # RecursionError: deep nesting
+        raise ConfigError(f"{path}: invalid YAML: {e}") from None
+    except FormatError as e:  # names the file and the line
+        raise ConfigError(str(e)) from None
+    try:
+        return _effective_config(user, seed_override)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
+def _effective_config(user, seed_override: int | None) -> dict:
+    """The config of a YAML document (None for an empty one) over the
+    defaults; see ``load_run_config``."""
+    if user is None:
+        user = {}
+    if not isinstance(user, dict):
+        raise ConfigError("config must be a mapping at the top level")
+    _check_keys(user, _DEFAULTS)
+    classes = (user.get("dataset") or {}).get("classes") or []
+    for entry in classes:
+        if not isinstance(entry, dict):
+            raise ConfigError("dataset.classes entries must be mappings")
+        unknown = set(entry) - set(_CLASS_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown class spec key: {sorted(unknown)[0]}")
+        for key, value in entry.items():
+            _check_value(f"dataset.classes.{key}", value, _CLASS_KEYS[key])
+    ids = [entry.get("class_id") for entry in classes]
+    if None in ids:
+        raise ConfigError("every dataset.classes entry needs a class_id")
+    check_class_ids(ids, "dataset.classes", ConfigError)
     cfg = _merge(_DEFAULTS, user)
     if seed_override is not None:
         cfg["seed"] = seed_override
@@ -277,8 +288,13 @@ def cmd_train(args) -> int:
     out = _out_dir(args, cfg)
     if not cfg["data"]:
         raise ConfigError("config needs 'data': path to a benchmark manifest")
+    # the net is checked against the manifest's roster before the split is read
+    _, specs = read_manifest(Path(cfg["data"]))
+    try:
+        net_cfg = NetConfig(input_dim=specs[0].feature_dim, n_classes=len(specs), **cfg["net"])
+    except ConfigError as e:
+        raise ConfigError(f"config section net: {e}") from None
     train_ds, _, _ = read_benchmark(Path(cfg["data"]), split="train")
-    net_cfg = NetConfig(input_dim=train_ds.feature_dim, n_classes=train_ds.n_classes, **cfg["net"])
     tdict = dict(cfg["train"])
     every = tdict.pop("checkpoint_every")
     tcfg = TrainConfig(**tdict)
@@ -441,10 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score detections against ground truth")
     p.add_argument("gt", help="ground-truth record file")
     p.add_argument("det", help="detection record file")
-    p.add_argument("--bins", type=_bin_counts, default="4,8,16,24",
+    scoring = _defaults(evaluate)
+    p.add_argument("--bins", type=_bin_counts, default=scoring["bins"],
                    help="comma-separated AVP bin counts")
-    p.add_argument("--iou", type=float, default=0.5, help="IoU match threshold")
-    p.add_argument("--ap-rule", choices=AP_RULES, default="allpoints")
+    p.add_argument("--iou", type=float, default=scoring["iou_threshold"], help="IoU match threshold")
+    p.add_argument("--ap-rule", choices=AP_RULES, default=scoring["rule"])
     p.add_argument("--out", help="write a JSON report here")
     p.set_defaults(func=cmd_eval)
 

@@ -17,10 +17,11 @@ Three reproducible effects are exercised on the synthetic benchmark:
    committing to one.
 
 Every arm is one row of ``_ARMS`` (seed offset, loss, net fields; the
-head is the one ``net.LOSS_HEADS`` gives the loss), and ``train_arms``
-trains the arms a protocol asks for under one ``TrainConfig`` and one
-rule: each arm takes its own seed, and a pose-only arm, whose loss has
-no background term, draws only the foreground rows of that batch.
+head is the one the formulation table ``losses.LOSS_HEADS`` gives the
+loss), and ``train_arms`` trains the arms a protocol asks for under one
+``TrainConfig`` and one rule: each arm takes its own seed, and a
+pose-only arm (``losses.POSE_ONLY_LOSSES``), whose loss has no
+background term, draws only the foreground rows of that batch.
 ``arm_predictions`` gives every arm's ``net.Prediction`` (one score and
 azimuth per (proposal, class) hypothesis) on a benchmark's test split,
 and the formulation comparison is a pairing over it; the symmetry probe
@@ -39,11 +40,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .angles import azimuth_to_bin
-from .losses import LossSpec, softmax
+from .losses import LOSS_HEADS, POSE_ONLY_LOSSES, LossSpec, softmax
 from .metrics import Detections, evaluate
 from .net import (
-    LOSS_HEADS,
-    POSE_ONLY_LOSSES,
     ModelParams,
     NetConfig,
     Pool,
@@ -213,9 +212,8 @@ def symmetry_probe(
     train_ds = _ambiguous_dataset(seed, noise_sigma, n_scenes)
     pool = build_pool(train_ds)
 
-    # the foreground rows: the first rows of the pool's label table
     feats = pool.fg_features
-    true_bins = pool.labels.bins(N_BINS)[: len(feats)]
+    true_bins = azimuth_to_bin(pool.fg_azimuth, N_BINS)
     pair_bins = (true_bins - 1 + N_BINS // 2) % N_BINS + 1
 
     # near-full batches, no decay or flips: the probe wants the cleanest

@@ -50,6 +50,7 @@ import numpy as np
 
 from .angles import TWO_PI
 from .losses import (
+    LOSS_HEADS,
     JointClsOutputs,
     JointRegOutputs,
     Labels,
@@ -381,7 +382,7 @@ def net_gradient_suite(seed: int = 0, corrupt: bool = False) -> list[GradCheckRe
     ]
     results = []
     for loss, overrides in cases:
-        head = nets.LOSS_HEADS[loss.kind]
+        head = LOSS_HEADS[loss.kind]
         cfg = nets.NetConfig(
             input_dim=4,
             trunk_widths=(6,),

@@ -19,6 +19,10 @@ The losses share their parts: one cross-entropy, one Huber part, one
 entry that checks the inputs of the three per-class pose losses, and one
 zero-scatter that builds their gradients.
 
+``LOSS_HEADS`` is the one formulation table: each loss kind with the net
+head kind it trains (``LOSS_KINDS`` are its keys, ``net.HEAD_KINDS`` its
+values), and ``POSE_ONLY_LOSSES`` the kinds with no background term.
+
 Targets come as one :class:`Labels` batch (class ids and azimuths as
 arrays, which is what ``net.make_batch`` produces) or as any sequence of
 per-sample :class:`Target` values.  Each loss turns its input into
@@ -64,13 +68,18 @@ from .errors import (
     LayoutError,
 )
 
-LOSS_KINDS = (
-    "regression",
-    "classification",
-    "geometric",
-    "joint_regression",
-    "joint_classification",
-)
+# The formulation table: each loss kind and the net head kind it trains.
+LOSS_HEADS = {
+    "regression": "reg",
+    "classification": "cls",
+    "geometric": "cls",
+    "joint_regression": "joint_reg",
+    "joint_classification": "joint_cls",
+}
+LOSS_KINDS = tuple(LOSS_HEADS)
+
+# The kinds with no background term, which train on foreground rows alone.
+POSE_ONLY_LOSSES = ("regression", "classification", "geometric")
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,11 @@ import numpy as np
 from .angles import TWO_PI, azimuth_to_bin, canonicalize
 from .errors import InvalidBinning, InvalidParameter
 
+# The AP integration rules, the default first.
 AP_RULES = ("allpoints", "elevenpoint")
+
+# The AVP bin counts reported by default.
+AVP_BINS = (4, 8, 16, 24)
 
 _set = object.__setattr__
 
@@ -196,7 +200,7 @@ class PRCurve:
     ap: float
 
 
-def pr_curve(flags: Sequence[bool], n_gt: int, rule: str = "allpoints") -> PRCurve:
+def pr_curve(flags: Sequence[bool], n_gt: int, rule: str = AP_RULES[0]) -> PRCurve:
     """Precision-recall curve over an ordered true/false-positive sequence.
 
     ``allpoints`` integrates the monotone precision envelope over recall;
@@ -310,9 +314,9 @@ def _class_flags(
 def evaluate(
     gts: Iterable[GroundTruth],
     dets: Detections | Iterable[Detection],
-    bins: Sequence[int] = (4, 8, 16, 24),
+    bins: Sequence[int] = AVP_BINS,
     iou_threshold: float = 0.5,
-    rule: str = "allpoints",
+    rule: str = AP_RULES[0],
 ) -> EvalReport:
     """Per-class AP and AVP-K over ground truths and scored detections.
 

@@ -1,7 +1,9 @@
 """Small fully-connected network trained from scratch on proposal features.
 
 The trunk is a chain of affine+ReLU layers; heads are affine.  Four head
-kinds cover the loss formulations:
+kinds cover the loss formulations; the formulation table
+``losses.LOSS_HEADS`` names the head each loss trains, and ``HEAD_KINDS``
+are its head kinds, in its order:
 
 - ``reg``: per-class pose embeddings, (B, n_classes, n_dims)
 - ``cls``: per-class bin logits, (B, n_classes, n_bins)
@@ -64,6 +66,8 @@ from .errors import (
     check_integers,
 )
 from .losses import (
+    LOSS_HEADS,
+    POSE_ONLY_LOSSES,
     JointClsOutputs,
     JointRegOutputs,
     Labels,
@@ -79,18 +83,8 @@ from .losses import (
 )
 from .synthetic import ClassSpec, Dataset, appearance_clean
 
-HEAD_KINDS = ("reg", "cls", "joint_reg", "joint_cls")
-
-# loss kind -> head kind it trains
-LOSS_HEADS = {
-    "regression": "reg",
-    "classification": "cls",
-    "geometric": "cls",
-    "joint_regression": "joint_reg",
-    "joint_classification": "joint_cls",
-}
-
-POSE_ONLY_LOSSES = ("regression", "classification", "geometric")
+# the head kinds of the formulation table, in its order
+HEAD_KINDS = tuple(dict.fromkeys(LOSS_HEADS.values()))
 
 # The most parameters (weights and biases) a net's layer plan may hold.
 # A net read from a config or a checkpoint header sizes its parameter,

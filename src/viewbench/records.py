@@ -637,16 +637,10 @@ def _read_sidecar(path: Path) -> np.ndarray:
     return features
 
 
-def read_benchmark(
-    manifest_path: str | Path, split: str | None = None
-) -> tuple[Dataset | None, Dataset | None, dict]:
-    """Both splits of a benchmark and its manifest.  With ``split``
-    ('train' or 'test') only that split is parsed and checked against the
-    manifest's counts; the other comes back as None.  A manifest that
-    lacks a key this needs is a FormatError."""
-    if split not in (None, "train", "test"):
-        raise InvalidParameter(f"split must be 'train' or 'test', got {split!r}")
-    manifest_path = Path(manifest_path)
+def read_manifest(manifest_path: str | Path) -> tuple[dict, list[ClassSpec]]:
+    """A benchmark manifest and its class roster, read without its splits'
+    files: valid class specs numbered 1..n that share the manifest's
+    ``feature_dim``.  Anything else is a FormatError naming the file."""
     try:
         manifest = json.loads(read_text(manifest_path))
     except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: deep nesting
@@ -670,6 +664,21 @@ def read_benchmark(
         raise FormatError(
             f"{manifest_path}: feature_dim {feature_dim} disagrees with the class specs' {dim}"
         )
+    return manifest, specs
+
+
+def read_benchmark(
+    manifest_path: str | Path, split: str | None = None
+) -> tuple[Dataset | None, Dataset | None, dict]:
+    """Both splits of a benchmark and its manifest (``read_manifest``).
+    With ``split`` ('train' or 'test') only that split is parsed and
+    checked against the manifest's counts; the other comes back as None.
+    A manifest that lacks a key this needs is a FormatError."""
+    if split not in (None, "train", "test"):
+        raise InvalidParameter(f"split must be 'train' or 'test', got {split!r}")
+    manifest_path = Path(manifest_path)
+    manifest, specs = read_manifest(manifest_path)
+    dim = manifest["feature_dim"]
     splits = _field(manifest, "splits", dict, str(manifest_path))
     root = manifest_path.parent
     out = []

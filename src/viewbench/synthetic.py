@@ -34,7 +34,7 @@ import numpy as np
 
 from .angles import TWO_PI, canonicalize
 from .errors import GenerationError, InvalidParameter, ViewbenchError, check_integers
-from .metrics import Box, Detection, EvalReport, GroundTruth, box_array, evaluate, iou
+from .metrics import AVP_BINS, Box, Detection, EvalReport, GroundTruth, box_array, evaluate, iou
 
 _MAX_TRIES = 200
 
@@ -44,6 +44,13 @@ _MAX_TRIES = 200
 # amount of memory.  The rosters of the tests, demos and README hold 96
 # at most.
 MAX_COEFFICIENTS = 2**20
+
+# The most ground truths, and the most feature values (proposal rows times
+# feature_dim), one split may hold.  ``generate`` sizes its seed states,
+# scene loop and feature matrix by these counts, so an unchecked one could
+# ask for any amount of memory or time.  The largest split in use, the
+# benchmark's 2,500 scenes of at most 11 rows of 32 features, holds 880,000.
+MAX_SPLIT_VALUES = 2**25
 
 
 @dataclass(frozen=True)
@@ -263,6 +270,15 @@ def generate(
         raise InvalidParameter(f"bad gt_size_range {gt_size_range}")
     if split not in ("train", "test"):
         raise InvalidParameter(f"split must be 'train' or 'test', got {split!r}")
+    n_gts = n_scenes * hi
+    n_values = n_scenes * (hi * proposals_per_gt + backgrounds_per_scene) * feature_dim
+    if max(n_gts, n_values) > MAX_SPLIT_VALUES:
+        raise InvalidParameter(
+            f"{n_scenes} scenes of up to {hi} objects, {proposals_per_gt} proposals per object "
+            f"and {backgrounds_per_scene} backgrounds give up to {n_gts} ground truths and "
+            f"{n_values} feature values ({feature_dim} per proposal); a split holds at most "
+            f"{MAX_SPLIT_VALUES} of either"
+        )
 
     # imported here: it loads numpy.random, which importing the package does not
     from .seeding import generator, noise_states, scene_states
@@ -350,7 +366,7 @@ def regenerate_feature(dataset: Dataset, row: int) -> np.ndarray:
     return appearance(dataset.spec_of(g.class_id), g.azimuth, rng)
 
 
-def oracle_eval(dataset: Dataset, bins: Sequence[int] = (4, 8, 16, 24)) -> EvalReport:
+def oracle_eval(dataset: Dataset, bins: Sequence[int] = AVP_BINS) -> EvalReport:
     """Evaluate perfect detections: every ground truth echoed back with
     score 1 and its true azimuth.  All AP and AVP values must be 1."""
     gts = dataset.ground_truths()
@@ -360,8 +376,8 @@ def oracle_eval(dataset: Dataset, bins: Sequence[int] = (4, 8, 16, 24)) -> EvalR
 
 def default_class_specs(
     seed: int = 0,
-    feature_dim: int = 32,
-    noise_sigma: float = 0.25,
+    feature_dim: int = ClassSpec.feature_dim,
+    noise_sigma: float = ClassSpec.noise_sigma,
 ) -> tuple[ClassSpec, ...]:
     """The standard four-class roster: two asymmetric classes, one with
     two-fold and one with four-fold symmetry."""
@@ -400,8 +416,8 @@ def default_benchmark(
     seed: int = 0,
     n_train_scenes: int = 200,
     n_test_scenes: int = 100,
-    feature_dim: int = 32,
-    noise_sigma: float = 0.25,
+    feature_dim: int = ClassSpec.feature_dim,
+    noise_sigma: float = ClassSpec.noise_sigma,
 ) -> tuple[Dataset, Dataset]:
     """Standard train/test pair sharing one class roster."""
     specs = default_class_specs(seed, feature_dim, noise_sigma)

@@ -535,6 +535,7 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
     bench("sidecar_nan", edit_sidecar(first_nan), binary=True)
     # JSON nested deeper than the decoder's recursion limit
     bench("manifest_deep", lambda d: (d / "manifest.json").write_text("[" * 10**5 + "]" * 10**5))
+    bench("train_garbage", lambda d: (d / "train_data.txt").write_text("garbage\n"))
 
     text = small_ckpt["ckpt"].read_text()
     for name, old, new in (
@@ -894,6 +895,22 @@ def _exit_code(argv):
             "ckpt_huge.txt:2: bad net config in the checkpoint header: trunk_widths [1000000000] "
             "and n_bins 24 give",
         ),
+        *(
+            (["generate", "--config", "{scenes_%d}" % n, "--out", "{out}"],
+             f"{n} scenes of up to 3 objects, 1 proposals per object and 8 backgrounds give up "
+             f"to {3 * n} ground truths and {n * 11 * 32} feature values (32 per proposal); "
+             "a split holds at most 33554432 of either")
+            for n in (3_000_000_000, 5_000_000_000)
+        ),
+        (
+            ["train", "--config", "{widths_huge_garbage}", "--out", "{out}"],
+            "config section net: trunk_widths [1000000000] and n_bins 24 give 57000000048 "
+            "parameters",
+        ),
+        (
+            ["generate", "--config", "{train_seed}", "--out", "{out}"],
+            "train_seed.yaml: config key train.seed must be >= 0, got -3",
+        ),
     ],
     ids=[
         "bins-not-integers", "bins-empty", "bins-below-2", "predict-split",
@@ -920,7 +937,9 @@ def _exit_code(argv):
         "manifest-feature-dim", "manifest-nested-deep", "config-nested-deep",
         "generate-rename-fails", "generate-test-split-fails", "generate-features-overflow",
         "loss-delta-negative", "net-past-parameter-ceiling",
-        "checkpoint-net-past-parameter-ceiling",
+        "checkpoint-net-past-parameter-ceiling", "generate-3e9-scenes-past-split-ceiling",
+        "generate-5e9-scenes-past-split-ceiling", "train-net-refused-before-split-read",
+        "config-error-names-file",
     ],
 )
 def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_path, capsys):
@@ -975,6 +994,16 @@ def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_p
                 }),
                 ("widths_huge", {"net": {"trunk_widths": [10**9], "head": "cls"}}),
             )
+        },
+        "widths_huge_garbage": _write_yaml(tmp_path / "widths_huge_garbage.yaml", {
+            "data": str(broken["train_garbage"]), **SMALL_TRAIN,
+            "net": {"trunk_widths": [10**9], "head": "cls"},
+        }),
+        **{
+            f"scenes_{n}": _write_yaml(
+                tmp_path / f"scenes_{n}.yaml", {"dataset": {"n_train_scenes": n}}
+            )
+            for n in (3_000_000_000, 5_000_000_000)
         },
         "top_dim_train": _write_yaml(
             tmp_path / "top_dim_train.yaml", {"data": str(broken["top_dim"]), **SMALL_TRAIN}

@@ -15,11 +15,13 @@ import pytest
 
 from test_codec_equivalence import dataset_records
 
+from viewbench import seeding
 from viewbench.angles import TWO_PI, azimuth_to_bin
 from viewbench.errors import GenerationError, InvalidParameter
 from viewbench.metrics import Box, Detection, evaluate, iou
 from viewbench.synthetic import (
     MAX_COEFFICIENTS,
+    MAX_SPLIT_VALUES,
     ClassSpec,
     _jittered_box,
     _random_box,
@@ -263,6 +265,28 @@ class TestGenerate:
                       r"\(noise_sigma 1\.7e\+308\)$",
             ):
                 generate(0, 3, _specs(noise_sigma=1.7e308, feature_dim=4))
+
+    @pytest.mark.parametrize("per_scene, args", [
+        # 8 rows of 8 features, 1 ground truth a scene: the feature values bind
+        (64, dict(objects_per_scene=(1, 1), proposals_per_gt=1, backgrounds_per_scene=7)),
+        # no proposals, 2 ground truths a scene: the ground truths bind
+        (2, dict(objects_per_scene=(1, 2), proposals_per_gt=0, backgrounds_per_scene=0)),
+    ], ids=["feature-values", "ground-truths"])
+    def test_split_size_ceiling(self, per_scene, args, monkeypatch):
+        """A split of MAX_SPLIT_VALUES passes the argument checks; one
+        scene more is refused before anything is allocated."""
+
+        def no_allocation(seed, n_scenes):
+            raise AssertionError(f"allocates for {n_scenes} scenes")
+
+        monkeypatch.setattr(seeding, "scene_states", no_allocation)
+        n_scenes = MAX_SPLIT_VALUES // per_scene
+        with pytest.raises(AssertionError, match=rf"^allocates for {n_scenes} scenes$"):
+            generate(0, n_scenes, _specs(), **args)
+        with pytest.raises(
+            InvalidParameter, match=rf"a split holds at most {MAX_SPLIT_VALUES} of either$"
+        ):
+            generate(0, n_scenes + 1, _specs(), **args)
 
     @pytest.mark.parametrize("ids", [[1, 5], [2], [2, 3], [1, 1], [2, 1]])
     def test_class_ids_must_be_1_to_n(self, ids):
