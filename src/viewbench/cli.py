@@ -29,7 +29,7 @@ from pathlib import Path
 import yaml
 
 from .angles import canonicalize, decode, encode
-from .errors import ConfigError, DivergenceError, FormatError, ViewbenchError
+from .errors import ConfigError, DivergenceError, FormatError, InvalidConfig, ViewbenchError
 from .experiments import compose_detections, pose_angles
 from .gradcheck import loss_gradient_suite, net_gradient_suite
 from .losses import LossSpec
@@ -181,10 +181,11 @@ def _merge(defaults: dict, user: dict) -> dict:
 def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
     """Effective run config: YAML document over defaults, unknown keys
     rejected.  ``--seed`` overrides the top-level seed, which in turn
-    fills any net/train seeds left null.  Seeds, ``train.checkpoint_every``
-    and the loss knobs are checked against their bounds here, so every
-    command refuses them before it reads any data.  An error in the
-    file's config starts with the file's path."""
+    fills any net/train seeds left null.  Seeds, ``train.checkpoint_every``,
+    the ``train:`` section (by building its ``TrainConfig``) and the loss
+    knobs are checked against their bounds here, so every command refuses
+    them before it reads any data.  An error in the file's config starts
+    with the file's path."""
     if path is None:
         return _effective_config({}, seed_override)
     try:
@@ -235,10 +236,20 @@ def _effective_config(user, seed_override: int | None) -> dict:
     for key, value in (("loss.delta", cfg["loss"]["delta"]), ("loss.sigma", cfg["loss"]["sigma"])):
         if value is not None and value <= 0:  # a null sigma picks the geometric loss's default
             raise ConfigError(f"config key {key} must be > 0, got {value}")
+    try:
+        _train_config(cfg["train"])
+    except InvalidConfig as e:  # its message starts with the field's name
+        raise ConfigError(f"config key train.{e}") from None
     split = cfg["predict"]["split"]
     if split not in ("train", "test"):
         raise ConfigError(f"predict.split must be 'train' or 'test', got {split!r}")
     return cfg
+
+
+def _train_config(train: dict) -> TrainConfig:
+    """The ``TrainConfig`` of a config's ``train:`` section, which holds
+    ``checkpoint_every`` besides its fields."""
+    return TrainConfig(**{k: v for k, v in train.items() if k != "checkpoint_every"})
 
 
 def _class_specs(cfg: dict) -> tuple[ClassSpec, ...]:
@@ -295,9 +306,8 @@ def cmd_train(args) -> int:
     except ConfigError as e:
         raise ConfigError(f"config section net: {e}") from None
     train_ds, _, _ = read_benchmark(Path(cfg["data"]), split="train")
-    tdict = dict(cfg["train"])
-    every = tdict.pop("checkpoint_every")
-    tcfg = TrainConfig(**tdict)
+    every = cfg["train"]["checkpoint_every"]
+    tcfg = _train_config(cfg["train"])
     loss = LossSpec(**cfg["loss"])
     extra = {"config": cfg, "loss": dataclasses.asdict(loss), "train": dataclasses.asdict(tcfg)}
     out.mkdir(parents=True, exist_ok=True)

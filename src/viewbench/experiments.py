@@ -90,14 +90,20 @@ def train_arms(
             input_dim=train_ds.feature_dim, trunk_widths=(width,), head=LOSS_HEADS[loss.kind],
             n_classes=train_ds.n_classes, n_bins=N_BINS, seed=s, **extra,
         )
-        arm_tcfg = replace(tcfg, seed=s)
-        if loss.kind in POSE_ONLY_LOSSES:
-            # no background term: the arm sees as many foreground rows per
-            # iteration as a joint arm sees in a batch of ``tcfg``
-            n_fg = math.ceil(tcfg.positive_fraction * tcfg.batch_size)
-            arm_tcfg = replace(arm_tcfg, batch_size=n_fg, positive_fraction=1.0)
-        nets[arm] = train(pool, cfg, arm_tcfg, loss).params, cfg
+        nets[arm] = train(pool, cfg, _arm_tcfg(loss, tcfg, s), loss).params, cfg
     return nets
+
+
+def _arm_tcfg(loss: LossSpec, tcfg: TrainConfig, seed: int) -> TrainConfig:
+    """The config an arm of ``loss`` trains under, given the protocol's
+    ``tcfg``: ``tcfg`` with ``seed``, and for a pose-only loss, which has
+    no background term, a batch of ``tcfg``'s foreground rows alone, as
+    many per iteration as a joint arm sees in a batch of ``tcfg``."""
+    arm_tcfg = replace(tcfg, seed=seed)
+    if loss.kind in POSE_ONLY_LOSSES:
+        n_fg = math.ceil(tcfg.positive_fraction * tcfg.batch_size)
+        arm_tcfg = replace(arm_tcfg, batch_size=n_fg, positive_fraction=1.0)
+    return arm_tcfg
 
 
 def pose_angles(pred: Prediction) -> tuple[np.ndarray, np.ndarray]:
@@ -190,6 +196,18 @@ def _ambiguous_dataset(seed: int, noise_sigma: float, n_scenes: int) -> Dataset:
     return generate(_derived_seed(seed, 21), n_scenes, (spec,), split="train")
 
 
+# the arms the symmetry probe trains
+_PROBE_ARMS = ("reg3d", "reg2d", "cls")
+
+
+def _probe_tcfg(iters: int) -> TrainConfig:
+    """The symmetry probe's training config: near-full batches, no decay
+    or flips, for the cleanest possible fit of each ambiguous feature,
+    free of protocol noise."""
+    return TrainConfig(positive_fraction=1.0, total_iters=iters, decay_at=(iters // 2,),
+                       weight_decay=0.0, flip_augment=False)
+
+
 def symmetry_probe(
     seed: int = 0,
     noise_sigma: float = 0.01,
@@ -216,11 +234,7 @@ def symmetry_probe(
     true_bins = azimuth_to_bin(pool.fg_azimuth, N_BINS)
     pair_bins = (true_bins - 1 + N_BINS // 2) % N_BINS + 1
 
-    # near-full batches, no decay or flips: the probe wants the cleanest
-    # possible fit of each ambiguous feature, free of protocol noise
-    tcfg = TrainConfig(positive_fraction=1.0, total_iters=iters, decay_at=(iters // 2,),
-                       weight_decay=0.0, flip_augment=False)
-    nets = train_arms(train_ds, pool, ("reg3d", "reg2d", "cls"), seed, width, tcfg)
+    nets = train_arms(train_ds, pool, _PROBE_ARMS, seed, width, _probe_tcfg(iters))
 
     accuracy = {}
     for arm in ("reg3d", "reg2d"):

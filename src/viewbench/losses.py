@@ -17,7 +17,15 @@ total them again exactly as the loss would have.
 
 The losses share their parts: one cross-entropy, one Huber part, one
 entry that checks the inputs of the three per-class pose losses, and one
-zero-scatter that builds their gradients.
+zero-scatter that builds their gradients.  Each public loss is its entry
+checks followed by its core (``_regression``, ``_classification``,
+``_geometric``, ``_joint_regression``, ``_joint_classification``), which
+takes checked arrays: the float outputs, each sample's class row or class
+id, and its 0-based bin, embedding or joint slot.  ``net.train`` calls the
+cores directly, on the batch's rows of label columns it derives and
+checks once per run, so a training step runs no entry check and builds no
+``Labels`` batch, and the public loss and the step share one
+implementation of each loss.
 
 ``LOSS_HEADS`` is the one formulation table: each loss kind with the net
 head kind it trains (``LOSS_KINDS`` are its keys, ``net.HEAD_KINDS`` its
@@ -461,7 +469,13 @@ def regression_loss(
     if dim not in (2, 3):
         raise InvalidParameter(f"embedding dim must be 2 or 3, got {dim}")
     labels, outputs, own = _pose_entry(outputs, targets, BackgroundInRegression, dim)
-    value, deriv = _huber_part(outputs, own, labels.embeddings(dim), delta)
+    return _regression(outputs, own, labels.embeddings(dim), delta)
+
+
+def _regression(outputs: np.ndarray, own: tuple, target: np.ndarray, delta: float) -> LossResult:
+    """The core of :func:`regression_loss`: checked float outputs, each
+    sample's own class row and its target embedding."""
+    value, deriv = _huber_part(outputs, own, target, delta)
     shape = outputs.shape
     return LossResult.deferred(((1.0, value, None),), lambda: _scatter(shape, own, deriv()))
 
@@ -469,8 +483,13 @@ def regression_loss(
 def classification_loss(outputs: np.ndarray, targets: Labels | Sequence[Target]) -> LossResult:
     """Cross-entropy over the viewpoint bins of each sample's class row."""
     labels, outputs, own = _pose_entry(outputs, targets, BackgroundInPoseLoss)
-    true_bin = (own[0], labels.bins(outputs.shape[2]) - 1)
-    picked, grad = _cross_entropy(outputs[own], true_bin)
+    return _classification(outputs, own, labels.bins(outputs.shape[2]) - 1)
+
+
+def _classification(outputs: np.ndarray, own: tuple, bin0: np.ndarray) -> LossResult:
+    """The core of :func:`classification_loss`: checked float outputs, each
+    sample's own class row and its 0-based true bin."""
+    picked, grad = _cross_entropy(outputs[own], (own[0], bin0))
     shape = outputs.shape
     return LossResult.deferred(((-1.0, picked, None),), lambda: _scatter(shape, own, grad()))
 
@@ -508,8 +527,14 @@ def geometric_classification_loss(
             raise InvalidParameter(f"sigma must be positive, got {sigma}")
 
     labels, outputs, own = _pose_entry(outputs, targets, BackgroundInPoseLoss, check=check_sigma)
-    n_bins = outputs.shape[2]
-    weights = _geometric_weights(n_bins, float(sigma))[labels.bins(n_bins) - 1]
+    return _geometric(outputs, own, labels.bins(outputs.shape[2]) - 1, sigma)
+
+
+def _geometric(outputs: np.ndarray, own: tuple, bin0: np.ndarray, sigma: float) -> LossResult:
+    """The core of :func:`geometric_classification_loss`: checked float
+    outputs, each sample's own class row, its 0-based true bin and a
+    positive ``sigma``."""
+    weights = _geometric_weights(outputs.shape[2], float(sigma))[bin0]
     logp = log_softmax(outputs[own], axis=1)
     terms = ((-1.0, weights * logp, None),)
     shape = outputs.shape
@@ -550,9 +575,24 @@ def joint_regression_loss(
         )
     if det.shape[0] != len(labels) or pose.shape[0] != len(labels):
         raise LayoutError(f"{det.shape[0]} outputs vs {len(labels)} targets")
-    n, n_classes, dim = pose.shape
-    cls = _class_ids(labels, n_classes)
-    picked, det_grad = _cross_entropy(det, (np.arange(n), cls))
+    cls = _class_ids(labels, pose.shape[1])
+    dim = pose.shape[2]
+    return _joint_regression(det, pose, cls, lambda fg: labels.embeddings(dim)[fg], lam, delta)
+
+
+def _joint_regression(
+    det: np.ndarray,
+    pose: np.ndarray,
+    cls: np.ndarray,
+    embeddings: Callable[[np.ndarray], np.ndarray],
+    lam: float,
+    delta: float,
+) -> LossResult:
+    """The core of :func:`joint_regression_loss`: checked float outputs,
+    each sample's checked class id, and ``embeddings(fg)``, the target
+    embeddings of foreground samples ``fg``, asked for only when the pose
+    term counts."""
+    picked, det_grad = _cross_entropy(det, (np.arange(det.shape[0]), cls))
     terms = ((-1.0, picked, None),)
 
     own = deriv = None
@@ -560,7 +600,7 @@ def joint_regression_loss(
         fg = (cls > 0).nonzero()[0]
         if fg.size:
             own = (fg, cls[fg] - 1)
-            value, deriv = _huber_part(pose, own, labels.embeddings(dim)[fg], delta)
+            value, deriv = _huber_part(pose, own, embeddings(fg), delta)
             terms += ((lam, value, fg),)
     pose_shape = pose.shape
 
@@ -592,13 +632,26 @@ def joint_classification_loss(
         )
     if obj.shape[0] != len(labels):
         raise LayoutError(f"{obj.shape[0]} outputs vs {len(labels)} targets")
-    n, n_classes, n_bins = obj.shape
+    _, n_classes, n_bins = obj.shape
     cls = _class_ids(labels, n_classes)
-    # a foreground sample's (class, bin) slot; background is the last slot
-    slots = np.where(
-        cls > 0, (cls - 1) * n_bins + labels.bins(n_bins) - 1, n_classes * n_bins
+    return _joint_classification(
+        outputs.flat, _joint_slots(cls, labels.bins(n_bins), n_classes, n_bins), n_classes, n_bins
     )
-    picked, grad = _cross_entropy(outputs.flat, (np.arange(n), slots))
+
+
+def _joint_slots(cls: np.ndarray, bins: np.ndarray, n_classes: int, n_bins: int) -> np.ndarray:
+    """The softmax slot of each sample of :func:`joint_classification_loss`:
+    a foreground sample's (class, bin) slot, from its class id and 1-based
+    bin; background, class 0, is the last slot."""
+    return np.where(cls > 0, (cls - 1) * n_bins + bins - 1, n_classes * n_bins)
+
+
+def _joint_classification(
+    flat: np.ndarray, slots: np.ndarray, n_classes: int, n_bins: int
+) -> LossResult:
+    """The core of :func:`joint_classification_loss`: the checked flat
+    rows of the outputs and each sample's :func:`_joint_slots` slot."""
+    picked, grad = _cross_entropy(flat, (np.arange(flat.shape[0]), slots))
     return LossResult.deferred(
         ((-1.0, picked, None),), lambda: JointClsOutputs.from_flat(grad(), n_classes, n_bins)
     )

@@ -39,6 +39,17 @@ All randomness comes from seeded generators, so runs are bitwise
 reproducible.  The training log measures loss on a fixed probe batch, so
 it reflects parameter movement rather than batch sampling noise.
 
+``train`` computes once per run what every step would otherwise
+recompute: the batch's foreground/background split, the net's chains,
+the label columns its loss reads (class ids with the pool's bins or
+embeddings), and the check of the pool's class ids against the net.  A
+step then runs the cores that the public functions wrap: ``_draw``
+(``make_batch`` without its checks and ``Labels`` batch), ``_outputs``
+(``forward`` without its input check) and the loss's core in ``losses``
+(the public loss without its entry checks), fed by gathers from those
+columns; then ``backward`` and ``sgd_step``.  The public functions run on
+the probe batch, so each piece of the step has one implementation.
+
 ``predict`` reads every head the same way, as one ``Prediction``: a
 detection score and an azimuth per (row, class) hypothesis.
 """
@@ -73,7 +84,14 @@ from .losses import (
     Labels,
     LossResult,
     LossSpec,
+    _classification,
+    _geometric,
+    _joint_classification,
+    _joint_regression,
+    _joint_slots,
+    _regression,
     classification_loss,
+    default_geometric_sigma,
     geometric_classification_loss,
     joint_classification_loss,
     joint_detection_scores,
@@ -171,7 +189,7 @@ class TrainConfig:
         if self.log_every < 1:
             raise InvalidConfig(f"log_every must be >= 1, got {self.log_every}")
         if any(m < 0 for m in self.decay_at):
-            raise InvalidConfig(f"decay milestones must be >= 0, got {self.decay_at}")
+            raise InvalidConfig(f"decay_at milestones must be >= 0, got {self.decay_at}")
 
 
 @dataclass
@@ -327,26 +345,36 @@ def forward(
     if x.ndim != 2 or x.shape[1] != cfg.input_dim:
         raise LayoutError(f"expected (B, {cfg.input_dim}) input, got {x.shape}")
     cache: dict | None = {} if want_cache else None
-    layers = params.layers
-    b = x.shape[0]
-    if cfg.head == "joint_reg":
-        shared, det_chain, pose_chain = _chains(cfg)
-        a = _chain(layers, shared, x, cache, head=False)
-        det = _chain(layers, det_chain, a, cache, head=True)
-        pose = _chain(layers, pose_chain, a, cache, head=True)
-        out = JointRegOutputs(det, pose.reshape(b, cfg.n_classes, cfg.n_dims))
-    else:
-        (chain,) = _chains(cfg)
-        raw = _chain(layers, chain, x, cache, head=True)
-        if cfg.head == "reg":
-            out = raw.reshape(b, cfg.n_classes, cfg.n_dims)
-        elif cfg.head == "cls":
-            out = raw.reshape(b, cfg.n_classes, cfg.n_bins)
-        else:  # joint_cls: class-bin slots first, background logit last
-            out = JointClsOutputs.from_flat(raw, cfg.n_classes, cfg.n_bins)
+    out = _outputs(params.layers, cfg, _chains(cfg), x, cache)
     if want_cache:
         return out, cache
     return out
+
+
+def _outputs(
+    layers: dict[str, Dense],
+    cfg: NetConfig,
+    chains: tuple[Chain, ...],
+    x: np.ndarray,
+    cache: dict | None,
+):
+    """The core of :func:`forward`: the head outputs of checked float
+    input rows ``x`` through the net's ``chains``, recording each layer's
+    input in ``cache`` if one is given."""
+    b = x.shape[0]
+    if cfg.head == "joint_reg":
+        shared, det_chain, pose_chain = chains
+        a = _chain(layers, shared, x, cache, head=False)
+        det = _chain(layers, det_chain, a, cache, head=True)
+        pose = _chain(layers, pose_chain, a, cache, head=True)
+        return JointRegOutputs(det, pose.reshape(b, cfg.n_classes, cfg.n_dims))
+    raw = _chain(layers, chains[0], x, cache, head=True)
+    if cfg.head == "reg":
+        return raw.reshape(b, cfg.n_classes, cfg.n_dims)
+    if cfg.head == "cls":
+        return raw.reshape(b, cfg.n_classes, cfg.n_bins)
+    # joint_cls: class-bin slots first, background logit last
+    return JointClsOutputs.from_flat(raw, cfg.n_classes, cfg.n_bins)
 
 
 def _back_chain(
@@ -599,18 +627,35 @@ def make_batch(
     are those rows, and the labels the same rows of ``Pool.labels``, whose
     rows were checked when the pool was built.
     """
+    n_fg, n_bg = _split(pool, tcfg)
+    idx, x = _draw(pool, n_fg, n_bg, tcfg.flip_augment, rng)
+    return x, pool.labels._rows(idx)
+
+
+def _split(pool: Pool, tcfg: TrainConfig) -> tuple[int, int]:
+    """The foreground and background rows of a batch of ``tcfg``, checked
+    against what ``pool`` holds."""
     n_fg = math.ceil(tcfg.positive_fraction * tcfg.batch_size)
     n_bg = tcfg.batch_size - n_fg
+    if n_fg > 0 and pool.fg_class.shape[0] == 0:
+        raise EmptyClassError("batch needs foreground samples but the pool has none")
+    if n_bg > 0 and pool.bg_features.shape[0] == 0:
+        raise EmptyClassError("batch needs background samples but the pool has none")
+    return n_fg, n_bg
+
+
+def _draw(
+    pool: Pool, n_fg: int, n_bg: int, flip_augment: bool, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The core of :func:`make_batch`: the draws of a batch of ``n_fg``
+    foreground and ``n_bg`` background rows (see :func:`_split`), as the
+    index into ``pool.rows`` and the batch's features."""
     n = pool.fg_class.shape[0]
     m = pool.bg_features.shape[0]
-    if n_fg > 0 and n == 0:
-        raise EmptyClassError("batch needs foreground samples but the pool has none")
-    if n_bg > 0 and m == 0:
-        raise EmptyClassError("batch needs background samples but the pool has none")
     # a draw of no rows leaves the generator as it was
     idx = rng.integers(0, n, n_fg)
     noise = None
-    if tcfg.flip_augment:
+    if flip_augment:
         flipped = (rng.random(n_fg) < 0.5).nonzero()[0]
         sigma = pool.fg_noise_sigma[idx[flipped]]
         if pool.has_unflippable and np.isnan(sigma).any():
@@ -625,7 +670,7 @@ def make_batch(
     x = pool.rows.take(idx, axis=0)
     if noise is not None:
         x[flipped[noisy]] += noise
-    return x, pool.labels._rows(idx)
+    return idx, x
 
 
 def _loss_fn(spec: LossSpec, cfg: NetConfig) -> Callable[[object, Labels], LossResult]:
@@ -641,6 +686,36 @@ def _loss_fn(spec: LossSpec, cfg: NetConfig) -> Callable[[object, Labels], LossR
             o, t, lam=spec.lam, dim=cfg.n_dims, delta=spec.delta
         )
     return joint_classification_loss
+
+
+def _step_loss(
+    spec: LossSpec, cfg: NetConfig, labels: Labels, batch_size: int
+) -> Callable[[object, np.ndarray], LossResult]:
+    """The loss of a training batch, given its head outputs and ``idx``,
+    its rows of ``labels``: a pool's label table, whose class ids ``train``
+    checked against ``cfg``.  It runs the public loss's core on gathers
+    from the label columns that loss reads, derived here once.  A pose-only
+    loss trains on batches of ``batch_size`` foreground rows."""
+    cls = labels.class_id
+    if spec.kind == "joint_regression":
+        emb = labels.embeddings(cfg.n_dims) if spec.lam != 0.0 else None
+        return lambda out, idx: _joint_regression(
+            out.det, out.pose, cls[idx], lambda fg: emb[idx[fg]], spec.lam, spec.delta
+        )
+    if spec.kind == "joint_classification":
+        slots = _joint_slots(cls, labels.bins(cfg.n_bins), cfg.n_classes, cfg.n_bins)
+        return lambda out, idx: _joint_classification(
+            out.flat, slots[idx], cfg.n_classes, cfg.n_bins
+        )
+    rows, own_class = np.arange(batch_size), cls - 1
+    if spec.kind == "regression":
+        emb = labels.embeddings(cfg.n_dims)
+        return lambda out, idx: _regression(out, (rows, own_class[idx]), emb[idx], spec.delta)
+    bin0 = labels.bins(cfg.n_bins) - 1
+    if spec.kind == "classification":
+        return lambda out, idx: _classification(out, (rows, own_class[idx]), bin0[idx])
+    sigma = default_geometric_sigma(cfg.n_bins) if spec.sigma is None else spec.sigma
+    return lambda out, idx: _geometric(out, (rows, own_class[idx]), bin0[idx], sigma)
 
 
 @dataclass(frozen=True)
@@ -669,11 +744,22 @@ def train(
     The loss must match the head kind.  Pose-only losses cannot digest
     background rows, so they require positive_fraction == 1.  The log
     holds probe-batch loss every log_every iterations (and at the last);
-    identical seeds give bitwise identical parameters and logs.  Batches
-    carry rows of the pool's label table, so a step derives no bin or
-    embedding.  A ``joint_reg`` branch whose loss gradient is all +0 (the
+    identical seeds give bitwise identical parameters and logs.  A
+    ``joint_reg`` branch whose loss gradient is all +0 (the
     pose branch at ``lam=0``) is not back-propagated while its cached
     inputs and weights are finite (see :func:`backward`).
+
+    A run computes once what its steps share: the batch's foreground and
+    background split, the net's chains, the label columns of the pool
+    that the loss reads, and a check that every pool row's class has an
+    output in the net, refusing one without it with ``ClassOutOfRange``,
+    naming the row, before any step.  Each step draws its rows
+    (``_draw``, the core of ``make_batch``), runs them through the chains
+    (``_outputs``, the core of ``forward``) and the loss's core, fed by
+    the batch's rows of the label columns (see ``_step_loss``), so it
+    derives no bin or embedding, and then calls ``backward`` and
+    ``sgd_step``.  The probe batch goes through ``make_batch``, ``forward``
+    and the public loss.
 
     A non-finite batch loss aborts with DivergenceError carrying the
     iteration and the last finite probe loss, and naming the first layer,
@@ -698,6 +784,13 @@ def train(
             f"set positive_fraction=1, got {tcfg.positive_fraction}"
         )
     pool = dataset if isinstance(dataset, Pool) else build_pool(dataset)
+    beyond = pool.fg_class > cfg.n_classes
+    if beyond.any():
+        i = int(np.argmax(beyond))
+        raise ClassOutOfRange(
+            f"foreground row {i} has class {pool.fg_class[i]} but the net covers "
+            f"1..{cfg.n_classes}"
+        )
     fn = _loss_fn(loss, cfg)
     params = init_params(cfg)
     batch_rng = np.random.default_rng([tcfg.seed, 0])
@@ -705,6 +798,9 @@ def train(
     probe_x, probe_t = make_batch(
         pool, dataclasses.replace(tcfg, flip_augment=False), probe_rng
     )
+    n_fg, n_bg = _split(pool, tcfg)
+    step_loss = _step_loss(loss, cfg, pool.labels, tcfg.batch_size)
+    layers, chains = params.layers, _chains(cfg)
     log: list[LogEntry] = []
     probe_loss = None  # the last finite one
     for t in range(tcfg.total_iters):
@@ -715,9 +811,9 @@ def train(
             )
             if math.isfinite(probe.value):
                 probe_loss = probe.value
-        x, labels = make_batch(pool, tcfg, batch_rng)
-        out, cache = forward(params, cfg, x, want_cache=True)
-        res = fn(out, labels)
+        idx, x = _draw(pool, n_fg, n_bg, tcfg.flip_augment, batch_rng)
+        cache = {}
+        res = step_loss(_outputs(layers, cfg, chains, x, cache), idx)
         if not math.isfinite(res.value):
             raise DivergenceError(
                 f"non-finite loss {res.value}; {_first_non_finite(params, cache)}; "

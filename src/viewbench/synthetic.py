@@ -25,9 +25,10 @@ would give, so a feature is the ``default_rng(noise_seed)`` draw that
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -143,10 +144,13 @@ def appearance_clean(spec: ClassSpec, theta: float) -> np.ndarray:
 
 
 def appearance(spec: ClassSpec, theta: float, rng: np.random.Generator) -> np.ndarray:
-    """Observed feature vector: clean curve plus N(0, noise_sigma^2) noise."""
+    """Observed feature vector: clean curve plus N(0, noise_sigma^2) noise.
+    A noise scale so large that the feature overflows gives non-finite
+    values without a warning; ``generate`` refuses them."""
     feat = appearance_clean(spec, theta)
     if spec.noise_sigma > 0.0:
-        feat = feat + spec.noise_sigma * rng.standard_normal(spec.feature_dim)
+        with np.errstate(over="ignore"):
+            feat = feat + spec.noise_sigma * rng.standard_normal(spec.feature_dim)
     return feat
 
 
@@ -255,30 +259,10 @@ def generate(
     (extra same-object detections count as false positives).
     """
     class_specs = tuple(class_specs)
-    feature_dim = roster_feature_dim(class_specs)
-    ids = [s.class_id for s in class_specs]
-    if n_scenes < 0:
-        raise InvalidParameter(f"n_scenes must be >= 0, got {n_scenes}")
+    feature_dim = _check_args(n_scenes, class_specs, objects_per_scene, proposals_per_gt,
+                              backgrounds_per_scene, jitter, gt_size_range, split)
     lo, hi = objects_per_scene
-    if not 1 <= lo <= hi:
-        raise InvalidParameter(f"bad objects_per_scene range ({lo}, {hi})")
-    if proposals_per_gt < 0 or backgrounds_per_scene < 0:
-        raise InvalidParameter("proposal counts must be >= 0")
-    if not jitter >= 0.0:
-        raise InvalidParameter(f"jitter must be >= 0, got {jitter}")
-    if not (0.0 < gt_size_range[0] <= gt_size_range[1] < 1.0):
-        raise InvalidParameter(f"bad gt_size_range {gt_size_range}")
-    if split not in ("train", "test"):
-        raise InvalidParameter(f"split must be 'train' or 'test', got {split!r}")
-    n_gts = n_scenes * hi
-    n_values = n_scenes * (hi * proposals_per_gt + backgrounds_per_scene) * feature_dim
-    if max(n_gts, n_values) > MAX_SPLIT_VALUES:
-        raise InvalidParameter(
-            f"{n_scenes} scenes of up to {hi} objects, {proposals_per_gt} proposals per object "
-            f"and {backgrounds_per_scene} backgrounds give up to {n_gts} ground truths and "
-            f"{n_values} feature values ({feature_dim} per proposal); a split holds at most "
-            f"{MAX_SPLIT_VALUES} of either"
-        )
+    ids = [s.class_id for s in class_specs]
 
     # imported here: it loads numpy.random, which importing the package does not
     from .seeding import generator, noise_states, scene_states
@@ -356,6 +340,45 @@ def generate(
     return Dataset(tuple(scenes), table, class_specs, feature_dim, split, seed)
 
 
+def _check_args(
+    n_scenes: int,
+    class_specs: tuple[ClassSpec, ...],
+    objects_per_scene: tuple[int, int],
+    proposals_per_gt: int,
+    backgrounds_per_scene: int,
+    jitter: float,
+    gt_size_range: tuple[float, float],
+    split: str,
+) -> int:
+    """The argument checks of :func:`generate`, which takes these arguments
+    in this order after its seed; the split's size is among them.  Returns
+    the roster's feature_dim."""
+    feature_dim = roster_feature_dim(class_specs)
+    if n_scenes < 0:
+        raise InvalidParameter(f"n_scenes must be >= 0, got {n_scenes}")
+    lo, hi = objects_per_scene
+    if not 1 <= lo <= hi:
+        raise InvalidParameter(f"bad objects_per_scene range ({lo}, {hi})")
+    if proposals_per_gt < 0 or backgrounds_per_scene < 0:
+        raise InvalidParameter("proposal counts must be >= 0")
+    if not jitter >= 0.0:
+        raise InvalidParameter(f"jitter must be >= 0, got {jitter}")
+    if not (0.0 < gt_size_range[0] <= gt_size_range[1] < 1.0):
+        raise InvalidParameter(f"bad gt_size_range {gt_size_range}")
+    if split not in ("train", "test"):
+        raise InvalidParameter(f"split must be 'train' or 'test', got {split!r}")
+    n_gts = n_scenes * hi
+    n_values = n_scenes * (hi * proposals_per_gt + backgrounds_per_scene) * feature_dim
+    if max(n_gts, n_values) > MAX_SPLIT_VALUES:
+        raise InvalidParameter(
+            f"{n_scenes} scenes of up to {hi} objects, {proposals_per_gt} proposals per object "
+            f"and {backgrounds_per_scene} backgrounds give up to {n_gts} ground truths and "
+            f"{n_values} feature values ({feature_dim} per proposal); a split holds at most "
+            f"{MAX_SPLIT_VALUES} of either"
+        )
+    return feature_dim
+
+
 def regenerate_feature(dataset: Dataset, row: int) -> np.ndarray:
     """Rebuild the feature of proposal row ``row`` from its recorded noise seed."""
     t = dataset.proposals
@@ -404,12 +427,21 @@ def benchmark_splits(
     """Makers of a benchmark's train and test splits, each a call of
     ``generate`` with its own seed derived from ``seed`` and with
     ``scene_args``; a caller can make and drop one split before it makes
-    the other."""
+    the other.  Both calls' arguments, the splits' sizes among them, are
+    checked here by ``generate``'s own checks, so a bad test split is
+    refused before the training split is made."""
     state = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    return (
-        lambda: generate(int(state[0]), n_train_scenes, specs, split="train", **scene_args),
-        lambda: generate(int(state[1]), n_test_scenes, specs, split="test", **scene_args),
-    )
+    calls = []
+    for split_seed, n_scenes, split in zip(
+        state.tolist(), (n_train_scenes, n_test_scenes), ("train", "test")
+    ):
+        call = inspect.signature(generate).bind(
+            split_seed, n_scenes, tuple(specs), split=split, **scene_args
+        )
+        call.apply_defaults()
+        _check_args(*call.args[1:])
+        calls.append(partial(generate, *call.args))
+    return calls[0], calls[1]
 
 
 def default_benchmark(

@@ -7,17 +7,20 @@ failures (divergence, gradient checks over tolerance).
 """
 
 import dataclasses
+import functools
 import importlib
 import json
 import math
 import platform
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from viewbench import synthetic
 from viewbench.cli import entry, load_run_config
 from viewbench.errors import ConfigError
 from viewbench.net import forward
@@ -612,6 +615,21 @@ def broken(small_bench, small_ckpt, tmp_path_factory):
     return out
 
 
+# A value of each ``train:`` key that only TrainConfig refuses, with the
+# message that follows the key's name.
+BAD_TRAIN_VALUES = (
+    ("lr", -1, "must be >= 0, got -1"),
+    ("momentum", 1.0, "must be in [0, 1), got 1.0"),
+    ("weight_decay", -0.5, "must be >= 0, got -0.5"),
+    ("batch_size", 0, "must be >= 1, got 0"),
+    ("positive_fraction", 1.5, "must be in [0, 1], got 1.5"),
+    ("total_iters", 0, "must be >= 1, got 0"),
+    ("decay_at", [5, -1], "milestones must be >= 0, got (5, -1)"),
+    ("lr_decay_factor", 0, "must be > 0, got 0"),
+    ("log_every", 0, "must be >= 1, got 0"),
+)
+
+
 def _exit_code(argv):
     """Exit code of a command, whether entry returns it or argparse exits."""
     try:
@@ -911,6 +929,17 @@ def _exit_code(argv):
             ["generate", "--config", "{train_seed}", "--out", "{out}"],
             "train_seed.yaml: config key train.seed must be >= 0, got -3",
         ),
+        (
+            ["generate", "--config", "{test_scenes_huge}", "--out", "{out}"],
+            "3000000000 scenes of up to 3 objects, 1 proposals per object and 8 backgrounds "
+            "give up to 9000000000 ground truths and 1056000000000 feature values "
+            "(32 per proposal); a split holds at most 33554432 of either",
+        ),
+        *(
+            (["generate", "--config", "{train_%s}" % key, "--out", "{out}"],
+             f"train_{key}.yaml: config key train.{key} {message}")
+            for key, _, message in BAD_TRAIN_VALUES
+        ),
     ],
     ids=[
         "bins-not-integers", "bins-empty", "bins-below-2", "predict-split",
@@ -939,12 +968,17 @@ def _exit_code(argv):
         "loss-delta-negative", "net-past-parameter-ceiling",
         "checkpoint-net-past-parameter-ceiling", "generate-3e9-scenes-past-split-ceiling",
         "generate-5e9-scenes-past-split-ceiling", "train-net-refused-before-split-read",
-        "config-error-names-file",
+        "config-error-names-file", "generate-3e9-test-scenes-past-split-ceiling",
+        *(f"generate-train-{key.replace('_', '-')}-refused-at-load"
+          for key, _, _ in BAD_TRAIN_VALUES),
     ],
 )
-def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_path, capsys):
-    """Bad values are rejected where they enter, with a message and exit 2;
-    a failed write leaves no temp file."""
+def test_bad_input_exits_2(
+    argv, message, small_bench, small_ckpt, broken, tmp_path, capsys, monkeypatch
+):
+    """Bad values are rejected where they enter, with a message and exit 2,
+    and with no RuntimeWarning; a failed write leaves no temp file.  A
+    split past the size ceiling is refused before any split is made."""
     blocked = tmp_path / "blocked"  # an output directory whose test_data.txt cannot be replaced
     (blocked / "test_data.txt").mkdir(parents=True)
     paths = {
@@ -999,6 +1033,13 @@ def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_p
             "data": str(broken["train_garbage"]), **SMALL_TRAIN,
             "net": {"trunk_widths": [10**9], "head": "cls"},
         }),
+        "test_scenes_huge": _write_yaml(tmp_path / "test_scenes_huge.yaml", {"dataset": {
+            "n_train_scenes": 20000, "n_test_scenes": 3_000_000_000,
+        }}),
+        **{
+            f"train_{key}": _write_yaml(tmp_path / f"train_{key}.yaml", {"train": {key: value}})
+            for key, value, _ in BAD_TRAIN_VALUES
+        },
         **{
             f"scenes_{n}": _write_yaml(
                 tmp_path / f"scenes_{n}.yaml", {"dataset": {"n_train_scenes": n}}
@@ -1032,13 +1073,26 @@ def test_bad_input_exits_2(argv, message, small_bench, small_ckpt, broken, tmp_p
         **broken,
         "out": tmp_path / "out.txt",
     }
-    code = _exit_code([a.format(**paths) for a in argv])
+    generate, made = synthetic.generate, []
+
+    def spy(*args, **kwargs):
+        made.append(args[1])  # the split's scene count
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(synthetic, "generate", functools.wraps(generate)(spy))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _exit_code([a.format(**paths) for a in argv])
     err = capsys.readouterr().err
     assert code == 2
     assert message in err
     assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not paths["out"].exists()
     assert not list(tmp_path.rglob("*.tmp"))
+    if "a split holds at most" in message:
+        assert made == []
 
 
 GT_TEXT = """\

@@ -863,13 +863,23 @@ def _oracle_sgd(params, grads, tcfg, t):
         layer.b = layer.b - lr * layer.vb
 
 
+def _layer_bits(params):
+    """Every layer's weights, biases and their momentum, as bits."""
+    return {
+        name: [_bits(getattr(layer, attr)).copy() for attr in ("w", "b", "vw", "vb")]
+        for name, layer in params.layers.items()
+    }
+
+
 def _oracle_train(pool, cfg, tcfg, spec):
+    """The oracle's parameters, log, batch losses and batch generator after
+    training, and its parameters (``_layer_bits``) after every step."""
     params = init_params(cfg)
     rng = np.random.default_rng([tcfg.seed, 0])
     probe_x, probe_t = _make_batch_oracle(
         pool, dataclasses.replace(tcfg, flip_augment=False), np.random.default_rng([tcfg.seed, 1])
     )
-    log, values = [], []
+    log, values, steps = [], [], []
     for t in range(tcfg.total_iters):
         if t % tcfg.log_every == 0 or t == tcfg.total_iters - 1:
             value, _ = _oracle_loss(spec, cfg, _oracle_forward(params, cfg, probe_x)[0], probe_t)
@@ -879,7 +889,36 @@ def _oracle_train(pool, cfg, tcfg, spec):
         value, grad = _oracle_loss(spec, cfg, out, targets)
         _oracle_sgd(params, _oracle_backward(params, cfg, x, grad, cache), tcfg, t)
         values.append(value)
-    return params, log, values, rng
+        steps.append(_layer_bits(params))
+    return params, log, values, rng, steps
+
+
+def _assert_train_matches_oracle(pool, cfg, tcfg, spec):
+    """``train`` equals ``_oracle_train`` bit for bit: its log, its batch
+    losses, and the parameters and momentum a callback copies after every
+    step (``params.copy()``) and that it returns.  Returns the oracle's
+    final parameters and batch generator."""
+    ref_params, ref_log, ref_values, ref_rng, ref_steps = _oracle_train(pool, cfg, tcfg, spec)
+    values, copies = [], []
+
+    def keep(t, params, value):
+        values.append(value)
+        copies.append(params.copy())
+
+    res = train(pool, cfg, tcfg, spec, callback=keep)
+    assert [(e.iteration, e.lr, e.loss, e.loss_per_sample) for e in res.log] == ref_log
+    assert values == ref_values
+    assert len(copies) == len(ref_steps) == tcfg.total_iters
+    for t, (kept, ref) in enumerate(zip(copies, ref_steps)):
+        got = _layer_bits(kept)
+        assert got.keys() == ref.keys()
+        for name in ref:
+            for attr, a, b in zip(("w", "b", "vw", "vb"), got[name], ref[name]):
+                assert np.array_equal(a, b), (t, name, attr)
+    for name, bits in _layer_bits(res.params).items():
+        for a, b in zip(bits, ref_steps[-1][name]):
+            assert np.array_equal(a, b), name
+    return ref_params, ref_rng
 
 
 def _step_cases():
@@ -918,17 +957,7 @@ class TestStepEquivalence:
             flip_augment=flip, weight_decay=decay, seed=4,
         )
         spec = LossSpec(kind, lam=lam, delta=0.7)
-        ref_params, ref_log, ref_values, ref_rng = _oracle_train(pool, cfg, tcfg, spec)
-
-        values = []
-        res = train(pool, cfg, tcfg, spec, callback=lambda t, p, v: values.append(v))
-        assert [(e.iteration, e.lr, e.loss, e.loss_per_sample) for e in res.log] == ref_log
-        assert values == ref_values
-        for name, ref in ref_params.layers.items():
-            for attr in ("w", "b", "vw", "vb"):
-                assert np.array_equal(
-                    _bits(getattr(res.params.layers[name], attr)), _bits(getattr(ref, attr))
-                ), (name, attr)
+        ref_params, ref_rng = _assert_train_matches_oracle(pool, cfg, tcfg, spec)
 
         # the same steps through the public step functions, generator included
         params = init_params(cfg)
@@ -942,6 +971,58 @@ class TestStepEquivalence:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         for name, ref in ref_params.layers.items():
             assert np.array_equal(_bits(params.layers[name].vw), _bits(ref.vw))
+
+
+    @pytest.mark.parametrize("kind, n_dims, flip", [
+        ("regression", 3, False), ("regression", 2, False), ("classification", 3, False),
+        ("classification", 3, True), ("geometric", 3, True),
+    ])
+    def test_one_class_pool(self, kind, n_dims, flip):
+        """The symmetry probe's shape: one 2-fold symmetric class, batches
+        of foreground rows only, no weight decay."""
+        pool = build_pool(generate(7, 5, [
+            ClassSpec(class_id=1, seed=2, feature_dim=8, symmetry_order=2, noise_sigma=0.01)
+        ]))
+        cfg = NetConfig(input_dim=8, trunk_widths=(9,), head=LOSS_HEADS[kind], n_classes=1,
+                        n_bins=6, n_dims=n_dims, seed=5)
+        tcfg = TrainConfig(lr=0.05, batch_size=16, positive_fraction=1.0, total_iters=8,
+                           decay_at=(4,), log_every=3, weight_decay=0.0, flip_augment=flip,
+                           seed=6)
+        _assert_train_matches_oracle(pool, cfg, tcfg, LossSpec(kind))
+
+    @pytest.mark.parametrize("pool_fn", [_mixed_noise_pool, _all_noisy_pool])
+    @pytest.mark.parametrize("kind, lam", [
+        ("joint_regression", 0.0), ("joint_regression", 0.5), ("joint_classification", 1.0),
+    ])
+    @pytest.mark.parametrize("batch_size", [1, 2, 10])
+    def test_quarter_positive_batches(self, pool_fn, kind, lam, batch_size):
+        """The detector's and the joint classifier's split, a quarter of
+        foreground rows, at batch sizes whose ceiling rounds it up: 1 of 1,
+        1 of 2 and 3 of 10."""
+        pool = pool_fn()
+        cfg = NetConfig(input_dim=pool.fg_features.shape[1], trunk_widths=(7,),
+                        head=LOSS_HEADS[kind], n_classes=2, n_bins=6, seed=3)
+        tcfg = TrainConfig(lr=0.05, batch_size=batch_size, positive_fraction=0.25,
+                           total_iters=8, decay_at=(5,), log_every=3, weight_decay=5e-3, seed=4)
+        _assert_train_matches_oracle(pool, cfg, tcfg, LossSpec(kind, lam=lam, delta=0.7))
+
+
+@pytest.mark.parametrize(
+    "head, kind", [("cls", "classification"), ("joint_cls", "joint_classification")]
+)
+def test_class_beyond_net_refused_before_any_step(head, kind):
+    """A pool row whose class the net has no output for is refused, naming
+    the row, before any step, so the callback is never called."""
+    pool = _mixed_noise_pool()  # classes 1 and 2 alternate; row 1 is the first of class 2
+    cfg = NetConfig(input_dim=6, trunk_widths=(4,), head=head, n_classes=1, n_bins=6)
+    tcfg = TrainConfig(batch_size=4, positive_fraction=1.0 if head == "cls" else 0.5,
+                       total_iters=3, flip_augment=False)
+    calls = []
+    with pytest.raises(
+        ClassOutOfRange, match=r"^foreground row 1 has class 2 but the net covers 1\.\.1$"
+    ):
+        train(pool, cfg, tcfg, LossSpec(kind), callback=lambda *a: calls.append(a))
+    assert calls == []
 
 
 def test_lam0_non_finite_pose_activation_matches_full_backprop():
