@@ -10,8 +10,9 @@ the acceptance tests assert over five-seed medians, are
 
 Pass --probe to also run the symmetry probe (about half a minute): on a
 two-fold symmetric class a fitted regressor can only ever answer one of
-the two true poses, so its paired accuracy pins to 50%, while the
-classifier spreads its probability mass over both candidate bins.
+the two true poses, so its paired accuracy pins to 50%.  The classifier's
+mass on the two true bins is near 1, nearly all of it on the bin each
+training feature was trained on.
 """
 
 import sys

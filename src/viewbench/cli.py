@@ -25,6 +25,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 import yaml
 
@@ -34,7 +35,7 @@ from .experiments import compose_detections, pose_angles
 from .gradcheck import loss_gradient_suite, net_gradient_suite
 from .losses import LossSpec
 from .metrics import AP_RULES, evaluate
-from .net import NetConfig, TrainConfig, predict as net_predict, train
+from .net import NetConfig, TrainConfig, check_net_fields, predict as net_predict, train
 from .records import (
     atomic_write_text,
     format_eval_report,
@@ -182,9 +183,11 @@ def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
     """Effective run config: YAML document over defaults, unknown keys
     rejected.  ``--seed`` overrides the top-level seed, which in turn
     fills any net/train seeds left null.  Seeds, ``train.checkpoint_every``,
-    the ``train:`` section (by building its ``TrainConfig``) and the loss
-    knobs are checked against their bounds here, so every command refuses
-    them before it reads any data.  An error in the file's config starts
+    the ``train:`` section (by building its ``TrainConfig``), the ``net:``
+    fields that need no class roster (``check_net_fields``; ``train``
+    checks the parameter ceiling once the manifest gives the sizes) and
+    the loss knobs are checked against their bounds here, so every command
+    refuses them before it reads any data.  An error in the file's config starts
     with the file's path."""
     if path is None:
         return _effective_config({}, seed_override)
@@ -240,10 +243,22 @@ def _effective_config(user, seed_override: int | None) -> dict:
         _train_config(cfg["train"])
     except InvalidConfig as e:  # its message starts with the field's name
         raise ConfigError(f"config key train.{e}") from None
+    net = cfg["net"]
+    _net_section(check_net_fields, net["trunk_widths"], net["head"], net["n_bins"], net["n_dims"],
+                 net["split_depth"])
     split = cfg["predict"]["split"]
     if split not in ("train", "test"):
         raise ConfigError(f"predict.split must be 'train' or 'test', got {split!r}")
     return cfg
+
+
+def _net_section(check: Callable, *args, **kwargs):
+    """``check(*args, **kwargs)``; a ConfigError it raises names the
+    config's ``net:`` section."""
+    try:
+        return check(*args, **kwargs)
+    except ConfigError as e:
+        raise ConfigError(f"config section net: {e}") from None
 
 
 def _train_config(train: dict) -> TrainConfig:
@@ -301,10 +316,9 @@ def cmd_train(args) -> int:
         raise ConfigError("config needs 'data': path to a benchmark manifest")
     # the net is checked against the manifest's roster before the split is read
     _, specs = read_manifest(Path(cfg["data"]))
-    try:
-        net_cfg = NetConfig(input_dim=specs[0].feature_dim, n_classes=len(specs), **cfg["net"])
-    except ConfigError as e:
-        raise ConfigError(f"config section net: {e}") from None
+    net_cfg = _net_section(
+        NetConfig, input_dim=specs[0].feature_dim, n_classes=len(specs), **cfg["net"]
+    )
     train_ds, _, _ = read_benchmark(Path(cfg["data"]), split="train")
     every = cfg["train"]["checkpoint_every"]
     tcfg = _train_config(cfg["train"])

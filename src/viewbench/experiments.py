@@ -12,9 +12,10 @@ Three reproducible effects are exercised on the synthetic benchmark:
 3. Symmetry ambiguity: on a 2-fold symmetric class every feature admits
    two ground-truth azimuths half a turn apart.  Querying a trained
    regressor's single answer against both pins its paired accuracy at
-   the 50% ceiling once the features are fit, while a trained classifier
-   splits its probability mass across both candidate bins instead of
-   committing to one.
+   the 50% ceiling once the features are fit.  On the same training
+   features the trained classifier commits too: its mass on either bin
+   of the pair (``pair_mass``) is nearly all on the bin it was trained
+   on (at seed 0, a mean of 1.000 there and 0.000 on the other bin).
 
 Every arm is one row of ``_ARMS`` (seed offset, loss, net fields; the
 head is the one the formulation table ``losses.LOSS_HEADS`` gives the
@@ -223,9 +224,10 @@ def symmetry_probe(
     both of its indistinguishable azimuths.  At most one of the two
     queries can score, making 50% the exact ceiling of the paired
     accuracy.  A regressor that fits the training objects commits to one
-    member of each pair and sits at that ceiling; the classifier instead
-    spreads its probability mass over both candidate bins, and
-    ``pair_mass`` is the mean mass on that pair.
+    member of each pair and sits at that ceiling.  ``pair_mass`` is the
+    classifier's mean mass on either bin of the pair.  On these training
+    features the classifier commits as well, to the bin it was trained
+    on: at seed 0 its mean mass is 1.000 there and 0.000 on the other.
     """
     train_ds = _ambiguous_dataset(seed, noise_sigma, n_scenes)
     pool = build_pool(train_ds)

@@ -112,6 +112,24 @@ HEAD_KINDS = tuple(dict.fromkeys(LOSS_HEADS.values()))
 MAX_PARAMETERS = 2**24
 
 
+def check_net_fields(
+    trunk_widths: Sequence[int], head: str, n_bins: int, n_dims: int, split_depth: int
+) -> None:
+    """``NetConfig``'s checks of the fields that need no class
+    roster, which a run config's ``net:`` section gets when it loads."""
+    widths = tuple(trunk_widths)
+    if any(w < 1 for w in widths):
+        raise InvalidConfig(f"trunk widths must be >= 1, got {widths}")
+    if head not in HEAD_KINDS:
+        raise InvalidConfig(f"head must be one of {HEAD_KINDS}, got {head!r}")
+    if n_bins < 2:
+        raise InvalidConfig(f"n_bins must be >= 2, got {n_bins}")
+    if n_dims not in (2, 3):
+        raise InvalidConfig(f"n_dims must be 2 or 3, got {n_dims}")
+    if head == "joint_reg" and not 0 <= split_depth <= len(widths):
+        raise InvalidConfig(f"split_depth must be in [0, {len(widths)}], got {split_depth}")
+
+
 @dataclass(frozen=True)
 class NetConfig:
     input_dim: int
@@ -131,20 +149,9 @@ class NetConfig:
         )
         if self.input_dim < 1:
             raise InvalidConfig(f"input_dim must be >= 1, got {self.input_dim}")
-        if any(w < 1 for w in self.trunk_widths):
-            raise InvalidConfig(f"trunk widths must be >= 1, got {self.trunk_widths}")
-        if self.head not in HEAD_KINDS:
-            raise InvalidConfig(f"head must be one of {HEAD_KINDS}, got {self.head!r}")
         if self.n_classes < 1:
             raise InvalidConfig(f"n_classes must be >= 1, got {self.n_classes}")
-        if self.n_bins < 2:
-            raise InvalidConfig(f"n_bins must be >= 2, got {self.n_bins}")
-        if self.n_dims not in (2, 3):
-            raise InvalidConfig(f"n_dims must be 2 or 3, got {self.n_dims}")
-        if self.head == "joint_reg" and not 0 <= self.split_depth <= len(self.trunk_widths):
-            raise InvalidConfig(
-                f"split_depth must be in [0, {len(self.trunk_widths)}], got {self.split_depth}"
-            )
+        check_net_fields(self.trunk_widths, self.head, self.n_bins, self.n_dims, self.split_depth)
         n = sum((fan_in + 1) * fan_out for _, fan_in, fan_out in layer_plan(self))
         if n > MAX_PARAMETERS:
             raise InvalidConfig(f"trunk_widths {list(self.trunk_widths)} and n_bins {self.n_bins} "

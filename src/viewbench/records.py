@@ -11,13 +11,17 @@ as a C99 hex float (``float.hex()``), a lossless text encoding.
 Writers build each line with one ``%`` template over Python floats
 (``"%.17g" % x`` is the text of ``format(x, ".17g")``), a dataset's
 proposals read from the table's columns by ``.tolist()``.  Readers read
-each line once, with ``float`` and ``int`` and one finiteness check of the
-sum of its floats (each float is looked at only when the sum is not
-finite, so finite values whose sum overflows still read).  Ground-truth
-and dataset gt lines share one read (a label, a class id, four box floats,
-then floats), and each caller applies its class rule; prop and detection
-lines have their own.  A refused line goes to ``_diagnose``, which only
-raises: it walks the kind's column table, ``(token position, check)``
+a line with ``float`` and ``int`` and one finiteness check of the sum of
+its floats (each float is looked at only when the sum is not finite, so
+finite values whose sum overflows still read).  Ground-truth and dataset
+gt lines share one read (a label, a class id, four box floats, then
+floats), and each caller applies its class rule; prop and detection
+lines have their own.  The dataset reader reads its prop lines in runs,
+``_RUN_ROWS`` lines at a time, through NumPy's C text reader
+(``_read_run``), whose grammar is a subset of ``float`` and ``int``'s with
+the same values, and checks each run with array operations; a run it
+refuses is read line by line.  A refused line goes to ``_diagnose``,
+which only raises: it walks the kind's column table, ``(token position, check)``
 pairs in reporting order, and raises the first error, naming ``path:line``
 and the bad field (or the degenerate box).  Class ids in record files must
 be at least 1.
@@ -43,7 +47,8 @@ exactly the line numbers, of ``read_text().splitlines()``.  The parsers
 take either that text or such an iterable of lines.  Bytes that the
 encoding cannot decode are a FormatError naming the file and the line.
 The dataset reader fills a proposal table made once from the manifest's
-``n_proposals``.
+``n_proposals``; a pending run holds at most ``_RUN_ROWS`` lines and
+their parsed rows.
 """
 
 from __future__ import annotations
@@ -360,6 +365,39 @@ def _read_prop_line(tok: list[str], counts: tuple, n_gt: int) -> tuple | None:
     return None
 
 
+# Prop lines read by one call of NumPy's C text reader (``_read_run``):
+# enough that the call's fixed cost (about 15 us) is small beside its
+# rows, few enough that a run's lines and rows (about 1.3 KB a line at 32
+# features) stay small beside the table.
+_RUN_ROWS = 48
+
+
+def _read_run(lines: list[str], dtype: np.dtype, n_gt: np.ndarray) -> np.ndarray | None:
+    """The rows of prop lines that start ``prop ``, each with the fields of
+    ``dtype``, read by one ``np.loadtxt`` call; None if it refuses a line
+    or a row fails a check of ``_read_prop_line`` (``n_gt``: each row's
+    scene's ground truths).  The C reader's numbers are a subset of what
+    ``int`` and ``float`` read (it refuses ``1_0``, non-ASCII digits and
+    ``-0`` as a uint64), with the same values, and it refuses a line break
+    inside a line, so its rows are the lines."""
+    # a line of w fields has at least 2w - 1 characters: the C reader
+    # makes no table for rows that cannot be there
+    width = 4 + dtype["values"].shape[0]  # prop, matched, iou, seed, values
+    if sum(map(len, lines)) < len(lines) * (2 * width - 1):
+        return None
+    try:
+        rows = np.loadtxt(lines, dtype, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    matched, values = rows["matched"], rows["values"]
+    ok = (
+        (-1 <= matched) & (matched < n_gt) & np.isfinite(rows["iou"])
+        & np.isfinite(values).all(axis=1)
+        & (values[:, 0] < values[:, 2]) & (values[:, 1] < values[:, 3])
+    )
+    return rows if ok.all() else None
+
+
 def parse_dataset(
     text: str | Iterable[str],
     class_specs: Sequence[ClassSpec],
@@ -378,26 +416,35 @@ def parse_dataset(
     ``matched_gt`` must be -1 or index one of the scene's gts and its
     noise seed be in [0, 2**64), and a sidecar must be (rows, feature_dim)
     with one row per prop line that reads it, no more.  The table is made
-    for ``n_proposals`` rows (else the sidecar's), grown if short."""
+    for ``n_proposals`` rows (else the sidecar's), grown if short.
+
+    Lines that start ``prop `` after a scene line wait in a run of up to
+    ``_RUN_ROWS``, across scenes, read by one ``_read_run``: with inline
+    features, or from the sidecar if one is given.  A run it refuses is
+    read line by line, as every other prop line is, so the result and any
+    error are those of the line-by-line read; a pending run is read before
+    a later line's error is raised."""
     class_specs = tuple(class_specs)
     feature_dim = class_specs[0].feature_dim
     class_ids = {spec.class_id for spec in class_specs}
     scenes: list[Scene] = []
+    declared: list[int] = []  # the n_gt of each scene by index, as its scene line declares
     scene_lines: dict[str, int] = {}  # scene id -> the line that opened it
     cur_id: str | None = None
     scene_where = ""
     n_gt = n_prop = 0
     gts: list[GroundTruth] = []
-    n = first = 0  # the rows read, and the first row of the current scene
+    n = 0  # the rows read into the table
+    seen = first = 0  # the prop lines seen, and those seen before the current scene
     next_feature = 0
 
     def flush():
         if cur_id is None:
             return
-        if len(gts) != n_gt or n - first != n_prop:
+        if len(gts) != n_gt or seen - first != n_prop:
             raise FormatError(
                 f"{scene_where}: scene {cur_id} declares {n_gt} gt and {n_prop} prop lines, "
-                f"got {len(gts)} and {n - first}"
+                f"got {len(gts)} and {seen - first}"
             )
         scenes.append(Scene(cur_id, tuple(gts)))
 
@@ -415,6 +462,11 @@ def parse_dataset(
     boxes, feats = np.empty((rows, 4)), np.empty((rows, feature_dim))
     columns = (scene_of, boxes, feats, matched, ious, seeds)
 
+    def grow(size: int) -> None:
+        if size > len(ious):
+            for column in columns:
+                column.resize((max(2 * n, size, 64),) + column.shape[1:], refcheck=False)
+
     def feature_values(tokens: list[str], where: str) -> None:
         for t in tokens:
             _parse_float(t, where)
@@ -429,60 +481,125 @@ def parse_dataset(
         (6, _parse_float),
     )
     prop_fields = (8, 8 + feature_dim)
-    prop_columns = (
-        (1, _int_check(lambda m: -1 <= m < n_gt, lambda m: (
-            f"matched_gt {m} is neither -1 nor one of the scene's {n_gt} ground truths"
-        ))),
-        (2, _parse_float),
-        (3, _NOISE_SEED),
-        (slice(4, 8), _checked_box),
-        (slice(8, None), feature_values),
-    )
 
-    lineno = 0
-    for lineno, tok in _data_lines(text):
-        kind = tok[0]
-        if cur_id is None and kind in ("gt", "prop"):
-            raise FormatError(f"{path}:{lineno}: {kind} line before any scene line")
-        if kind == "prop":
-            line = _read_prop_line(tok, prop_fields, n_gt)
-            if line is None or len(line[3]) == 4 and next_feature >= sidecar_rows:
-                _diagnose(tok, "prop line needs", prop_fields, prop_columns, f"{path}:{lineno}")
-            values = line[3]
-            if n == len(ious):
-                for column in columns:
-                    column.resize((max(2 * n, 64),) + column.shape[1:], refcheck=False)
-            scene_of[n], matched[n], ious[n], seeds[n] = len(scenes), *line[:3]
-            inline = len(values) > 4  # else: the next sidecar row
-            boxes[n], feats[n] = values[:4], values[4:] if inline else features[next_feature]
-            next_feature += not inline
-            n += 1
-        elif kind == "gt":
-            line = _read_box_line(tok, 7)
-            if line is None or line[0] not in class_ids:
-                _diagnose(tok, "gt line needs", (7,), gt_columns, f"{path}:{lineno}")
-            class_id, box, (az,) = line
-            gts.append(GroundTruth(cur_id, class_id, box, az))
-        elif kind == "scene":
-            where = f"{path}:{lineno}"
-            if len(tok) != 4:
-                raise FormatError(f"{where}: scene line needs 4 fields, got {len(tok)}")
-            flush()
-            cur_id = tok[1]
-            if cur_id in scene_lines:
-                raise FormatError(
-                    f"{where}: scene {cur_id} repeats the scene id of line {scene_lines[cur_id]}"
-                )
-            scene_lines[cur_id] = lineno
-            scene_where = where
-            n_gt, n_prop = _parse_int(tok[2], where), _parse_int(tok[3], where)
-            gts, first = [], n
+    def prop_columns(n_gt: int) -> tuple:
+        return (
+            (1, _int_check(lambda m: -1 <= m < n_gt, lambda m: (
+                f"matched_gt {m} is neither -1 nor one of the scene's {n_gt} ground truths"
+            ))),
+            (2, _parse_float),
+            (3, _NOISE_SEED),
+            (slice(4, 8), _checked_box),
+            (slice(8, None), feature_values),
+        )
+
+    def read_line(tok: list[str], lineno: int, scene: int) -> None:
+        """Read one prop line of scene number ``scene`` into the table."""
+        nonlocal n, next_feature
+        line = _read_prop_line(tok, prop_fields, declared[scene])
+        if line is None or len(line[3]) == 4 and next_feature >= sidecar_rows:
+            _diagnose(tok, "prop line needs", prop_fields, prop_columns(declared[scene]),
+                      f"{path}:{lineno}")
+        values = line[3]
+        grow(n + 1)
+        scene_of[n], matched[n], ious[n], seeds[n] = scene, *line[:3]
+        inline = len(values) > 4  # else: the next sidecar row
+        boxes[n], feats[n] = values[:4], values[4:] if inline else features[next_feature]
+        next_feature += not inline
+        n += 1
+
+    run: list[str] = []  # the pending run's lines
+    run_at: list[tuple[int, int]] = []  # and the line number and scene number of each
+    run_dtype = np.dtype([
+        ("prop", "S4"), ("matched", np.int64), ("iou", float), ("seed", np.uint64),
+        ("values", float, (4 if features is not None else 4 + feature_dim,)),
+    ])
+
+    def read_pending() -> None:
+        nonlocal n, next_feature
+        if not run:
+            return
+        pending, at = run.copy(), np.array(run_at)
+        run.clear()
+        run_at.clear()
+        k, scene = len(pending), at[:, 1]
+        got = None
+        if features is None or next_feature + k <= sidecar_rows:
+            lo, hi = scene[0], scene[-1] + 1
+            # clipped into int64, which changes no row's check but that of
+            # matched_gt 2**63 - 1, which goes to the line-by-line read
+            caps = np.array([min(max(g, -1), _INT64_MAX) for g in declared[lo:hi]])
+            got = _read_run(pending, run_dtype, caps[scene - lo])
+        if got is None:
+            for line, (lineno, s) in zip(pending, at.tolist()):
+                read_line(line.split(), lineno, s)
+            return
+        grow(n + k)
+        end, values = n + k, got["values"]
+        scene_of[n:end], matched[n:end], ious[n:end], seeds[n:end] = (
+            scene, got["matched"], got["iou"], got["seed"]
+        )
+        boxes[n:end] = values[:, :4]
+        if features is None:
+            feats[n:end] = values[:, 4:]
         else:
-            raise FormatError(f"{path}:{lineno}: unknown line type {kind!r}")
-    flush()
+            feats[n:end] = features[next_feature:next_feature + k]
+            next_feature += k
+        n = end
+
+    lines = text.splitlines() if isinstance(text, str) else text
+    last = 0  # the number of the last line that is not blank or a comment
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            if cur_id is not None and line.startswith("prop "):
+                run.append(line)
+                run_at.append((lineno, len(scenes)))
+                seen += 1
+                last = lineno
+                if len(run) == _RUN_ROWS:
+                    read_pending()
+                continue
+            tok = line.split()
+            if not tok or tok[0][0] == "#":
+                continue
+            kind, last = tok[0], lineno
+            if cur_id is None and kind in ("gt", "prop"):
+                raise FormatError(f"{path}:{lineno}: {kind} line before any scene line")
+            if kind == "prop":
+                read_pending()
+                read_line(tok, lineno, len(scenes))
+                seen += 1
+            elif kind == "gt":
+                gt = _read_box_line(tok, 7)
+                if gt is None or gt[0] not in class_ids:
+                    _diagnose(tok, "gt line needs", (7,), gt_columns, f"{path}:{lineno}")
+                class_id, box, (az,) = gt
+                gts.append(GroundTruth(cur_id, class_id, box, az))
+            elif kind == "scene":
+                where = f"{path}:{lineno}"
+                if len(tok) != 4:
+                    raise FormatError(f"{where}: scene line needs 4 fields, got {len(tok)}")
+                flush()
+                cur_id = tok[1]
+                if cur_id in scene_lines:
+                    raise FormatError(
+                        f"{where}: scene {cur_id} repeats the scene id of line {scene_lines[cur_id]}"
+                    )
+                scene_lines[cur_id] = lineno
+                scene_where = where
+                n_gt, n_prop = _parse_int(tok[2], where), _parse_int(tok[3], where)
+                declared.append(n_gt)
+                gts, first = [], seen
+            else:
+                raise FormatError(f"{path}:{lineno}: unknown line type {kind!r}")
+        read_pending()
+        flush()
+    except FormatError:
+        read_pending()  # the error of a pending line comes from an earlier line
+        raise
     if features is not None and features.shape[:1] != (next_feature,):
         raise FormatError(
-            f"{path}:{lineno}: the prop lines read {next_feature} sidecar rows, "
+            f"{path}:{last}: the prop lines read {next_feature} sidecar rows, "
             f"the sidecar has shape {features.shape}"
         )
     table = Proposals(*(column[:n] for column in columns))

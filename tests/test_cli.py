@@ -23,7 +23,7 @@ import yaml
 from viewbench import synthetic
 from viewbench.cli import entry, load_run_config
 from viewbench.errors import ConfigError
-from viewbench.net import forward
+from viewbench.net import HEAD_KINDS, forward
 from viewbench.records import DET_HEADER, load_checkpoint, parse_detections, read_benchmark
 from viewbench.synthetic import ClassSpec
 
@@ -629,6 +629,15 @@ BAD_TRAIN_VALUES = (
     ("log_every", 0, "must be >= 1, got 0"),
 )
 
+# net: fields that need no class roster, refused when the config loads
+BAD_NET_VALUES = (
+    ("trunk_widths", {"trunk_widths": [64, 0]}, "trunk widths must be >= 1, got (64, 0)"),
+    ("head", {"head": "mlp"}, f"head must be one of {HEAD_KINDS}, got 'mlp'"),
+    ("n_bins", {"n_bins": 1}, "n_bins must be >= 2, got 1"),
+    ("n_dims", {"n_dims": 4}, "n_dims must be 2 or 3, got 4"),
+    ("split_depth", {"head": "joint_reg", "split_depth": 2}, "split_depth must be in [0, 1], got 2"),
+)
+
 
 def _exit_code(argv):
     """Exit code of a command, whether entry returns it or argparse exits."""
@@ -940,6 +949,11 @@ def _exit_code(argv):
              f"train_{key}.yaml: config key train.{key} {message}")
             for key, _, message in BAD_TRAIN_VALUES
         ),
+        *(
+            (["generate", "--config", "{net_%s}" % key, "--out", "{out}"],
+             f"net_{key}.yaml: config section net: {message}")
+            for key, _, message in BAD_NET_VALUES
+        ),
     ],
     ids=[
         "bins-not-integers", "bins-empty", "bins-below-2", "predict-split",
@@ -971,6 +985,7 @@ def _exit_code(argv):
         "config-error-names-file", "generate-3e9-test-scenes-past-split-ceiling",
         *(f"generate-train-{key.replace('_', '-')}-refused-at-load"
           for key, _, _ in BAD_TRAIN_VALUES),
+        *(f"generate-net-{key.replace('_', '-')}-refused-at-load" for key, _, _ in BAD_NET_VALUES),
     ],
 )
 def test_bad_input_exits_2(
@@ -1039,6 +1054,10 @@ def test_bad_input_exits_2(
         **{
             f"train_{key}": _write_yaml(tmp_path / f"train_{key}.yaml", {"train": {key: value}})
             for key, value, _ in BAD_TRAIN_VALUES
+        },
+        **{
+            f"net_{key}": _write_yaml(tmp_path / f"net_{key}.yaml", {"net": section})
+            for key, section, _ in BAD_NET_VALUES
         },
         **{
             f"scenes_{n}": _write_yaml(

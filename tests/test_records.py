@@ -27,6 +27,7 @@ from test_codec_equivalence import (
     detection_rows,
 )
 
+from viewbench import records
 from viewbench.angles import circular_difference
 from viewbench.errors import FormatError, GenerationError, InvalidParameter
 from viewbench.metrics import Box, Detection, Detections, GroundTruth
@@ -1265,6 +1266,229 @@ class TestDatasetContract:
         assert f"error: {tmp_path / 'bench' / 'train_data.txt'}{got[1][1][5:]}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "run" / "checkpoint.txt").exists()
+
+
+# ---------------------------------------------------------------- prop runs
+# parse_dataset reads the lines that start "prop " in runs of
+# records._RUN_ROWS through NumPy's C reader, and a run it refuses line by
+# line.  At every run size, and with every run refused, the outcome is the
+# oracle's: the same table bits, or the same error naming the same line.
+
+RUN_SIZES = (1, 2, 7, records._RUN_ROWS)
+
+
+def _run_lines(inline=True):
+    """The lines of a file of six scenes, four or five prop lines each and
+    27 in all, and the dataset written to it."""
+    ds = generate(0, 6, CONTRACT_SPECS, backgrounds_per_scene=2)
+    return format_dataset(ds, inline_features=inline).splitlines(), ds
+
+
+def _runs_agree(monkeypatch, lines, features=None):
+    """The outcome of reading ``lines`` at every run size and with every
+    run refused, each the oracle's; returns the last."""
+    args = ("\n".join(lines) + "\n", CONTRACT_SPECS, "train", 0)
+    kwargs = {"path": "d.txt", "features": features}
+    with monkeypatch.context() as m:
+        for rows in RUN_SIZES:
+            m.setattr(records, "_RUN_ROWS", rows)
+            _same_outcome(parse_dataset, oracle_parse_dataset, _dataset_key, *args, **kwargs)
+        m.setattr(records, "_read_run", lambda *a: None)
+        return _same_outcome(parse_dataset, oracle_parse_dataset, _dataset_key, *args, **kwargs)
+
+
+def _prop_index(lines, k):
+    """The index in ``lines`` of the k-th prop line."""
+    return [i for i, line in enumerate(lines) if line.startswith("prop ")][k]
+
+
+def _with_token(lines, k, field, token):
+    """``lines`` with field ``field`` of the k-th prop line set to ``token``."""
+    i = _prop_index(lines, k)
+    tok = lines[i].split()
+    tok[field] = token
+    return lines[:i] + [" ".join(tok)] + lines[i + 1:]
+
+
+class TestPropRuns:
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "sidecar"])
+    def test_runs_span_scenes(self, inline, monkeypatch):
+        """Every run of a clean file is read by the C reader, ``_RUN_ROWS``
+        lines at a time across scene lines, and the table matches."""
+        lines, ds = _run_lines(inline)
+        features = None if inline else ds.features()
+        calls = []
+
+        def counted(run, dtype, n_gt):
+            got = read_run(run, dtype, n_gt)
+            calls.append(got is not None)
+            return got
+
+        read_run = records._read_run
+        monkeypatch.setattr(records, "_read_run", counted)
+        for rows in RUN_SIZES:
+            calls.clear()
+            monkeypatch.setattr(records, "_RUN_ROWS", rows)
+            got = parse_dataset("\n".join(lines), CONTRACT_SPECS, "train", 0, features=features)
+            assert _dataset_key(got) == _dataset_key(ds)
+            assert calls == [True] * -(-ds.n_samples // rows)
+        assert _runs_agree(monkeypatch, lines, features)[0] == "ok"
+
+    @pytest.mark.parametrize("rows", [2, 7])
+    def test_contract_cases(self, rows, monkeypatch):
+        """Every case of the dataset contract at run sizes that cut its
+        files in other places."""
+        monkeypatch.setattr(records, "_RUN_ROWS", rows)
+        for text, features in DATASET_CONTRACT.values():
+            _same_outcome(parse_dataset, oracle_parse_dataset, _dataset_key, text,
+                          CONTRACT_SPECS, "train", 0, path="d.txt", features=features)
+
+    @pytest.mark.parametrize("bad", [
+        (1, "9", "matched_gt 9 is neither -1 nor one of the scene's 3 ground truths"),
+        (1, "x", "not an integer: 'x'"),
+        (6, "0.1", "degenerate box"),
+    ], ids=["matched-range", "matched-word", "degenerate-box"])
+    @pytest.mark.parametrize("later", ["gt", "count", "scene-fields", "scene-repeated", "kind"])
+    def test_pending_error_comes_first(self, bad, later, monkeypatch):
+        """A bad prop line waiting in a run raises its own error before
+        that of a later line, or of its scene's count."""
+        lines, _ = _run_lines()
+        field, token, message = bad
+        lines = _with_token(lines, 1, field, token)
+        at = _prop_index(lines, 1) + 1
+        scenes = [i for i, line in enumerate(lines) if line.startswith("scene ")]
+        i = scenes[2] + 1  # the first gt line of the third scene
+        if later == "gt":
+            lines[i] = "gt 9 " + lines[i].split(maxsplit=2)[2]
+        elif later == "count":
+            del lines[i]
+        elif later == "scene-fields":
+            lines[scenes[2]] += " 7"
+        elif later == "scene-repeated":
+            lines[scenes[2]] = lines[scenes[0]]
+        else:
+            lines.insert(i, "box 1 2 3")
+        got = _runs_agree(monkeypatch, lines)
+        assert got[0] == "raised"
+        assert got[1][1].startswith(f"d.txt:{at}: ") and message in got[1][1]
+
+    @pytest.mark.parametrize("field, token, value", [
+        (1, "0_0", 0), (1, "-0", 0), (2, "0_5", 5.0), (2, "٣", 3.0), (3, "-0", 0), (3, "+7", 7),
+        (3, "1_0", 10), (3, "٣", 3), (8, "1_0", 10.0), (9, "٣.٥", 3.5),
+    ])
+    def test_tokens_only_python_reads(self, field, token, value, monkeypatch):
+        """Numbers that ``int`` and ``float`` read and the C reader refuses
+        read as the line-by-line read reads them."""
+        lines, _ = _run_lines()
+        got = _runs_agree(monkeypatch, _with_token(lines, 3, field, token))
+        assert got[0] == "ok"
+        column = {1: "matched_gt", 2: "iou", 3: "noise_seed"}.get(field, "features")
+        read = getattr(got[1].proposals, column)[3]
+        assert (read[field - 8] if field >= 8 else read) == value
+
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x1f", "\x7f", "\xa0", "　"],
+                             ids=["nul", "soh", "bs", "us", "del", "nbsp", "ideographic-space"])
+    @pytest.mark.parametrize("where", ["separator", "before", "after", "inside", "line-end"])
+    def test_control_and_space_characters(self, char, where, monkeypatch):
+        """A character that ``str.split`` may take for a space, or that no
+        number holds, put between, before, after or inside the tokens of a
+        prop line.  NUL and the other control characters in a token are
+        refused by both readers."""
+        lines, _ = _run_lines()
+        i = _prop_index(lines, 4)
+        tok = lines[i].split()
+        lines[i] = {
+            "separator": lambda: " ".join(tok[:5]) + char + " ".join(tok[5:]),
+            "before": lambda: " ".join(tok[:5] + [char + tok[5]] + tok[6:]),
+            "after": lambda: " ".join(tok[:5] + [tok[5] + char] + tok[6:]),
+            "inside": lambda: " ".join(tok[:5] + [tok[5][:3] + char + tok[5][3:]] + tok[6:]),
+            "line-end": lambda: lines[i] + char,
+        }[where]()
+        got = _runs_agree(monkeypatch, lines)
+        if char in "\x00\x01\x08\x7f" and where != "line-end":
+            assert got[0] == "raised" and got[1][1].startswith(f"d.txt:{i + 1}: ")
+
+    @pytest.mark.parametrize("edit", [
+        lambda line: line.replace(" ", "\t"),
+        lambda line: line.replace(" ", " \t ", 3),
+        lambda line: "  " + line,
+        lambda line: "\t" + line,
+        lambda line: line + " \t ",
+        lambda line: line.replace("prop ", "prop  ", 1),
+    ], ids=["tabs", "tab-runs", "leading-spaces", "leading-tab", "trailing", "double-space"])
+    def test_tabs_and_leading_whitespace(self, edit, monkeypatch):
+        lines, ds = _run_lines()
+        lines = [edit(line) if line.startswith("prop ") and k % 2 else line
+                 for k, line in enumerate(lines)]
+        got = _runs_agree(monkeypatch, lines)
+        assert got[0] == "ok" and _dataset_key(got[1]) == _dataset_key(ds)
+
+    def test_mixed_inline_and_sidecar_lines(self, monkeypatch):
+        """Beside a sidecar, every third prop line carries its features
+        inline and reads no sidecar row."""
+        lines, ds = _run_lines(inline=False)
+        features = ds.features()
+        inline = [k % 3 == 1 for k in range(ds.n_samples)]
+        k = 0
+        for i, line in enumerate(lines):
+            if line.startswith("prop "):
+                if inline[k]:
+                    lines[i] = line + " " + " ".join("%.17g" % v for v in features[k])
+                k += 1
+        got = _runs_agree(monkeypatch, lines, features[[not x for x in inline]])
+        assert got[0] == "ok" and _dataset_key(got[1]) == _dataset_key(ds)
+
+    @pytest.mark.parametrize("field, token, ok", [
+        (1, "1_0", False), (3, "1_0", True), (2, "inf", False), (6, "0.01", False),
+        (8, "٣", True),
+    ])
+    def test_run_refused_at_its_last_row(self, field, token, ok, monkeypatch):
+        """The 7th prop line, the last of the first run of 7, is one the C
+        reader or a run check refuses: the lines before it still read, and
+        it reads or raises as the line-by-line read has it."""
+        lines, _ = _run_lines()
+        lines = _with_token(lines, 6, field, token)
+        got = _runs_agree(monkeypatch, lines)
+        assert got[0] == ("ok" if ok else "raised")
+        if not ok:
+            assert got[1][1].startswith(f"d.txt:{_prop_index(lines, 6) + 1}: ")
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x85"])
+    def test_line_breaks_inside_given_lines(self, brk, monkeypatch):
+        """Lines given as an iterable may hold a line break, which
+        ``str.split`` takes for a space: one such line that holds two prop
+        lines is one line of too many fields, and one that ends in the
+        break reads."""
+        lines, _ = _run_lines()
+        i = _prop_index(lines, 2)
+        joined = lines[:i] + [lines[i] + brk + lines[i + 1]] + lines[i + 2:]
+        ended = lines[:i] + [lines[i] + brk] + lines[i + 1:]
+        for given, ok in ((joined, False), (ended, True)):
+            with monkeypatch.context() as m:
+                for rows in RUN_SIZES:
+                    m.setattr(records, "_RUN_ROWS", rows)
+                    got = _same_outcome(parse_dataset, oracle_parse_dataset, _dataset_key, given,
+                                        CONTRACT_SPECS, "train", 0, path="d.txt")
+                    assert got[0] == ("ok" if ok else "raised")
+
+    @pytest.mark.parametrize("n_gt", [str(2**63), str(10**20), str(-(10**20))])
+    @pytest.mark.parametrize("matched", [str(2**63 - 1), "0"])
+    def test_gt_counts_past_int64(self, n_gt, matched, monkeypatch):
+        """A scene line may declare a gt count that no int64 holds; its
+        prop lines are checked against it as the line-by-line read does."""
+        lines, _ = _run_lines()
+        lines = _with_token(lines, 1, 1, matched)
+        i = next(k for k, line in enumerate(lines) if line.startswith("scene "))
+        tok = lines[i].split()
+        lines[i] = " ".join(tok[:2] + [n_gt] + tok[3:])
+        assert _runs_agree(monkeypatch, lines)[0] == "raised"
+
+    def test_short_sidecar_raises_at_its_line(self, monkeypatch):
+        """A run that would read past the sidecar's rows is read line by
+        line, which names the first line with no row left."""
+        lines, ds = _run_lines(inline=False)
+        got = _runs_agree(monkeypatch, lines, ds.features()[:10])
+        assert got[1][1] == f"d.txt:{_prop_index(lines, 10) + 1}: sidecar has too few feature rows"
 
 
 # ---------------------------------------------------------------- manifests
