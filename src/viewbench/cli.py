@@ -35,7 +35,14 @@ from .experiments import compose_detections, pose_angles
 from .gradcheck import loss_gradient_suite, net_gradient_suite
 from .losses import LossSpec
 from .metrics import AP_RULES, evaluate
-from .net import NetConfig, TrainConfig, check_net_fields, predict as net_predict, train
+from .net import (
+    NetConfig,
+    TrainConfig,
+    check_batch_size,
+    check_net_fields,
+    predict as net_predict,
+    train,
+)
 from .records import (
     atomic_write_text,
     format_eval_report,
@@ -314,14 +321,16 @@ def cmd_train(args) -> int:
     out = _out_dir(args, cfg)
     if not cfg["data"]:
         raise ConfigError("config needs 'data': path to a benchmark manifest")
-    # the net is checked against the manifest's roster before the split is read
+    # the net and its batch are checked against the manifest's roster
+    # before the split is read
     _, specs = read_manifest(Path(cfg["data"]))
     net_cfg = _net_section(
         NetConfig, input_dim=specs[0].feature_dim, n_classes=len(specs), **cfg["net"]
     )
+    tcfg = _train_config(cfg["train"])
+    check_batch_size(net_cfg, tcfg)
     train_ds, _, _ = read_benchmark(Path(cfg["data"]), split="train")
     every = cfg["train"]["checkpoint_every"]
-    tcfg = _train_config(cfg["train"])
     loss = LossSpec(**cfg["loss"])
     extra = {"config": cfg, "loss": dataclasses.asdict(loss), "train": dataclasses.asdict(tcfg)}
     out.mkdir(parents=True, exist_ok=True)
@@ -396,13 +405,16 @@ def _seed(text: str) -> int:
 
 
 def _bin_counts(text: str) -> tuple[int, ...]:
-    """--bins value: comma-separated AVP bin counts, each at least 2."""
+    """--bins value: comma-separated AVP bin counts, each at least 2 and
+    none twice."""
     try:
         bins = tuple(int(b) for b in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
     if any(b < 2 for b in bins):
         raise argparse.ArgumentTypeError(f"bin counts must be >= 2, got {text!r}")
+    if len(set(bins)) < len(bins):
+        raise argparse.ArgumentTypeError(f"bin counts must not repeat, got {text!r}")
     return bins
 
 

@@ -63,6 +63,7 @@ from .losses import (
     geometric_classification_loss,
     joint_classification_loss,
     joint_regression_loss,
+    loss_function,
     regression_loss,
 )
 from . import net as nets
@@ -178,7 +179,8 @@ def _stacked_values(
         x = vec[block]
         stacked[np.arange(0, k, 2), column[block]] = x + eps
         stacked[np.arange(1, k, 2), column[block]] = x - eps
-        stacked_terms = loss_fn(build(stacked), labels._rows(copy_sample)).terms
+        copy_labels = Labels(labels.class_id[copy_sample], labels.azimuth[copy_sample])
+        stacked_terms = loss_fn(build(stacked), copy_labels).terms
         copies = []
         for j, (coef, t, _) in enumerate(terms):
             copy = np.repeat(t[None], k, axis=0)
@@ -290,7 +292,7 @@ def check_net(
     ``values`` vector is perturbed in place."""
     targets = as_labels(targets)
     params = nets.init_params(cfg)
-    fn = nets._loss_fn(loss, cfg)
+    fn = loss_function(loss, cfg.n_dims)
     out, cache = nets.forward(params, cfg, x, want_cache=True)
     grads = nets.backward(params, cfg, x, fn(out, targets).grad, cache)
     probe = params.copy()

@@ -21,11 +21,16 @@ zero-scatter that builds their gradients.  Each public loss is its entry
 checks followed by its core (``_regression``, ``_classification``,
 ``_geometric``, ``_joint_regression``, ``_joint_classification``), which
 takes checked arrays: the float outputs, each sample's class row or class
-id, and its 0-based bin, embedding or joint slot.  ``net.train`` calls the
-cores directly, on the batch's rows of label columns it derives and
-checks once per run, so a training step runs no entry check and builds no
-``Labels`` batch, and the public loss and the step share one
-implementation of each loss.
+id, and its 0-based bin, embedding or joint slot.
+
+The two dispatches from a :class:`LossSpec` live here, beside the cores:
+:func:`loss_function` gives the spec's public loss with its knobs (which
+``net.train`` scores its probe batch with, and ``gradcheck.check_net``
+checks), and :func:`step_loss` the loss of a training step, the same
+core fed by the batch's rows of label columns derived once from a label
+table, so a training step runs no entry check and builds no ``Labels``
+batch, and the public loss and the step share one implementation of each
+loss.
 
 ``LOSS_HEADS`` is the one formulation table: each loss kind with the net
 head kind it trains (``LOSS_KINDS`` are its keys, ``net.HEAD_KINDS`` its
@@ -34,8 +39,9 @@ values), and ``POSE_ONLY_LOSSES`` the kinds with no background term.
 Targets come as one :class:`Labels` batch (class ids and azimuths as
 arrays, which is what ``net.make_batch`` produces) or as any sequence of
 per-sample :class:`Target` values.  Each loss turns its input into
-``Labels`` once at entry; bins, embeddings and slots are then array code.
-A bad label raises for the first offending sample in index order.
+``Labels`` once at entry; bins, embeddings and slots are then array code,
+derived once per ``Labels`` object and kept.  A bad label raises for the
+first offending sample in index order.
 
 Output layouts
 --------------
@@ -118,17 +124,12 @@ class Labels:
     Validated once for the whole batch with the rules of :class:`Target`;
     foreground azimuths must also be finite.  The arrays are read-only
     copies, so what a loss derives from them (bins per bin count,
-    embeddings per dimension) is computed once per batch and kept.  Labels
-    made of rows of other labels (:meth:`_rows`, which is how ``net.Pool``
-    hands out a batch's rows of its label table) take what they derive
-    from those labels' rows, which derive it once for all their rows.
+    embeddings per dimension) is computed once per batch and kept.
     """
 
     class_id: np.ndarray
     azimuth: np.ndarray
     _derived: dict = field(default_factory=dict, init=False, repr=False)
-    # (labels, index): these are rows ``index`` of ``labels``, or None
-    _source: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         cls = np.array(self.class_id)
@@ -149,24 +150,9 @@ class Labels:
             if np.isnan(az[i]):
                 raise LayoutError(f"sample {i}: foreground target requires an azimuth")
             raise InvalidAngle(f"sample {i}: azimuth must be finite, got {float(az[i])!r}")
-        self._set(cls, az)
-
-    def _set(self, class_id: np.ndarray, azimuth: np.ndarray) -> None:
-        class_id.flags.writeable = False
-        azimuth.flags.writeable = False
-        object.__setattr__(self, "class_id", class_id)
-        object.__setattr__(self, "azimuth", azimuth)
-
-    def _rows(self, index: np.ndarray) -> "Labels":
-        """The labels of rows ``index`` of these labels, which were checked
-        already, so they are neither checked nor copied again; their bins
-        and embeddings are gathered from these labels' rather than derived
-        again."""
-        labels = object.__new__(Labels)
-        object.__setattr__(labels, "_derived", {})
-        object.__setattr__(labels, "_source", (self, index))
-        labels._set(self.class_id[index], self.azimuth[index])
-        return labels
+        for name, value in (("class_id", cls), ("azimuth", az)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return self.class_id.shape[0]
@@ -183,14 +169,10 @@ class Labels:
 
     def _kept(self, key: tuple, fn: Callable, background, shape: tuple) -> np.ndarray:
         """``fn`` of each row's azimuth, with ``background`` on background
-        rows, which are never evaluated; kept under ``key``, and gathered
-        from the source labels' rows if these are rows of other labels."""
+        rows, which are never evaluated; kept under ``key``."""
         out = self._derived.get(key)
         if out is None:
-            if self._source is not None:
-                labels, index = self._source
-                out = labels._kept(key, fn, background, shape)[index]
-            elif np.minimum.reduce(self.class_id, initial=1) > 0:  # no background rows
+            if np.minimum.reduce(self.class_id, initial=1) > 0:  # no background rows
                 out = fn(self.azimuth)
             else:
                 fg = self.class_id > 0
@@ -316,6 +298,7 @@ class LossSpec:
 
     ``sigma`` applies to the geometric loss (None picks the default),
     ``lam`` to joint regression, ``delta`` to both Huber losses.
+    :func:`loss_function` and :func:`step_loss` turn one into its loss.
     """
 
     kind: str
@@ -655,6 +638,52 @@ def _joint_classification(
     return LossResult.deferred(
         ((-1.0, picked, None),), lambda: JointClsOutputs.from_flat(grad(), n_classes, n_bins)
     )
+
+
+def loss_function(spec: LossSpec, n_dims: int) -> Callable[[object, Labels], LossResult]:
+    """The public loss of ``spec`` with its knobs, as ``fn(outputs,
+    targets)``; the regression losses embed in ``n_dims`` dimensions."""
+    kind = spec.kind
+    if kind == "regression":
+        return lambda o, t: regression_loss(o, t, dim=n_dims, delta=spec.delta)
+    if kind == "classification":
+        return classification_loss
+    if kind == "geometric":
+        return lambda o, t: geometric_classification_loss(o, t, sigma=spec.sigma)
+    if kind == "joint_regression":
+        return lambda o, t: joint_regression_loss(o, t, lam=spec.lam, dim=n_dims, delta=spec.delta)
+    return joint_classification_loss
+
+
+def step_loss(
+    spec: LossSpec, labels: Labels, n_classes: int, n_bins: int, n_dims: int, batch_size: int
+) -> Callable[[object, np.ndarray], LossResult]:
+    """The loss of ``spec`` on a training batch, as ``fn(outputs, idx)``:
+    the core of :func:`loss_function`'s loss on the batch's head outputs
+    and ``idx``, its rows of ``labels``.  ``labels`` is a label table whose
+    class ids the caller checked against the ``n_classes`` of the outputs,
+    which have ``n_bins`` bins or ``n_dims`` embedding dimensions.  The
+    label columns the loss reads are derived here once, and each call
+    gathers the batch's rows of them.  A pose-only loss trains on batches
+    of ``batch_size`` foreground rows."""
+    cls = labels.class_id
+    if spec.kind == "joint_regression":
+        emb = labels.embeddings(n_dims) if spec.lam != 0.0 else None
+        return lambda out, idx: _joint_regression(
+            out.det, out.pose, cls[idx], lambda fg: emb[idx[fg]], spec.lam, spec.delta
+        )
+    if spec.kind == "joint_classification":
+        slots = _joint_slots(cls, labels.bins(n_bins), n_classes, n_bins)
+        return lambda out, idx: _joint_classification(out.flat, slots[idx], n_classes, n_bins)
+    rows, own_class = np.arange(batch_size), cls - 1
+    if spec.kind == "regression":
+        emb = labels.embeddings(n_dims)
+        return lambda out, idx: _regression(out, (rows, own_class[idx]), emb[idx], spec.delta)
+    bin0 = labels.bins(n_bins) - 1
+    if spec.kind == "classification":
+        return lambda out, idx: _classification(out, (rows, own_class[idx]), bin0[idx])
+    sigma = default_geometric_sigma(n_bins) if spec.sigma is None else spec.sigma
+    return lambda out, idx: _geometric(out, (rows, own_class[idx]), bin0[idx], sigma)
 
 
 def joint_detection_score(obj: np.ndarray, back: float, class_id: int) -> float:

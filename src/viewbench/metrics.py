@@ -322,12 +322,15 @@ def evaluate(
 
     Classes are taken from the union of both record lists; a class with no
     ground truth is reported with ``n_gt=0`` and null metrics and does not
-    enter the means.
+    enter the means.  Each AVP bin count must be at least 2, and none may
+    be given twice, since the report keys its AVP by bin count.
     """
     bins = tuple(int(k) for k in bins)
     for k in bins:
         if k < 2:
             raise InvalidBinning(f"AVP bin count must be >= 2, got {k}")
+    if len(set(bins)) < len(bins):
+        raise InvalidBinning(f"AVP bin counts must not repeat, got {list(bins)}")
     if not 0.0 < iou_threshold < 1.0:
         raise InvalidParameter(f"iou threshold must be in (0, 1), got {iou_threshold}")
     if rule not in AP_RULES:

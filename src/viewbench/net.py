@@ -34,21 +34,24 @@ foreground rows, their noiseless mirrors and background rows, and a label
 table of the same rows, whose bins and embeddings are derived once per
 bin count and dimension.  ``make_batch`` draws one index array into both:
 the features are those rows (a flipped row of a noisy class plus fresh
-noise), and the labels one ``losses.Labels`` batch of the same rows.
-All randomness comes from seeded generators, so runs are bitwise
+noise), and the labels ``losses.Labels`` of the same rows of the label
+table.  All randomness comes from seeded generators, so runs are bitwise
 reproducible.  The training log measures loss on a fixed probe batch, so
 it reflects parameter movement rather than batch sampling noise.
 
 ``train`` computes once per run what every step would otherwise
 recompute: the batch's foreground/background split, the net's chains,
-the label columns its loss reads (class ids with the pool's bins or
-embeddings), and the check of the pool's class ids against the net.  A
-step then runs the cores that the public functions wrap: ``_draw``
-(``make_batch`` without its checks and ``Labels`` batch), ``_outputs``
-(``forward`` without its input check) and the loss's core in ``losses``
-(the public loss without its entry checks), fed by gathers from those
-columns; then ``backward`` and ``sgd_step``.  The public functions run on
-the probe batch, so each piece of the step has one implementation.
+the loss of its steps (``losses.step_loss``, which derives the label
+columns the loss reads from the pool's label table), and the check of
+the pool's class ids against the net.  A step then runs the cores that
+the public functions wrap: ``_draw`` (``make_batch`` without its checks
+and ``Labels`` batch), ``_outputs`` (``forward`` without its input check)
+and the step loss, fed the batch's index; then ``backward`` and
+``sgd_step``.  The public functions run on the probe batch, scored by
+``losses.loss_function``, so each piece of the step has one
+implementation, and each loss dispatch lives in ``losses`` beside the
+cores it picks.  ``train`` refuses, before it builds the pool, a batch
+whose arrays would pass ``MAX_BATCH_VALUES``.
 
 ``predict`` reads every head the same way, as one ``Prediction``: a
 detection score and an azimuth per (row, class) hypothesis.
@@ -82,22 +85,11 @@ from .losses import (
     JointClsOutputs,
     JointRegOutputs,
     Labels,
-    LossResult,
     LossSpec,
-    _classification,
-    _geometric,
-    _joint_classification,
-    _joint_regression,
-    _joint_slots,
-    _regression,
-    classification_loss,
-    default_geometric_sigma,
-    geometric_classification_loss,
-    joint_classification_loss,
     joint_detection_scores,
-    joint_regression_loss,
-    regression_loss,
+    loss_function,
     softmax,
+    step_loss,
 )
 from .synthetic import ClassSpec, Dataset, appearance_clean
 
@@ -482,6 +474,26 @@ def backward(
     return params.grad.copy()
 
 
+# The most values (rows times the widest layer, input included) one array
+# of a training batch may hold.  A step keeps such an array for every layer
+# (its cached input and its delta), and the probe batch has its own, all
+# sized by ``batch_size``, which a config can set to any integer, so an
+# unchecked one could ask for any amount of memory before the first step.
+# 2**24 values is 128 MiB an array; the batches of the tests, demos, README
+# and benchmark hold 16,384 at most (128 rows of a layer 128 wide).
+MAX_BATCH_VALUES = 2**24
+
+
+def check_batch_size(cfg: NetConfig, tcfg: TrainConfig) -> None:
+    """Refuse a batch of ``tcfg`` whose arrays through the net of ``cfg``
+    would hold more than ``MAX_BATCH_VALUES`` values."""
+    widest = max(max(fan_in, fan_out) for _, fan_in, fan_out in layer_plan(cfg))
+    n = tcfg.batch_size * widest
+    if n > MAX_BATCH_VALUES:
+        raise InvalidConfig(f"batch_size {tcfg.batch_size} with the net's widest layer of "
+                            f"{widest} gives {n} values; a batch holds at most {MAX_BATCH_VALUES}")
+
+
 def effective_lr(tcfg: TrainConfig, iteration: int) -> float:
     """Step schedule: the base rate divided by the decay factor once per
     milestone already reached (iterations are 0-based)."""
@@ -631,12 +643,12 @@ def make_batch(
     ``(k, feature_dim)`` draw, row by row the same numbers as one draw per
     flipped row.  Backgrounds are rotation-free, so flipping leaves them
     alone.  The batch is one index array into ``Pool.rows``: the features
-    are those rows, and the labels the same rows of ``Pool.labels``, whose
-    rows were checked when the pool was built.
+    are those rows, and the labels ``Labels`` of the same rows of
+    ``Pool.labels``.
     """
     n_fg, n_bg = _split(pool, tcfg)
     idx, x = _draw(pool, n_fg, n_bg, tcfg.flip_augment, rng)
-    return x, pool.labels._rows(idx)
+    return x, Labels(pool.labels.class_id[idx], pool.labels.azimuth[idx])
 
 
 def _split(pool: Pool, tcfg: TrainConfig) -> tuple[int, int]:
@@ -680,51 +692,6 @@ def _draw(
     return idx, x
 
 
-def _loss_fn(spec: LossSpec, cfg: NetConfig) -> Callable[[object, Labels], LossResult]:
-    kind = spec.kind
-    if kind == "regression":
-        return lambda o, t: regression_loss(o, t, dim=cfg.n_dims, delta=spec.delta)
-    if kind == "classification":
-        return classification_loss
-    if kind == "geometric":
-        return lambda o, t: geometric_classification_loss(o, t, sigma=spec.sigma)
-    if kind == "joint_regression":
-        return lambda o, t: joint_regression_loss(
-            o, t, lam=spec.lam, dim=cfg.n_dims, delta=spec.delta
-        )
-    return joint_classification_loss
-
-
-def _step_loss(
-    spec: LossSpec, cfg: NetConfig, labels: Labels, batch_size: int
-) -> Callable[[object, np.ndarray], LossResult]:
-    """The loss of a training batch, given its head outputs and ``idx``,
-    its rows of ``labels``: a pool's label table, whose class ids ``train``
-    checked against ``cfg``.  It runs the public loss's core on gathers
-    from the label columns that loss reads, derived here once.  A pose-only
-    loss trains on batches of ``batch_size`` foreground rows."""
-    cls = labels.class_id
-    if spec.kind == "joint_regression":
-        emb = labels.embeddings(cfg.n_dims) if spec.lam != 0.0 else None
-        return lambda out, idx: _joint_regression(
-            out.det, out.pose, cls[idx], lambda fg: emb[idx[fg]], spec.lam, spec.delta
-        )
-    if spec.kind == "joint_classification":
-        slots = _joint_slots(cls, labels.bins(cfg.n_bins), cfg.n_classes, cfg.n_bins)
-        return lambda out, idx: _joint_classification(
-            out.flat, slots[idx], cfg.n_classes, cfg.n_bins
-        )
-    rows, own_class = np.arange(batch_size), cls - 1
-    if spec.kind == "regression":
-        emb = labels.embeddings(cfg.n_dims)
-        return lambda out, idx: _regression(out, (rows, own_class[idx]), emb[idx], spec.delta)
-    bin0 = labels.bins(cfg.n_bins) - 1
-    if spec.kind == "classification":
-        return lambda out, idx: _classification(out, (rows, own_class[idx]), bin0[idx])
-    sigma = default_geometric_sigma(cfg.n_bins) if spec.sigma is None else spec.sigma
-    return lambda out, idx: _geometric(out, (rows, own_class[idx]), bin0[idx], sigma)
-
-
 @dataclass(frozen=True)
 class LogEntry:
     iteration: int
@@ -756,17 +723,20 @@ def train(
     pose branch at ``lam=0``) is not back-propagated while its cached
     inputs and weights are finite (see :func:`backward`).
 
-    A run computes once what its steps share: the batch's foreground and
-    background split, the net's chains, the label columns of the pool
-    that the loss reads, and a check that every pool row's class has an
+    A batch whose arrays would hold more than ``MAX_BATCH_VALUES`` values
+    is refused with ``InvalidConfig`` before the pool is built.  A run
+    computes once what its steps share: the batch's foreground and
+    background split, the net's chains, the step loss
+    (``losses.step_loss``, which derives the label columns of the pool
+    that the loss reads), and a check that every pool row's class has an
     output in the net, refusing one without it with ``ClassOutOfRange``,
     naming the row, before any step.  Each step draws its rows
     (``_draw``, the core of ``make_batch``), runs them through the chains
-    (``_outputs``, the core of ``forward``) and the loss's core, fed by
-    the batch's rows of the label columns (see ``_step_loss``), so it
+    (``_outputs``, the core of ``forward``) and the step loss, which runs
+    the loss's core on the batch's rows of the label columns, so it
     derives no bin or embedding, and then calls ``backward`` and
     ``sgd_step``.  The probe batch goes through ``make_batch``, ``forward``
-    and the public loss.
+    and the public loss of ``losses.loss_function``.
 
     A non-finite batch loss aborts with DivergenceError carrying the
     iteration and the last finite probe loss, and naming the first layer,
@@ -790,6 +760,7 @@ def train(
             f"loss {loss.kind!r} has no background term; "
             f"set positive_fraction=1, got {tcfg.positive_fraction}"
         )
+    check_batch_size(cfg, tcfg)
     pool = dataset if isinstance(dataset, Pool) else build_pool(dataset)
     beyond = pool.fg_class > cfg.n_classes
     if beyond.any():
@@ -798,7 +769,7 @@ def train(
             f"foreground row {i} has class {pool.fg_class[i]} but the net covers "
             f"1..{cfg.n_classes}"
         )
-    fn = _loss_fn(loss, cfg)
+    fn = loss_function(loss, cfg.n_dims)
     params = init_params(cfg)
     batch_rng = np.random.default_rng([tcfg.seed, 0])
     probe_rng = np.random.default_rng([tcfg.seed, 1])
@@ -806,7 +777,7 @@ def train(
         pool, dataclasses.replace(tcfg, flip_augment=False), probe_rng
     )
     n_fg, n_bg = _split(pool, tcfg)
-    step_loss = _step_loss(loss, cfg, pool.labels, tcfg.batch_size)
+    step_fn = step_loss(loss, pool.labels, cfg.n_classes, cfg.n_bins, cfg.n_dims, tcfg.batch_size)
     layers, chains = params.layers, _chains(cfg)
     log: list[LogEntry] = []
     probe_loss = None  # the last finite one
@@ -820,7 +791,7 @@ def train(
                 probe_loss = probe.value
         idx, x = _draw(pool, n_fg, n_bg, tcfg.flip_augment, batch_rng)
         cache = {}
-        res = step_loss(_outputs(layers, cfg, chains, x, cache), idx)
+        res = step_fn(_outputs(layers, cfg, chains, x, cache), idx)
         if not math.isfinite(res.value):
             raise DivergenceError(
                 f"non-finite loss {res.value}; {_first_non_finite(params, cache)}; "

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 import yaml
 
-from viewbench import synthetic
+from viewbench import cli, synthetic
 from viewbench.cli import entry, load_run_config
 from viewbench.errors import ConfigError
 from viewbench.net import HEAD_KINDS, forward
@@ -653,6 +653,9 @@ def _exit_code(argv):
         (["eval", "{gt}", "{gt}", "--bins", "4,x"], "not a list of integers: '4,x'"),
         (["eval", "{gt}", "{gt}", "--bins", ""], "not a list of integers: ''"),
         (["eval", "{gt}", "{gt}", "--bins", "8,1"], "bin counts must be >= 2, got '8,1'"),
+        (["eval", "{gt}", "{gt}", "--bins", "4,4"], "bin counts must not repeat, got '4,4'"),
+        (["eval", "{missing}", "{missing}", "--bins", "8,24,8"],
+         "bin counts must not repeat, got '8,24,8'"),
         (
             ["predict", "{ckpt}", "{manifest}", "--config", "{val}", "--out", "{out}"],
             "predict.split must be 'train' or 'test', got 'val'",
@@ -944,6 +947,16 @@ def _exit_code(argv):
             "give up to 9000000000 ground truths and 1056000000000 feature values "
             "(32 per proposal); a split holds at most 33554432 of either",
         ),
+        (
+            ["train", "--config", "{batch_huge}", "--out", "{out}"],
+            "batch_size 1000000000000 with the net's widest layer of 48 gives 48000000000000 "
+            "values; a batch holds at most 16777216",
+        ),
+        (
+            ["train", "--config", "{batch_wide}", "--out", "{out}"],
+            "batch_size 300000 with the net's widest layer of 64 gives 19200000 values; "
+            "a batch holds at most 16777216",
+        ),
         *(
             (["generate", "--config", "{train_%s}" % key, "--out", "{out}"],
              f"train_{key}.yaml: config key train.{key} {message}")
@@ -956,7 +969,8 @@ def _exit_code(argv):
         ),
     ],
     ids=[
-        "bins-not-integers", "bins-empty", "bins-below-2", "predict-split",
+        "bins-not-integers", "bins-empty", "bins-below-2", "bins-repeated",
+        "bins-repeated-before-files-read", "predict-split",
         "objects-per-scene-scalar", "trunk-widths-string", "total-iters-fraction",
         "weight-decay-nan", "class-sigma-inf", "seed-flag-negative",
         "gradcheck-seed-negative", "train-seed-negative",
@@ -983,6 +997,7 @@ def _exit_code(argv):
         "checkpoint-net-past-parameter-ceiling", "generate-3e9-scenes-past-split-ceiling",
         "generate-5e9-scenes-past-split-ceiling", "train-net-refused-before-split-read",
         "config-error-names-file", "generate-3e9-test-scenes-past-split-ceiling",
+        "train-batch-1e12-past-ceiling", "train-batch-times-width-past-ceiling",
         *(f"generate-train-{key.replace('_', '-')}-refused-at-load"
           for key, _, _ in BAD_TRAIN_VALUES),
         *(f"generate-net-{key.replace('_', '-')}-refused-at-load" for key, _, _ in BAD_NET_VALUES),
@@ -993,7 +1008,8 @@ def test_bad_input_exits_2(
 ):
     """Bad values are rejected where they enter, with a message and exit 2,
     and with no RuntimeWarning; a failed write leaves no temp file.  A
-    split past the size ceiling is refused before any split is made."""
+    split past the size ceiling is refused before any split is made, and a
+    batch past its ceiling before the training split is read."""
     blocked = tmp_path / "blocked"  # an output directory whose test_data.txt cannot be replaced
     (blocked / "test_data.txt").mkdir(parents=True)
     paths = {
@@ -1042,6 +1058,11 @@ def test_bad_input_exits_2(
                     "net": {"head": "reg"}, "loss": {"kind": "regression", "delta": -1},
                 }),
                 ("widths_huge", {"net": {"trunk_widths": [10**9], "head": "cls"}}),
+                ("batch_huge", {"train": {**SMALL_TRAIN["train"], "batch_size": 10**12}}),
+                ("batch_wide", {
+                    "net": {"trunk_widths": [64], "head": "cls"},
+                    "train": {**SMALL_TRAIN["train"], "batch_size": 300_000},
+                }),
             )
         },
         "widths_huge_garbage": _write_yaml(tmp_path / "widths_huge_garbage.yaml", {
@@ -1091,6 +1112,7 @@ def test_bad_input_exits_2(
         }}),
         **broken,
         "out": tmp_path / "out.txt",
+        "missing": tmp_path / "missing.txt",
     }
     generate, made = synthetic.generate, []
 
@@ -1099,6 +1121,14 @@ def test_bad_input_exits_2(
         return generate(*args, **kwargs)
 
     monkeypatch.setattr(synthetic, "generate", functools.wraps(generate)(spy))
+    read_benchmark = cli.read_benchmark
+
+    def read_spy(*args, **kwargs):
+        # a batch past the ceiling is refused before a split is read
+        assert "a batch holds at most" not in message, "the split was read"
+        return read_benchmark(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_benchmark", read_spy)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = _exit_code([a.format(**paths) for a in argv])

@@ -25,6 +25,7 @@ from viewbench.losses import (
     JointClsOutputs,
     JointRegOutputs,
     Labels,
+    POSE_ONLY_LOSSES,
     LossSpec,
     Target,
     as_labels,
@@ -36,7 +37,9 @@ from viewbench.losses import (
     joint_detection_scores,
     joint_regression_loss,
     log_softmax,
+    loss_function,
     regression_loss,
+    step_loss,
 )
 
 EPS = 1e-5
@@ -682,3 +685,57 @@ def test_bin_center_targets_round_trip():
     # gradient at the true slots is p - 1, elsewhere p
     for i, v in enumerate(range(1, 25)):
         assert res.grad[i, 0, v - 1] == pytest.approx(1 / 24 - 1, abs=1e-12)
+
+
+# Every loss kind, with the knobs a training config can give it: a Huber
+# delta, a geometric loss at its default and a set sigma, and joint
+# regression with and without its pose term.
+DISPATCHED = (
+    LossSpec("regression", delta=0.7),
+    LossSpec("classification"),
+    LossSpec("geometric"),
+    LossSpec("geometric", sigma=0.4),
+    LossSpec("joint_regression", lam=0.5, delta=0.7),
+    LossSpec("joint_regression", lam=0.0),
+    LossSpec("joint_classification"),
+)
+
+
+def _head_outputs(kind, rng, b, n_classes, n_bins, n_dims):
+    """Head outputs of ``b`` rows for ``kind``, laid out as the net's."""
+    if kind == "joint_regression":
+        return JointRegOutputs(rng.normal(size=(b, n_classes + 1)),
+                               rng.normal(size=(b, n_classes, n_dims)))
+    if kind == "joint_classification":
+        flat = rng.normal(size=(b, n_classes * n_bins + 1))
+        return JointClsOutputs.from_flat(flat, n_classes, n_bins)
+    return rng.normal(size=(b, n_classes, n_dims if kind == "regression" else n_bins))
+
+
+@pytest.mark.parametrize("spec", DISPATCHED, ids=lambda s: f"{s.kind}-{s.sigma}-{s.lam}")
+@pytest.mark.parametrize("n_bins, n_dims", [(6, 2), (24, 3)])
+@pytest.mark.parametrize("background", [False, True], ids=["fg-table", "bg-table"])
+def test_step_loss_matches_loss_function(spec, n_bins, n_dims, background):
+    """The step dispatch on a batch's rows ``idx`` of a label table gives
+    the value bits and gradient bits of the public dispatch on a Labels
+    batch made of those rows.  A table with background rows holds every
+    third row as background; a pose-only batch draws foreground rows
+    only, as training does."""
+    rng = np.random.default_rng([n_bins, int(background)])
+    n_classes, b = 3, 10
+    targets = _fg_targets(rng, 30, n_classes)
+    if background:
+        targets = [Target(0) if i % 3 == 0 else t for i, t in enumerate(targets)]
+    table = as_labels(targets)
+    rows = (table.class_id > 0).nonzero()[0] if spec.kind in POSE_ONLY_LOSSES else np.arange(30)
+    step = step_loss(spec, table, n_classes, n_bins, n_dims, b)
+    public = loss_function(spec, n_dims)
+    for _ in range(3):
+        idx = rows[rng.integers(0, rows.size, b)]
+        out = _head_outputs(spec.kind, rng, b, n_classes, n_bins, n_dims)
+        got = step(out, idx)
+        want = public(out, Labels(table.class_id[idx], table.azimuth[idx]))
+        assert got.value.hex() == want.value.hex()
+        for g, w in zip(_grad_arrays(got.grad), _grad_arrays(want.grad), strict=True):
+            assert g.shape == w.shape
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))

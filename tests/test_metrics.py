@@ -364,6 +364,16 @@ class TestEvaluateValidation:
         with pytest.raises(InvalidBinning):
             evaluate([_gt()], [_det()], bins=(24, 1))
 
+    @pytest.mark.parametrize("bins, message", [
+        ((4, 4), r"^AVP bin counts must not repeat, got \[4, 4\]$"),
+        ((8, 24, 8), r"^AVP bin counts must not repeat, got \[8, 24, 8\]$"),
+    ])
+    def test_repeated_bins(self, bins, message):
+        """The report keys AVP by bin count, so a repeated count would
+        print and echo a column that no key holds."""
+        with pytest.raises(InvalidBinning, match=message):
+            evaluate([_gt()], [_det()], bins=bins)
+
     def test_bad_threshold(self):
         for thr in (0.0, 1.0, -0.5):
             with pytest.raises(InvalidParameter):

@@ -38,10 +38,12 @@ from viewbench.losses import (
     LossSpec,
     Target,
     default_geometric_sigma,
+    loss_function,
     softmax,
 )
 from viewbench.net import (
     LOSS_HEADS,
+    MAX_BATCH_VALUES,
     POSE_ONLY_LOSSES,
     ModelParams,
     NetConfig,
@@ -49,6 +51,7 @@ from viewbench.net import (
     TrainConfig,
     backward,
     build_pool,
+    check_batch_size,
     effective_lr,
     forward,
     init_params,
@@ -57,7 +60,6 @@ from viewbench.net import (
     predict,
     sgd_step,
     train,
-    _loss_fn,
 )
 from viewbench.synthetic import ClassSpec, appearance, appearance_clean, generate
 
@@ -666,51 +668,77 @@ def test_background_table_rows(m):
         assert np.isnan(labels.embeddings(dim)[2 * n:]).all()
 
 
+def _replay_batch(pool, tcfg, rng):
+    """The draws of the next ``make_batch(pool, tcfg, rng)``, replayed on a
+    copy of ``rng``: the batch's index into ``pool.rows``, the features it
+    should have (those rows, a flipped row of a noisy class plus sigma
+    times a standard normal row), and the copy, which the batch should
+    leave ``rng`` equal to."""
+    replay = np.random.default_rng(0)
+    replay.bit_generator.state = rng.bit_generator.state
+    n = pool.fg_class.shape[0]
+    n_fg = math.ceil(tcfg.positive_fraction * tcfg.batch_size)
+    idx = replay.integers(0, n, n_fg)
+    noise = None
+    if tcfg.flip_augment:
+        idx[replay.random(n_fg) < 0.5] += n
+        mirror = idx >= n
+        sigma = pool.fg_noise_sigma[idx - n * mirror]
+        noisy = (mirror & (sigma > 0.0)).nonzero()[0]
+        noise = sigma[noisy, None] * replay.standard_normal((noisy.size, pool.rows.shape[1]))
+    n_bg = tcfg.batch_size - n_fg
+    if n_bg > 0:
+        bg = replay.integers(2 * n, 2 * n + pool.bg_features.shape[0], n_bg)
+        idx = np.concatenate([idx, bg])
+    want = pool.rows[idx]
+    if noise is not None:
+        want[noisy] += noise
+    return idx, want, replay
+
+
 @pytest.mark.parametrize("pool_fn", [_mixed_noise_pool, _generated_pool])
 @pytest.mark.parametrize("flip", [True, False])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batch_rows_are_pool_rows(pool_fn, flip, seed):
-    """Every batch row is, bit for bit, the ``pool.rows`` row its label was
-    drawn from, except a flipped row of a noisy class, which is that
-    mirror row plus its noise: the draws replayed from the batch
-    generator's state, sigma times a standard normal row."""
+    """Every batch row is, bit for bit, the ``pool.rows`` row its draw
+    picked, except a flipped row of a noisy class, which is that mirror
+    row plus its noise: the draws replayed from the batch generator's
+    state, sigma times a standard normal row."""
     pool = pool_fn()
     n = pool.fg_class.shape[0]
     tcfg = TrainConfig(batch_size=40, positive_fraction=0.5, flip_augment=flip)
     rng = np.random.default_rng([seed, 3])
     for _ in range(3):
-        replay = np.random.default_rng(0)
-        replay.bit_generator.state = rng.bit_generator.state
+        idx, want, replay = _replay_batch(pool, tcfg, rng)
         x, labels = make_batch(pool, tcfg, rng)
-        _, idx = labels._source
         n_fg = math.ceil(tcfg.positive_fraction * tcfg.batch_size)
-        replay.integers(0, n, n_fg)
-        want = pool.rows[idx]
-        if flip:
-            replay.random(n_fg)
-            mirror = idx[:n_fg] >= n
-            sigma = pool.fg_noise_sigma[idx[:n_fg] - n * mirror]
-            noisy = (mirror & (sigma > 0.0)).nonzero()[0]
-            want[noisy] += sigma[noisy, None] * replay.standard_normal((noisy.size, x.shape[1]))
+        assert rng.bit_generator.state == replay.bit_generator.state
         assert np.array_equal(_bits(x), _bits(want))
         assert flip == bool(np.any(idx[:n_fg] >= n))
         assert (idx[n_fg:] >= 2 * n).all()
 
 
+def _hex(a):
+    return [v.hex() for v in np.asarray(a, dtype=float).ravel().tolist()]
+
+
 def test_batch_labels_are_table_rows():
-    """A batch's labels derive nothing themselves: their bins and
-    embeddings are rows of the pool's, which are derived once."""
-    pool = _mixed_noise_pool()
-    tcfg = TrainConfig(batch_size=24, positive_fraction=0.5, flip_augment=True)
-    rng = np.random.default_rng(0)
-    _, first = make_batch(pool, tcfg, rng)
-    table_bins = pool.labels.bins(6)
-    for labels in (first, make_batch(pool, tcfg, rng)[1]):
-        _, rows = labels._source
-        assert labels._source[0] is pool.labels
-        assert np.array_equal(labels.bins(6), table_bins[rows])
-        assert np.array_equal(_bits(labels.embeddings(3)), _bits(pool.labels.embeddings(3)[rows]))
-    assert pool.labels.bins(6) is table_bins
+    """A batch's labels are the rows of the pool's label table at the
+    batch's index, replayed from its generator: the same class ids, and
+    azimuths, bins and embeddings of the same bits."""
+    for pool_fn in (_mixed_noise_pool, _generated_pool):
+        pool = pool_fn()
+        table = pool.labels
+        for flip in (True, False):
+            tcfg = TrainConfig(batch_size=24, positive_fraction=0.5, flip_augment=flip)
+            rng = np.random.default_rng(0)
+            for _ in range(2):
+                idx, _, _ = _replay_batch(pool, tcfg, rng)
+                _, labels = make_batch(pool, tcfg, rng)
+                assert labels.class_id.tolist() == table.class_id[idx].tolist()
+                assert _hex(labels.azimuth) == _hex(table.azimuth[idx])
+                assert labels.bins(6).tolist() == table.bins(6)[idx].tolist()
+                assert _hex(labels.embeddings(3)) == _hex(table.embeddings(3)[idx])
 
 
 def _all_noisy_pool():
@@ -961,7 +989,7 @@ class TestStepEquivalence:
 
         # the same steps through the public step functions, generator included
         params = init_params(cfg)
-        fn = _loss_fn(spec, cfg)
+        fn = loss_function(spec, cfg.n_dims)
         rng = np.random.default_rng([tcfg.seed, 0])
         for t in range(tcfg.total_iters):
             x, labels = make_batch(pool, tcfg, rng)
@@ -1023,6 +1051,32 @@ def test_class_beyond_net_refused_before_any_step(head, kind):
     ):
         train(pool, cfg, tcfg, LossSpec(kind), callback=lambda *a: calls.append(a))
     assert calls == []
+
+
+def test_batch_past_ceiling_refused_before_the_pool_is_built(monkeypatch):
+    """A batch whose widest array (rows times the widest layer, input
+    included) would hold more than MAX_BATCH_VALUES values is refused
+    before ``train`` builds its pool; one at the ceiling is not (2**24 is
+    65,536 rows of 256 inputs)."""
+    import viewbench.net as net_mod
+
+    def no_pool(dataset):
+        raise AssertionError("the pool was built")
+
+    monkeypatch.setattr(net_mod, "build_pool", no_pool)
+    ds = generate(2, 6, [ClassSpec(class_id=1, seed=0, feature_dim=8)])
+    for cfg, widest in (
+        (NetConfig(input_dim=8, trunk_widths=(16,), head="cls", n_classes=2), 48),
+        (NetConfig(input_dim=256, trunk_widths=(16,), head="reg", n_classes=1), 256),
+    ):
+        rows = MAX_BATCH_VALUES // widest
+        check_batch_size(cfg, TrainConfig(batch_size=rows))
+        tcfg = TrainConfig(batch_size=rows + 1, positive_fraction=1.0)
+        with pytest.raises(InvalidConfig, match=(
+            rf"^batch_size {rows + 1} with the net's widest layer of {widest} gives "
+            rf"{(rows + 1) * widest} values; a batch holds at most {MAX_BATCH_VALUES}$"
+        )):
+            train(ds, cfg, tcfg, "classification" if cfg.head == "cls" else "regression")
 
 
 def test_lam0_non_finite_pose_activation_matches_full_backprop():
