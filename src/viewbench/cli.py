@@ -192,10 +192,10 @@ def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
     fills any net/train seeds left null.  Seeds, ``train.checkpoint_every``,
     the ``train:`` section (by building its ``TrainConfig``), the ``net:``
     fields that need no class roster (``check_net_fields``; ``train``
-    checks the parameter ceiling once the manifest gives the sizes) and
-    the loss knobs are checked against their bounds here, so every command
-    refuses them before it reads any data.  An error in the file's config starts
-    with the file's path."""
+    checks the parameter ceiling once the manifest gives the sizes), the
+    loss knobs and the loss kind (by building the ``LossSpec``) are checked
+    here, so every command refuses them before it reads any data.  An error
+    in the file's config starts with the file's path."""
     if path is None:
         return _effective_config({}, seed_override)
     try:
@@ -250,6 +250,10 @@ def _effective_config(user, seed_override: int | None) -> dict:
         _train_config(cfg["train"])
     except InvalidConfig as e:  # its message starts with the field's name
         raise ConfigError(f"config key train.{e}") from None
+    try:
+        LossSpec(**cfg["loss"])
+    except ConfigError as e:
+        raise ConfigError(f"config key loss.kind: {e}") from None
     net = cfg["net"]
     _net_section(check_net_fields, net["trunk_widths"], net["head"], net["n_bins"], net["n_dims"],
                  net["split_depth"])
@@ -356,18 +360,20 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     ckpt = load_checkpoint(args.checkpoint)
+    # the checkpoint is checked against the manifest's roster before the split is read
+    _, specs = read_manifest(Path(args.data))
+    if ckpt.net.input_dim != specs[0].feature_dim:
+        raise ConfigError(
+            f"checkpoint expects {ckpt.net.input_dim}-dim features, "
+            f"dataset has {specs[0].feature_dim}"
+        )
+    if ckpt.net.n_classes != len(specs):
+        raise ConfigError(
+            f"checkpoint covers {ckpt.net.n_classes} classes, dataset has {len(specs)}"
+        )
     split = cfg["predict"]["split"]
     train_ds, test_ds, _ = read_benchmark(Path(args.data), split=split)
     ds = train_ds if split == "train" else test_ds
-    if ckpt.net.input_dim != ds.feature_dim:
-        raise ConfigError(
-            f"checkpoint expects {ckpt.net.input_dim}-dim features, "
-            f"dataset has {ds.feature_dim}"
-        )
-    if ckpt.net.n_classes != ds.n_classes:
-        raise ConfigError(
-            f"checkpoint covers {ckpt.net.n_classes} classes, dataset has {ds.n_classes}"
-        )
     scores, angles = pose_angles(net_predict(ckpt.params, ckpt.net, ds.features()))
     floor = cfg["predict"]["score_floor"]
     dets = compose_detections(ds, scores, angles, floor=floor)
@@ -416,6 +422,17 @@ def _bin_counts(text: str) -> tuple[int, ...]:
     if len(set(bins)) < len(bins):
         raise argparse.ArgumentTypeError(f"bin counts must not repeat, got {text!r}")
     return bins
+
+
+def _iou_threshold(text: str) -> float:
+    """--iou value: a number in (0, 1)."""
+    try:
+        iou = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < iou < 1.0:  # nan too
+        raise argparse.ArgumentTypeError(f"iou threshold must be in (0, 1), got {text!r}")
+    return iou
 
 
 def cmd_eval(args) -> int:
@@ -496,7 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     scoring = _defaults(evaluate)
     p.add_argument("--bins", type=_bin_counts, default=scoring["bins"],
                    help="comma-separated AVP bin counts")
-    p.add_argument("--iou", type=float, default=scoring["iou_threshold"], help="IoU match threshold")
+    p.add_argument("--iou", type=_iou_threshold, default=scoring["iou_threshold"],
+                   help="IoU match threshold, in (0, 1)")
     p.add_argument("--ap-rule", choices=AP_RULES, default=scoring["rule"])
     p.add_argument("--out", help="write a JSON report here")
     p.set_defaults(func=cmd_eval)

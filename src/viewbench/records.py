@@ -15,16 +15,18 @@ a line with ``float`` and ``int`` and one finiteness check of the sum of
 its floats (each float is looked at only when the sum is not finite, so
 finite values whose sum overflows still read).  Ground-truth and dataset
 gt lines share one read (a label, a class id, four box floats, then
-floats), and each caller applies its class rule; prop and detection
-lines have their own.  The dataset reader reads its prop lines in runs,
-``_RUN_ROWS`` lines at a time, through NumPy's C text reader
-(``_read_run``), whose grammar is a subset of ``float`` and ``int``'s with
-the same values, and checks each run with array operations; a run it
-refuses is read line by line.  A refused line goes to ``_diagnose``,
-which only raises: it walks the kind's column table, ``(token position, check)``
-pairs in reporting order, and raises the first error, naming ``path:line``
-and the bad field (or the degenerate box).  Class ids in record files must
-be at least 1.
+floats), and each caller applies its class rule; detection lines have
+their own.  The dataset reader reads every prop line (first token
+``prop``) in a run, ``_RUN_ROWS`` lines at a time, through NumPy's C text
+reader (``_read_run``), whose grammar is a subset of ``float`` and
+``int``'s with the same values, and checks each run with array
+operations.  A kind's column table holds ``(token position, check)``
+pairs in reporting order; each check returns what it reads of its field
+or raises the error, naming ``path:line`` and the bad field (or the
+degenerate box).  A run the C reader refuses is read line by line, each
+line by one walk of the prop table (``_read_columns``).  A gt or
+detection line that its read refuses goes to ``_diagnose``, the same
+walk, which only raises.  Class ids in record files must be at least 1.
 
 Detections are read and written as a :class:`~viewbench.metrics.Detections`
 table, each box row's text formatted once; the reader appends each line's
@@ -119,12 +121,13 @@ def _checked_box(tokens: list[str], where: str) -> Box:
 
 
 def _int_check(ok: Callable[[int], bool], problem: Callable[[int], str]) -> Callable:
-    """The check that a token is an integer that ``ok`` accepts;
-    ``problem(value)`` is the error for one it refuses."""
-    def check(token: str, where: str) -> None:
+    """The check that a token is an integer that ``ok`` accepts, which
+    returns it; ``problem(value)`` is the error for one it refuses."""
+    def check(token: str, where: str) -> int:
         value = _parse_int(token, where)
         if not ok(value):
             raise FormatError(f"{where}: {problem(value)}")
+        return value
     return check
 
 
@@ -144,14 +147,18 @@ _DET_COLUMNS = (
 )
 
 
-def _diagnose(tok: list[str], what: str, counts: tuple, columns: tuple, where: str) -> NoReturn:
-    """Raise the error of a line that its read refused: a field count not
-    in ``counts`` (``what`` words the message), or else the error of the
-    first ``(position, check)`` in ``columns`` that fails on ``tok[position]``."""
+def _read_columns(tok: list[str], what: str, counts: tuple, columns: tuple, where: str) -> list:
+    """What each ``(position, check)`` in ``columns`` reads of ``tok[position]``,
+    in order.  The first error is raised: a field count not in ``counts``
+    (``what`` words the message), or else that of the first check that fails."""
     if len(tok) not in counts:
         raise FormatError(f"{where}: {what} {' or '.join(map(str, counts))} fields, got {len(tok)}")
-    for position, check in columns:
-        check(tok[position], where)
+    return [check(tok[position], where) for position, check in columns]
+
+
+def _diagnose(tok: list[str], what: str, counts: tuple, columns: tuple, where: str) -> NoReturn:
+    """Raise the error of a line that its read refused (``_read_columns``)."""
+    _read_columns(tok, what, counts, columns, where)
     raise AssertionError(f"{where}: a refused line passes every check")
 
 
@@ -348,23 +355,6 @@ def format_dataset(ds: Dataset, inline_features: bool = True) -> str:
     return "\n".join(_dataset_lines(ds, inline_features)) + "\n"
 
 
-def _read_prop_line(tok: list[str], counts: tuple, n_gt: int) -> tuple | None:
-    """The matched gt, IoU, noise seed and floats (box, then inline
-    features) of a well-formed prop line of ``counts`` fields in a scene
-    of ``n_gt`` ground truths, or None for ``_diagnose`` to explain."""
-    if len(tok) not in counts:
-        return None
-    try:
-        matched, ov, noise_seed = int(tok[1]), float(tok[2]), int(tok[3])
-        values = list(map(float, tok[4:]))
-    except ValueError:
-        return None
-    if (-1 <= matched < n_gt and noise_seed in _SEEDS and math.isfinite(ov) and _finite(values)
-            and values[0] < values[2] and values[1] < values[3]):
-        return matched, ov, noise_seed, values
-    return None
-
-
 # Prop lines read by one call of NumPy's C text reader (``_read_run``):
 # enough that the call's fixed cost (about 15 us) is small beside its
 # rows, few enough that a run's lines and rows (about 1.3 KB a line at 32
@@ -373,13 +363,14 @@ _RUN_ROWS = 48
 
 
 def _read_run(lines: list[str], dtype: np.dtype, n_gt: np.ndarray) -> np.ndarray | None:
-    """The rows of prop lines that start ``prop ``, each with the fields of
-    ``dtype``, read by one ``np.loadtxt`` call; None if it refuses a line
-    or a row fails a check of ``_read_prop_line`` (``n_gt``: each row's
-    scene's ground truths).  The C reader's numbers are a subset of what
-    ``int`` and ``float`` read (it refuses ``1_0``, non-ASCII digits and
-    ``-0`` as a uint64), with the same values, and it refuses a line break
-    inside a line, so its rows are the lines."""
+    """The rows of prop lines, each with the fields of ``dtype``, read by
+    one ``np.loadtxt`` call; None if it refuses a line or a row fails a
+    check of the prop column table (``n_gt``: each row's scene's ground
+    truths).  The C reader splits a line at the whitespace ``str.split``
+    splits at, and its numbers are a subset of what ``int`` and ``float``
+    read (it refuses ``1_0``, non-ASCII digits and ``-0`` as a uint64),
+    with the same values; it refuses a line break inside a line, so its
+    rows are the lines."""
     # a line of w fields has at least 2w - 1 characters: the C reader
     # makes no table for rows that cannot be there
     width = 4 + dtype["values"].shape[0]  # prop, matched, iou, seed, values
@@ -418,12 +409,13 @@ def parse_dataset(
     with one row per prop line that reads it, no more.  The table is made
     for ``n_proposals`` rows (else the sidecar's), grown if short.
 
-    Lines that start ``prop `` after a scene line wait in a run of up to
-    ``_RUN_ROWS``, across scenes, read by one ``_read_run``: with inline
-    features, or from the sidecar if one is given.  A run it refuses is
-    read line by line, as every other prop line is, so the result and any
-    error are those of the line-by-line read; a pending run is read before
-    a later line's error is raised."""
+    Prop lines (those whose first token is ``prop``) after a scene line
+    wait in a run of up to ``_RUN_ROWS``, across scenes, read by one
+    ``_read_run``: with inline features, or from the sidecar if one is
+    given.  A run it refuses is read line by line, each line by one walk of
+    the prop column table (``_read_columns``), so the result and any error
+    are those of the line-by-line read; a pending run is read before a
+    later line's error is raised."""
     class_specs = tuple(class_specs)
     feature_dim = class_specs[0].feature_dim
     class_ids = {spec.class_id for spec in class_specs}
@@ -434,17 +426,19 @@ def parse_dataset(
     scene_where = ""
     n_gt = n_prop = 0
     gts: list[GroundTruth] = []
-    n = 0  # the rows read into the table
-    seen = first = 0  # the prop lines seen, and those seen before the current scene
+    n = first = 0  # the rows read into the table, and the prop lines before the current scene
     next_feature = 0
+    run: list[str] = []  # the pending run's lines
+    run_at: list[tuple[int, int]] = []  # and the line number and scene number of each
 
     def flush():
         if cur_id is None:
             return
-        if len(gts) != n_gt or seen - first != n_prop:
+        got = n + len(run) - first
+        if len(gts) != n_gt or got != n_prop:
             raise FormatError(
                 f"{scene_where}: scene {cur_id} declares {n_gt} gt and {n_prop} prop lines, "
-                f"got {len(gts)} and {seen - first}"
+                f"got {len(gts)} and {got}"
             )
         scenes.append(Scene(cur_id, tuple(gts)))
 
@@ -467,11 +461,11 @@ def parse_dataset(
             for column in columns:
                 column.resize((max(2 * n, size, 64),) + column.shape[1:], refcheck=False)
 
-    def feature_values(tokens: list[str], where: str) -> None:
-        for t in tokens:
-            _parse_float(t, where)
-        if not tokens:
+    def feature_values(tokens: list[str], where: str) -> list[float] | None:
+        """The inline features, or None for the next sidecar row."""
+        if not tokens and next_feature >= sidecar_rows:
             raise FormatError(f"{where}: {no_row}")
+        return [_parse_float(t, where) for t in tokens] or None
 
     gt_columns = (
         (slice(2, 6), _checked_box),
@@ -493,23 +487,6 @@ def parse_dataset(
             (slice(8, None), feature_values),
         )
 
-    def read_line(tok: list[str], lineno: int, scene: int) -> None:
-        """Read one prop line of scene number ``scene`` into the table."""
-        nonlocal n, next_feature
-        line = _read_prop_line(tok, prop_fields, declared[scene])
-        if line is None or len(line[3]) == 4 and next_feature >= sidecar_rows:
-            _diagnose(tok, "prop line needs", prop_fields, prop_columns(declared[scene]),
-                      f"{path}:{lineno}")
-        values = line[3]
-        grow(n + 1)
-        scene_of[n], matched[n], ious[n], seeds[n] = scene, *line[:3]
-        inline = len(values) > 4  # else: the next sidecar row
-        boxes[n], feats[n] = values[:4], values[4:] if inline else features[next_feature]
-        next_feature += not inline
-        n += 1
-
-    run: list[str] = []  # the pending run's lines
-    run_at: list[tuple[int, int]] = []  # and the line number and scene number of each
     run_dtype = np.dtype([
         ("prop", "S4"), ("matched", np.int64), ("iou", float), ("seed", np.uint64),
         ("values", float, (4 if features is not None else 4 + feature_dim,)),
@@ -532,7 +509,16 @@ def parse_dataset(
             got = _read_run(pending, run_dtype, caps[scene - lo])
         if got is None:
             for line, (lineno, s) in zip(pending, at.tolist()):
-                read_line(line.split(), lineno, s)
+                m, ov, noise_seed, box, feature = _read_columns(
+                    line.split(), "prop line needs", prop_fields, prop_columns(declared[s]),
+                    f"{path}:{lineno}",
+                )
+                grow(n + 1)
+                scene_of[n], matched[n], ious[n], seeds[n] = s, m, ov, noise_seed
+                boxes[n] = box.x_min, box.y_min, box.x_max, box.y_max
+                feats[n] = features[next_feature] if feature is None else feature
+                next_feature += feature is None
+                n += 1
             return
         grow(n + k)
         end, values = n + k, got["values"]
@@ -551,24 +537,21 @@ def parse_dataset(
     last = 0  # the number of the last line that is not blank or a comment
     try:
         for lineno, line in enumerate(lines, start=1):
-            if cur_id is not None and line.startswith("prop "):
-                run.append(line)
-                run_at.append((lineno, len(scenes)))
-                seen += 1
-                last = lineno
-                if len(run) == _RUN_ROWS:
-                    read_pending()
-                continue
-            tok = line.split()
-            if not tok or tok[0][0] == "#":
-                continue
-            kind, last = tok[0], lineno
+            if line.startswith("prop "):  # the common prop line needs no split
+                kind = "prop"
+            else:
+                tok = line.split()
+                if not tok or tok[0][0] == "#":
+                    continue
+                kind = tok[0]
+            last = lineno
             if cur_id is None and kind in ("gt", "prop"):
                 raise FormatError(f"{path}:{lineno}: {kind} line before any scene line")
             if kind == "prop":
-                read_pending()
-                read_line(tok, lineno, len(scenes))
-                seen += 1
+                run.append(line)
+                run_at.append((lineno, len(scenes)))
+                if len(run) == _RUN_ROWS:
+                    read_pending()
             elif kind == "gt":
                 gt = _read_box_line(tok, 7)
                 if gt is None or gt[0] not in class_ids:
@@ -589,7 +572,7 @@ def parse_dataset(
                 scene_where = where
                 n_gt, n_prop = _parse_int(tok[2], where), _parse_int(tok[3], where)
                 declared.append(n_gt)
-                gts, first = [], seen
+                gts, first = [], n + len(run)
             else:
                 raise FormatError(f"{path}:{lineno}: unknown line type {kind!r}")
         read_pending()

@@ -60,6 +60,11 @@ SMALL_TRAIN = {
 }
 
 
+def _split_read(*args, **kwargs):
+    """A stand-in for ``cli.read_benchmark`` where no split may be read."""
+    raise AssertionError("the split was read")
+
+
 @pytest.fixture(scope="module")
 def small_bench(tmp_path_factory):
     root = tmp_path_factory.mktemp("small")
@@ -380,10 +385,12 @@ class TestPredict:
             outs.append(_read(out))
         assert outs[0] == outs[1]
 
-    def test_feature_dim_mismatch_exit_2(self, small_ckpt, tmp_path, capsys):
+    def test_feature_dim_mismatch_exit_2(self, small_ckpt, tmp_path, capsys, monkeypatch):
+        """Refused from the manifest, before the split is read."""
         ds = dict(SMALL_DATASET, feature_dim=12, n_train_scenes=2, n_test_scenes=2)
         cfg = _write_yaml(tmp_path / "g.yaml", {"seed": 0, "dataset": ds})
         assert entry(["generate", "--config", cfg, "--out", str(tmp_path / "bench")]) == 0
+        monkeypatch.setattr(cli, "read_benchmark", _split_read)
         assert (
             entry(
                 ["predict", str(small_ckpt["ckpt"]),
@@ -392,7 +399,20 @@ class TestPredict:
             )
             == 2
         )
-        assert "checkpoint expects 8-dim features" in capsys.readouterr().err
+        assert "checkpoint expects 8-dim features, dataset has 12" in capsys.readouterr().err
+
+    def test_class_count_mismatch_exit_2(self, small_ckpt, tmp_path, capsys, monkeypatch):
+        """Refused from the manifest, before the split is read."""
+        classes = [{"class_id": k} for k in (1, 2, 3)]
+        ds = dict(SMALL_DATASET, classes=classes, n_train_scenes=2, n_test_scenes=2)
+        cfg = _write_yaml(tmp_path / "g.yaml", {"seed": 0, "dataset": ds})
+        assert entry(["generate", "--config", cfg, "--out", str(tmp_path / "bench")]) == 0
+        monkeypatch.setattr(cli, "read_benchmark", _split_read)
+        argv = ["predict", str(small_ckpt["ckpt"]), str(tmp_path / "bench" / "manifest.json"),
+                "--out", str(tmp_path / "d.txt")]
+        assert entry(argv) == 2
+        assert "checkpoint covers 2 classes, dataset has 3" in capsys.readouterr().err
+        assert not (tmp_path / "d.txt").exists()
 
     def test_empty_split_writes_header_only(self, small_ckpt, tmp_path):
         ds = dict(SMALL_DATASET, n_test_scenes=0)
@@ -958,6 +978,15 @@ def _exit_code(argv):
             "a batch holds at most 16777216",
         ),
         *(
+            ([command, "--config", "{loss_bogus}", "--out", "{out}"],
+             "loss_bogus.yaml: config key loss.kind: loss kind must be one of (")
+            for command in ("generate", "train")
+        ),
+        (["eval", "{missing}", "{missing}", "--iou", "1.5"],
+         "iou threshold must be in (0, 1), got '1.5'"),
+        (["eval", "{gt}", "{gt}", "--iou", "nan"], "iou threshold must be in (0, 1), got 'nan'"),
+        (["eval", "{gt}", "{gt}", "--iou", "0"], "iou threshold must be in (0, 1), got '0'"),
+        *(
             (["generate", "--config", "{train_%s}" % key, "--out", "{out}"],
              f"train_{key}.yaml: config key train.{key} {message}")
             for key, _, message in BAD_TRAIN_VALUES
@@ -998,6 +1027,9 @@ def _exit_code(argv):
         "generate-5e9-scenes-past-split-ceiling", "train-net-refused-before-split-read",
         "config-error-names-file", "generate-3e9-test-scenes-past-split-ceiling",
         "train-batch-1e12-past-ceiling", "train-batch-times-width-past-ceiling",
+        "generate-loss-kind-refused-at-load", "train-loss-kind-refused-before-split-read",
+        "eval-iou-above-1-before-files-read", "eval-iou-nan-before-files-parsed",
+        "eval-iou-0-before-files-parsed",
         *(f"generate-train-{key.replace('_', '-')}-refused-at-load"
           for key, _, _ in BAD_TRAIN_VALUES),
         *(f"generate-net-{key.replace('_', '-')}-refused-at-load" for key, _, _ in BAD_NET_VALUES),
@@ -1008,8 +1040,9 @@ def test_bad_input_exits_2(
 ):
     """Bad values are rejected where they enter, with a message and exit 2,
     and with no RuntimeWarning; a failed write leaves no temp file.  A
-    split past the size ceiling is refused before any split is made, and a
-    batch past its ceiling before the training split is read."""
+    split past the size ceiling is refused before any split is made; a
+    batch past its ceiling and a bad loss kind before the training split is
+    read, and a bad IoU threshold before either record file is parsed."""
     blocked = tmp_path / "blocked"  # an output directory whose test_data.txt cannot be replaced
     (blocked / "test_data.txt").mkdir(parents=True)
     paths = {
@@ -1063,6 +1096,7 @@ def test_bad_input_exits_2(
                     "net": {"trunk_widths": [64], "head": "cls"},
                     "train": {**SMALL_TRAIN["train"], "batch_size": 300_000},
                 }),
+                ("loss_bogus", {"loss": {"kind": "bogus"}}),
             )
         },
         "widths_huge_garbage": _write_yaml(tmp_path / "widths_huge_garbage.yaml", {
@@ -1121,14 +1155,19 @@ def test_bad_input_exits_2(
         return generate(*args, **kwargs)
 
     monkeypatch.setattr(synthetic, "generate", functools.wraps(generate)(spy))
-    read_benchmark = cli.read_benchmark
+    # these are refused before a split or a record file is read
+    refused_unread = any(m in message for m in (
+        "a batch holds at most", "config key loss.kind", "iou threshold must be",
+    ))
 
-    def read_spy(*args, **kwargs):
-        # a batch past the ceiling is refused before a split is read
-        assert "a batch holds at most" not in message, "the split was read"
-        return read_benchmark(*args, **kwargs)
+    def unread(read):
+        def read_spy(*args, **kwargs):
+            assert not refused_unread, f"{read.__name__} was called"
+            return read(*args, **kwargs)
+        return read_spy
 
-    monkeypatch.setattr(cli, "read_benchmark", read_spy)
+    for name in ("read_benchmark", "parse_ground_truths", "parse_detections"):
+        monkeypatch.setattr(cli, name, unread(getattr(cli, name)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = _exit_code([a.format(**paths) for a in argv])

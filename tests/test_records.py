@@ -1490,6 +1490,56 @@ class TestPropRuns:
         got = _runs_agree(monkeypatch, lines, ds.features()[:10])
         assert got[1][1] == f"d.txt:{_prop_index(lines, 10) + 1}: sidecar has too few feature rows"
 
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "sidecar"])
+    @pytest.mark.parametrize("edit", [
+        lambda line: line.replace(" ", "\t"),
+        lambda line: line.replace("prop ", "prop\t", 1),
+        lambda line: "  " + line,
+        lambda line: "\t" + line.replace(" ", "  "),
+    ], ids=["tabs", "tab-after-kind", "leading-spaces", "leading-tab-double-spaces"])
+    def test_every_prop_line_joins_the_run(self, edit, inline, monkeypatch):
+        """A prop line that does not start ``prop `` joins the run as any
+        other does: every run, ``_RUN_ROWS`` lines long but the last, is
+        read by the C reader, and the table is the dataset's."""
+        lines, ds = _run_lines(inline)
+        lines = [edit(line) if line.startswith("prop ") else line for line in lines]
+        features = None if inline else ds.features()
+        runs = []
+
+        def counted(run, dtype, n_gt):
+            got = read_run(run, dtype, n_gt)
+            runs.append((len(run), got is not None))
+            return got
+
+        read_run = records._read_run
+        monkeypatch.setattr(records, "_read_run", counted)
+        for rows in RUN_SIZES:
+            runs.clear()
+            monkeypatch.setattr(records, "_RUN_ROWS", rows)
+            got = parse_dataset("\n".join(lines), CONTRACT_SPECS, "train", 0, features=features)
+            assert _dataset_key(got) == _dataset_key(ds)
+            n = ds.n_samples
+            assert runs == [(min(rows, n - start), True) for start in range(0, n, rows)]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_noise_seed_out_of_range_at_every_run_size(self, seed, monkeypatch):
+        """A noise seed outside [0, 2**64) raises at its line whether its
+        run is read by the C reader or refused and read line by line.  The
+        oracle reads such seeds, so the message is checked here."""
+        lines, _ = _run_lines()
+        lines = _with_token(lines, 3, 3, seed)
+        text = "\n".join(lines) + "\n"
+        want = f"d.txt:{_prop_index(lines, 3) + 1}: noise seed must be in [0, 2**64), got {seed}"
+        with monkeypatch.context() as m:
+            for refused in (False, True):
+                if refused:
+                    m.setattr(records, "_read_run", lambda *a: None)
+                for rows in RUN_SIZES:
+                    m.setattr(records, "_RUN_ROWS", rows)
+                    with pytest.raises(FormatError) as info:
+                        parse_dataset(text, CONTRACT_SPECS, "train", 0, path="d.txt")
+                    assert str(info.value) == want
+
 
 # ---------------------------------------------------------------- manifests
 
