@@ -63,13 +63,6 @@ def canonicalize(raw):
 
 def _canonicalize_array(raw: np.ndarray) -> np.ndarray:
     value = np.array(raw, dtype=float)
-    # Values already in [0, 2*pi) would pass through the fmod reduction
-    # below unchanged, so they are only copied; a NaN fails both tests.
-    if (
-        np.minimum.reduce(value, axis=None, initial=0.0) >= 0.0
-        and np.maximum.reduce(value, axis=None, initial=0.0) < TWO_PI
-    ):
-        return value
     finite = np.isfinite(value)
     if not finite.all():
         bad = value.flat[int(np.argmin(finite.ravel()))]
@@ -124,18 +117,14 @@ def encode(theta, dim: int) -> np.ndarray:
     ``[cos(t - pi/3), cos t, cos(t + pi/3)]``.  An ndarray of ``B`` angles
     gives one embedding per row, shape ``(B, dim)``.
     """
-    if isinstance(theta, np.ndarray):
-        cos, sin = np.cos, np.sin
-
-        def stack(cols):  # np.stack(cols, axis=-1), without its Python-level checks
-            return np.concatenate([c[..., None] for c in cols], axis=-1)
-    else:
-        cos, sin, stack = math.cos, math.sin, np.array
+    cos, sin = (np.cos, np.sin) if isinstance(theta, np.ndarray) else (math.cos, math.sin)
     if dim == 2:
-        return stack([cos(theta), sin(theta)])
-    if dim == 3:
-        return stack([cos(theta - math.pi / 3.0), cos(theta), cos(theta + math.pi / 3.0)])
-    raise InvalidParameter(f"embedding dim must be 2 or 3, got {dim}")
+        cols = [cos(theta), sin(theta)]
+    elif dim == 3:
+        cols = [cos(theta - math.pi / 3.0), cos(theta), cos(theta + math.pi / 3.0)]
+    else:
+        raise InvalidParameter(f"embedding dim must be 2 or 3, got {dim}")
+    return np.stack(cols, axis=-1)
 
 
 def decode(emb: np.ndarray) -> float:

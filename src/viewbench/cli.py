@@ -33,7 +33,7 @@ from .angles import canonicalize, decode, encode
 from .errors import ConfigError, DivergenceError, FormatError, InvalidConfig, ViewbenchError
 from .experiments import compose_detections, pose_angles
 from .gradcheck import loss_gradient_suite, net_gradient_suite
-from .losses import LossSpec
+from .losses import LossSpec, check_loss_head
 from .metrics import AP_RULES, evaluate
 from .net import (
     NetConfig,
@@ -193,9 +193,10 @@ def load_run_config(path: str | None, seed_override: int | None = None) -> dict:
     the ``train:`` section (by building its ``TrainConfig``), the ``net:``
     fields that need no class roster (``check_net_fields``; ``train``
     checks the parameter ceiling once the manifest gives the sizes), the
-    loss knobs and the loss kind (by building the ``LossSpec``) are checked
-    here, so every command refuses them before it reads any data.  An error
-    in the file's config starts with the file's path."""
+    loss knobs, the loss kind (by building the ``LossSpec``) and the head
+    it trains (``losses.check_loss_head``) are checked here, so every
+    command refuses them before it reads any data.  An error in the file's
+    config starts with the file's path."""
     if path is None:
         return _effective_config({}, seed_override)
     try:
@@ -250,13 +251,13 @@ def _effective_config(user, seed_override: int | None) -> dict:
         _train_config(cfg["train"])
     except InvalidConfig as e:  # its message starts with the field's name
         raise ConfigError(f"config key train.{e}") from None
-    try:
-        LossSpec(**cfg["loss"])
-    except ConfigError as e:
-        raise ConfigError(f"config key loss.kind: {e}") from None
     net = cfg["net"]
     _net_section(check_net_fields, net["trunk_widths"], net["head"], net["n_bins"], net["n_dims"],
                  net["split_depth"])
+    try:
+        check_loss_head(LossSpec(**cfg["loss"]).kind, net["head"])
+    except ConfigError as e:
+        raise ConfigError(f"config key loss.kind: {e}") from None
     split = cfg["predict"]["split"]
     if split not in ("train", "test"):
         raise ConfigError(f"predict.split must be 'train' or 'test', got {split!r}")
@@ -440,7 +441,6 @@ def cmd_eval(args) -> int:
     gts = parse_ground_truths(read_lines(args.gt), path=args.gt)
     dets = parse_detections(read_lines(args.det), path=args.det)
     report = evaluate(gts, dets, bins=bins, iou_threshold=args.iou, rule=args.ap_rule)
-    _print_report(report, bins)
     if args.out:
         echo = {
             "gt": str(args.gt),
@@ -450,6 +450,8 @@ def cmd_eval(args) -> int:
             "rule": args.ap_rule,
         }
         atomic_write_text(args.out, format_eval_report(report, echo))
+    _print_report(report, bins)
+    if args.out:
         print(f"report: {args.out}")
     return 0
 

@@ -181,7 +181,7 @@ def median_comparison(seeds=(0, 1, 2, 3, 4), iters: int = 3000, width: int = 64)
     runs = [compare_formulations(s, iters, width) for s in seeds]
     return {
         name: float(np.median([getattr(r, name) for r in runs]))
-        for name in ("reg2d", "reg3d", "cls", "joint_cls")
+        for name in (f.name for f in fields(ComparisonResult))
     }
 
 

@@ -26,10 +26,11 @@ position), so the rebuilt term array is the one a per-slot call would
 build, and it is totalled as one contiguous run of the same length.  A block holds at most
 ``BLOCK_DOUBLES`` doubles.  A result without terms (an eager
 ``LossResult(value, grad)``) and ``check_net`` (every parameter moves
-every sample) take one evaluation per perturbed point, each slot moved
-in place in one copy of the point.  ``check_net``'s point is the flat
-``values`` vector of one ``params.copy()``, laid out like the flat
-gradient ``backward`` returns.  One function scores both evaluators.
+every sample) go through the one per-slot evaluator,
+``check_gradient``: one evaluation per perturbed point, each slot moved
+in place and put back.  ``check_net``'s point is the parameters' flat
+``values`` vector, laid out like the flat gradient ``backward``
+returns.  One function scores both evaluators.
 
 Layouts with many slots are subsampled: the largest-magnitude analytic
 slots are always checked, the rest drawn by a seeded generator, so runs
@@ -123,22 +124,6 @@ def _score(analytic: np.ndarray, values: np.ndarray, eps: float) -> float:
     return float(np.max(err, initial=0.0))
 
 
-def _per_slot_values(
-    f: Callable[[np.ndarray], float], x: np.ndarray, slots: np.ndarray, eps: float
-) -> np.ndarray:
-    """f at x + eps and at x - eps in each slot, one call per point:
-    (2, n).  Each slot of ``x`` is moved in place and put back."""
-    values = np.empty((2, slots.size))
-    for j, i in enumerate(slots):
-        xi = x[i]
-        x[i] = xi + eps
-        values[0, j] = f(x)
-        x[i] = xi - eps
-        values[1, j] = f(x)
-        x[i] = xi
-    return values
-
-
 def _stacked_values(
     loss_fn: Callable,
     terms: Terms,
@@ -149,8 +134,10 @@ def _stacked_values(
     slots: np.ndarray,
     eps: float,
 ) -> np.ndarray:
-    """The values of ``_per_slot_values`` for a loss whose terms at ``vec``
-    are ``terms``, from one loss call per block of perturbed sample rows.
+    """The values of the central differences of :func:`check_gradient`
+    ((2, n): the loss at +eps and at -eps in each slot) for a loss whose
+    terms at ``vec`` are ``terms``, from one loss call per block of
+    perturbed sample rows.
 
     Copy 2j of a block is slot j's sample row at +eps, copy 2j+1 at -eps,
     each with its own label.  A copy's value is the total of the base
@@ -205,10 +192,22 @@ def check_gradient(
     name: str = "gradient",
     corrupt: bool = False,
 ) -> GradCheckResult:
-    """Compare an analytic gradient against central differences of f."""
-    x0 = np.asarray(x0, dtype=float).ravel()
-    analytic, slots = _slots_to_check(analytic, x0.size, max_slots, seed, corrupt)
-    values = _per_slot_values(f, x0.copy(), slots, eps)
+    """Compare an analytic gradient against central differences of f.
+
+    Each checked slot of the flat float point ``x0`` is moved in place to
+    +eps and to -eps, with one call of ``f`` on the point at each, and is
+    then put back, so the point ends as it started, bit for bit, and an
+    ``f`` that reads the point through a closure sees each move."""
+    x = np.asarray(x0, dtype=float).ravel()
+    analytic, slots = _slots_to_check(analytic, x.size, max_slots, seed, corrupt)
+    values = np.empty((2, slots.size))
+    for j, i in enumerate(slots):
+        xi = x[i]
+        x[i] = xi + eps
+        values[0, j] = f(x)
+        x[i] = xi - eps
+        values[1, j] = f(x)
+        x[i] = xi
     return GradCheckResult(name, slots.size, _score(analytic[slots], values, eps), tolerance)
 
 
@@ -267,13 +266,14 @@ def check_loss(
     labels = as_labels(targets)  # once, not at every evaluation
     vec, rows, build = _layout(outputs)
     base = loss_fn(outputs, labels)
-    analytic, slots = _slots_to_check(_layout(base.grad)[0], vec.size, MAX_SLOTS, seed, corrupt)
+    grad = _layout(base.grad)[0]
     if base.terms is None:
-        values = _per_slot_values(
-            lambda v: loss_fn(build(v.take(rows)), labels).value, vec, slots, EPS
+        return check_gradient(
+            lambda v: loss_fn(build(v.take(rows)), labels).value, vec, grad,
+            tolerance=tolerance, seed=seed, name=name, corrupt=corrupt,
         )
-    else:
-        values = _stacked_values(loss_fn, base.terms, labels, vec, rows, build, slots, EPS)
+    analytic, slots = _slots_to_check(grad, vec.size, MAX_SLOTS, seed, corrupt)
+    values = _stacked_values(loss_fn, base.terms, labels, vec, rows, build, slots, EPS)
     return GradCheckResult(name, slots.size, _score(analytic[slots], values, EPS), tolerance)
 
 
@@ -288,19 +288,17 @@ def check_net(
     corrupt: bool = False,
 ) -> GradCheckResult:
     """End-to-end check: d(loss)/d(parameters) through forward/backward,
-    against central differences of one copy of the parameters whose flat
-    ``values`` vector is perturbed in place."""
+    against central differences of the parameters, whose flat ``values``
+    vector :func:`check_gradient` moves in place."""
     targets = as_labels(targets)
     params = nets.init_params(cfg)
     fn = loss_function(loss, cfg.n_dims)
     out, cache = nets.forward(params, cfg, x, want_cache=True)
     grads = nets.backward(params, cfg, x, fn(out, targets).grad, cache)
-    probe = params.copy()
-    analytic, slots = _slots_to_check(grads, probe.n_params, MAX_SLOTS, seed, corrupt)
-    values = _per_slot_values(
-        lambda _: fn(nets.forward(probe, cfg, x), targets).value, probe.values, slots, EPS
+    return check_gradient(
+        lambda _: fn(nets.forward(params, cfg, x), targets).value, params.values, grads,
+        tolerance=tolerance, seed=seed, name=name, corrupt=corrupt,
     )
-    return GradCheckResult(name, slots.size, _score(analytic[slots], values, EPS), tolerance)
 
 
 def _random_targets(

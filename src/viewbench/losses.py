@@ -34,14 +34,15 @@ loss.
 
 ``LOSS_HEADS`` is the one formulation table: each loss kind with the net
 head kind it trains (``LOSS_KINDS`` are its keys, ``net.HEAD_KINDS`` its
-values), and ``POSE_ONLY_LOSSES`` the kinds with no background term.
+values; :func:`check_loss_head` refuses a loss on another head), and
+``POSE_ONLY_LOSSES`` the kinds with no background term.
 
 Targets come as one :class:`Labels` batch (class ids and azimuths as
 arrays, which is what ``net.make_batch`` produces) or as any sequence of
 per-sample :class:`Target` values.  Each loss turns its input into
 ``Labels`` once at entry; bins, embeddings and slots are then array code,
-derived once per ``Labels`` object and kept.  A bad label raises for the
-first offending sample in index order.
+derived from the foreground rows at every call.  A bad label raises for
+the first offending sample in index order.
 
 Output layouts
 --------------
@@ -66,7 +67,7 @@ equal inputs give bit-identical values and gradients.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -96,6 +97,15 @@ LOSS_KINDS = tuple(LOSS_HEADS)
 POSE_ONLY_LOSSES = ("regression", "classification", "geometric")
 
 
+def check_loss_head(kind: str, head: str) -> None:
+    """Refuse, with ``ConfigError``, a loss of ``kind`` on a net whose
+    ``head`` kind is not the one the loss trains."""
+    if LOSS_HEADS[kind] != head:
+        raise ConfigError(
+            f"loss {kind!r} trains a {LOSS_HEADS[kind]!r} head, but the net has {head!r}"
+        )
+
+
 @dataclass(frozen=True)
 class Target:
     """One training sample's label: class id (0 = background) and azimuth.
@@ -123,13 +133,11 @@ class Labels:
 
     Validated once for the whole batch with the rules of :class:`Target`;
     foreground azimuths must also be finite.  The arrays are read-only
-    copies, so what a loss derives from them (bins per bin count,
-    embeddings per dimension) is computed once per batch and kept.
+    copies, so a batch cannot change after it was checked.
     """
 
     class_id: np.ndarray
     azimuth: np.ndarray
-    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         cls = np.array(self.class_id)
@@ -159,27 +167,20 @@ class Labels:
 
     def bins(self, n_bins: int) -> np.ndarray:
         """1-based bin of each row's azimuth among ``n_bins``, 0 on
-        background rows; derived once per bin count."""
-        return self._kept(("bins", n_bins), lambda az: azimuth_to_bin(az, n_bins), 0, ())
+        background rows."""
+        return self._foreground(lambda az: azimuth_to_bin(az, n_bins), 0, ())
 
     def embeddings(self, dim: int) -> np.ndarray:
         """(B, dim) pose embedding of each row's azimuth, NaN on
-        background rows; derived once per dimension."""
-        return self._kept(("embeddings", dim), lambda az: encode(az, dim), np.nan, (dim,))
+        background rows."""
+        return self._foreground(lambda az: encode(az, dim), np.nan, (dim,))
 
-    def _kept(self, key: tuple, fn: Callable, background, shape: tuple) -> np.ndarray:
-        """``fn`` of each row's azimuth, with ``background`` on background
-        rows, which are never evaluated; kept under ``key``."""
-        out = self._derived.get(key)
-        if out is None:
-            if np.minimum.reduce(self.class_id, initial=1) > 0:  # no background rows
-                out = fn(self.azimuth)
-            else:
-                fg = self.class_id > 0
-                out = np.full((len(self),) + shape, background)
-                out[fg] = fn(self.azimuth[fg])
-            out.flags.writeable = False
-            self._derived[key] = out
+    def _foreground(self, fn: Callable, background, shape: tuple) -> np.ndarray:
+        """``fn`` of the foreground rows' azimuths, with ``background`` on
+        background rows, which are never evaluated."""
+        fg = self.class_id > 0
+        out = np.full((len(self),) + shape, background)
+        out[fg] = fn(self.azimuth[fg])
         return out
 
 
@@ -366,15 +367,11 @@ def _class_ids(labels: Labels, n_classes: int, background_error=None) -> np.ndar
     """Class ids, checked against the outputs' class count; with
     ``background_error``, background rows are rejected too."""
     cls = labels.class_id
-    lowest = 0 if background_error is None else 1
-    if (
-        np.maximum.reduce(cls, initial=lowest) <= n_classes
-        and np.minimum.reduce(cls, initial=n_classes) >= lowest
-    ):
-        return cls
     bad = cls > n_classes
     if background_error is not None:
         bad |= cls == 0
+    if not bad.any():
+        return cls
     i = int(np.argmax(bad))
     if cls[i] == 0:
         raise background_error(f"sample {i} is background")

@@ -31,8 +31,8 @@ Batches mix foreground and background proposals with replacement;
 foreground samples are mirrored with probability 1/2 by regenerating the
 feature at the flipped azimuth.  A ``Pool`` holds one feature table of
 foreground rows, their noiseless mirrors and background rows, and a label
-table of the same rows, whose bins and embeddings are derived once per
-bin count and dimension.  ``make_batch`` draws one index array into both:
+table of the same rows, whose bins or embeddings a training run derives
+once (``losses.step_loss``).  ``make_batch`` draws one index array into both:
 the features are those rows (a flipped row of a noisy class plus fresh
 noise), and the labels ``losses.Labels`` of the same rows of the label
 table.  All randomness comes from seeded generators, so runs are bitwise
@@ -86,6 +86,7 @@ from .losses import (
     JointRegOutputs,
     Labels,
     LossSpec,
+    check_loss_head,
     joint_detection_scores,
     loss_function,
     softmax,
@@ -535,8 +536,8 @@ class Pool:
     (the class's feature at the mirrored azimuth), then the m background
     features.  ``fg_features``, ``fg_flip_clean`` and ``bg_features`` are
     views of these three parts, so a write into them reaches the batches.
-    ``labels`` labels the same rows; its bins and embeddings are derived
-    once per bin count and dimension, over the rows that carry a class.
+    ``labels`` labels the same rows, a label table whose bins or
+    embeddings each training run derives once (``losses.step_loss``).
     ``fg_noise_sigma`` is each foreground row's class noise scale.  Rows of
     a class without a spec cannot be flipped: their mirror row and noise
     scale are NaN, and their mirror is labelled as background, class 0
@@ -715,8 +716,9 @@ def train(
 ) -> TrainResult:
     """Seeded SGD training of a fresh network on a dataset's proposals.
 
-    The loss must match the head kind.  Pose-only losses cannot digest
-    background rows, so they require positive_fraction == 1.  The log
+    The loss must train the net's head kind (``losses.check_loss_head``).
+    Pose-only losses cannot digest background rows, so they require
+    positive_fraction == 1.  The log
     holds probe-batch loss every log_every iterations (and at the last);
     identical seeds give bitwise identical parameters and logs.  A
     ``joint_reg`` branch whose loss gradient is all +0 (the
@@ -750,11 +752,7 @@ def train(
     """
     if isinstance(loss, str):
         loss = LossSpec(loss)
-    if LOSS_HEADS[loss.kind] != cfg.head:
-        raise ConfigError(
-            f"loss {loss.kind!r} trains a {LOSS_HEADS[loss.kind]!r} head, "
-            f"but the net has {cfg.head!r}"
-        )
+    check_loss_head(loss.kind, cfg.head)
     if loss.kind in POSE_ONLY_LOSSES and tcfg.positive_fraction < 1.0:
         raise ConfigError(
             f"loss {loss.kind!r} has no background term; "

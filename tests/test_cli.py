@@ -982,6 +982,12 @@ def _exit_code(argv):
              "loss_bogus.yaml: config key loss.kind: loss kind must be one of (")
             for command in ("generate", "train")
         ),
+        *(
+            ([command, "--config", "{loss_head}", "--out", "{out}"],
+             "loss_head.yaml: config key loss.kind: loss 'regression' trains a 'reg' head, "
+             "but the net has 'cls'")
+            for command in ("train", "generate")
+        ),
         (["eval", "{missing}", "{missing}", "--iou", "1.5"],
          "iou threshold must be in (0, 1), got '1.5'"),
         (["eval", "{gt}", "{gt}", "--iou", "nan"], "iou threshold must be in (0, 1), got 'nan'"),
@@ -1028,6 +1034,8 @@ def _exit_code(argv):
         "config-error-names-file", "generate-3e9-test-scenes-past-split-ceiling",
         "train-batch-1e12-past-ceiling", "train-batch-times-width-past-ceiling",
         "generate-loss-kind-refused-at-load", "train-loss-kind-refused-before-split-read",
+        "train-loss-head-mismatch-before-split-read",
+        "generate-loss-head-mismatch-refused-at-load",
         "eval-iou-above-1-before-files-read", "eval-iou-nan-before-files-parsed",
         "eval-iou-0-before-files-parsed",
         *(f"generate-train-{key.replace('_', '-')}-refused-at-load"
@@ -1097,6 +1105,7 @@ def test_bad_input_exits_2(
                     "train": {**SMALL_TRAIN["train"], "batch_size": 300_000},
                 }),
                 ("loss_bogus", {"loss": {"kind": "bogus"}}),
+                ("loss_head", {"loss": {"kind": "regression"}}),
             )
         },
         "widths_huge_garbage": _write_yaml(tmp_path / "widths_huge_garbage.yaml", {
@@ -1269,7 +1278,8 @@ class TestEval:
         det.write_text(DET_TEXT)
         target = tmp_path / "missing" / "r.json"
         assert entry(["eval", str(gt), str(det), "--out", str(target)]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert f"error: [Errno 2] No such file or directory: '{target}'\n" in err
         assert ".tmp" not in err
 

@@ -39,6 +39,23 @@ class TestHarness:
         res = check_gradient(lambda x: float(np.sum(x * x)), x0, 2 * x0 + 0.01)
         assert not res.passed
 
+    def test_point_moved_in_place_and_put_back(self):
+        x0 = np.array([1.0, -2.0, -0.0, 0.5])
+        before = x0.tobytes()
+        seen = []
+
+        def f(_):  # reads the point through the closure, not its argument
+            seen.append(x0.copy())
+            return float(np.sum(x0 * x0))
+
+        assert check_gradient(f, x0, 2 * x0).passed
+        assert x0.tobytes() == before
+        assert len(seen) == 2 * x0.size
+        for j, point in enumerate(seen):
+            moved = np.frombuffer(before).copy()
+            moved[j // 2] += EPS if j % 2 == 0 else -EPS
+            assert point.tobytes() == moved.tobytes()
+
     def test_subsampling_still_covers_top_slots(self):
         # 1000 slots capped at 64: the corrupted largest slot must be seen
         x0 = np.linspace(0.1, 1.0, 1000)

@@ -165,15 +165,15 @@ class TestLabels:
 
 
 class TestLabelsDerived:
-    """Bins and embeddings are derived once per Labels object, from
-    read-only copies of the arrays."""
+    """Bins and embeddings are derived at every call, from the foreground
+    rows of read-only copies of the arrays."""
 
     def test_arrays_are_read_only_copies(self):
         cls, az = np.array([1, 0, 2]), np.array([0.5, np.nan, 6.0])
         labels = Labels(cls, az)
         cls[0], az[0] = 2, 1.0
         assert labels.class_id[0] == 1 and labels.azimuth[0] == 0.5
-        for arr in (labels.class_id, labels.azimuth, labels.bins(8), labels.embeddings(3)):
+        for arr in (labels.class_id, labels.azimuth):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -184,29 +184,30 @@ class TestLabelsDerived:
         assert np.array_equal(emb[[0, 2]], [encode(0.5, 2), encode(6.0, 2)])
         assert np.isnan(emb[1]).all()
 
-    def test_derived_once_per_key(self, monkeypatch):
+    def test_repeated_calls_agree_and_skip_background(self, monkeypatch):
         import viewbench.losses as losses_mod
 
-        calls = {"bins": 0, "encode": 0}
+        seen = []
 
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def spying(fn):
+            def wrapped(theta, *args):
+                seen.append(np.array(theta))
+                return fn(theta, *args)
             return wrapped
 
-        monkeypatch.setattr(losses_mod, "azimuth_to_bin", counting("bins", azimuth_to_bin))
-        monkeypatch.setattr(losses_mod, "encode", counting("encode", encode))
-        labels = as_labels(_fg_targets(np.random.default_rng(0), 6, 2))
-        outputs = np.random.default_rng(1).normal(size=(6, 2, 8))
-        for _ in range(3):
-            classification_loss(outputs, labels)
-            geometric_classification_loss(outputs, labels)
-            regression_loss(outputs[:, :, :3], labels, dim=3)
-        assert calls == {"bins": 1, "encode": 1}
-        assert labels.bins(8) is labels.bins(8)
-        labels.bins(4)
-        assert calls["bins"] == 2
+        monkeypatch.setattr(losses_mod, "azimuth_to_bin", spying(azimuth_to_bin))
+        monkeypatch.setattr(losses_mod, "encode", spying(encode))
+        targets = _fg_targets(np.random.default_rng(0), 6, 2)
+        targets[1] = targets[4] = Target(0)
+        labels = as_labels(targets)
+        for derive, arg in ((labels.bins, 8), (labels.bins, 4), (labels.embeddings, 2),
+                            (labels.embeddings, 3)):
+            assert derive(arg).tobytes() == derive(arg).tobytes()
+        joint_regression_loss(_joint_reg_out(6, 2), labels)
+        joint_classification_loss(_joint_cls_out(6, 2), labels)
+        assert len(seen) == 10
+        for theta in seen:
+            assert theta.shape == (4,) and not np.isnan(theta).any()
 
 
 class TestJointClsFlat:
